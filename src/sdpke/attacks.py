@@ -13,7 +13,9 @@ the exchanged values), each returning an AttackOutcome:
   groups, so the solution is unique), and a Cayley-Hamilton argument turns
   key recovery into one small linear solve.
 * ``tropical_binsearch_attack`` — the exchanged sequence is entrywise
-  non-increasing, so an admissible exponent is found by binary search.
+  non-increasing, so its terms form a chain and an admissible exponent is
+  found by binary search; a term incomparable with A proves A is off the
+  sequence.
 * ``mobs_solution_count`` — brute-force census of how many Y satisfy the
   telescoping equality on the OR/AND platform; evidence for why the
   telescoping route fails there.
@@ -99,7 +101,7 @@ class SpanBasis:
         return len(self.indices)
 
 
-def build_span_basis(platform: Platform, modulus: int, max_terms: int | None = None) -> SpanBasis:
+def build_span_basis(platform: Platform, modulus: int) -> SpanBasis:
     """Generate a_1, a_2, ... and stop at the first linearly dependent term."""
     basis = SpanBasis(indices=[], elements=[], vectors=[], span=EchelonSpan(modulus))
     for n, value, _end in sequence_iter(platform):
@@ -109,8 +111,6 @@ def build_span_basis(platform: Platform, modulus: int, max_terms: int | None = N
         basis.indices.append(n)
         basis.elements.append(value)
         basis.vectors.append(v)
-        if max_terms is not None and n >= max_terms:
-            raise ParameterError("sequence did not close within the term limit")
     return basis
 
 
@@ -127,6 +127,7 @@ def dimension_attack(transcript: Transcript) -> AttackOutcome:
     The additive form carries the affine correction (1 - sum eta_i) B; it
     reduces to the sum of phi^i(B) + a_i whenever the coefficients happen to
     sum to one, but is exact for every solution eta.
+    An A outside the span of the prefix, which spans every term, is no a_x.
     """
     platform = transcript.build_platform()
     try:
@@ -148,7 +149,7 @@ def dimension_attack(transcript: Transcript) -> AttackOutcome:
     eta = solve_mod(coords, mx.flatten(a_obs), modulus)
     work.linear_solves = 1
     if eta is None:
-        raise AssertionError("observed value outside the closed span; sequence logic broken")
+        return AttackOutcome(success=False, work=work, detail="A is outside the span of the sequence")
 
     additive = platform.op_kind == "add"
     phi_i_of_b = b_obs  # phi^0(B); basis indices run 1..k, one application per step
@@ -208,8 +209,8 @@ def make_telescoping_attack(transcript: Transcript) -> AttackOutcome:
     for any coefficient vector t and replaying it on B gives
     H1^x B H2^x, hence the key H1^x B H2^x + A.
 
-    The degree-n column set is attempted first and escalated to degree n^2
-    if the system were ever inconsistent.
+    Higher-degree columns add nothing to that span, so an inconsistent
+    system proves D is no H1^x M H2^x, and the attack fails.
     """
     platform = transcript.build_platform()
     if platform.name != "make":
@@ -223,16 +224,12 @@ def make_telescoping_attack(transcript: Transcript) -> AttackOutcome:
     work = WorkCounters()
     d = (h1 @ a_obs @ h2) + m - a_obs
 
-    for degree in (n, n * n):
-        h1_pows = _power_list(h1, degree)
-        h2_pows = _power_list(h2, degree)
-        l_m = _build_l_matrix(h1_pows, m, h2_pows)
-        work.linear_solves += 1
-        t = solve_mod(l_m, mx.vec(d), p)
-        if t is not None:
-            break
-    else:
-        raise AssertionError("telescoping system inconsistent at full degree; identity violated")
+    h1_pows = _power_list(h1, n)
+    h2_pows = _power_list(h2, n)
+    work.linear_solves = 1
+    t = solve_mod(_build_l_matrix(h1_pows, m, h2_pows), mx.vec(d), p)
+    if t is None:
+        return AttackOutcome(success=False, work=work, detail="H1 A H2 + M - A is outside the H1^i M H2^j span")
 
     l_b = _build_l_matrix(h1_pows, b_obs, h2_pows)
     phi_x_of_b = mx.unvec(platform.g.ring, (l_b @ t) % p, n)
@@ -272,10 +269,8 @@ def tropical_binsearch_attack(transcript: Transcript, x_max: int = 1 << 20) -> A
     x <= x_max.  Any admissible exponent works: a_x' = a_x forces
     a_(x'+y) = a_(x+y), so the derived key is the true key.
 
-    Probes that compare incomparable to A cannot occur if A is on the
-    sequence; they are handled anyway by an expanding scan (offsets 1, 2,
-    4, ...) around the failed midpoint, capped at 2*log2(x_max) extra
-    probes before giving up.
+    The terms form a chain, so a probe incomparable with A proves that A is
+    no a_x, and the search stops there.
     """
     platform = transcript.build_platform()
     if platform.name != "tropical":
@@ -283,7 +278,6 @@ def tropical_binsearch_attack(transcript: Transcript, x_max: int = 1 << 20) -> A
     a_obs, b_obs = transcript.alice_value, transcript.bob_value
 
     work = WorkCounters()
-    fallback_budget = 2 * max(1, x_max.bit_length())
     probed: dict[int, Matrix] = {}
 
     def term(n: int) -> Matrix:
@@ -291,41 +285,17 @@ def tropical_binsearch_attack(transcript: Transcript, x_max: int = 1 << 20) -> A
             probed[n] = sdp_exp(platform, n).value
         return probed[n]
 
-    def probe(n: int) -> tuple[bool, bool]:
-        work.search_steps += 1
-        return _compare_entrywise(term(n), a_obs)
-
-    def comparable_probe(mid: int, lo: int, hi: int) -> tuple[int, bool] | None:
-        """Probe mid; on an incomparable result scan mid +- 1, 2, 4, ..."""
-        nonlocal fallback_budget
-        le, ge = probe(mid)
-        if le or ge:
-            return mid, le
-        delta = 1
-        while fallback_budget > 0:
-            for cand in (mid - delta, mid + delta):
-                if lo <= cand <= hi and fallback_budget > 0:
-                    fallback_budget -= 1
-                    le, ge = probe(cand)
-                    if le or ge:
-                        return cand, le
-            delta <<= 1
-            if mid - delta < lo and mid + delta > hi:
-                break
-        return None
-
     lo, hi = 1, x_max
     while lo < hi:
-        hit = comparable_probe((lo + hi) // 2, lo, hi)
-        if hit is None:
-            return AttackOutcome(
-                success=False, work=work, detail="incomparable probes exhausted the fallback budget"
-            )
-        pos, le = hit
+        mid = (lo + hi) // 2
+        work.search_steps += 1
+        le, ge = _compare_entrywise(term(mid), a_obs)
+        if not (le or ge):
+            return AttackOutcome(success=False, work=work, detail=f"a_{mid} is incomparable with A")
         if le:
-            hi = pos
+            hi = mid
         else:
-            lo = pos + 1
+            lo = mid + 1
 
     # search_steps counts search probes; the admissibility check below reuses
     # the cached term when the search already evaluated it

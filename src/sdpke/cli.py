@@ -11,9 +11,9 @@ Subcommands:
 
 Determinism: all randomness flows from counter-based per-trial substreams
 Philox(key=[seed, trial]), so a (config, seed) pair reproduces identical
-transcripts, outcomes, and work counters regardless of execution order or
-worker count; only wall-clock fields vary.  ``SDPKE_THREADS`` caps the
-worker pool used to run independent trials (default 1).
+transcripts, outcomes, and work counters; only wall-clock fields vary.
+Trials run sequentially: their small numpy calls hold the GIL, so threads
+only add overhead.
 
 Exit codes: 0 success, 1 trial failure, 2 bad configuration, 3 attack not
 applicable to the platform, 4 enumeration size cap exceeded.
@@ -27,10 +27,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -112,14 +110,6 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _run_trials(n: int, fn):
-    workers = max(1, int(os.environ.get("SDPKE_THREADS", "1")))
-    if workers == 1:
-        return [fn(i) for i in range(n)]
-    with ThreadPoolExecutor(max_workers=min(workers, n)) as pool:
-        return list(pool.map(fn, range(n)))
-
-
 def _load_params(config: RunConfig):
     """Platform parameters from --params (explicit or seeded) or defaults."""
     if config.params_file:
@@ -193,7 +183,7 @@ def cmd_exchange(config: RunConfig) -> int:
         micros = int((time.perf_counter() - t0) * 1e6)
         return transcript, ReportRow(platform.name, trial, "exchange", agreed, micros)
 
-    results = _run_trials(config.trials, one)
+    results = [one(t) for t in range(config.trials)]
     transcripts = [t for t, _ in results]
     rows = [r for _, r in results]
     _write_text(config.out, _transcripts_json(transcripts))
@@ -268,7 +258,7 @@ def cmd_bench(config: RunConfig) -> int:
             ReportRow(platform.name, trial, op, ok, int(dt * 1e6)) for op, dt in rows
         ]
 
-    rows = [row for batch in _run_trials(config.trials, one) for row in batch]
+    rows = [row for t in range(config.trials) for row in one(t)]
     _emit_report(rows, config, config.out)
 
     by_op: dict[str, list[int]] = {}
@@ -310,7 +300,7 @@ def cmd_count(config: RunConfig) -> int:
             "mobs", trial, "mobs-count", outcome.success, micros, outcome.work.to_obj()
         )
 
-    rows = _run_trials(config.trials, one)
+    rows = [one(t) for t in range(config.trials)]
     _emit_report(rows, config, config.out)
     counts = sorted(r.counters["solution_count"] for r in rows)
     print(

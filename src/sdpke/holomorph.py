@@ -7,9 +7,9 @@ public element g, and an endomorphism phi of that operation.  Pairs
 ``sdp_exp_naive`` is the sequential reference oracle for it.
 
 Endomorphism powers are represented in closed form per platform (cached
-conjugator powers, two-sided factor powers, star powers, permutation
-powers), so applying phi^n costs O(1) matrix operations after an O(log n)
-setup.
+two-sided factor powers, of which conjugation is one case; star powers,
+exact because the star product is associative; permutation powers), so
+applying phi^n costs O(1) matrix operations after an O(log n) setup.
 """
 
 from __future__ import annotations
@@ -68,33 +68,8 @@ class IdentityEnd(Endomorphism):
         return isinstance(other, IdentityEnd)
 
 
-class ConjugatorPower(Endomorphism):
-    """phi^n(X) = H^-n X H^n, with both power matrices cached."""
-
-    def __init__(self, h_pow: Matrix, h_inv_pow: Matrix):
-        self.h_pow = h_pow
-        self.h_inv_pow = h_inv_pow
-
-    def __call__(self, x: Matrix) -> Matrix:
-        return self.h_inv_pow @ x @ self.h_pow
-
-    def compose(self, other: Endomorphism) -> Endomorphism:
-        if isinstance(other, IdentityEnd):
-            return self
-        if not isinstance(other, ConjugatorPower):
-            raise ParameterError("cannot compose endomorphisms of different platforms")
-        return ConjugatorPower(self.h_pow @ other.h_pow, self.h_inv_pow @ other.h_inv_pow)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ConjugatorPower)
-            and self.h_pow == other.h_pow
-            and self.h_inv_pow == other.h_inv_pow
-        )
-
-
 class TwoSidedPower(Endomorphism):
-    """phi^n(X) = H1^n X H2^n for the additive matrix platform."""
+    """phi^n(X) = L X R for cached factor powers L = H1^n and R = H2^n."""
 
     def __init__(self, left_pow: Matrix, right_pow: Matrix):
         self.left_pow = left_pow
@@ -118,18 +93,23 @@ class TwoSidedPower(Endomorphism):
         )
 
 
+class ConjugatorPower(TwoSidedPower):
+    """phi^n(X) = H^-n X H^n: the two-sided power with factors (H^-n, H^n)."""
+
+    def __init__(self, h_pow: Matrix, h_inv_pow: Matrix):
+        super().__init__(h_inv_pow, h_pow)
+
+
 class TropicalStarPower(Endomorphism):
     """phi^n(G) = G ⋆ H^⋆n, where H^⋆n is the n-fold star power of H.
 
-    Collapsing phi^n to a single star requires the star product to be
-    associative.  That is sampled at platform construction; if the check
-    ever failed, ``star_safe=False`` drops exponentiation back to iterated
-    application (IteratedStarPower), which assumes nothing.
+    Collapsing phi^n to a single star needs A ⋆ B = A + B + AB to be
+    associative, and it is: by distributivity both (A ⋆ B) ⋆ C and
+    A ⋆ (B ⋆ C) equal A + B + C + AB + AC + BC + ABC.
     """
 
-    def __init__(self, star_pow: Matrix, star_safe: bool = True):
+    def __init__(self, star_pow: Matrix):
         self.star_pow = star_pow
-        self.star_safe = star_safe
 
     def __call__(self, x: Matrix) -> Matrix:
         return x.star(self.star_pow)
@@ -140,19 +120,14 @@ class TropicalStarPower(Endomorphism):
         if not isinstance(other, TropicalStarPower):
             raise ParameterError("cannot compose endomorphisms of different platforms")
         # self after other: (G ⋆ S_other) ⋆ S_self = G ⋆ (S_other ⋆ S_self)
-        return TropicalStarPower(other.star_pow.star(self.star_pow), self.star_safe)
-
-    def power(self, n: int) -> Endomorphism:
-        if not self.star_safe:
-            return IteratedStarPower(self.star_pow, n)
-        return super().power(n)
+        return TropicalStarPower(other.star_pow.star(self.star_pow))
 
     def __eq__(self, other):
         return isinstance(other, TropicalStarPower) and self.star_pow == other.star_pow
 
 
 class IteratedStarPower(Endomorphism):
-    """Fallback phi^n applying ⋆H one step at a time; O(n) but assumption-free."""
+    """Reference phi^n applying ⋆H one step at a time; O(n), the oracle for TropicalStarPower."""
 
     def __init__(self, base: Matrix, n: int):
         if n < 1:

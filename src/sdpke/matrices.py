@@ -13,7 +13,7 @@ import numpy as np
 from . import linalg
 from .errors import ParameterError, SingularMatrixError
 from .permutations import Permutation
-from .semirings import BitStrings, GroupRingScalars, IntegersMod, TropicalIntegers
+from .semirings import BitStrings, GroupRingScalars, IntegersMod
 
 
 class Matrix:
@@ -197,5 +197,3 @@ def permute_bits(m: Matrix, perm: Permutation) -> Matrix:
         raise ParameterError("bit permutation applies to bitstring matrices only")
     return Matrix(m.ring, m.ring.permute_bits(m.data, perm))
 
-
-TROPICAL = TropicalIntegers()

@@ -278,24 +278,12 @@ class TropicalParams:
         if h.shape != (self.size, self.size) or g.shape != (self.size, self.size):
             raise ParameterError("matrix shape does not match declared size")
         ring = self.ring()
-        # the closed-form phi^n = ⋆(H^⋆n) leans on star associativity; probe it
-        # on samples and fall back to one-step-at-a-time application if it
-        # ever failed
-        probe = np.random.default_rng(0)
-        star_safe = True
-        for _ in range(4):
-            a = mx.random_matrix(probe, ring, self.size, self.size, lo=self.entry_lo, hi=self.entry_hi)
-            b = mx.random_matrix(probe, ring, self.size, self.size, lo=self.entry_lo, hi=self.entry_hi)
-            c = mx.random_matrix(probe, ring, self.size, self.size, lo=self.entry_lo, hi=self.entry_hi)
-            if a.star(b).star(c) != a.star(b.star(c)):
-                star_safe = False
-                break
         return _validated(
             Platform(
                 name="tropical",
                 op_kind="add",
                 g=g,
-                phi=TropicalStarPower(h, star_safe),
+                phi=TropicalStarPower(h),
                 params=self,
                 sampler=lambda rng: mx.random_matrix(
                     rng, ring, self.size, self.size, lo=self.entry_lo, hi=self.entry_hi

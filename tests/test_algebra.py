@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sdpke.matrices as mx
 from sdpke.errors import ParameterError, SingularMatrixError
@@ -198,6 +200,24 @@ def test_mat_star_scalar_case_and_formula(rng):
         a = mx.random_matrix(rng, t, 2, 2, lo=-20, hi=20)
         b = mx.random_matrix(rng, t, 2, 2, lo=-20, hi=20)
         assert a.star(b) == (a + b) + (a @ b)
+
+
+@st.composite
+def tropical_triples(draw):
+    n = draw(st.integers(1, 5))
+    entry = st.one_of(st.integers(-(10**6), 10**6), st.just(TROP_INF))
+    rows = st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+    ring = TropicalIntegers()
+    return tuple(mx.from_rows(ring, draw(rows)) for _ in range(3))
+
+
+@settings(deadline=None)
+@given(tropical_triples())
+def test_mat_star_associative(abc):
+    # both sides expand to A + B + C + AB + AC + BC + ABC by distributivity;
+    # TropicalStarPower collapses phi^n to one star on the strength of it
+    a, b, c = abc
+    assert a.star(b).star(c) == a.star(b.star(c))
 
 
 def test_shape_and_ring_mismatches_rejected(rng):

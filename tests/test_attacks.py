@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sdpke.matrices as mx
 from sdpke.attacks import (
@@ -17,10 +19,11 @@ from sdpke.attacks import (
 )
 from sdpke.errors import NotApplicableError, SizeCapError
 from sdpke.holomorph import sdp_exp, sequence_iter
-from sdpke.linalg import EchelonSpan
+from sdpke.linalg import EchelonSpan, rank_mod
 from sdpke.permutations import Permutation
 from sdpke.platforms import (
     DhkeParams,
+    MakeParams,
     MobsParams,
     TropicalParams,
     random_gl_params,
@@ -29,8 +32,8 @@ from sdpke.platforms import (
     random_mobs_params,
     random_tropical_params,
 )
-from sdpke.protocol import keygen, mr_encrypt
-from sdpke.semirings import BitStrings, TropicalIntegers
+from sdpke.protocol import Transcript, keygen, mr_encrypt
+from sdpke.semirings import BitStrings, IntegersMod, TropicalIntegers
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +160,41 @@ def test_l_operator_is_additive_in_its_argument(rng):
         assert np.array_equal((lyz @ v) % 101, ((ly @ v) + (lz @ v)) % 101)
 
 
+def test_telescoping_off_sequence_value_fails():
+    # H1 = H2 = 0 leaves D = M - A = -E, outside span{M} when E is no multiple of M
+    ring = IntegersMod(101)
+    zero = mx.zeros(ring, 2, 2)
+    m = mx.from_rows(ring, [[1, 2], [3, 4]])
+    params = MakeParams(prime=101, size=2, left_factor=zero, right_factor=zero, base=m)
+    a = m + mx.from_rows(ring, [[1, 0], [0, 0]])
+    out = make_telescoping_attack(Transcript(params=params, alice_value=a, bob_value=m))
+    assert not out.success
+    assert out.recovered_key is None
+    assert out.work.linear_solves == 1
+    assert "span" in out.detail
+
+
+@st.composite
+def telescoping_instances(draw):
+    p = draw(st.sampled_from([101, 1009, 2**31 - 1]))
+    n = draw(st.integers(2, 4))
+    rows = st.lists(st.lists(st.integers(0, p - 1), min_size=n, max_size=n), min_size=n, max_size=n)
+    ring = IntegersMod(p)
+    h1, h2, m = (mx.from_rows(ring, draw(rows)) for _ in range(3))
+    return p, n, h1, h2, m
+
+
+@settings(max_examples=30, deadline=None)
+@given(telescoping_instances())
+def test_telescoping_columns_close_at_degree_n(instance):
+    # Cayley-Hamilton: the degree-n columns are a subset of the degree-n^2
+    # ones, so equal rank means equal span and one solve decides the system
+    p, n, h1, h2, m = instance
+    low = _build_l_matrix(_power_list(h1, n), m, _power_list(h2, n))
+    high = _build_l_matrix(_power_list(h1, n * n), m, _power_list(h2, n * n))
+    assert rank_mod(low, p) == rank_mod(high, p)
+
+
 def test_telescoping_not_applicable_elsewhere(rng, transcript_with_exponents):
     p = random_gl_params(rng).build()
     t = transcript_with_exponents(p, 5, 9)
@@ -207,6 +245,18 @@ def test_tropical_bounded_search_failure(rng, transcript_with_exponents):
     assert not out.success
     assert out.recovered_key is None
     assert "admissible" in out.detail
+
+
+def test_tropical_incomparable_value_fails_after_one_probe(rng):
+    p = random_tropical_params(rng).build()
+    data = p.g.data.copy()
+    data[0, 0] += 1  # above a_1 = g, hence above every term
+    data[0, 1] = -(10**12)  # below every term up to x_max
+    tampered = Transcript(params=p.params, alice_value=mx.Matrix(p.g.ring, data), bob_value=p.g)
+    out = tropical_binsearch_attack(tampered, x_max=1 << 20)
+    assert not out.success
+    assert out.work.search_steps == 1
+    assert "incomparable" in out.detail
 
 
 def test_tropical_admissible_exponent_on_plateau(rng, transcript_with_exponents):

@@ -1,6 +1,11 @@
 """Harness contracts: exit codes, determinism, report formats, schema."""
 
 import json
+import subprocess
+import sys
+
+import numpy as np
+import pytest
 
 from sdpke.cli import CSV_HEADER, main
 
@@ -192,20 +197,37 @@ def test_json_report_format(tmp_path, capsys):
     assert "rank" in rows[0]["counters"]
 
 
-def test_threaded_trials_match_sequential(tmp_path, capsys, monkeypatch):
-    out_seq, out_par = tmp_path / "s.json", tmp_path / "p.json"
+@pytest.mark.parametrize(
+    "platform,method",
+    [("make", "dimension"), ("make", "telescope"), ("tropical", "tropical-binsearch")],
+)
+def test_attack_on_tampered_transcript_fails_without_traceback(tmp_path, capsys, platform, method):
+    # the embedded key makes a wrong recovery count as failure when the
+    # tampered A still solves the attack's system (telescope, full span)
+    out = tmp_path / "t.json"
     run_cli(
-        ["exchange", "--platform", "make", "--trials", "6", "--seed", "13",
-         "--test-mode", "--out", str(out_seq)],
+        ["exchange", "--platform", platform, "--trials", "1", "--seed", "5",
+         "--test-mode", "--out", str(out)],
         capsys,
     )
-    monkeypatch.setenv("SDPKE_THREADS", "3")
-    run_cli(
-        ["exchange", "--platform", "make", "--trials", "6", "--seed", "13",
-         "--test-mode", "--out", str(out_par)],
-        capsys,
+    records = json.loads(out.read_text())
+    if platform == "make":
+        rng = np.random.default_rng(5)
+        records[0]["A"] = rng.integers(0, records[0]["platform"]["prime"], (3, 3)).tolist()
+    else:
+        # above a_1 in one entry and below every term in another: off the chain
+        records[0]["A"][0][0] = 10**12
+        records[0]["A"][0][1] = -(10**12)
+    out.write_text(json.dumps(records))
+    proc = subprocess.run(
+        [sys.executable, "-m", "sdpke.cli", "attack", "--method", method, str(out)],
+        capture_output=True,
+        text=True,
     )
-    assert out_seq.read_bytes() == out_par.read_bytes()
+    assert proc.returncode == 1
+    rows = proc.stdout.strip().splitlines()[1:]
+    assert len(rows) == 1 and f",{method},0," in rows[0]
+    assert "Traceback" not in proc.stderr
 
 
 def test_exchange_transcripts_feed_every_attack(tmp_path, capsys):
