@@ -6,12 +6,13 @@ over a group ring, GL(r, p), tropical min-plus matrices, an additive matrix
 group, and matrices of bitstrings), the derived public-key encryption
 scheme, and the key-recovery procedures that break four of them at desk
 scale.
+
+Only the names used by the demos and by callers catching errors are
+exported here; everything else is imported from its submodule, e.g.
+``from sdpke.semirings import IntegersMod``.
 """
 
 from .attacks import (
-    AttackOutcome,
-    SpanBasis,
-    WorkCounters,
     dimension_attack,
     make_telescoping_attack,
     mobs_solution_count,
@@ -19,108 +20,33 @@ from .attacks import (
     tropical_binsearch_attack,
 )
 from .errors import NotApplicableError, ParameterError, SingularMatrixError, SizeCapError
-from .groups import FiniteGroupTable, alternating_group, cyclic_group, load_group, symmetric_group
-from .holomorph import (
-    ConjugatorPower,
-    Endomorphism,
-    HolomorphPower,
-    IdentityEnd,
-    Platform,
-    PermutationPower,
-    TropicalStarPower,
-    TwoSidedPower,
-    sdp_exp,
-    sdp_exp_naive,
-    telescoping_residual,
-    validate_platform,
-)
-from .matrices import (
-    Matrix,
-    flatten,
-    from_rows,
-    identity,
-    inverse,
-    permute_bits,
-    random_matrix,
-    unvec,
-    vec,
-    zeros,
-)
+from .holomorph import sdp_exp
+from .matrices import from_rows
 from .permutations import Permutation
-from .platforms import (
-    DhkeParams,
-    GLParams,
-    GroupRingParams,
-    MakeParams,
-    MobsParams,
-    TropicalParams,
-    params_from_obj,
-    random_params,
-)
-from .protocol import Ciphertext, KeyPair, Transcript, derive_key, keygen, mr_decrypt, mr_encrypt, run_exchange
-from .semirings import TROP_INF, BitString, GroupRingElement, TropicalScalar, ZMod
+from .platforms import DhkeParams, MobsParams, random_params
+from .protocol import Transcript, derive_key, keygen, mr_decrypt, mr_encrypt
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AttackOutcome",
-    "BitString",
-    "Ciphertext",
-    "ConjugatorPower",
     "DhkeParams",
-    "Endomorphism",
-    "FiniteGroupTable",
-    "GLParams",
-    "GroupRingElement",
-    "GroupRingParams",
-    "HolomorphPower",
-    "IdentityEnd",
-    "KeyPair",
-    "MakeParams",
-    "Matrix",
     "MobsParams",
     "NotApplicableError",
     "ParameterError",
     "Permutation",
-    "PermutationPower",
-    "Platform",
     "SingularMatrixError",
     "SizeCapError",
-    "SpanBasis",
     "Transcript",
-    "TropicalParams",
-    "TropicalScalar",
-    "TropicalStarPower",
-    "TwoSidedPower",
-    "TROP_INF",
-    "WorkCounters",
-    "ZMod",
-    "alternating_group",
-    "cyclic_group",
     "derive_key",
     "dimension_attack",
-    "flatten",
     "from_rows",
-    "identity",
-    "inverse",
     "keygen",
-    "load_group",
     "make_telescoping_attack",
     "mobs_solution_count",
     "mr_decrypt",
     "mr_encrypt",
     "mr_message_recovery",
-    "params_from_obj",
-    "permute_bits",
-    "random_matrix",
     "random_params",
-    "run_exchange",
     "sdp_exp",
-    "sdp_exp_naive",
-    "symmetric_group",
-    "telescoping_residual",
-    "unvec",
-    "validate_platform",
-    "vec",
-    "zeros",
+    "tropical_binsearch_attack",
 ]

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import matrices as mx
-from .errors import NotApplicableError, ParameterError, SizeCapError
+from .errors import NotApplicableError, SizeCapError
 from .holomorph import Platform, sdp_exp, sequence_iter
 from .linalg import EchelonSpan, solve_mod
 from .matrices import Matrix
@@ -130,13 +130,9 @@ def dimension_attack(transcript: Transcript) -> AttackOutcome:
     An A outside the span of the prefix, which spans every term, is no a_x.
     """
     platform = transcript.build_platform()
-    try:
-        modulus = platform.g.ring.modulus
-        mx.flat_dim(platform.g.ring, 1, 1)
-    except (AttributeError, ParameterError) as exc:
-        raise NotApplicableError(
-            f"platform {platform.name!r} has no Z_p-linear coordinates"
-        ) from exc
+    if not platform.g.ring.linear:
+        raise NotApplicableError(f"platform {platform.name!r} has no Z_p-linear coordinates")
+    modulus = platform.g.ring.modulus
 
     work = WorkCounters()
     basis = build_span_basis(platform, modulus)

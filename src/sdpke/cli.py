@@ -26,6 +26,7 @@ serialize as ``name=value`` pairs joined by ``;``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
@@ -50,15 +51,6 @@ CSV_HEADER = "platform,trial,operation,success,micros,counters"
 #: substream index reserved for platform parameter generation (trial
 #: substreams use their trial index)
 _PLATFORM_STREAM = (1 << 64) - 1
-
-_GENERATOR_KEYS = {
-    "groupring": ("modulus", "group", "size"),
-    "gl": ("prime", "size"),
-    "tropical": ("size", "entry_lo", "entry_hi"),
-    "make": ("prime", "size"),
-    "mobs": ("size", "cycle_lengths"),
-    "dhke": ("prime",),
-}
 
 
 @dataclass
@@ -110,24 +102,33 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+@contextlib.contextmanager
+def _reading(what: str):
+    """Turn an unreadable file or a malformed record in it (a missing key, a
+    value of the wrong type or range) into one ParameterError line."""
+    try:
+        yield
+    except ParameterError:  # a ValueError that already says what is wrong
+        raise
+    except (OSError, KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
+        raise ParameterError(f"cannot read {what}: {type(exc).__name__}: {exc}") from exc
+
+
 def _load_params(config: RunConfig):
-    """Platform parameters from --params (explicit or seeded) or defaults."""
+    """Platform parameters from --params (explicit or seeded) or defaults.
+
+    A seeded file holds ``kind``, ``seed`` and any keyword arguments of the
+    kind's generator; any other key is an error.
+    """
     if config.params_file:
-        try:
+        with _reading("params file"):
             with open(config.params_file) as fh:
                 obj = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ParameterError(f"cannot read params file: {exc}") from exc
-        if "seed" in obj:
-            kind = obj.get("kind")
-            if kind not in _GENERATOR_KEYS:
-                raise ParameterError(f"unknown platform kind {kind!r}")
-            rng = trial_rng(int(obj["seed"]), _PLATFORM_STREAM)
-            overrides = {k: obj[k] for k in _GENERATOR_KEYS[kind] if k in obj}
-            if "cycle_lengths" in overrides:
-                overrides["cycle_lengths"] = tuple(overrides["cycle_lengths"])
-            return random_params(kind, rng, **overrides)
-        return params_from_obj(obj)
+            if "seed" in obj:
+                overrides = {k: v for k, v in obj.items() if k not in ("kind", "seed")}
+                rng = trial_rng(int(obj["seed"]), _PLATFORM_STREAM)
+                return random_params(obj.get("kind"), rng, **overrides)
+            return params_from_obj(obj)
     if config.platform is None:
         raise ParameterError("either --platform or --params is required")
     rng = trial_rng(config.seed, _PLATFORM_STREAM)
@@ -155,13 +156,11 @@ def _transcripts_json(transcripts: list[Transcript]) -> str:
 
 
 def _load_transcripts(path: str) -> list[Transcript]:
-    try:
+    with _reading("transcript file"):
         with open(path) as fh:
             obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ParameterError(f"cannot read transcript file: {exc}") from exc
-    records = obj if isinstance(obj, list) else [obj]
-    return [Transcript.from_obj(rec) for rec in records]
+        records = obj if isinstance(obj, list) else [obj]
+        return [Transcript.from_obj(rec) for rec in records]
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,19 @@ from .matrices import Matrix, permute_bits
 from .permutations import Permutation
 
 
+def _square_and_multiply(x, n: int, mul: Callable):
+    """x^n for n >= 1 under an associative ``mul``; O(log n) products."""
+    acc = None
+    sq = x
+    while n:
+        if n & 1:
+            acc = sq if acc is None else mul(acc, sq)
+        n >>= 1
+        if n:
+            sq = mul(sq, sq)
+    return acc
+
+
 class Endomorphism:
     """Base for the per-platform representations of phi^n."""
 
@@ -41,15 +54,7 @@ class Endomorphism:
             raise ParameterError("endomorphism powers are nonnegative")
         if n == 0:
             return IdentityEnd()
-        acc: Endomorphism | None = None
-        sq: Endomorphism = self
-        while n:
-            if n & 1:
-                acc = sq if acc is None else acc.compose(sq)
-            n >>= 1
-            if n:
-                sq = sq.compose(sq)
-        return acc
+        return _square_and_multiply(self, n, lambda a, b: a.compose(b))
 
 
 class IdentityEnd(Endomorphism):
@@ -240,15 +245,8 @@ def sdp_exp(platform: Platform, n: int) -> HolomorphPower:
     if n < 1:
         raise ParameterError("exponent must be >= 1")
     base = HolomorphPower(platform.g, platform.phi, 1)
-    acc: HolomorphPower | None = None
-    sq = base
-    while n:
-        if n & 1:
-            acc = sq if acc is None else holo_mul(platform, acc, sq)
-        n >>= 1
-        if n:
-            sq = holo_mul(platform, sq, sq)
-    return acc
+    # holo_mul is looked up at call time, so a rebinding of the module name reaches it
+    return _square_and_multiply(base, n, lambda a, b: holo_mul(platform, a, b))
 
 
 def sdp_exp_naive(platform: Platform, n: int) -> HolomorphPower:
@@ -283,8 +281,9 @@ def telescoping_residual(platform: Platform, a: Matrix) -> Matrix:
 def validate_platform(platform: Platform, rng: np.random.Generator, samples: int = 4) -> None:
     """Sampled semigroup/endomorphism laws; raises ParameterError on failure.
 
-    Checks op associativity and phi(a ∘ b) = phi(a) ∘ phi(b) on random
-    carrier elements.
+    A test utility: checks op associativity and phi(a ∘ b) = phi(a) ∘ phi(b)
+    on random carrier elements.  ``build()`` does not call it, because both
+    laws hold by theorem for every platform it accepts.
     """
     for _ in range(samples):
         a = platform.random_element(rng)

@@ -13,7 +13,7 @@ import numpy as np
 from . import linalg
 from .errors import ParameterError, SingularMatrixError
 from .permutations import Permutation
-from .semirings import BitStrings, GroupRingScalars, IntegersMod
+from .semirings import BitStrings, IntegersMod
 
 
 class Matrix:
@@ -21,9 +21,10 @@ class Matrix:
 
     def __init__(self, ring, data):
         data = ring.normalize(data)
-        if data.ndim != 2 + ring.entry_ndim:
+        if data.ndim < 2 or data.shape[2:] != ring.entry_shape:
             raise ParameterError(
-                f"expected array of {2 + ring.entry_ndim} dims for {ring!r}, got {data.ndim}"
+                f"expected (rows, cols) + entry shape {ring.entry_shape} for {ring!r}, "
+                f"got {data.shape}"
             )
         data.setflags(write=False)
         self.ring = ring
@@ -53,7 +54,7 @@ class Matrix:
 
     def __sub__(self, other: Matrix) -> Matrix:
         self._check_ring(other)
-        if not self.ring.has_subtraction:
+        if not self.ring.linear:
             raise ParameterError(f"{self.ring!r} has no additive inverses")
         if self.shape != other.shape:
             raise ParameterError(f"shape mismatch: {self.shape} vs {other.shape}")
@@ -74,8 +75,8 @@ class Matrix:
         return self + other + (self @ other)
 
     def scale(self, c) -> Matrix:
-        """Left action of a Z_m scalar; defined for field-linear entries only."""
-        if not isinstance(self.ring, (IntegersMod, GroupRingScalars)):
+        """Left action of a Z_m scalar; defined for Z_m-linear entries only."""
+        if not self.ring.linear:
             raise ParameterError(f"no scalar action on {self.ring!r}")
         c = c.value if hasattr(c, "value") else int(c)
         return Matrix(self.ring, self.ring.scale(c, self.data))
@@ -149,27 +150,14 @@ def flatten(m: Matrix) -> np.ndarray:
     each.  The map is linear and injective, which is what lets linear
     algebra over Z_m see the whole matrix algebra.
     """
-    if isinstance(m.ring, IntegersMod):
-        return np.asarray(m.data, dtype=np.int64).reshape(-1)
-    if isinstance(m.ring, GroupRingScalars):
-        return m.data.reshape(-1)
-    raise ParameterError(f"{m.ring!r} entries carry no Z_m-linear structure")
-
-
-def flat_dim(ring, rows: int, cols: int) -> int:
-    if isinstance(ring, IntegersMod):
-        return rows * cols
-    if isinstance(ring, GroupRingScalars):
-        return rows * cols * ring.group.order
-    raise ParameterError(f"{ring!r} entries carry no Z_m-linear structure")
+    if not m.ring.linear:
+        raise ParameterError(f"{m.ring!r} entries carry no Z_m-linear structure")
+    return m.data.reshape(-1)
 
 
 def unflatten(ring, v: np.ndarray, rows: int, cols: int) -> Matrix:
-    if isinstance(ring, IntegersMod):
-        return Matrix(ring, np.asarray(v).reshape(rows, cols))
-    if isinstance(ring, GroupRingScalars):
-        return Matrix(ring, np.asarray(v).reshape(rows, cols, ring.group.order))
-    raise ParameterError(f"{ring!r} entries carry no Z_m-linear structure")
+    """Inverse of flatten for a rows x cols matrix over ``ring``."""
+    return Matrix(ring, np.asarray(v).reshape(rows, cols, *ring.entry_shape))
 
 
 def vec(m: Matrix) -> np.ndarray:

@@ -5,7 +5,10 @@ immutable values with operator overloading; they define the arithmetic.
 The ring descriptors (IntegersMod, GroupRingScalars, TropicalIntegers,
 BitStrings) carry the parameters of a scalar domain and implement the same
 arithmetic as vectorized kernels on packed numpy arrays; the Matrix type in
-``matrices`` dispatches to them.
+``matrices`` dispatches to them.  Each descriptor also states its linear
+structure: ``linear`` is True when the entries form a Z_m-module (additive
+inverses, a Z_m scalar action, coordinates for linear algebra), and
+``entry_shape`` is the array shape of one packed entry.
 
 Semiring operator convention on scalars: ``+`` is the semiring addition
 (min for tropical, OR for bitstrings) and ``*`` is the semiring
@@ -29,6 +32,7 @@ TROP_INF = float("inf")
 
 # Packed int64 arithmetic is used only while k * (m-1)^2 cannot overflow;
 # beyond these bounds the kernels fall back to object arrays of Python ints.
+# IntegersMod.matmul also checks the inner dimension k of each product.
 _INT64_MOD_LIMIT = 1 << 28
 _GROUPRING_MOD_LIMIT = 1 << 20
 _INT64_BITS_LIMIT = 62
@@ -251,14 +255,16 @@ class BitString:
 class IntegersMod:
     """Entries in Z_m packed as a (rows, cols) integer array."""
 
-    entry_ndim = 0
-    has_subtraction = True
+    linear = True
+    entry_shape = ()
 
     def __init__(self, modulus: int):
         if modulus < 2:
             raise ParameterError("modulus must be >= 2")
         self.modulus = int(modulus)
         self.dtype = object if self.modulus > _INT64_MOD_LIMIT else np.int64
+        # a product entry sums k terms below m^2: exact in int64 while k*(m-1)^2 < 2^63
+        self._int64_inner_max = ((1 << 63) - 1) // (self.modulus - 1) ** 2
 
     def __eq__(self, other):
         return isinstance(other, IntegersMod) and other.modulus == self.modulus
@@ -273,10 +279,7 @@ class IntegersMod:
         return np.zeros((rows, cols), dtype=self.dtype)
 
     def identity(self, n: int) -> np.ndarray:
-        out = self.zeros(n, n)
-        for i in range(n):
-            out[i, i] = 1 % self.modulus
-        return out
+        return np.eye(n, dtype=self.dtype)
 
     def add(self, a, b):
         return (a + b) % self.modulus
@@ -288,8 +291,8 @@ class IntegersMod:
         return (a * b) % self.modulus
 
     def matmul(self, a, b):
-        if self.dtype is object:
-            return np.dot(a, b) % self.modulus
+        if a.shape[1] > self._int64_inner_max:
+            a, b = a.astype(object, copy=False), b.astype(object, copy=False)
         return (a @ b) % self.modulus
 
     def scale(self, c: int, a):
@@ -299,25 +302,23 @@ class IntegersMod:
         return ZMod(int(data[i, j]), self.modulus)
 
     def pack(self, rows) -> np.ndarray:
-        vals = [[e.value if isinstance(e, ZMod) else int(e) for e in r] for r in rows]
-        return self.normalize(np.array(vals, dtype=object if self.dtype is object else np.int64))
+        return self.from_obj([[e.value if isinstance(e, ZMod) else int(e) for e in r] for r in rows])
 
     def random(self, rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
         data = rng.integers(0, self.modulus, size=(rows, cols), dtype=np.int64)
-        return data.astype(object) if self.dtype is object else data
+        return data.astype(self.dtype, copy=False)
 
     def to_obj(self, data) -> list:
         return [[int(x) for x in row] for row in data]
 
     def from_obj(self, obj) -> np.ndarray:
-        return self.normalize(np.array(obj, dtype=object if self.dtype is object else np.int64))
+        return self.normalize(np.array(obj, dtype=self.dtype))
 
 
 class GroupRingScalars:
     """Entries in Z_m[G] packed as a (rows, cols, |G|) coefficient array."""
 
-    entry_ndim = 1
-    has_subtraction = True
+    linear = True
 
     def __init__(self, group: FiniteGroupTable, modulus: int):
         if modulus < 2:
@@ -327,6 +328,7 @@ class GroupRingScalars:
         self.group = group
         self.modulus = int(modulus)
         self.dtype = np.int64
+        self.entry_shape = (group.order,)
 
     def __eq__(self, other):
         return (
@@ -376,8 +378,7 @@ class GroupRingScalars:
         return GroupRingElement(self.group, self.modulus, data[i, j])
 
     def pack(self, rows) -> np.ndarray:
-        arr = np.array([[e.coeffs for e in r] for r in rows], dtype=np.int64)
-        return self.normalize(arr)
+        return self.from_obj([[e.coeffs for e in r] for r in rows])
 
     def random(self, rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
         return rng.integers(0, self.modulus, size=(rows, cols, self.group.order), dtype=np.int64)
@@ -396,8 +397,8 @@ class TropicalIntegers:
     lets the formal +inf ride along as the IEEE infinity.
     """
 
-    entry_ndim = 0
-    has_subtraction = False
+    linear = False
+    entry_shape = ()
 
     def __init__(self):
         self.dtype = object
@@ -426,8 +427,7 @@ class TropicalIntegers:
 
     def identity(self, n: int) -> np.ndarray:
         out = self.zeros(n, n)
-        for i in range(n):
-            out[i, i] = 0
+        np.fill_diagonal(out, 0)
         return out
 
     def add(self, a, b):
@@ -461,8 +461,8 @@ class TropicalIntegers:
 class BitStrings:
     """Length-k bitstrings under (OR, AND), packed as integer bit masks."""
 
-    entry_ndim = 0
-    has_subtraction = False
+    linear = False
+    entry_shape = ()
 
     def __init__(self, length: int):
         if length < 1:
@@ -479,9 +479,8 @@ class BitStrings:
 
     def normalize(self, data: np.ndarray) -> np.ndarray:
         arr = np.asarray(data, dtype=self.dtype)
-        if self.dtype is np.int64:
-            if arr.min() < 0 or arr.max() > self.full_mask:
-                raise ParameterError("bit mask out of range for declared length")
+        if arr.min() < 0 or arr.max() > self.full_mask:
+            raise ParameterError("bit mask out of range for declared length")
         return arr
 
     def zeros(self, rows: int, cols: int) -> np.ndarray:
@@ -490,8 +489,7 @@ class BitStrings:
     def identity(self, n: int) -> np.ndarray:
         # AND-identity entry is the all-ones mask
         out = self.zeros(n, n)
-        for i in range(n):
-            out[i, i] = self.full_mask
+        np.fill_diagonal(out, self.full_mask)
         return out
 
     def add(self, a, b):
@@ -528,7 +526,7 @@ class BitStrings:
                 else:
                     packed.append(int(e))
             vals.append(packed)
-        return self.normalize(np.array(vals, dtype=object if self.dtype is object else np.int64))
+        return self.normalize(np.array(vals, dtype=self.dtype))
 
     def random(self, rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
         bits = rng.integers(0, 2, size=(rows, cols, self.length), dtype=np.int64)

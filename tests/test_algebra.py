@@ -240,6 +240,35 @@ def test_large_modulus_object_path(rng):
     assert (a @ mx.identity(big, 3)) == a
 
 
+#: the largest prime below 2^28, the largest modulus IntegersMod stores as int64
+_PRIME_BELOW_INT64_LIMIT = 2**28 - 57
+
+
+def test_long_inner_dimension_does_not_overflow_int64():
+    # 200 * (m-1)^2 exceeds 2^63: summed in int64 the entry wraps to 267603855
+    m = _PRIME_BELOW_INT64_LIMIT
+    ring = IntegersMod(m)
+    a = mx.from_rows(ring, [[m - 1] * 200])
+    b = mx.from_rows(ring, [[m - 1]] * 200)
+    assert (a @ b)[0, 0].value == 200
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    shape=st.tuples(st.integers(1, 2), st.integers(1, 300), st.integers(1, 2)),
+    modulus=st.integers(2**28 - 1000, 2**28),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_zmod_matmul_near_int64_limit_matches_oracle(shape, modulus, seed):
+    r, k, c = shape
+    ring = IntegersMod(modulus)
+    gen = np.random.default_rng(seed)
+    # entries near m-1 make k * (m-1)^2 cross 2^63 from k = 128 on
+    a = Matrix(ring, gen.integers(modulus - 1024, modulus, (r, k)))
+    b = Matrix(ring, gen.integers(modulus - 1024, modulus, (k, c)))
+    assert a @ b == matmul_oracle(a, b)
+
+
 # ---------------------------------------------------------------------------
 # inverse over Z_p
 
@@ -310,6 +339,17 @@ def test_bit_length_mismatch_rejected(rng):
     m = mx.random_matrix(rng, BitStrings(4), 2, 2)
     with pytest.raises(ParameterError):
         mx.permute_bits(m, Permutation.identity(5))
+
+
+def test_wide_bit_masks_are_range_checked():
+    # above 62 bits the masks are Python ints; the range check is the same
+    ring = BitStrings(64)
+    for mask in (-5, 2**64):
+        with pytest.raises(ParameterError, match="out of range"):
+            ring.from_obj([[mask]])
+        with pytest.raises(ParameterError, match="out of range"):
+            Matrix(ring, np.array([[mask]], dtype=object))
+    assert ring.from_obj([[2**64 - 1]])[0, 0] == 2**64 - 1
 
 
 def test_bitstring_text_round_trip():

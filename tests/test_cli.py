@@ -253,3 +253,54 @@ def test_exchange_transcripts_feed_every_attack(tmp_path, capsys):
             assert run_cli(argv, capsys)[0] == 4
         else:
             assert run_cli(argv, capsys)[0] == 0
+
+
+def _malformed_inputs(tmp_path):
+    """(argv tail, file content) per malformed input; each must exit 2."""
+    def transcript(platform, params_argv):
+        out = tmp_path / f"{platform}.json"
+        assert main(["exchange", *params_argv, "--out", str(out)]) == 0
+        return json.loads(out.read_text())
+
+    gl = transcript("gl", ["--platform", "gl"])
+    no_b = [dict(gl[0])]
+    del no_b[0]["B"]
+    string_prime = dict(gl[0]["platform"], prime="1009")
+    mobs_params = tmp_path / "mobs64.params.json"
+    mobs_params.write_text(json.dumps({"kind": "mobs", "seed": 1, "cycle_lengths": [2, 3, 5, 7, 11, 13, 23]}))
+    mobs = transcript("mobs", ["--params", str(mobs_params)])
+    assert mobs[0]["platform"]["bits"] == 64
+    mobs[0]["A"][0][0] = -5
+    return {
+        "transcript-without-B": (["attack", "--method", "dimension"], no_b),
+        "string-prime": (["exchange", "--out", str(tmp_path / "o.json"), "--params"], string_prime),
+        "seeded-string-prime": (
+            ["exchange", "--out", str(tmp_path / "o.json"), "--params"],
+            {"kind": "gl", "seed": 1, "prime": "1009"},
+        ),
+        "seeded-misspelt-key": (
+            ["exchange", "--out", str(tmp_path / "o.json"), "--params"],
+            {"kind": "gl", "seed": 1, "sise": 5},
+        ),
+        "mobs64-negative-mask": (["attack", "--method", "mobs-count"], mobs),
+    }
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["transcript-without-B", "string-prime", "seeded-string-prime", "seeded-misspelt-key", "mobs64-negative-mask"],
+)
+def test_malformed_json_exits_2_with_one_line(tmp_path, capsys, case):
+    argv, content = _malformed_inputs(tmp_path)[case]
+    capsys.readouterr()
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(content))
+    proc = subprocess.run(
+        [sys.executable, "-m", "sdpke.cli", *argv, str(path)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr

@@ -6,9 +6,10 @@ import pytest
 import sdpke.matrices as mx
 from sdpke.errors import ParameterError
 from sdpke.groups import load_group
-from sdpke.holomorph import sdp_exp
+from sdpke.holomorph import Platform, TwoSidedPower, sdp_exp, validate_platform
 from sdpke.permutations import Permutation
 from sdpke.platforms import (
+    PLATFORM_KINDS,
     GLParams,
     GroupRingParams,
     MakeParams,
@@ -20,6 +21,7 @@ from sdpke.platforms import (
     random_groupring_params,
     random_make_params,
     random_mobs_params,
+    random_params,
     random_tropical_params,
 )
 from sdpke.semirings import BitStrings, GroupRingScalars, IntegersMod, TropicalIntegers
@@ -304,3 +306,33 @@ def test_groupring_params_with_inline_group_table(rng):
 def test_unknown_kind_rejected():
     with pytest.raises(ParameterError, match="unknown platform kind"):
         params_from_obj({"kind": "nope"})
+
+
+def test_unknown_generator_override_rejected(rng):
+    with pytest.raises(ParameterError, match="sise"):
+        random_params("gl", rng, sise=5)
+
+
+# ---------------------------------------------------------------------------
+# algebra laws (build() does not sample them: each holds by theorem)
+
+
+@pytest.mark.parametrize("kind", PLATFORM_KINDS)
+def test_default_platform_laws_hold_on_samples(kind, rng):
+    platform = random_params(kind, rng).build()
+    validate_platform(platform, rng, samples=8)
+
+
+def test_validate_platform_rejects_non_multiplicative_phi(rng):
+    # X -> H X H is no endomorphism of the matrix product: H XY H != HXH HYH
+    params = random_gl_params(rng)
+    h = params.conjugator
+    platform = Platform(
+        name="gl",
+        op_kind="mul",
+        g=params.base,
+        phi=TwoSidedPower(h, h),
+        sampler=lambda r: mx.random_matrix(r, params.ring(), 3, 3),
+    )
+    with pytest.raises(ParameterError, match="phi does not respect"):
+        validate_platform(platform, rng, samples=8)
