@@ -32,7 +32,7 @@ import numpy as np
 
 from . import matrices as mx
 from .errors import NotApplicableError, SizeCapError
-from .holomorph import Platform, sdp_exp, sequence_iter
+from .holomorph import Platform, sdp_exp, sequence_iter, telescoping_residual
 from .linalg import EchelonSpan, solve_mod
 from .matrices import Matrix
 from .protocol import Ciphertext, Transcript
@@ -186,12 +186,12 @@ def _power_list(m: Matrix, count: int) -> list[Matrix]:
 
 
 def _build_l_matrix(h1_pows: list[Matrix], y: Matrix, h2_pows: list[Matrix]) -> np.ndarray:
-    """Columns vec(H1^i Y H2^j), i and j ranging over the given power lists."""
+    """Columns flatten(H1^i Y H2^j), i and j ranging over the given power lists."""
     cols = []
     for h1i in h1_pows:
         left = h1i @ y
         for h2j in h2_pows:
-            cols.append(mx.vec(left @ h2j))
+            cols.append(mx.flatten(left @ h2j))
     return np.stack(cols, axis=1)
 
 
@@ -201,8 +201,8 @@ def make_telescoping_attack(transcript: Transcript) -> AttackOutcome:
     D = H1 A H2 + M - A equals H1^x M H2^x exactly (the telescoping
     identity, and additive carriers leave no ambiguity).  Cayley-Hamilton
     bounds H1^x and H2^x by polynomials of degree < n in H1 and H2, so
-    vec(D) is a combination of the n^2 columns vec(H1^i M H2^j); solving
-    for any coefficient vector t and replaying it on B gives
+    flatten(D) is a combination of the n^2 columns flatten(H1^i M H2^j);
+    solving for any coefficient vector t and replaying it on B gives
     H1^x B H2^x, hence the key H1^x B H2^x + A.
 
     Higher-degree columns add nothing to that span, so an inconsistent
@@ -218,17 +218,17 @@ def make_telescoping_attack(transcript: Transcript) -> AttackOutcome:
     a_obs, b_obs = transcript.alice_value, transcript.bob_value
 
     work = WorkCounters()
-    d = (h1 @ a_obs @ h2) + m - a_obs
+    d = telescoping_residual(platform, a_obs) - a_obs
 
     h1_pows = _power_list(h1, n)
     h2_pows = _power_list(h2, n)
     work.linear_solves = 1
-    t = solve_mod(_build_l_matrix(h1_pows, m, h2_pows), mx.vec(d), p)
+    t = solve_mod(_build_l_matrix(h1_pows, m, h2_pows), mx.flatten(d), p)
     if t is None:
         return AttackOutcome(success=False, work=work, detail="H1 A H2 + M - A is outside the H1^i M H2^j span")
 
     l_b = _build_l_matrix(h1_pows, b_obs, h2_pows)
-    phi_x_of_b = mx.unvec(platform.g.ring, (l_b @ t) % p, n)
+    phi_x_of_b = mx.unflatten(platform.g.ring, (l_b @ t) % p, n, n)
     key = phi_x_of_b + a_obs
 
     return AttackOutcome(
@@ -243,8 +243,7 @@ def telescoped_conjugate(transcript: Transcript) -> Matrix:
     platform = transcript.build_platform()
     if platform.name != "make":
         raise NotApplicableError("defined for the additive platform only")
-    params = platform.params
-    return (params.left_factor @ transcript.alice_value @ params.right_factor) + params.base - transcript.alice_value
+    return telescoping_residual(platform, transcript.alice_value) - transcript.alice_value
 
 
 # ---------------------------------------------------------------------------
@@ -322,28 +321,30 @@ def mobs_solution_count(
     platform: Platform,
     observed: Matrix,
     true_exponent: int | None = None,
-    cap: int = MOBS_ENUMERATION_CAP,
 ) -> AttackOutcome:
     """Count every Y with h(A) M = Y A over the OR/AND matrix semiring.
 
     Exhaustive enumeration of all 2^(n^2 k) candidate matrices, refused
-    above ``cap``.  phi^x(M) always satisfies the equation (telescoping
-    identity), so the count is at least 1; when ``true_exponent`` is given,
-    membership of the true phi^x(M) is checked explicitly and folded into
-    ``success``.
+    above ``MOBS_ENUMERATION_CAP``.  phi^x(M) always satisfies the equation
+    (telescoping identity), so the count is at least 1; when
+    ``true_exponent`` is given, membership of the true phi^x(M) is checked
+    explicitly and folded into ``success``.
     """
     if platform.name != "mobs":
         raise NotApplicableError("solution counting applies to the OR/AND platform only")
     n = platform.g.rows
     k = platform.g.ring.length
     total_bits = n * n * k
-    if (1 << total_bits) > cap:
+    if (1 << total_bits) > MOBS_ENUMERATION_CAP:
         raise SizeCapError(
-            f"{n}x{n} matrices of {k}-bit strings need 2^{total_bits} candidates (cap {cap})"
+            f"{n}x{n} matrices of {k}-bit strings need 2^{total_bits} candidates (cap {MOBS_ENUMERATION_CAP})"
         )
 
-    target = np.asarray((platform.phi(observed) @ platform.g).data, dtype=np.int64)
-    a_data = np.asarray(observed.data, dtype=np.int64)
+    residual = telescoping_residual(platform, observed)
+    # the census runs on k-bit integer masks: bit i of an entry has weight 2^i
+    weights = 1 << np.arange(k, dtype=np.int64)
+    target = residual.data @ weights
+    a_data = observed.data @ weights
     shifts = (np.arange(n * n) * k).reshape(n, n)
     entry_mask = (1 << k) - 1
 
@@ -359,7 +360,7 @@ def mobs_solution_count(
     success = count >= 1
     if true_exponent is not None:
         y_true = platform.phi.power(true_exponent)(platform.g)
-        success = success and np.array_equal(np.asarray((y_true @ observed).data, dtype=np.int64), target)
+        success = success and y_true @ observed == residual
     return AttackOutcome(success=success, work=work)
 
 

@@ -24,7 +24,7 @@ class FiniteGroupTable:
 
     __slots__ = ("name", "order", "product", "identity", "inverse", "_scatter")
 
-    def __init__(self, product, name: str = "group", validate: bool = True):
+    def __init__(self, product, name: str = "group"):
         product = np.asarray(product, dtype=np.int64)
         if product.ndim != 2 or product.shape[0] != product.shape[1]:
             raise ParameterError("product table must be square")
@@ -35,8 +35,7 @@ class FiniteGroupTable:
         self.identity = self._find_identity()
         self.inverse = self._build_inverses()
         self._scatter = None
-        if validate:
-            self.validate()
+        self.validate()
 
     def _find_identity(self) -> int:
         n = self.order

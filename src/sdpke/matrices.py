@@ -160,21 +160,6 @@ def unflatten(ring, v: np.ndarray, rows: int, cols: int) -> Matrix:
     return Matrix(ring, np.asarray(v).reshape(rows, cols, *ring.entry_shape))
 
 
-def vec(m: Matrix) -> np.ndarray:
-    """Stack the columns of a Z_m matrix into one vector (column 0 first)."""
-    if not isinstance(m.ring, IntegersMod):
-        raise ParameterError("vec is defined over Z_m entries only")
-    return m.data.T.reshape(-1)
-
-
-def unvec(ring, v: np.ndarray, n: int) -> Matrix:
-    """Inverse of vec for an n x n matrix."""
-    v = np.asarray(v)
-    if v.size != n * n:
-        raise ParameterError(f"unvec needs {n * n} entries, got {v.size}")
-    return Matrix(ring, v.reshape(n, n).T)
-
-
 def permute_bits(m: Matrix, perm: Permutation) -> Matrix:
     """Apply one bit permutation to every bitstring entry.
 

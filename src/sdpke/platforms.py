@@ -473,6 +473,7 @@ def random_mobs_params(
 @dataclass(frozen=True)
 class DhkeParams:
     kind = "dhke"
+    size = 1  # values are 1x1 matrices over Z_p
     prime: int
     generator: int
 

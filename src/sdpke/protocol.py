@@ -84,11 +84,19 @@ class Transcript:
             raise ParameterError(f"unsupported transcript schema {obj.get('schema')!r}")
         params = params_from_obj(obj["platform"])
         ring = params.ring()
+
+        def value(name: str) -> Matrix:
+            m = mx.from_obj(ring, obj[name])
+            if m.shape != (params.size, params.size):
+                n = params.size
+                raise ParameterError(f"transcript {name!r} is {m.rows}x{m.cols}, the platform needs {n}x{n}")
+            return m
+
         return Transcript(
             params=params,
-            alice_value=mx.from_obj(ring, obj["A"]),
-            bob_value=mx.from_obj(ring, obj["B"]),
-            shared_key=mx.from_obj(ring, obj["key"]) if "key" in obj else None,
+            alice_value=value("A"),
+            bob_value=value("B"),
+            shared_key=value("key") if "key" in obj else None,
         )
 
     def to_json(self) -> str:

@@ -8,7 +8,9 @@ arithmetic as vectorized kernels on packed numpy arrays; the Matrix type in
 ``matrices`` dispatches to them.  Each descriptor also states its linear
 structure: ``linear`` is True when the entries form a Z_m-module (additive
 inverses, a Z_m scalar action, coordinates for linear algebra), and
-``entry_shape`` is the array shape of one packed entry.
+``entry_shape`` is the array shape of one packed entry: ``()`` for Z_m and
+tropical scalars, ``(|G|,)`` coefficients for group ring entries and
+``(k,)`` bools for k-bit strings.
 
 Semiring operator convention on scalars: ``+`` is the semiring addition
 (min for tropical, OR for bitstrings) and ``*`` is the semiring
@@ -35,7 +37,6 @@ TROP_INF = float("inf")
 # IntegersMod.matmul also checks the inner dimension k of each product.
 _INT64_MOD_LIMIT = 1 << 28
 _GROUPRING_MOD_LIMIT = 1 << 20
-_INT64_BITS_LIMIT = 62
 
 
 # ---------------------------------------------------------------------------
@@ -287,9 +288,6 @@ class IntegersMod:
     def sub(self, a, b):
         return (a - b) % self.modulus
 
-    def mul(self, a, b):
-        return (a * b) % self.modulus
-
     def matmul(self, a, b):
         if a.shape[1] > self._int64_inner_max:
             a, b = a.astype(object, copy=False), b.astype(object, copy=False)
@@ -356,13 +354,6 @@ class GroupRingScalars:
 
     def sub(self, a, b):
         return (a - b) % self.modulus
-
-    def mul(self, a, b):
-        # entrywise convolution of two equally shaped coefficient arrays
-        n = self.group.order
-        pair = np.einsum("...f,...g->...fg", a, b) % self.modulus
-        flat = pair.reshape(*a.shape[:-1], n * n)
-        return (flat @ self.group.convolution_scatter()) % self.modulus
 
     def matmul(self, a, b):
         # C_ij = sum_k A_ik * B_kj with * the group ring convolution
@@ -433,9 +424,6 @@ class TropicalIntegers:
     def add(self, a, b):
         return np.minimum(a, b)
 
-    def mul(self, a, b):
-        return a + b
-
     def matmul(self, a, b):
         return (a[:, :, None] + b[None, :, :]).min(axis=1)
 
@@ -459,17 +447,23 @@ class TropicalIntegers:
 
 
 class BitStrings:
-    """Length-k bitstrings under (OR, AND), packed as integer bit masks."""
+    """Length-k bitstrings under (OR, AND), packed as a (rows, cols, k) bool array.
+
+    Bit i of entry (r, c) is ``data[r, c, i]``: the bit positions are a
+    trailing entry axis, as the coefficients are for group ring entries.
+    Text and integer masks are accepted at the boundary (``pack``,
+    ``from_obj``); bit i of a mask is ``(mask >> i) & 1``, character i of the
+    text.
+    """
 
     linear = False
-    entry_shape = ()
 
     def __init__(self, length: int):
         if length < 1:
             raise ParameterError("bit length must be >= 1")
         self.length = int(length)
-        self.dtype = object if self.length > _INT64_BITS_LIMIT else np.int64
-        self.full_mask = (1 << self.length) - 1
+        self.dtype = np.bool_
+        self.entry_shape = (self.length,)
 
     def __eq__(self, other):
         return isinstance(other, BitStrings) and other.length == self.length
@@ -478,65 +472,54 @@ class BitStrings:
         return f"BitStrings({self.length})"
 
     def normalize(self, data: np.ndarray) -> np.ndarray:
-        arr = np.asarray(data, dtype=self.dtype)
-        if arr.min() < 0 or arr.max() > self.full_mask:
-            raise ParameterError("bit mask out of range for declared length")
+        arr = np.asarray(data)
+        if arr.dtype != np.bool_:
+            if not np.all((arr == 0) | (arr == 1)):
+                raise ParameterError("bit entries must be 0 or 1")
+            arr = arr.astype(np.bool_)
         return arr
 
     def zeros(self, rows: int, cols: int) -> np.ndarray:
-        return np.zeros((rows, cols), dtype=self.dtype)
+        return np.zeros((rows, cols, self.length), dtype=np.bool_)
 
     def identity(self, n: int) -> np.ndarray:
-        # AND-identity entry is the all-ones mask
+        # AND-identity entry is the all-ones string
         out = self.zeros(n, n)
-        np.fill_diagonal(out, self.full_mask)
+        out[np.arange(n), np.arange(n)] = True
         return out
 
     def add(self, a, b):
         return a | b
 
-    def mul(self, a, b):
-        return a & b
-
     def matmul(self, a, b):
-        return np.bitwise_or.reduce(a[:, :, None] & b[None, :, :], axis=1)
+        return np.any(a[:, :, None, :] & b[None, :, :, :], axis=1)
 
     def permute_bits(self, data, perm: Permutation):
         if len(perm) != self.length:
             raise ParameterError("permutation length differs from bit length")
-        out = self.zeros(*data.shape)
-        for i in range(self.length):
-            out |= ((data >> perm[i]) & 1) << i
-        return out
+        return data[..., list(perm)]
 
     def entry(self, data, i: int, j: int) -> BitString:
-        return BitString(int(data[i, j]), self.length)
+        return BitString.from_string("".join("1" if b else "0" for b in data[i, j]))
+
+    def _bits(self, e) -> list[bool]:
+        """Bits of one entry given as 0/1 text, a BitString or an integer mask."""
+        if isinstance(e, str):
+            e = BitString.from_string(e)
+        elif not isinstance(e, BitString):
+            e = BitString(int(e), self.length)  # range-checks the mask
+        if e.length != self.length:
+            raise ParameterError("bitstring length differs from ring length")
+        return [ch == "1" for ch in e.to_string()]
 
     def pack(self, rows) -> np.ndarray:
-        vals = []
-        for r in rows:
-            packed = []
-            for e in r:
-                if isinstance(e, str):
-                    e = BitString.from_string(e)
-                if isinstance(e, BitString):
-                    if e.length != self.length:
-                        raise ParameterError("bitstring length differs from ring length")
-                    packed.append(e.mask)
-                else:
-                    packed.append(int(e))
-            vals.append(packed)
-        return self.normalize(np.array(vals, dtype=self.dtype))
+        return np.array([[self._bits(e) for e in r] for r in rows], dtype=np.bool_)
 
     def random(self, rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-        bits = rng.integers(0, 2, size=(rows, cols, self.length), dtype=np.int64)
-        out = self.zeros(rows, cols)
-        for i in range(self.length):
-            out |= bits[:, :, i].astype(self.dtype) << i
-        return out
+        return rng.integers(0, 2, size=(rows, cols, self.length), dtype=np.int64).astype(np.bool_)
 
     def to_obj(self, data) -> list:
-        return [[BitString(int(x), self.length).to_string() for x in row] for row in data]
+        return [["".join(entry) for entry in row] for row in np.where(data, "1", "0").tolist()]
 
     def from_obj(self, obj) -> np.ndarray:
         return self.pack(obj)

@@ -342,14 +342,41 @@ def test_bit_length_mismatch_rejected(rng):
 
 
 def test_wide_bit_masks_are_range_checked():
-    # above 62 bits the masks are Python ints; the range check is the same
+    # integer masks are accepted at the boundary and range-checked there;
+    # packed entries are bool vectors, so a raw array may hold only 0 and 1
     ring = BitStrings(64)
     for mask in (-5, 2**64):
         with pytest.raises(ParameterError, match="out of range"):
             ring.from_obj([[mask]])
-        with pytest.raises(ParameterError, match="out of range"):
-            Matrix(ring, np.array([[mask]], dtype=object))
-    assert ring.from_obj([[2**64 - 1]])[0, 0] == 2**64 - 1
+    assert mx.from_obj(ring, [[2**64 - 1]]).to_obj() == [["1" * 64]]
+    with pytest.raises(ParameterError):
+        Matrix(ring, np.full((1, 1, 64), 2))
+
+
+@st.composite
+def bit_operands(draw):
+    """(A, B, C, perm): A @ B and A + C are defined; widths cross 63 bits."""
+    k = draw(st.integers(1, 70))
+    r, m, c = (draw(st.integers(1, 3)) for _ in range(3))
+    ring = BitStrings(k)
+    mask = st.integers(0, (1 << k) - 1)
+
+    def matrix(rows, cols):
+        row = st.lists(mask, min_size=cols, max_size=cols)
+        return mx.from_rows(ring, draw(st.lists(row, min_size=rows, max_size=rows)))
+
+    return matrix(r, m), matrix(m, c), matrix(r, m), Permutation(draw(st.permutations(range(k))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(bit_operands())
+def test_bit_kernels_match_scalar_oracle_at_every_width(operands):
+    a, b, c, perm = operands
+    assert a @ b == matmul_oracle(a, b)
+    total, permuted = a + c, mx.permute_bits(a, perm)
+    for i, j in itertools.product(range(a.rows), range(a.cols)):
+        assert total[i, j] == a[i, j] + c[i, j]
+        assert permuted[i, j] == a[i, j].permuted(perm)
 
 
 def test_bitstring_text_round_trip():
@@ -360,7 +387,7 @@ def test_bitstring_text_round_trip():
 
 
 # ---------------------------------------------------------------------------
-# flatten / vec / unvec
+# flatten / unflatten
 
 
 def test_flatten_dimensions():
@@ -393,17 +420,11 @@ def test_flatten_unsupported_entries(rng):
         mx.flatten(mx.random_matrix(rng, BitStrings(3), 2, 2))
 
 
-def test_vec_definitional_example():
+def test_flatten_unflatten_round_trip_all_sizes(rng):
     z7 = IntegersMod(7)
-    m = mx.from_rows(z7, [[1, 3], [2, 4]])  # [[a, c], [b, d]]
-    assert mx.vec(m).tolist() == [1, 2, 3, 4]
-    assert mx.unvec(z7, [1, 2, 3, 4], 2) == m
-
-
-def test_vec_unvec_round_trip_all_sizes(rng):
-    z11 = IntegersMod(11)
-    for n in range(1, 9):
-        m = mx.random_matrix(rng, z11, n, n)
-        assert mx.unvec(z11, mx.vec(m), n) == m
-    with pytest.raises(ParameterError):
-        mx.unvec(z11, [1, 2, 3], 2)
+    # row-major coordinates: [[a, b], [c, d]] -> (a, b, c, d)
+    assert mx.flatten(mx.from_rows(z7, [[1, 2], [3, 4]])).tolist() == [1, 2, 3, 4]
+    for ring in (IntegersMod(11), GroupRingScalars(S3, 7)):
+        for rows, cols in itertools.product(range(1, 5), repeat=2):
+            m = mx.random_matrix(rng, ring, rows, cols)
+            assert mx.unflatten(ring, mx.flatten(m), rows, cols) == m

@@ -271,6 +271,9 @@ def _malformed_inputs(tmp_path):
     mobs = transcript("mobs", ["--params", str(mobs_params)])
     assert mobs[0]["platform"]["bits"] == 64
     mobs[0]["A"][0][0] = -5
+    tropical = transcript("tropical", ["--platform", "tropical"])
+    tropical[0]["A"] = [row[:3] for row in tropical[0]["A"][:3]]
+    gl_small_b = [dict(gl[0], B=[row[:2] for row in gl[0]["B"][:2]])]
     return {
         "transcript-without-B": (["attack", "--method", "dimension"], no_b),
         "string-prime": (["exchange", "--out", str(tmp_path / "o.json"), "--params"], string_prime),
@@ -283,12 +286,17 @@ def _malformed_inputs(tmp_path):
             {"kind": "gl", "seed": 1, "sise": 5},
         ),
         "mobs64-negative-mask": (["attack", "--method", "mobs-count"], mobs),
+        "tropical-3x3-A-on-5x5": (["attack", "--method", "tropical-binsearch"], tropical),
+        "gl-2x2-B-on-3x3": (["attack", "--method", "dimension"], gl_small_b),
     }
 
 
 @pytest.mark.parametrize(
     "case",
-    ["transcript-without-B", "string-prime", "seeded-string-prime", "seeded-misspelt-key", "mobs64-negative-mask"],
+    [
+        "transcript-without-B", "string-prime", "seeded-string-prime", "seeded-misspelt-key",
+        "mobs64-negative-mask", "tropical-3x3-A-on-5x5", "gl-2x2-B-on-3x3",
+    ],
 )
 def test_malformed_json_exits_2_with_one_line(tmp_path, capsys, case):
     argv, content = _malformed_inputs(tmp_path)[case]

@@ -90,6 +90,19 @@ def test_transcript_schema_version_checked():
         Transcript.from_obj({"schema": 99, "platform": {}, "A": [], "B": []})
 
 
+@pytest.mark.parametrize("field", ["A", "B", "key"])
+def test_transcript_value_shape_must_match_platform(field, rng, fresh_platform):
+    p = fresh_platform("tropical", rng)
+    transcript, _ = run_exchange(p, rng, include_key=True)
+    obj = transcript.to_obj()
+    obj[field] = [row[:3] for row in obj[field][:3]]
+    with pytest.raises(ParameterError, match=f"'{field}' is 3x3, the platform needs 5x5"):
+        Transcript.from_obj(obj)
+    dh = DhkeParams(prime=11, generator=2)
+    with pytest.raises(ParameterError, match=f"'{field}' is 1x2, the platform needs 1x1"):
+        Transcript.from_obj({"schema": 1, "platform": dh.to_obj(), "A": [[2]], "B": [[2]], "key": [[2]], field: [[2, 3]]})
+
+
 # ---------------------------------------------------------------------------
 # encryption scheme
 
