@@ -1,12 +1,18 @@
 """Matrices over any of the four entry semirings.
 
-A Matrix wraps a ring descriptor and a packed, read-only numpy array.  All
-operations return new values; ``A @ B`` is the semiring matrix product
-(sum-product with the ring's own plus and times), ``A + B`` the entrywise
-semiring addition, and ``A.star(B)`` the adjoint product A + B + A@B.
+A Matrix wraps a ring descriptor and a read-only numpy array already in the
+ring's packed, canonical form (see ``semirings``); the constructor checks
+only its dtype and shape.  Build matrices with ``from_rows``, ``from_obj`` or
+``random_matrix``; a raw ``Matrix(ring, data)`` needs canonical ``data`` of
+dtype ``ring.dtype`` and makes that array read-only.  All operations return
+new values; ``A @ B`` is the semiring matrix product (sum-product with the
+ring's own plus and times), ``A + B`` the entrywise semiring addition, and
+``A.star(B)`` the adjoint product A + B + A@B.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -19,12 +25,11 @@ from .semirings import BitStrings, IntegersMod
 class Matrix:
     __slots__ = ("ring", "data")
 
-    def __init__(self, ring, data):
-        data = ring.normalize(data)
-        if data.ndim < 2 or data.shape[2:] != ring.entry_shape:
+    def __init__(self, ring, data: np.ndarray):
+        if getattr(data, "dtype", None) != ring.dtype or data.ndim < 2 or data.shape[2:] != ring.entry_shape:
             raise ParameterError(
-                f"expected (rows, cols) + entry shape {ring.entry_shape} for {ring!r}, "
-                f"got {data.shape}"
+                f"expected dtype {np.dtype(ring.dtype)} and shape (rows, cols) + {ring.entry_shape} "
+                f"for {ring!r}, got {getattr(data, 'dtype', type(data).__name__)} {np.shape(data)}"
             )
         data.setflags(write=False)
         self.ring = ring
@@ -78,7 +83,7 @@ class Matrix:
         """Left action of a Z_m scalar; defined for Z_m-linear entries only."""
         if not self.ring.linear:
             raise ParameterError(f"no scalar action on {self.ring!r}")
-        c = c.value if hasattr(c, "value") else int(c)
+        c = (c.value if hasattr(c, "value") else int(c)) % self.ring.modulus
         return Matrix(self.ring, self.ring.scale(c, self.data))
 
     def __getitem__(self, idx):
@@ -156,8 +161,13 @@ def flatten(m: Matrix) -> np.ndarray:
 
 
 def unflatten(ring, v: np.ndarray, rows: int, cols: int) -> Matrix:
-    """Inverse of flatten for a rows x cols matrix over ``ring``."""
-    return Matrix(ring, np.asarray(v).reshape(rows, cols, *ring.entry_shape))
+    """Inverse of flatten for a rows x cols matrix over ``ring``; parses ``v`` as from_obj does."""
+    shape = (rows, cols, *ring.entry_shape)
+    if np.size(v) != math.prod(shape):
+        raise ParameterError(
+            f"a {rows}x{cols} matrix over {ring!r} has {math.prod(shape)} coordinates, got {np.size(v)}"
+        )
+    return from_obj(ring, np.reshape(v, shape))
 
 
 def permute_bits(m: Matrix, perm: Permutation) -> Matrix:

@@ -12,6 +12,11 @@ inverses, a Z_m scalar action, coordinates for linear algebra), and
 tropical scalars, ``(|G|,)`` coefficients for group ring entries and
 ``(k,)`` bools for k-bit strings.
 
+Packed arrays are canonical: of dtype ``dtype``, Z_m values in [0, m),
+tropical entries Python ints or ``TROP_INF``.  Only the kernels and the
+parsers (``pack``, ``from_obj``, ``random``) make them, and ``Matrix``
+trusts both; the parsers refuse bools, floats and text as integers.
+
 Semiring operator convention on scalars: ``+`` is the semiring addition
 (min for tropical, OR for bitstrings) and ``*`` is the semiring
 multiplication (integer + for tropical, AND for bitstrings).
@@ -37,6 +42,24 @@ TROP_INF = float("inf")
 # IntegersMod.matmul also checks the inner dimension k of each product.
 _INT64_MOD_LIMIT = 1 << 28
 _GROUPRING_MOD_LIMIT = 1 << 20
+
+
+def _is_integer(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)  # bool subclasses int
+
+
+def _integer_array(obj, allow_inf: bool = False) -> np.ndarray:
+    """Nested values as an object array of Python ints (and TROP_INF, also given as "inf")."""
+    arr = np.array(obj, dtype=object)
+    flat = arr.reshape(-1)
+    for i, x in enumerate(flat):
+        if _is_integer(x):
+            flat[i] = int(x)
+        elif allow_inf and (x == "inf" or x == TROP_INF):
+            flat[i] = TROP_INF
+        else:
+            raise ParameterError(f"matrix entries are integers{' or inf' * allow_inf}, got {x!r}")
+    return arr
 
 
 # ---------------------------------------------------------------------------
@@ -273,9 +296,6 @@ class IntegersMod:
     def __repr__(self):
         return f"IntegersMod({self.modulus})"
 
-    def normalize(self, data: np.ndarray) -> np.ndarray:
-        return np.asarray(data, dtype=self.dtype) % self.modulus
-
     def zeros(self, rows: int, cols: int) -> np.ndarray:
         return np.zeros((rows, cols), dtype=self.dtype)
 
@@ -290,7 +310,9 @@ class IntegersMod:
 
     def matmul(self, a, b):
         if a.shape[1] > self._int64_inner_max:
-            a, b = a.astype(object, copy=False), b.astype(object, copy=False)
+            # exact over Python ints; the reduced product fits self.dtype again
+            prod = (a.astype(object, copy=False) @ b.astype(object, copy=False)) % self.modulus
+            return prod.astype(self.dtype, copy=False)
         return (a @ b) % self.modulus
 
     def scale(self, c: int, a):
@@ -300,7 +322,7 @@ class IntegersMod:
         return ZMod(int(data[i, j]), self.modulus)
 
     def pack(self, rows) -> np.ndarray:
-        return self.from_obj([[e.value if isinstance(e, ZMod) else int(e) for e in r] for r in rows])
+        return self.from_obj([[e.value if isinstance(e, ZMod) else e for e in r] for r in rows])
 
     def random(self, rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
         data = rng.integers(0, self.modulus, size=(rows, cols), dtype=np.int64)
@@ -310,7 +332,7 @@ class IntegersMod:
         return [[int(x) for x in row] for row in data]
 
     def from_obj(self, obj) -> np.ndarray:
-        return self.normalize(np.array(obj, dtype=self.dtype))
+        return (_integer_array(obj) % self.modulus).astype(self.dtype, copy=False)
 
 
 class GroupRingScalars:
@@ -337,9 +359,6 @@ class GroupRingScalars:
 
     def __repr__(self):
         return f"GroupRingScalars({self.group.name}, mod {self.modulus})"
-
-    def normalize(self, data: np.ndarray) -> np.ndarray:
-        return np.asarray(data, dtype=np.int64) % self.modulus
 
     def zeros(self, rows: int, cols: int) -> np.ndarray:
         return np.zeros((rows, cols, self.group.order), dtype=np.int64)
@@ -378,7 +397,7 @@ class GroupRingScalars:
         return [[list(map(int, entry)) for entry in row] for row in data]
 
     def from_obj(self, obj) -> np.ndarray:
-        return self.normalize(np.array(obj, dtype=np.int64))
+        return (_integer_array(obj) % self.modulus).astype(self.dtype)
 
 
 class TropicalIntegers:
@@ -400,18 +419,6 @@ class TropicalIntegers:
     def __repr__(self):
         return "TropicalIntegers()"
 
-    def normalize(self, data: np.ndarray) -> np.ndarray:
-        arr = np.empty(np.shape(data), dtype=object)
-        flat = arr.reshape(-1)
-        for idx, v in enumerate(np.asarray(data, dtype=object).reshape(-1)):
-            if v == TROP_INF:
-                flat[idx] = TROP_INF
-            elif isinstance(v, (int, np.integer)):
-                flat[idx] = int(v)
-            else:
-                raise ParameterError(f"tropical entries are ints or +inf, got {v!r}")
-        return arr
-
     def zeros(self, rows: int, cols: int) -> np.ndarray:
         # additive identity of (min, +) is +inf
         return np.full((rows, cols), TROP_INF, dtype=object)
@@ -431,19 +438,16 @@ class TropicalIntegers:
         return TropicalScalar(data[i, j])
 
     def pack(self, rows) -> np.ndarray:
-        vals = [[e.value if isinstance(e, TropicalScalar) else e for e in r] for r in rows]
-        return self.normalize(np.array(vals, dtype=object))
+        return self.from_obj([[e.value if isinstance(e, TropicalScalar) else e for e in r] for r in rows])
 
     def random(self, rng: np.random.Generator, rows: int, cols: int, lo: int, hi: int) -> np.ndarray:
-        data = rng.integers(lo, hi + 1, size=(rows, cols), dtype=np.int64)
-        return self.normalize(data)
+        return rng.integers(lo, hi + 1, size=(rows, cols), dtype=np.int64).astype(object)
 
     def to_obj(self, data) -> list:
         return [["inf" if x == TROP_INF else int(x) for x in row] for row in data]
 
     def from_obj(self, obj) -> np.ndarray:
-        vals = [[TROP_INF if x == "inf" else int(x) for x in row] for row in obj]
-        return self.normalize(np.array(vals, dtype=object))
+        return _integer_array(obj, allow_inf=True)
 
 
 class BitStrings:
@@ -470,14 +474,6 @@ class BitStrings:
 
     def __repr__(self):
         return f"BitStrings({self.length})"
-
-    def normalize(self, data: np.ndarray) -> np.ndarray:
-        arr = np.asarray(data)
-        if arr.dtype != np.bool_:
-            if not np.all((arr == 0) | (arr == 1)):
-                raise ParameterError("bit entries must be 0 or 1")
-            arr = arr.astype(np.bool_)
-        return arr
 
     def zeros(self, rows: int, cols: int) -> np.ndarray:
         return np.zeros((rows, cols, self.length), dtype=np.bool_)
@@ -506,8 +502,10 @@ class BitStrings:
         """Bits of one entry given as 0/1 text, a BitString or an integer mask."""
         if isinstance(e, str):
             e = BitString.from_string(e)
-        elif not isinstance(e, BitString):
+        elif _is_integer(e):
             e = BitString(int(e), self.length)  # range-checks the mask
+        elif not isinstance(e, BitString):
+            raise ParameterError(f"bit entries are 0/1 text or integer masks, got {e!r}")
         if e.length != self.length:
             raise ParameterError("bitstring length differs from ring length")
         return [ch == "1" for ch in e.to_string()]

@@ -428,3 +428,82 @@ def test_flatten_unflatten_round_trip_all_sizes(rng):
         for rows, cols in itertools.product(range(1, 5), repeat=2):
             m = mx.random_matrix(rng, ring, rows, cols)
             assert mx.unflatten(ring, mx.flatten(m), rows, cols) == m
+    with pytest.raises(ParameterError, match="4 coordinates, got 3"):
+        mx.unflatten(z7, np.arange(3), 2, 2)
+
+
+# ---------------------------------------------------------------------------
+# canonical packed form: kernels and parsers make it, Matrix only checks dtype
+
+
+#: Z_m on both sides of the int64 limit 2^28, and the three other rings
+CANONICAL_RINGS = {
+    "zmod-int64": IntegersMod(2**28 - 57),
+    "zmod-object": IntegersMod(2**31 - 1),
+    "groupring": GroupRingScalars(S3, 7),
+    "tropical": TropicalIntegers(),
+    "bits": BitStrings(5),
+}
+
+
+def assert_canonical(m: Matrix):
+    ring = m.ring
+    assert not m.data.flags.writeable
+    assert m.data.dtype == ring.dtype
+    if ring.linear:
+        assert all(0 <= x < ring.modulus for x in m.data.flat)
+    if ring.dtype == object:
+        # Python ints (numpy ints in an object array would wrap) or the formal +inf
+        assert all(type(x) is int or x == TROP_INF for x in m.data.flat)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    name=st.sampled_from(sorted(CANONICAL_RINGS)),
+    n=st.integers(1, 3),
+    c=st.integers(2**63, 2**70),  # a scalar past int64 is reduced mod m first
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_every_matrix_result_is_canonical(name, n, c, seed):
+    ring = CANONICAL_RINGS[name]
+    rng = np.random.default_rng(seed)
+    kw = {"lo": -50, "hi": 50} if name == "tropical" else {}
+    a, b = (mx.random_matrix(rng, ring, n, n, **kw) for _ in range(2))
+    zero = mx.zeros(ring, n, n)
+    results = [a, a + b, a @ b, a.star(b), a @ zero, mx.identity(ring, n), zero]
+    if ring.linear:
+        results += [a - b, a.scale(c), a.scale(-c)]
+        assert a.scale(c) + a.scale(-c) == zero
+    if name == "bits":
+        results.append(mx.permute_bits(a, Permutation(rng.permutation(ring.length).tolist())))
+    if isinstance(ring, IntegersMod) and (inverse := mx.try_inverse(a)) is not None:
+        results.append(inverse)
+    if name == "zmod-int64":
+        # one inner dimension past the int64 bound: the product runs on Python ints
+        k = ring._int64_inner_max + 1
+        row, col = mx.random_matrix(rng, ring, 1, k), mx.random_matrix(rng, ring, k, 1)
+        results += [row, col, row @ col]
+    for m in list(results):
+        back = [mx.from_obj(ring, m.to_obj())]
+        if ring.linear:
+            back.append(mx.unflatten(ring, mx.flatten(m), *m.shape))
+        assert all(x == m for x in back)
+        results += back
+    for m in results:
+        assert_canonical(m)
+
+
+@pytest.mark.parametrize(
+    "ring,data",
+    [
+        (IntegersMod(7), np.zeros((2, 2))),
+        (IntegersMod(2**31 - 1), np.zeros((2, 2), dtype=np.int64)),
+        (GroupRingScalars(S3, 7), np.zeros((2, 2, 6), dtype=np.int32)),
+        (TropicalIntegers(), np.zeros((2, 2), dtype=np.int64)),
+        (BitStrings(3), np.zeros((2, 2, 3), dtype=np.uint8)),
+    ],
+    ids=["zmod-float", "zmod-object-given-int64", "groupring-int32", "tropical-int64", "bits-uint8"],
+)
+def test_raw_matrix_of_wrong_dtype_rejected(ring, data):
+    with pytest.raises(ParameterError, match="dtype"):
+        Matrix(ring, data)

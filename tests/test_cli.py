@@ -1,5 +1,6 @@
 """Harness contracts: exit codes, determinism, report formats, schema."""
 
+import copy
 import json
 import subprocess
 import sys
@@ -262,6 +263,13 @@ def _malformed_inputs(tmp_path):
         assert main(["exchange", *params_argv, "--out", str(out)]) == 0
         return json.loads(out.read_text())
 
+    def first_a_entry(records, value):
+        """The first record with its first value of A (a coefficient on groupring) replaced."""
+        rec = copy.deepcopy(records[0])
+        row = rec["A"][0][0] if isinstance(rec["A"][0][0], list) else rec["A"][0]
+        row[0] = value
+        return [rec]
+
     gl = transcript("gl", ["--platform", "gl"])
     no_b = [dict(gl[0])]
     del no_b[0]["B"]
@@ -272,6 +280,9 @@ def _malformed_inputs(tmp_path):
     assert mobs[0]["platform"]["bits"] == 64
     mobs[0]["A"][0][0] = -5
     tropical = transcript("tropical", ["--platform", "tropical"])
+    tropical_string = first_a_entry(tropical, "7")
+    make = transcript("make", ["--platform", "make"])
+    groupring = transcript("groupring", ["--platform", "groupring"])
     tropical[0]["A"] = [row[:3] for row in tropical[0]["A"][:3]]
     gl_small_b = [dict(gl[0], B=[row[:2] for row in gl[0]["B"][:2]])]
     return {
@@ -288,6 +299,10 @@ def _malformed_inputs(tmp_path):
         "mobs64-negative-mask": (["attack", "--method", "mobs-count"], mobs),
         "tropical-3x3-A-on-5x5": (["attack", "--method", "tropical-binsearch"], tropical),
         "gl-2x2-B-on-3x3": (["attack", "--method", "dimension"], gl_small_b),
+        "make-float": (["attack", "--method", "telescope"], first_a_entry(make, 1.5)),
+        "gl-bool": (["attack", "--method", "dimension"], first_a_entry(gl, True)),
+        "tropical-string": (["attack", "--method", "tropical-binsearch"], tropical_string),
+        "groupring-numeric-string-A": (["attack", "--method", "dimension"], first_a_entry(groupring, "7")),
     }
 
 
@@ -296,6 +311,7 @@ def _malformed_inputs(tmp_path):
     [
         "transcript-without-B", "string-prime", "seeded-string-prime", "seeded-misspelt-key",
         "mobs64-negative-mask", "tropical-3x3-A-on-5x5", "gl-2x2-B-on-3x3",
+        "make-float", "gl-bool", "tropical-string", "groupring-numeric-string-A",
     ],
 )
 def test_malformed_json_exits_2_with_one_line(tmp_path, capsys, case):
