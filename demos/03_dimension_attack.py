@@ -35,7 +35,7 @@ assert outcome.success
 print(f"recovered key == true key: {outcome.recovered_key == true_key}")
 print("note: the attack saw only the platform parameters, A, and B")
 
-print("\nthe same attack at the 540-dimensional Z_7[A_5] size (takes ~15 s):")
+print("\nthe same attack at the 540-dimensional Z_7[A_5] size (takes ~6 s):")
 params = random_params("groupring", rng, group="a5")
 platform = params.build()
 a = sdp_exp(platform, 51929).value

@@ -1,9 +1,12 @@
 """Finite groups given by explicit Cayley tables.
 
 A group of order n is a table ``product[i, j]`` of element indices plus an
-identity index and an inverse table.  Tables are validated on construction
-(full associativity sweep; fine at desk scale).  Small groups used by the
-matrix-over-group-ring platform ship as JSON data files: c2, s3, a4, a5.
+identity index, an inverse table and the left-regular index
+``left_regular[c, g] = c * g^-1``, through which group ring products are
+computed (see ``semirings.GroupRingScalars.regular``).  Tables are
+validated on construction (full associativity sweep; fine at desk scale).
+Small groups used by the matrix-over-group-ring platform ship as JSON data
+files: c2, s3, a4, a5.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ BUNDLED_GROUPS = ("c2", "s3", "a4", "a5")
 class FiniteGroupTable:
     """A finite group presented by its Cayley table on indices 0..order-1."""
 
-    __slots__ = ("name", "order", "product", "identity", "inverse", "_scatter")
+    __slots__ = ("name", "order", "product", "identity", "inverse", "left_regular")
 
     def __init__(self, product, name: str = "group"):
         product = np.asarray(product, dtype=np.int64)
@@ -34,7 +37,10 @@ class FiniteGroupTable:
         self.product = product
         self.identity = self._find_identity()
         self.inverse = self._build_inverses()
-        self._scatter = None
+        # coefficient a[c * g^-1] multiplies x_g in (a * x)_c, so a[left_regular] is
+        # the matrix of x -> a * x on coefficient vectors
+        self.left_regular = product[:, self.inverse]
+        self.left_regular.setflags(write=False)
         self.validate()
 
     def _find_identity(self) -> int:
@@ -71,22 +77,10 @@ class FiniteGroupTable:
     def mul(self, i: int, j: int) -> int:
         return int(self.product[i, j])
 
-    def convolution_scatter(self) -> np.ndarray:
-        """One-hot matrix S of shape (n*n, n) with S[i*n+j, product[i,j]] = 1.
-
-        Flattened outer products of coefficient vectors land on the right
-        group-ring coefficients via ``pair.reshape(-1, n*n) @ S``.
-        """
-        if self._scatter is None:
-            n = self.order
-            s = np.zeros((n * n, n), dtype=np.int64)
-            s[np.arange(n * n), self.product.reshape(-1)] = 1
-            s.setflags(write=False)
-            self._scatter = s
-        return self._scatter
-
     def __eq__(self, other) -> bool:
-        return isinstance(other, FiniteGroupTable) and np.array_equal(self.product, other.product)
+        return self is other or (
+            isinstance(other, FiniteGroupTable) and np.array_equal(self.product, other.product)
+        )
 
     def __repr__(self) -> str:
         return f"FiniteGroupTable({self.name!r}, order={self.order})"

@@ -12,13 +12,21 @@ import numpy as np
 from .errors import ParameterError, SingularMatrixError
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+#: psi_12, the least strong pseudoprime to all twelve witnesses
+_MR_PROVEN_BOUND = 318665857834031151167461
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for all 64-bit integers."""
+    """Deterministic Miller-Rabin with the primes 2..37 as witnesses.
+
+    Exact for n < psi_12 = 318665857834031151167461 (about 3.2e23, past every
+    64-bit integer); raises ParameterError above, where no proof covers it.
+    """
+    if n >= _MR_PROVEN_BOUND:
+        raise ParameterError(f"primality of {n} is not decided: moduli must be below {_MR_PROVEN_BOUND}")
     if n < 2:
         return False
-    for small in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for small in _MR_WITNESSES:
         if n % small == 0:
             return n == small
     d, r = n - 1, 0

@@ -9,10 +9,10 @@ theorem; the test suite samples both laws with ``validate_platform``.
 desk-scale default sizes.
 
 Defaults here are implementer-chosen working sizes, not security
-parameters: group ring Z_7[S_3] with 3x3 matrices (a5 is bundled but
-slower), GL(3, 1009), 5x5 tropical with entries in [-1000, 1000], 3x3
-additive platform over Z_p, and 3x3 matrices of 28-bit strings permuted by
-disjoint cycles of lengths 2, 3, 5, 7, 11.
+parameters: group ring Z_7[S_3] with 3x3 matrices, GL(3, 1009), 5x5
+tropical with entries in [-1000, 1000], 3x3 additive platform over Z_p, and
+3x3 matrices of 28-bit strings permuted by disjoint cycles of lengths 2, 3,
+5, 7, 11.
 """
 
 from __future__ import annotations
@@ -34,60 +34,33 @@ from .holomorph import (
     TropicalStarPower,
     TwoSidedPower,
 )
-from .linalg import is_prime, rank_mod, solve_mod
+from .linalg import inverse_mod, is_prime, rank_mod
 from .matrices import Matrix
 from .permutations import Permutation
-from .semirings import BitStrings, GroupRingScalars, IntegersMod, TropicalIntegers
+from .semirings import BitStrings, GroupRingScalars, IntegersMod, TropicalIntegers, _is_integer
 
 
 # ---------------------------------------------------------------------------
 # matrices over group rings, automorphism = conjugation
 
 
-def left_mul_operator(h: Matrix) -> np.ndarray:
-    """Matrix of X -> H @ X on the flattened ambient coordinates.
+def groupring_inverse(h: Matrix) -> Matrix:
+    """Two-sided inverse of a square matrix over Z_p[G], p prime.
 
-    Built blockwise: multiplication by one group ring element is the
-    regular-representation matrix M[c, g] = coeffs[c * g^-1], and entry
-    (i, j) of H @ X couples coordinate block (i, j) to blocks (k, j) with
-    weight M of H[i, k].
+    The left-regular representation is an injective algebra map, so H is
+    invertible exactly when its regular matrix R is, and then R^-1 is the
+    regular matrix of H^-1: entry (i, k) of H^-1 is the identity column of
+    block (i, k) of R^-1.  The two-sided check runs before returning.
     """
     ring = h.ring
-    if not isinstance(ring, GroupRingScalars):
-        raise ParameterError("left-multiplication operator is built for group ring matrices")
-    r = h.rows
-    group = ring.group
-    n = group.order
-    # idx[c, g] = c * g^-1, so coeffs[idx] is the left-regular matrix
-    idx = group.product[:, group.inverse]
-    d = r * r * n
-    out = np.zeros((d, d), dtype=np.int64)
-    for i in range(r):
-        for k in range(r):
-            block = h.data[i, k][idx]
-            for j in range(r):
-                row = (i * r + j) * n
-                col = (k * r + j) * n
-                out[row : row + n, col : col + n] = block
-    return out % ring.modulus
-
-
-def groupring_inverse(h: Matrix) -> Matrix:
-    """Two-sided inverse of a matrix over Z_m[G], via the flatten embedding.
-
-    Solves H @ X = I as a Z_m-linear system; in a finite dimensional
-    algebra a right inverse is automatically two-sided, and that is
-    asserted before returning.
-    """
-    modulus = h.ring.modulus
-    if not is_prime(modulus):
+    if not isinstance(ring, GroupRingScalars) or h.rows != h.cols:
+        raise ParameterError("group ring inverse needs a square group ring matrix")
+    if not is_prime(ring.modulus):
         raise ParameterError("group ring inverse needs a prime modulus")
-    op = left_mul_operator(h)
-    ident = mx.identity(h.ring, h.rows)
-    x = solve_mod(op, mx.flatten(ident), modulus)
-    if x is None:
-        raise SingularMatrixError("matrix is not invertible over the group ring")
-    inv = mx.unflatten(h.ring, x, h.rows, h.rows)
+    r, n = h.rows, ring.group.order
+    blocks = inverse_mod(ring.regular(h.data), ring.modulus).reshape(r, n, r, n)
+    inv = Matrix(ring, np.ascontiguousarray(blocks[:, :, :, ring.group.identity].transpose(0, 2, 1)))
+    ident = mx.identity(ring, r)
     if h @ inv != ident or inv @ h != ident:
         raise SingularMatrixError("inverse verification failed")
     return inv
@@ -159,6 +132,8 @@ def random_groupring_params(
     size: int = 3,
 ) -> GroupRingParams:
     table = load_group(group) if isinstance(group, str) else group
+    if size == 1 and np.array_equal(table.product, table.product.T):
+        raise ParameterError(f"{table.name} is abelian, so 1x1 matrices over its group ring all commute")
     ring = GroupRingScalars(table, modulus)
     while True:
         h = mx.random_matrix(rng, ring, size, size)
@@ -235,6 +210,8 @@ class GLParams:
 
 
 def random_gl_params(rng: np.random.Generator, prime: int = 1009, size: int = 3) -> GLParams:
+    if size < 2:
+        raise ParameterError("gl size must be >= 2: GL(1, p) is commutative")
     ring = IntegersMod(prime)
 
     def invertible() -> Matrix:
@@ -530,10 +507,18 @@ _GENERATORS = {
 }
 
 
+def _check_size(fields: dict) -> None:
+    """Refuse a matrix size from outside that is not an integer >= 1."""
+    size = fields.get("size", 1)
+    if not _is_integer(size) or size < 1:
+        raise ParameterError(f"size must be an integer >= 1, got {size!r}")
+
+
 def params_from_obj(obj: dict):
     kind = obj.get("kind")
     if kind not in _PARAM_TYPES:
         raise ParameterError(f"unknown platform kind {kind!r}")
+    _check_size(obj)
     return _PARAM_TYPES[kind].from_obj(obj)
 
 
@@ -545,4 +530,5 @@ def random_params(kind: str, rng: np.random.Generator, **overrides):
     unknown = sorted(set(overrides) - set(accepted))
     if unknown:
         raise ParameterError(f"unknown {kind} parameters {unknown}; accepted: {accepted}")
+    _check_size(overrides)
     return generator(rng, **overrides)

@@ -37,11 +37,11 @@ from .permutations import Permutation
 #: symbol (comparisons and sums against ints are exact).
 TROP_INF = float("inf")
 
-# Packed int64 arithmetic is used only while k * (m-1)^2 cannot overflow;
-# beyond these bounds the kernels fall back to object arrays of Python ints.
-# IntegersMod.matmul also checks the inner dimension k of each product.
+# Z_m entries are stored as int64 up to this modulus (as object arrays of
+# Python ints above it); IntegersMod.matmul sums in int64 only while the inner
+# dimension k of the product keeps k * (m-1)^2 below 2^63.  Group ring
+# products run through that same kernel, so Z_m[G] shares the bound.
 _INT64_MOD_LIMIT = 1 << 28
-_GROUPRING_MOD_LIMIT = 1 << 20
 
 
 def _is_integer(x) -> bool:
@@ -336,17 +336,23 @@ class IntegersMod:
 
 
 class GroupRingScalars:
-    """Entries in Z_m[G] packed as a (rows, cols, |G|) coefficient array."""
+    """Entries in Z_m[G] packed as a (rows, cols, |G|) coefficient array.
+
+    Products go through the left-regular representation: a matrix over
+    Z_m[G] acts on stacked coefficient vectors as a Z_m matrix ``regular``
+    |G| times as large, and ``IntegersMod`` multiplies that.
+    """
 
     linear = True
 
     def __init__(self, group: FiniteGroupTable, modulus: int):
         if modulus < 2:
             raise ParameterError("modulus must be >= 2")
-        if modulus > _GROUPRING_MOD_LIMIT:
-            raise ParameterError("group ring modulus too large for packed arithmetic")
+        if modulus > _INT64_MOD_LIMIT:
+            raise ParameterError(f"group ring modulus must be at most 2^28, got {modulus}")
         self.group = group
         self.modulus = int(modulus)
+        self.coefficients = IntegersMod(self.modulus)
         self.dtype = np.int64
         self.entry_shape = (group.order,)
 
@@ -374,12 +380,21 @@ class GroupRingScalars:
     def sub(self, a, b):
         return (a - b) % self.modulus
 
+    def regular(self, data):
+        """The (rows*n x cols*n) Z_m matrix of X -> data @ X, n = |G|.
+
+        Block (i, k) is the left-regular matrix of entry (i, k).  It acts on
+        X's coefficients stacked by row: row k*n + g of the stack holds
+        coefficient g of X's row k.
+        """
+        rows, cols, n = data.shape
+        blocks = np.take(data, self.group.left_regular, axis=2)  # [i, k, c, g] = data[i, k, c * g^-1]
+        return blocks.transpose(0, 2, 1, 3).reshape(rows * n, cols * n)
+
     def matmul(self, a, b):
-        # C_ij = sum_k A_ik * B_kj with * the group ring convolution
-        n = self.group.order
-        pair = np.einsum("ikf,kjg->ijfg", a, b) % self.modulus
-        flat = pair.reshape(a.shape[0], b.shape[1], n * n)
-        return (flat @ self.group.convolution_scatter()) % self.modulus
+        k, cols, n = b.shape
+        prod = self.coefficients.matmul(self.regular(a), b.transpose(0, 2, 1).reshape(k * n, cols))
+        return prod.reshape(a.shape[0], n, cols).transpose(0, 2, 1)
 
     def scale(self, c: int, a):
         return (c * a) % self.modulus

@@ -4,14 +4,16 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sdpke.matrices as mx
 from sdpke.errors import ParameterError, SingularMatrixError
-from sdpke.groups import cyclic_group, load_group
+from sdpke.groups import BUNDLED_GROUPS, cyclic_group, load_group
+from sdpke.linalg import is_prime, rank_mod
 from sdpke.matrices import Matrix
 from sdpke.permutations import Permutation
+from sdpke.platforms import groupring_inverse
 from sdpke.semirings import (
     TROP_INF,
     BitString,
@@ -269,8 +271,35 @@ def test_zmod_matmul_near_int64_limit_matches_oracle(shape, modulus, seed):
     assert a @ b == matmul_oracle(a, b)
 
 
+GROUPS = {name: load_group(name) for name in BUNDLED_GROUPS}
+#: prime moduli from 2 up to the largest below the group-ring bound 2^28
+_GROUPRING_MODULI = [2, 7, 1048573, _PRIME_BELOW_INT64_LIMIT]
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    group=st.sampled_from(BUNDLED_GROUPS),
+    modulus=st.sampled_from(_GROUPRING_MODULI),
+    shape=st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)),
+    near_top=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+# inner dimension 3 * |A_5| = 180 is past _int64_inner_max (128) at 2^28-57: the Python-int path
+@example(group="a5", modulus=_PRIME_BELOW_INT64_LIMIT, shape=(2, 3, 1), near_top=True, seed=0)
+# inner dimension 2 * |A_5| = 120 is the int64 path with the largest terms it admits
+@example(group="a5", modulus=_PRIME_BELOW_INT64_LIMIT, shape=(1, 2, 2), near_top=True, seed=1)
+def test_groupring_matmul_matches_scalar_oracle(group, modulus, shape, near_top, seed):
+    ring = GroupRingScalars(GROUPS[group], modulus)
+    r, k, c = shape
+    gen = np.random.default_rng(seed)
+    lo = max(0, modulus - 1024) if near_top else 0
+    a = Matrix(ring, gen.integers(lo, modulus, (r, k, ring.group.order)))
+    b = Matrix(ring, gen.integers(lo, modulus, (k, c, ring.group.order)))
+    assert a @ b == matmul_oracle(a, b)
+
+
 # ---------------------------------------------------------------------------
-# inverse over Z_p
+# inverse over Z_p and over Z_p[G]
 
 
 def test_inverse_examples(rng):
@@ -293,6 +322,65 @@ def test_singular_and_composite_rejected():
     z6 = IntegersMod(6)
     with pytest.raises(ParameterError, match="prime"):
         mx.inverse(mx.identity(z6, 2))
+
+
+def test_is_prime_refuses_past_its_proven_range():
+    assert is_prime(2**61 - 1)
+    assert not is_prime(2**61 + 1)
+    with pytest.raises(ParameterError, match="primality"):
+        is_prime(2**89 - 1)  # prime, but past psi_12 the twelve witnesses prove nothing
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    group=st.sampled_from(BUNDLED_GROUPS),
+    modulus=st.sampled_from(_GROUPRING_MODULI),
+    n=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_groupring_inverse_is_two_sided(group, modulus, n, seed):
+    ring = GroupRingScalars(GROUPS[group], modulus)
+    h = mx.random_matrix(np.random.default_rng(seed), ring, n, n)
+    # H is a unit iff X -> H @ X is injective on n x 1 columns; that map's
+    # Z_p matrix is built column by column through the scalar oracle
+    dim = n * ring.group.order
+    columns = [
+        mx.flatten(matmul_oracle(h, mx.unflatten(ring, np.eye(dim, dtype=np.int64)[j], n, 1)))
+        for j in range(dim)
+    ]
+    if rank_mod(np.stack(columns, axis=1), modulus) < dim:
+        with pytest.raises(SingularMatrixError):
+            groupring_inverse(h)
+        return
+    inv = groupring_inverse(h)
+    eye = mx.identity(ring, n)
+    assert matmul_oracle(h, inv) == eye
+    assert matmul_oracle(inv, h) == eye
+
+
+@st.composite
+def c2_elements(draw):
+    """(p, a0, a1) with a1 = +-a0 mod p, the singular elements, half the time."""
+    p = draw(st.sampled_from([2, 3, 7, 1048573]))
+    a0 = draw(st.integers(0, p - 1))
+    a1 = draw(st.one_of(st.integers(0, p - 1), st.sampled_from([a0, (p - a0) % p])))
+    return p, a0, a1
+
+
+@settings(deadline=None)
+@given(c2_elements())
+def test_groupring_inverse_over_c2_singular_exactly_at_zero_norm(element):
+    # Z_p[C_2] -> Z_p x Z_p, a0 + a1 g -> (a0 + a1, a0 - a1), is a ring map
+    # (an isomorphism for odd p), so a0 + a1 g is a unit iff (a0+a1)(a0-a1) is
+    p, a0, a1 = element
+    ring = GroupRingScalars(C2, p)
+    h = mx.from_rows(ring, [[GroupRingElement(C2, p, [a0, a1])]])
+    if (a0 + a1) * (a0 - a1) % p == 0:
+        with pytest.raises(SingularMatrixError):
+            groupring_inverse(h)
+    else:
+        inv = groupring_inverse(h)
+        assert matmul_oracle(h, inv) == matmul_oracle(inv, h) == mx.identity(ring, 1)
 
 
 # ---------------------------------------------------------------------------

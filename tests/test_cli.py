@@ -285,6 +285,7 @@ def _malformed_inputs(tmp_path):
     groupring = transcript("groupring", ["--platform", "groupring"])
     tropical[0]["A"] = [row[:3] for row in tropical[0]["A"][:3]]
     gl_small_b = [dict(gl[0], B=[row[:2] for row in gl[0]["B"][:2]])]
+    seeded = ["exchange", "--out", str(tmp_path / "o.json"), "--params"]
     return {
         "transcript-without-B": (["attack", "--method", "dimension"], no_b),
         "string-prime": (["exchange", "--out", str(tmp_path / "o.json"), "--params"], string_prime),
@@ -303,6 +304,20 @@ def _malformed_inputs(tmp_path):
         "gl-bool": (["attack", "--method", "dimension"], first_a_entry(gl, True)),
         "tropical-string": (["attack", "--method", "tropical-binsearch"], tropical_string),
         "groupring-numeric-string-A": (["attack", "--method", "dimension"], first_a_entry(groupring, "7")),
+        # seeded files whose sampling loops never ended, or that raised past the parser
+        "seeded-gl-size-1": (seeded, {"kind": "gl", "seed": 1, "size": 1}),
+        "seeded-gl-size-0": (seeded, {"kind": "gl", "seed": 1, "size": 0}),
+        "seeded-gl-prime-2-size-1": (seeded, {"kind": "gl", "seed": 1, "prime": 2, "size": 1}),
+        "seeded-groupring-size-0": (seeded, {"kind": "groupring", "seed": 1, "size": 0}),
+        "seeded-groupring-c2-size-1": (seeded, {"kind": "groupring", "seed": 1, "group": "c2", "size": 1}),
+        "seeded-make-size-0": (seeded, {"kind": "make", "seed": 1, "size": 0}),
+        "seeded-tropical-size-0": (seeded, {"kind": "tropical", "seed": 1, "size": 0}),
+        "seeded-mobs-size-0": (seeded, {"kind": "mobs", "seed": 1, "size": 0}),
+        "seeded-bool-size": (seeded, {"kind": "gl", "seed": 1, "size": True}),
+        "seeded-string-size": (seeded, {"kind": "gl", "seed": 1, "size": "3"}),
+        "explicit-size-0": (seeded, dict(gl[0]["platform"], size=0)),
+        # a Mersenne prime past the proven range of is_prime
+        "gl-prime-2^89-1": (seeded, dict(gl[0]["platform"], prime=2**89 - 1)),
     }
 
 
@@ -312,6 +327,10 @@ def _malformed_inputs(tmp_path):
         "transcript-without-B", "string-prime", "seeded-string-prime", "seeded-misspelt-key",
         "mobs64-negative-mask", "tropical-3x3-A-on-5x5", "gl-2x2-B-on-3x3",
         "make-float", "gl-bool", "tropical-string", "groupring-numeric-string-A",
+        "seeded-gl-size-1", "seeded-gl-size-0", "seeded-gl-prime-2-size-1", "seeded-groupring-size-0",
+        "seeded-groupring-c2-size-1", "seeded-make-size-0", "seeded-tropical-size-0",
+        "seeded-mobs-size-0", "seeded-bool-size", "seeded-string-size", "explicit-size-0",
+        "gl-prime-2^89-1",
     ],
 )
 def test_malformed_json_exits_2_with_one_line(tmp_path, capsys, case):
@@ -323,6 +342,7 @@ def test_malformed_json_exits_2_with_one_line(tmp_path, capsys, case):
         [sys.executable, "-m", "sdpke.cli", *argv, str(path)],
         capture_output=True,
         text=True,
+        timeout=60,  # a sampling loop that never ends fails here instead of stalling the suite
     )
     assert proc.returncode == 2, proc.stderr
     assert len(proc.stderr.strip().splitlines()) == 1

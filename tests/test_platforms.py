@@ -1,5 +1,7 @@
 """Constructor validation and per-platform structure checks."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -40,14 +42,19 @@ def test_groupring_phi_fixes_identity(rng):
 
 
 def test_groupring_a5_platform_works(rng):
-    # the slow bundled configuration: 540-dimensional ambient space
+    # the original proposal's carrier, 3x3 over Z_7[A_5]: a 540-dimensional
+    # ambient space that the dimension attack still breaks at desk speed
+    from sdpke.attacks import dimension_attack
     from sdpke.protocol import run_exchange
 
+    start = time.perf_counter()
     params = random_groupring_params(rng, group="a5")
     p = params.build()
     assert mx.flatten(p.g).shape == (540,)
-    _, agreed = run_exchange(p, rng, exponent_bits=16)
+    transcript, agreed = run_exchange(p, rng, exponent_bits=16, include_key=True)
     assert agreed
+    assert dimension_attack(transcript).success
+    assert time.perf_counter() - start < 12
 
 
 def test_groupring_singular_conjugator_rejected(rng):
