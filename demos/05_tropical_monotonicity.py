@@ -4,7 +4,10 @@
 Each step mins the previous term against more material, so {a_n} is
 entrywise non-increasing.  "a_n <= A entrywise" is therefore a monotone
 predicate in n, and the private exponent (or an admissible stand-in) falls
-to binary search in ~20 probes even for x up to 2^20.
+to a binary search in 20 probes even for x up to 2^20.  The search lifts
+over the doubling chain (g, phi)^(2^i): it grows the longest prefix a_m
+with a_m not <= A from the top power of two down, so each probe costs one
+holomorph product, and the hit is a_(m+1).
 """
 
 import numpy as np
@@ -31,6 +34,6 @@ transcript = Transcript(params=params, alice_value=a, bob_value=b, shared_key=tr
 outcome = tropical_binsearch_attack(transcript, x_max=1 << 20)
 assert outcome.success
 print(f"\nsecret exponent x = {x}")
-print(f"binary search recovered an admissible exponent {outcome.recovered_exponent}"
+print(f"binary lifting recovered an admissible exponent {outcome.recovered_exponent}"
       f" in {outcome.work.search_steps} probes")
 print(f"recovered key == true key: {outcome.recovered_key == true_key}")

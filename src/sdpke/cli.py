@@ -30,7 +30,7 @@ import contextlib
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -44,7 +44,7 @@ from .attacks import (
 from .errors import NotApplicableError, ParameterError, SizeCapError
 from .holomorph import sdp_exp
 from .platforms import PLATFORM_KINDS, MobsParams, params_from_obj, random_params
-from .protocol import Transcript, derive_key, keygen, run_exchange
+from .protocol import Transcript, derive_key, draw_exponent, keygen, run_exchange
 
 CSV_HEADER = "platform,trial,operation,success,micros,counters"
 
@@ -290,7 +290,7 @@ def cmd_count(config: RunConfig) -> int:
             base=mx.random_matrix(rng, ring, base_params.size, base_params.size),
         )
         platform = fresh.build()
-        x = int(rng.integers(2, 1 << config.exponent_bits))
+        x = draw_exponent(rng, config.exponent_bits)
         observed = sdp_exp(platform, x).value
         t0 = time.perf_counter()
         outcome = mobs_solution_count(platform, observed, true_exponent=x)
@@ -313,52 +313,53 @@ def cmd_count(config: RunConfig) -> int:
 # argument parsing
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--platform", choices=PLATFORM_KINDS, help="use default parameters for this platform")
-    p.add_argument("--params", dest="params_file", help="JSON platform parameter file")
-    p.add_argument("--trials", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--exponent-bits", type=int, default=16)
-    p.add_argument("--test-mode", action="store_true", help="embed the ground-truth key in transcripts")
-    p.add_argument("--out", help="output file (transcripts for exchange, report otherwise)")
-    p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="csv")
+_FLAGS = {
+    "--platform": dict(choices=PLATFORM_KINDS, help="use default parameters for this platform"),
+    "--params": dict(dest="params_file", help="JSON platform parameter file"),
+    "--trials": dict(type=int, default=1),
+    "--seed": dict(type=int, default=0),
+    "--exponent-bits": dict(type=int, default=16, help="exponents are drawn from [2, 2^bits), 2 <= bits <= 63"),
+    "--test-mode": dict(action="store_true", help="embed the ground-truth key in transcripts"),
+    "--out": dict(help="output file (transcripts for exchange, report otherwise)"),
+    "--format": dict(dest="fmt", choices=("json", "csv"), default="csv"),
+}
+
+
+def _add_flags(p: argparse.ArgumentParser, *flags: str):
+    for flag in flags:
+        p.add_argument(flag, **_FLAGS[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Each subcommand registers only the flags it reads."""
     parser = argparse.ArgumentParser(prog="sdpke", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("exchange", help="run seeded key exchanges, write transcripts")
-    _add_common(p)
+    _add_flags(p, "--platform", "--params", "--trials", "--seed", "--exponent-bits", "--test-mode",
+               "--out", "--format")
 
     p = sub.add_parser("attack", help="run an attack against a transcript file")
-    _add_common(p)
+    # attack reads neither --trials nor --seed; it accepts both because the
+    # benchmark's cli workload passes one argument list to every subcommand
+    _add_flags(p, "--trials", "--seed", "--out", "--format")
     p.add_argument("transcript", help="transcript JSON file written by exchange")
     p.add_argument("--method", choices=_ATTACKS, required=True)
     p.add_argument("--x-max", type=int, default=1 << 20, help="exponent search bound (tropical)")
 
     p = sub.add_parser("bench", help="per-operation timing rows")
-    _add_common(p)
+    _add_flags(p, "--platform", "--params", "--trials", "--seed", "--exponent-bits", "--out", "--format")
 
     p = sub.add_parser("count", help="telescoping solution-count experiment (OR/AND platform)")
-    _add_common(p)
+    _add_flags(p, "--params", "--trials", "--seed", "--exponent-bits", "--out", "--format")
 
     return parser
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        platform=args.platform,
-        params_file=args.params_file,
-        trials=args.trials,
-        seed=args.seed,
-        exponent_bits=args.exponent_bits,
-        test_mode=args.test_mode,
-        out=args.out,
-        fmt=args.fmt,
-        method=getattr(args, "method", None),
-        x_max=getattr(args, "x_max", 1 << 20),
-    )
+    """The RunConfig fields the subcommand registered; the rest keep their defaults."""
+    names = [f.name for f in fields(RunConfig)]
+    return RunConfig(**{name: getattr(args, name) for name in names if hasattr(args, name)})
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -261,12 +261,12 @@ def sdp_exp_naive(platform: Platform, n: int) -> HolomorphPower:
 
 
 def sequence_iter(platform: Platform):
-    """Yields (n, a_n, phi^n) for n = 1, 2, ..., sharing work between terms."""
-    base = HolomorphPower(platform.g, platform.phi, 1)
-    cur = base
+    """Yields (n, a_n) for n = 1, 2, ...; each term is one carrier step a_(n+1) = phi(a_n) ∘ g."""
+    n, value = 1, platform.g
     while True:
-        yield cur.exponent, cur.value, cur.end
-        cur = holo_mul(platform, cur, base)
+        yield n, value
+        n += 1
+        value = telescoping_residual(platform, value)
 
 
 def telescoping_residual(platform: Platform, a: Matrix) -> Matrix:

@@ -507,18 +507,23 @@ _GENERATORS = {
 }
 
 
-def _check_size(fields: dict) -> None:
-    """Refuse a matrix size from outside that is not an integer >= 1."""
-    size = fields.get("size", 1)
-    if not _is_integer(size) or size < 1:
-        raise ParameterError(f"size must be an integer >= 1, got {size!r}")
+_INTEGER_FIELDS = ("size", "prime", "modulus", "bits", "entry_lo", "entry_hi", "generator")
+
+
+def _check_integers(fields: dict) -> None:
+    """Refuse an integer field from outside that holds another type, or a size below 1."""
+    for name in _INTEGER_FIELDS:
+        if name in fields and not _is_integer(fields[name]):
+            raise ParameterError(f"{name} must be an integer, got {fields[name]!r}")
+    if fields.get("size", 1) < 1:
+        raise ParameterError(f"size must be an integer >= 1, got {fields['size']!r}")
 
 
 def params_from_obj(obj: dict):
     kind = obj.get("kind")
     if kind not in _PARAM_TYPES:
         raise ParameterError(f"unknown platform kind {kind!r}")
-    _check_size(obj)
+    _check_integers(obj)
     return _PARAM_TYPES[kind].from_obj(obj)
 
 
@@ -530,5 +535,5 @@ def random_params(kind: str, rng: np.random.Generator, **overrides):
     unknown = sorted(set(overrides) - set(accepted))
     if unknown:
         raise ParameterError(f"unknown {kind} parameters {unknown}; accepted: {accepted}")
-    _check_size(overrides)
+    _check_integers(overrides)
     return generator(rng, **overrides)

@@ -23,6 +23,7 @@ from .errors import ParameterError
 from .holomorph import Platform, sdp_exp
 from .matrices import Matrix
 from .platforms import params_from_obj
+from .semirings import _is_integer
 
 TRANSCRIPT_SCHEMA = 1
 
@@ -41,11 +42,16 @@ class Ciphertext:
     c2: Matrix
 
 
+def draw_exponent(rng: np.random.Generator, exponent_bits: int) -> int:
+    """x uniform on [2, 2^exponent_bits); the range is empty below 2 bits and past int64 above 63."""
+    if not (_is_integer(exponent_bits) and 2 <= exponent_bits <= 63):
+        raise ParameterError(f"exponent bits must be an integer in [2, 63], got {exponent_bits!r}")
+    return int(rng.integers(2, 1 << exponent_bits))
+
+
 def keygen(platform: Platform, rng: np.random.Generator, exponent_bits: int = 16) -> KeyPair:
     """Draw x uniformly from [2, 2^exponent_bits) and publish a_x."""
-    if exponent_bits < 2:
-        raise ParameterError("exponent_bits must be >= 2 (the range [2, 2^bits) is empty below that)")
-    x = int(rng.integers(2, 1 << exponent_bits))
+    x = draw_exponent(rng, exponent_bits)
     return KeyPair(x, sdp_exp(platform, x).value)
 
 
@@ -152,9 +158,7 @@ def mr_encrypt(
     message as c2 = phi^r(a) c1 m.  r is consumed here and never stored.
     """
     _require_invertible_carrier(platform)
-    if exponent_bits < 2:
-        raise ParameterError("exponent_bits must be >= 2")
-    r = int(rng.integers(2, 1 << exponent_bits))
+    r = draw_exponent(rng, exponent_bits)
     eph = sdp_exp(platform, r)
     c1 = eph.value
     c2 = eph.end(public_key) @ c1 @ message

@@ -32,7 +32,7 @@ from sdpke.platforms import (
     random_mobs_params,
     random_tropical_params,
 )
-from sdpke.protocol import Transcript, keygen, mr_encrypt
+from sdpke.protocol import Transcript, derive_key, keygen, mr_encrypt
 from sdpke.semirings import BitStrings, IntegersMod, TropicalIntegers
 
 
@@ -106,7 +106,7 @@ def test_span_closes_after_first_dependence(rng):
     span = EchelonSpan(1009)
     for v in basis.vectors:
         span.add(v)
-    for n, value, _ in sequence_iter(p):
+    for n, value in sequence_iter(p):
         if n > 3 * k:
             break
         assert span.contains(mx.flatten(value))
@@ -271,6 +271,42 @@ def test_tropical_admissible_exponent_on_plateau(rng, transcript_with_exponents)
     assert out.success
     assert out.recovered_exponent <= x
     assert sdp_exp(p, out.recovered_exponent).value == t.alice_value
+
+
+@st.composite
+def tropical_searches(draw):
+    """A small tropical platform (plateaus included), a bound x_max and exponents x, y."""
+    n = draw(st.integers(2, 3))
+    rows = st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n), min_size=n, max_size=n)
+    ring = TropicalIntegers()
+    params = TropicalParams(
+        size=n, entry_lo=-9, entry_hi=9,
+        star_matrix=mx.from_rows(ring, draw(rows)), base=mx.from_rows(ring, draw(rows)),
+    )
+    x_max = draw(st.integers(1, 300))
+    x = draw(st.one_of(st.integers(1, 400), st.integers(max(1, x_max - 2), x_max + 2)))
+    y = draw(st.integers(1, 50))
+    return params.build(), x_max, x, y
+
+
+@settings(max_examples=60, deadline=None)
+@given(tropical_searches())
+def test_tropical_lifting_finds_first_matching_term(search):
+    # the attack succeeds exactly when A is among a_1..a_x_max, and then
+    # recovers the first n with a_n = A and the true key
+    p, x_max, x, y = search
+    a, b = sdp_exp(p, x).value, sdp_exp(p, y).value
+    key = derive_key(p, x, b, a)
+    t = Transcript(params=p.params, alice_value=a, bob_value=b, shared_key=key)
+    first = next(n for n, value in sequence_iter(p) if n > x_max or value == a)
+    out = tropical_binsearch_attack(t, x_max=x_max)
+    assert out.work.search_steps <= x_max.bit_length()
+    assert out.success == (first <= x_max)
+    if out.success:
+        assert out.recovered_exponent == first
+        assert out.recovered_key == key
+    else:
+        assert out.recovered_key is None and "admissible" in out.detail
 
 
 def test_tropical_not_applicable_elsewhere(rng, transcript_with_exponents):

@@ -150,6 +150,45 @@ def test_bench_csv_header_exact(tmp_path, capsys):
     assert "p50" in err  # percentile summary on stderr
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["exchange", "--platform", "gl", "--exponent-bits", "64"],
+        ["bench", "--platform", "gl", "--exponent-bits", "64"],
+        ["count", "--exponent-bits", "64"],
+        ["count", "--exponent-bits", "1"],
+    ],
+    ids=["exchange-64", "bench-64", "count-64", "count-1"],
+)
+def test_exponent_bits_outside_2_to_63_exit_2_with_one_line(tmp_path, argv):
+    proc = subprocess.run(
+        [sys.executable, "-m", "sdpke.cli", *argv, "--out", str(tmp_path / "out.json")],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ") and len(proc.stderr.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--platform", "gl"],
+        ["count", "--test-mode"],
+        ["attack", "--method", "dimension", "--platform", "gl", "t.json"],
+        ["attack", "--method", "dimension", "--params", "p.json", "t.json"],
+        ["attack", "--method", "dimension", "--exponent-bits", "16", "t.json"],
+        ["attack", "--method", "dimension", "--test-mode", "t.json"],
+        ["bench", "--platform", "gl", "--test-mode"],
+    ],
+)
+def test_subcommands_refuse_flags_they_ignore(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_count_experiment(tmp_path, capsys):
     code, stdout, err = run_cli(["count", "--trials", "5", "--seed", "3"], capsys)
     assert code == 0
@@ -285,6 +324,7 @@ def _malformed_inputs(tmp_path):
     groupring = transcript("groupring", ["--platform", "groupring"])
     tropical[0]["A"] = [row[:3] for row in tropical[0]["A"][:3]]
     gl_small_b = [dict(gl[0], B=[row[:2] for row in gl[0]["B"][:2]])]
+    mobs28 = transcript("mobs28", ["--platform", "mobs"])
     seeded = ["exchange", "--out", str(tmp_path / "o.json"), "--params"]
     return {
         "transcript-without-B": (["attack", "--method", "dimension"], no_b),
@@ -318,6 +358,13 @@ def _malformed_inputs(tmp_path):
         "explicit-size-0": (seeded, dict(gl[0]["platform"], size=0)),
         # a Mersenne prime past the proven range of is_prime
         "gl-prime-2^89-1": (seeded, dict(gl[0]["platform"], prime=2**89 - 1)),
+        # integer fields of another type, once written back into every transcript
+        "tropical-string-entry-lo": (seeded, dict(tropical[0]["platform"], entry_lo="a")),
+        "tropical-float-entry-hi": (seeded, dict(tropical[0]["platform"], entry_hi=10.5)),
+        "mobs-float-bits": (seeded, dict(mobs28[0]["platform"], bits=28.0)),
+        "groupring-float-modulus": (seeded, dict(groupring[0]["platform"], modulus=7.0)),
+        "gl-float-prime": (seeded, dict(gl[0]["platform"], prime=1009.0)),
+        "dhke-string-prime": (seeded, {"kind": "dhke", "prime": "1009", "generator": 3}),
     }
 
 
@@ -330,7 +377,8 @@ def _malformed_inputs(tmp_path):
         "seeded-gl-size-1", "seeded-gl-size-0", "seeded-gl-prime-2-size-1", "seeded-groupring-size-0",
         "seeded-groupring-c2-size-1", "seeded-make-size-0", "seeded-tropical-size-0",
         "seeded-mobs-size-0", "seeded-bool-size", "seeded-string-size", "explicit-size-0",
-        "gl-prime-2^89-1",
+        "gl-prime-2^89-1", "tropical-string-entry-lo", "tropical-float-entry-hi", "mobs-float-bits",
+        "groupring-float-modulus", "gl-float-prime", "dhke-string-prime",
     ],
 )
 def test_malformed_json_exits_2_with_one_line(tmp_path, capsys, case):

@@ -1,5 +1,7 @@
 """Exponentiation engine: oracle equivalence, composition law, telescoping."""
 
+import itertools
+
 import pytest
 
 import sdpke.matrices as mx
@@ -13,6 +15,7 @@ from sdpke.holomorph import (
     holo_mul,
     sdp_exp,
     sdp_exp_naive,
+    sequence_iter,
     telescoping_residual,
 )
 from sdpke.platforms import DhkeParams, groupring_inverse
@@ -75,6 +78,18 @@ def test_fast_exp_equals_naive(kind, rng, fresh_platform):
         fast = sdp_exp(p, n)
         assert fast.value == cur.value
         assert fast.end == cur.end
+        cur = holo_mul(p, cur, base)
+
+
+@pytest.mark.parametrize("kind", [*ALL_KINDS, "dhke"])
+def test_sequence_iter_equals_holomorph_walk(kind, rng, fresh_platform):
+    # one carrier step per term gives the values of the (a_n, phi^n) walk
+    p = DhkeParams(prime=101, generator=3).build() if kind == "dhke" else fresh_platform(kind, rng)
+    base = HolomorphPower(p.g, p.phi, 1)
+    cur = base
+    for n, value in itertools.islice(sequence_iter(p), 40):
+        assert n == cur.exponent
+        assert value == cur.value
         cur = holo_mul(p, cur, base)
 
 

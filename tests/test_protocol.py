@@ -39,6 +39,18 @@ def test_keygen_rejects_tiny_exponent_space(rng, fresh_platform):
         keygen(p, rng, exponent_bits=1)
 
 
+def test_exponent_bits_bounded_on_both_sides(rng, fresh_platform):
+    # 2^63 is the last exclusive bound an int64 draw can take
+    p = fresh_platform("gl", rng)
+    assert 2 <= keygen(p, rng, exponent_bits=63).exponent < 1 << 63
+    public = keygen(p, rng).public_value
+    for bits in (1, 64, 16.0):
+        with pytest.raises(ParameterError):
+            keygen(p, rng, exponent_bits=bits)
+        with pytest.raises(ParameterError):
+            mr_encrypt(p, public, p.g, rng, exponent_bits=bits)
+
+
 def test_dh_special_case_hand_numbers():
     p = DhkeParams(prime=11, generator=2).build()
     a = sdp_exp(p, 3).value
