@@ -2,9 +2,11 @@
 """Why the telescoping route fails on the OR/AND platform: too many solutions.
 
 On a semigroup nothing forces the telescoping equality h(A) M = Y A to pin
-down Y = h^x(M) uniquely.  Enumerating every Y at toy sizes shows the
-solution set is routinely huge, so an attacker cannot tell which solution
-carries the key.
+down Y = h^x(M) uniquely.  Counting every Y at toy sizes shows the solution
+set is routinely huge, so an attacker cannot tell which solution carries
+the key.  The count is exact without listing the Y: OR and AND act bit by
+bit and row i of Y A reads only row i of Y, so it is a product of
+independent counts, one per (row, bit) slice of Y.
 """
 
 import numpy as np

@@ -16,9 +16,9 @@ the exchanged values), each returning an AttackOutcome:
   non-increasing, so its terms form a chain and an admissible exponent is
   found by binary lifting over the doubling chain (g, phi)^(2^i); a term
   incomparable with A proves A is off the sequence.
-* ``mobs_solution_count`` — brute-force census of how many Y satisfy the
-  telescoping equality on the OR/AND platform; evidence for why the
-  telescoping route fails there.
+* ``mobs_solution_count`` — exact census of how many Y satisfy the
+  telescoping equality on the OR/AND platform, counted one (row, bit) slice
+  of Y at a time; evidence for why the telescoping route fails there.
 
 ``mr_message_recovery`` turns the dimension attack into ciphertext-only
 message recovery for the encryption scheme.
@@ -26,6 +26,7 @@ message recovery for the encryption scheme.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,7 +40,6 @@ from .matrices import Matrix
 from .protocol import Ciphertext, Transcript
 
 MOBS_ENUMERATION_CAP = 1 << 24
-_ENUM_CHUNK = 1 << 16
 
 
 @dataclass
@@ -314,11 +314,17 @@ def mobs_solution_count(
 ) -> AttackOutcome:
     """Count every Y with h(A) M = Y A over the OR/AND matrix semiring.
 
-    Exhaustive enumeration of all 2^(n^2 k) candidate matrices, refused
-    above ``MOBS_ENUMERATION_CAP``.  phi^x(M) always satisfies the equation
-    (telescoping identity), so the count is at least 1; when
-    ``true_exponent`` is given, membership of the true phi^x(M) is checked
-    explicitly and folded into ``success``.
+    The count is exact over all 2^(n^2 k) candidate matrices, and refused
+    when that candidate space exceeds ``MOBS_ENUMERATION_CAP``, but it visits
+    none of them: OR and AND act bit by bit, and row i of Y A reads row i of
+    Y only, so the count is the product over the n k slices (row i, bit b) of
+    the number of the 2^n bit vectors u with OR_l (u_l AND A_lj) equal to
+    bit b of (h(A) M)_ij for every column j.
+
+    phi^x(M) always satisfies the equation (telescoping identity), so for a
+    genuine A the count is at least 1; when ``true_exponent`` is given,
+    membership of the true phi^x(M) is checked explicitly and folded into
+    ``success``.
     """
     if platform.name != "mobs":
         raise NotApplicableError("solution counting applies to the OR/AND platform only")
@@ -331,20 +337,10 @@ def mobs_solution_count(
         )
 
     residual = telescoping_residual(platform, observed)
-    # the census runs on k-bit integer masks: bit i of an entry has weight 2^i
-    weights = 1 << np.arange(k, dtype=np.int64)
-    target = residual.data @ weights
-    a_data = observed.data @ weights
-    shifts = (np.arange(n * n) * k).reshape(n, n)
-    entry_mask = (1 << k) - 1
-
-    count = 0
-    total = 1 << total_bits
-    for start in range(0, total, _ENUM_CHUNK):
-        idx = np.arange(start, min(start + _ENUM_CHUNK, total), dtype=np.int64)
-        cands = (idx[:, None, None] >> shifts[None, :, :]) & entry_mask
-        prods = np.bitwise_or.reduce(cands[:, :, :, None] & a_data[None, None, :, :], axis=2)
-        count += int(np.sum(np.all(prods == target[None, :, :], axis=(1, 2))))
+    u = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1 == 1  # every slice candidate, bit l = u_l
+    prods = np.any(u[:, :, None, None] & observed.data[None], axis=1)  # (u, column j, bit b)
+    solves = np.all(prods[:, None] == residual.data[None], axis=2)  # (u, row i, bit b)
+    count = math.prod(solves.sum(axis=0).ravel().tolist())
 
     work = WorkCounters(solution_count=count)
     success = count >= 1

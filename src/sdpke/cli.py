@@ -45,6 +45,7 @@ from .errors import NotApplicableError, ParameterError, SizeCapError
 from .holomorph import sdp_exp
 from .platforms import PLATFORM_KINDS, MobsParams, params_from_obj, random_params
 from .protocol import Transcript, derive_key, draw_exponent, keygen, run_exchange
+from .semirings import _is_integer
 
 CSV_HEADER = "platform,trial,operation,success,micros,counters"
 
@@ -125,8 +126,11 @@ def _load_params(config: RunConfig):
             with open(config.params_file) as fh:
                 obj = json.load(fh)
             if "seed" in obj:
+                seed = obj["seed"]
+                if not (_is_integer(seed) and 0 <= seed < (1 << 64)):
+                    raise ParameterError(f"seed must be an integer in [0, 2^64), got {seed!r}")
                 overrides = {k: v for k, v in obj.items() if k not in ("kind", "seed")}
-                rng = trial_rng(int(obj["seed"]), _PLATFORM_STREAM)
+                rng = trial_rng(seed, _PLATFORM_STREAM)
                 return random_params(obj.get("kind"), rng, **overrides)
             return params_from_obj(obj)
     if config.platform is None:

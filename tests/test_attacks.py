@@ -1,5 +1,7 @@
 """Key recovery from public data only, checked against ground-truth keys."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,7 @@ from sdpke.attacks import (
     _power_list,
 )
 from sdpke.errors import NotApplicableError, SizeCapError
-from sdpke.holomorph import sdp_exp, sequence_iter
+from sdpke.holomorph import sdp_exp, sequence_iter, telescoping_residual
 from sdpke.linalg import EchelonSpan, rank_mod
 from sdpke.permutations import Permutation
 from sdpke.platforms import (
@@ -358,6 +360,67 @@ def test_mobs_counts_random_instances(rng):
         assert out.success  # count >= 1 and the true phi^x(M) solves it
         counts.append(out.work.solution_count)
     assert min(counts) >= 1
+
+
+def _enumerated_solution_count(platform, observed) -> int:
+    """Count every Y with h(A) M = Y A by trying all 2^(n^2 k) candidates, in chunks."""
+    n = platform.g.rows
+    k = platform.g.ring.length
+    residual = telescoping_residual(platform, observed)
+    # candidates run on k-bit integer masks: bit i of an entry has weight 2^i
+    weights = 1 << np.arange(k, dtype=np.int64)
+    target = residual.data @ weights
+    a_data = observed.data @ weights
+    shifts = (np.arange(n * n) * k).reshape(n, n)
+    entry_mask = (1 << k) - 1
+    count = 0
+    total = 1 << (n * n * k)
+    chunk = 1 << 16
+    for start in range(0, total, chunk):
+        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        cands = (idx[:, None, None] >> shifts[None, :, :]) & entry_mask
+        prods = np.bitwise_or.reduce(cands[:, :, :, None] & a_data[None, None, :, :], axis=2)
+        count += int(np.sum(np.all(prods == target[None, :, :], axis=(1, 2))))
+    return count
+
+
+# cycle lists (a 1 is a fixed bit) with n^2 k <= 18, so the enumeration stays cheap
+_CENSUS_CYCLES = {
+    1: [[2], [3], [5], [1, 2], [2, 3], [2, 2, 5], [3, 5, 5], [1, 2, 3, 5, 5], [2, 3, 5, 5, 3]],
+    2: [[2], [3], [1, 2], [2, 2], [1, 3]],
+    3: [[1], [2], [1, 1]],
+    4: [[1]],
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1), x=st.integers(1, 1 << 16), genuine=st.booleans())
+def test_mobs_count_equals_enumeration(data, seed, x, genuine):
+    n = data.draw(st.sampled_from(sorted(_CENSUS_CYCLES)))
+    cycles = data.draw(st.sampled_from(_CENSUS_CYCLES[n]))
+    rng = np.random.default_rng(seed)
+    p = random_mobs_params(rng, size=n, cycle_lengths=cycles).build()
+    observed = sdp_exp(p, x).value if genuine else p.random_element(rng)  # a random A may have no solution
+    out = mobs_solution_count(p, observed, true_exponent=x)
+    assert out.work.solution_count == _enumerated_solution_count(p, observed)
+    if genuine:
+        assert out.success and out.work.solution_count >= 1
+
+
+def test_mobs_count_at_the_cap_is_admitted(rng):
+    p = random_mobs_params(rng, size=2, cycle_lengths=(2, 2, 2)).build()  # 2^24 candidates, the cap
+    observed = sdp_exp(p, 40503).value
+    start = time.perf_counter()
+    out = mobs_solution_count(p, observed, true_exponent=40503)
+    assert time.perf_counter() - start < 1.0  # visiting all 2^24 candidates takes seconds
+    assert out.success and out.work.solution_count >= 1
+
+
+def test_mobs_cap_refuses_one_past_the_cap(rng):
+    p = random_mobs_params(rng, size=1, cycle_lengths=(2, 23)).build()  # 2^25 candidates
+    with pytest.raises(SizeCapError) as exc:
+        mobs_solution_count(p, p.g)
+    assert str(exc.value) == "1x1 matrices of 25-bit strings need 2^25 candidates (cap 16777216)"
 
 
 def test_mobs_cap_refuses_large_instances(rng):

@@ -365,6 +365,12 @@ def _malformed_inputs(tmp_path):
         "groupring-float-modulus": (seeded, dict(groupring[0]["platform"], modulus=7.0)),
         "gl-float-prime": (seeded, dict(gl[0]["platform"], prime=1009.0)),
         "dhke-string-prime": (seeded, {"kind": "dhke", "prime": "1009", "generator": 3}),
+        # a seed that is not an integer in [0, 2^64)
+        "seeded-string-seed": (seeded, {"kind": "gl", "seed": "3"}),
+        "seeded-float-seed": (seeded, {"kind": "gl", "seed": 3.7}),
+        "seeded-bool-seed": (seeded, {"kind": "gl", "seed": True}),
+        "seeded-negative-seed": (seeded, {"kind": "gl", "seed": -1}),
+        "seeded-seed-2^64": (seeded, {"kind": "gl", "seed": 2**64}),
     }
 
 
@@ -378,7 +384,8 @@ def _malformed_inputs(tmp_path):
         "seeded-groupring-c2-size-1", "seeded-make-size-0", "seeded-tropical-size-0",
         "seeded-mobs-size-0", "seeded-bool-size", "seeded-string-size", "explicit-size-0",
         "gl-prime-2^89-1", "tropical-string-entry-lo", "tropical-float-entry-hi", "mobs-float-bits",
-        "groupring-float-modulus", "gl-float-prime", "dhke-string-prime",
+        "groupring-float-modulus", "gl-float-prime", "dhke-string-prime", "seeded-string-seed",
+        "seeded-float-seed", "seeded-bool-seed", "seeded-negative-seed", "seeded-seed-2^64",
     ],
 )
 def test_malformed_json_exits_2_with_one_line(tmp_path, capsys, case):
