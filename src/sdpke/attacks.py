@@ -4,10 +4,12 @@ Four procedures, each consuming only public data (platform parameters and
 the exchanged values), each returning an AttackOutcome:
 
 * ``dimension_attack`` — works whenever the carrier embeds linearly in a
-  Z_p vector space (group ring, GL, and the additive platform).  It grows
-  the sequence a_1, a_2, ... until the first linear dependence, writes the
-  observed value A as a combination of the independent prefix, and
-  reassembles the shared key from public terms by linearity of phi.
+  Z_p vector space (group ring, GL, and the additive platform).  It builds
+  the sequence prefix a_1 .. a_(D+1), D the dimension of that space, by
+  doubling, as one block of batched products; one elimination finds the
+  independent prefix (it ends at the first linear dependence) and writes
+  the observed value A in it, and the shared key is reassembled from
+  public terms phi^i(B) ∘ a_i by linearity of phi, made in the same block.
 * ``make_telescoping_attack`` — specific to the additive platform.  The
   telescoping identity pins down phi^x(g) exactly (additive carriers are
   groups, so the solution is unique), and a Cayley-Hamilton argument turns
@@ -34,10 +36,19 @@ import numpy as np
 from . import matrices as mx
 from .errors import NotApplicableError, SizeCapError
 # sdp_exp is not called here; the benchmark's tracer self-test checks that it is rebound in this module
-from .holomorph import HolomorphPower, Platform, holo_mul, sdp_exp, sequence_iter, telescoping_residual
-from .linalg import EchelonSpan, solve_mod
+from .holomorph import (
+    HolomorphPower,
+    Platform,
+    doubling_chain,
+    holo_mul,
+    sdp_exp,
+    sequence_block,
+    telescoping_residual,
+)
+from .linalg import rref_mod, solve_mod
 from .matrices import Matrix
 from .protocol import Ciphertext, Transcript
+from .semirings import IntegersMod
 
 MOBS_ENUMERATION_CAP = 1 << 24
 
@@ -99,16 +110,16 @@ class SpanBasis:
 
 
 def build_span_basis(platform: Platform, modulus: int) -> SpanBasis:
-    """Generate a_1, a_2, ... and stop at the first linearly dependent term."""
-    span = EchelonSpan(modulus)
-    basis = SpanBasis(elements=[], vectors=[])
-    for _n, value in sequence_iter(platform):
-        v = mx.flatten(value)
-        if not span.add(v):
-            break
-        basis.elements.append(value)
-        basis.vectors.append(v)
-    return basis
+    """a_1 .. a_(D+1) as one sequence block, D the ambient dimension, and one elimination.
+
+    The rank is at most D, so the block reaches the first dependence, and
+    since that dependence closes the span, the pivots are the prefix.
+    """
+    dim = mx.flatten(platform.g).size
+    terms = sequence_block(platform, [platform.g], dim + 1)[0]
+    vectors = terms.reshape(dim + 1, dim)
+    rank = len(rref_mod(vectors.T, modulus)[1])
+    return SpanBasis(elements=[Matrix(platform.g.ring, t) for t in terms[:rank]], vectors=list(vectors[:rank]))
 
 
 def dimension_attack(transcript: Transcript) -> AttackOutcome:
@@ -116,52 +127,47 @@ def dimension_attack(transcript: Transcript) -> AttackOutcome:
 
     Writes A = sum eta_i a_i over the independent prefix, then uses that
     phi^y(a_i) ∘ a_y = a_(i+y) = phi^i(a_y) ∘ a_i to re-express the key
-    through public quantities only:
+    through public quantities only, w_i = phi^i(B) ∘ a_i:
 
-    * multiplicative carriers:  K = sum_i eta_i phi^i(B) a_i
-    * additive carrier:         K = sum_i eta_i phi^i(B) + A + (1 - sum_i eta_i) B
+    * multiplicative carriers:  K = sum_i eta_i w_i
+    * additive carrier:         K = sum_i eta_i w_i + (1 - sum_i eta_i) B
 
     The additive form carries the affine correction (1 - sum eta_i) B; it
-    reduces to the sum of phi^i(B) + a_i whenever the coefficients happen to
-    sum to one, but is exact for every solution eta.
-    An A outside the span of the prefix, which spans every term, is no a_x.
+    vanishes whenever the coefficients happen to sum to one, but the form is
+    exact for every solution eta.
+
+    The w_i follow the recurrence of the a_i from w_1 = phi(B) ∘ g, so one
+    sequence block yields a_1 .. a_(D+1) and w_1 .. w_(D+1), D the ambient
+    dimension.  One elimination of [a_1 .. a_(D+1) | A] then gives the rank
+    k (its pivots among the a_i are a_1 .. a_k, the first dependence closing
+    the span) and eta in the same pass.  An A outside that span is no a_x.
+    ``sequence_terms_generated`` counts a_1 .. a_(k+1), the prefix through
+    the first dependence, as a term-by-term walk makes it, so recorded
+    counters and report digests stay comparable; the block holds up to
+    D + 1 terms.
     """
     platform = transcript.build_platform()
-    if not platform.g.ring.linear:
+    ring = platform.g.ring
+    if not ring.linear:
         raise NotApplicableError(f"platform {platform.name!r} has no Z_p-linear coordinates")
-    modulus = platform.g.ring.modulus
+    modulus = ring.modulus
+    a_obs, b_obs = transcript.alice_value, transcript.bob_value
 
-    work = WorkCounters()
-    basis = build_span_basis(platform, modulus)
-    work.sequence_terms_generated = basis.rank + 1
-    work.rank = basis.rank
-
-    a_obs = transcript.alice_value
-    b_obs = transcript.bob_value
-    coords = np.stack(basis.vectors, axis=1)
-    eta = solve_mod(coords, mx.flatten(a_obs), modulus)
-    work.linear_solves = 1
-    if eta is None:
+    dim = mx.flatten(platform.g).size
+    block = sequence_block(platform, [platform.g, telescoping_residual(platform, b_obs)], dim + 1)
+    terms, keyed = block.reshape(2, dim + 1, dim)
+    reduced, pivots = rref_mod(np.concatenate([terms.T, mx.flatten(a_obs)[:, None]], axis=1), modulus)
+    outside = bool(pivots) and pivots[-1] == dim + 1
+    rank = len(pivots) - outside
+    work = WorkCounters(sequence_terms_generated=rank + 1, rank=rank, linear_solves=1)
+    if outside:
         return AttackOutcome(success=False, work=work, detail="A is outside the span of the sequence")
 
-    additive = platform.op_kind == "add"
-    phi_i_of_b = b_obs  # phi^0(B); basis indices run 1..k, one application per step
-    acc: Matrix | None = None
-    for pos in range(basis.rank):
-        phi_i_of_b = platform.phi(phi_i_of_b)
-        c = int(eta[pos])
-        if c == 0:
-            continue
-        term = phi_i_of_b if additive else phi_i_of_b @ basis.elements[pos]
-        term = term.scale(c)
-        acc = term if acc is None else acc + term
-    if acc is None:
-        acc = mx.zeros(platform.g.ring, *platform.g.shape)
-    if additive:
-        eta_sum = int(np.sum(eta)) % modulus
-        key = acc + a_obs + b_obs.scale((1 - eta_sum) % modulus)
-    else:
-        key = acc
+    eta = reduced[:rank, dim + 1]
+    key = IntegersMod(modulus).matmul(keyed[:rank].T, eta[:, None])
+    key = Matrix(ring, key.reshape(platform.g.data.shape))
+    if platform.op_kind == "add":
+        key = key + b_obs.scale((1 - int(np.sum(eta))) % modulus)
 
     return AttackOutcome(
         success=_verify(key, transcript),
@@ -274,9 +280,7 @@ def tropical_binsearch_attack(transcript: Transcript, x_max: int = 1 << 20) -> A
     a_obs, b_obs = transcript.alice_value, transcript.bob_value
 
     work = WorkCounters()
-    chain = [HolomorphPower(platform.g, platform.phi, 1)]
-    while 2 * chain[-1].exponent < x_max:
-        chain.append(holo_mul(platform, chain[-1], chain[-1]))
+    chain = doubling_chain(platform, x_max)
 
     above: HolomorphPower | None = None  # the longest prefix known to have a_m not <= A
     for step in reversed(chain):

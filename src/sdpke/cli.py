@@ -53,6 +53,9 @@ CSV_HEADER = "platform,trial,operation,success,micros,counters"
 #: substreams use their trial index)
 _PLATFORM_STREAM = (1 << 64) - 1
 
+#: upper cap on --trials: every trial's transcript and report row stay in memory
+MAX_TRIALS = 10_000
+
 
 @dataclass
 class RunConfig:
@@ -68,8 +71,8 @@ class RunConfig:
     x_max: int = 1 << 20
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ParameterError("trials must be >= 1")
+        if not 1 <= self.trials <= MAX_TRIALS:
+            raise ParameterError(f"trials must be in [1, {MAX_TRIALS}], got {self.trials}")
         if not 0 <= self.seed < (1 << 64):
             raise ParameterError("seed must fit in 64 bits")
 

@@ -1,9 +1,11 @@
 """Finite groups given by explicit Cayley tables.
 
 A group of order n is a table ``product[i, j]`` of element indices plus an
-identity index, an inverse table and the left-regular index
-``left_regular[c, g] = c * g^-1``, through which group ring products are
-computed (see ``semirings.GroupRingScalars.regular``).  Tables are
+identity index, an inverse table, and the regular indices
+``left_regular[c, g] = c * g^-1`` and ``right_regular[c, g] = g^-1 * c``,
+through which group ring products are computed: the left one gathers the
+matrix of x -> a * x, the right one that of x -> x * b (see
+``semirings.GroupRingScalars.matmul``).  Tables are
 validated on construction (full associativity sweep; fine at desk scale).
 Small groups used by the matrix-over-group-ring platform ship as JSON data
 files: c2, s3, a4, a5.
@@ -20,17 +22,21 @@ import numpy as np
 from .errors import ParameterError
 
 BUNDLED_GROUPS = ("c2", "s3", "a4", "a5")
+#: largest accepted group order; validation builds n^3 products (2 x 14 MB at 120)
+MAX_GROUP_ORDER = 120
 
 
 class FiniteGroupTable:
     """A finite group presented by its Cayley table on indices 0..order-1."""
 
-    __slots__ = ("name", "order", "product", "identity", "inverse", "left_regular")
+    __slots__ = ("name", "order", "product", "identity", "inverse", "left_regular", "right_regular")
 
     def __init__(self, product, name: str = "group"):
         product = np.asarray(product, dtype=np.int64)
         if product.ndim != 2 or product.shape[0] != product.shape[1]:
             raise ParameterError("product table must be square")
+        if product.shape[0] > MAX_GROUP_ORDER:
+            raise ParameterError(f"group order must be at most {MAX_GROUP_ORDER}, got {product.shape[0]}")
         self.name = name
         self.order = product.shape[0]
         product.setflags(write=False)
@@ -41,6 +47,9 @@ class FiniteGroupTable:
         # the matrix of x -> a * x on coefficient vectors
         self.left_regular = product[:, self.inverse]
         self.left_regular.setflags(write=False)
+        # and b[g^-1 * c] multiplies x_g in (x * b)_c, so b[right_regular] is the matrix of x -> x * b
+        self.right_regular = np.ascontiguousarray(product[self.inverse].T)
+        self.right_regular.setflags(write=False)
         self.validate()
 
     def _find_identity(self) -> int:

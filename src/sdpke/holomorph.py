@@ -5,6 +5,9 @@ public element g, and an endomorphism phi of that operation.  Pairs
 (a, phi^n) multiply by (a, phi^m)(b, phi^n) = (phi^n(a) ∘ b, phi^(m+n));
 ``sdp_exp`` raises (g, phi) to the n-th power by double-and-add, and
 ``sdp_exp_naive`` is the sequential reference oracle for it.
+``doubling_chain`` lists the squarings (g, phi)^(2^i) themselves, and
+``sequence_block`` lifts over them to make a whole prefix of the sequence
+a_(n+1) = phi(a_n) ∘ g, from several starts at once, in batched products.
 
 Endomorphism powers are represented in closed form per platform (cached
 two-sided factor powers, of which conjugation is one case; star powers,
@@ -21,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ParameterError
-from .matrices import Matrix, permute_bits
+from .matrices import Matrix, identity, permute_bits
 from .permutations import Permutation
 
 
@@ -258,6 +261,51 @@ def sdp_exp_naive(platform: Platform, n: int) -> HolomorphPower:
     for _ in range(n - 1):
         cur = holo_mul(platform, cur, base)
     return cur
+
+
+def doubling_chain(platform: Platform, limit: int) -> list[HolomorphPower]:
+    """The levels (g, phi)^(2^i) for every 2^i < limit, and (g, phi) itself; one squaring per level."""
+    chain = [HolomorphPower(platform.g, platform.phi, 1)]
+    while 2 * chain[-1].exponent < limit:
+        chain.append(holo_mul(platform, chain[-1], chain[-1]))
+    return chain
+
+
+def sequence_block(platform: Platform, starts: list[Matrix], count: int) -> np.ndarray:
+    """Terms x_1 .. x_count of x_(i+1) = phi(x_i) ∘ g for each start x_1, as one packed array.
+
+    Every such sequence satisfies x_(i+m) = phi^m(x_i) ∘ a_m, so each level
+    (a_m, phi^m) of the doubling chain extends all the prefixes from m terms
+    to 2m at once: O(log count) levels instead of one carrier step per term.
+    phi must be two-sided, phi^m(X) = L X R (or the identity), and then a
+    level is two products on stacked terms: L @ [X_1 | ... | X_q], then
+    [L X_1; ...; L X_q] @ (R a_m) (on the additive carrier @ R, then + a_m).
+    The result has shape (len(starts), count) + the packed shape of g.
+    """
+    g = platform.g
+    ring, (rows, cols), entry = g.ring, g.shape, g.data.shape[2:]
+    block = np.stack([x.data for x in starts])[:, None]
+    for level in doubling_chain(platform, count):
+        m = level.exponent
+        if m >= count:  # count 1: the chain still holds (g, phi), and nothing is left to make
+            break
+        x = block[:, : min(m, count - m)]
+        q = x.shape[0] * x.shape[1]
+        if isinstance(level.end, TwoSidedPower):
+            left, right = level.end.left_pow, level.end.right_pow
+        elif isinstance(level.end, IdentityEnd):
+            left, right = identity(ring, rows), identity(ring, cols)
+        else:
+            raise ParameterError(f"{platform.name}: the sequence block needs a two-sided phi")
+        wide = left @ Matrix(ring, np.moveaxis(x, 2, 0).reshape(rows, q * cols, *entry))
+        wide = np.moveaxis(wide.data.reshape(rows, q, cols, *entry), 0, 1)
+        tall = Matrix(ring, wide.reshape(q * rows, cols, *entry))
+        if platform.op_kind == "mul":
+            new = (tall @ (right @ level.value)).data
+        else:
+            new = ring.add((tall @ right).data.reshape(q, rows, cols, *entry), level.value.data)
+        block = np.concatenate([block, new.reshape(x.shape)], axis=1)
+    return block
 
 
 def sequence_iter(platform: Platform):

@@ -1,8 +1,9 @@
 """Exact linear algebra over Z_p (p prime) on integer numpy arrays.
 
 Row operations reduce after every multiply, so the int64 fast path is safe
-for any p < 2^31; arrays with dtype=object (arbitrary Python ints) go
-through the same code paths unchanged.
+for any p < 2^31, and ``rref_mod`` takes it there whatever the input dtype;
+arrays with dtype=object (arbitrary Python ints) go through the same code
+paths unchanged.
 """
 
 from __future__ import annotations
@@ -47,8 +48,11 @@ def is_prime(n: int) -> bool:
 
 
 def rref_mod(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form of ``a`` over Z_p; returns (R, pivot columns)."""
-    r = np.array(a, copy=True)
+    """Reduced row echelon form of ``a`` over Z_p; returns (R, pivot columns), R of a's dtype."""
+    a = np.asarray(a)
+    # a reduced copy, so an entry is zero exactly when it is 0 mod p; in int64
+    # whenever p < 2^31 keeps every row operation within (-2^62, 2^62)
+    r = (a % p).astype(np.int64 if p < 1 << 31 else object, copy=False)
     rows, cols = r.shape
     pivots: list[int] = []
     lead = 0
@@ -61,16 +65,19 @@ def rref_mod(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         pivot = lead + int(nz[0])
         if pivot != lead:
             r[[lead, pivot]] = r[[pivot, lead]]
+        # the lead row is zero left of c (earlier pivots are cleared, and the
+        # earlier non-pivot columns are zero from row lead down), so row
+        # operations touch columns c onwards only
         inv = pow(int(r[lead, c]), -1, p)
-        r[lead] = (r[lead] * inv) % p
+        r[lead, c:] = (r[lead, c:] * inv) % p
         factors = r[:, c].copy()
         factors[lead] = 0
         touched = np.nonzero(factors)[0]
         if touched.size:
-            r[touched] = (r[touched] - np.outer(factors[touched], r[lead])) % p
+            r[touched, c:] = (r[touched, c:] - np.outer(factors[touched], r[lead, c:])) % p
         pivots.append(c)
         lead += 1
-    return r, pivots
+    return r.astype(a.dtype, copy=False), pivots
 
 
 def rank_mod(a: np.ndarray, p: int) -> int:
@@ -116,8 +123,9 @@ class EchelonSpan:
 
     Rows are kept in fully reduced echelon form (unit pivots, pivot columns
     zero everywhere else), so reducing a vector against the whole span is a
-    single matrix-vector product.  Used to grow a maximal linearly
-    independent prefix of a vector sequence.
+    single matrix-vector product.  Grows a maximal linearly independent
+    prefix of a vector sequence one vector at a time: the tests' reference
+    for the dimension attack, which finds that prefix in one ``rref_mod``.
     """
 
     def __init__(self, p: int):

@@ -39,6 +39,12 @@ from .matrices import Matrix
 from .permutations import Permutation
 from .semirings import BitStrings, GroupRingScalars, IntegersMod, TropicalIntegers, _is_integer
 
+#: Upper caps on the sizes a params file or generator call may ask for, so a
+#: few bytes of JSON cannot demand a huge allocation: the matrix size n of
+#: every platform, and the bit length of an OR/AND entry.
+MAX_SIZE = 32
+MAX_BITS = 256
+
 
 # ---------------------------------------------------------------------------
 # matrices over group rings, automorphism = conjugation
@@ -437,6 +443,10 @@ def cycle_permutation(cycle_lengths: Sequence[int]) -> Permutation:
 def random_mobs_params(
     rng: np.random.Generator, size: int = 3, cycle_lengths: Sequence[int] = (2, 3, 5, 7, 11)
 ) -> MobsParams:
+    if not all(_is_integer(l) and l >= 1 for l in cycle_lengths) or sum(cycle_lengths) > MAX_BITS:
+        raise ParameterError(
+            f"cycle lengths must be integers >= 1 summing to at most {MAX_BITS}, got {cycle_lengths!r}"
+        )
     bits = sum(cycle_lengths)
     ring = BitStrings(bits)
     g = mx.random_matrix(rng, ring, size, size)
@@ -511,12 +521,15 @@ _INTEGER_FIELDS = ("size", "prime", "modulus", "bits", "entry_lo", "entry_hi", "
 
 
 def _check_integers(fields: dict) -> None:
-    """Refuse an integer field from outside that holds another type, or a size below 1."""
+    """Refuse an integer field from outside that holds another type, a size outside
+    [1, MAX_SIZE] or a bit length past MAX_BITS."""
     for name in _INTEGER_FIELDS:
         if name in fields and not _is_integer(fields[name]):
             raise ParameterError(f"{name} must be an integer, got {fields[name]!r}")
-    if fields.get("size", 1) < 1:
-        raise ParameterError(f"size must be an integer >= 1, got {fields['size']!r}")
+    if not 1 <= fields.get("size", 1) <= MAX_SIZE:
+        raise ParameterError(f"size must be an integer in [1, {MAX_SIZE}], got {fields['size']!r}")
+    if fields.get("bits", 1) > MAX_BITS:
+        raise ParameterError(f"bits must be at most {MAX_BITS}, got {fields['bits']!r}")
 
 
 def params_from_obj(obj: dict):

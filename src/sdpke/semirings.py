@@ -338,9 +338,12 @@ class IntegersMod:
 class GroupRingScalars:
     """Entries in Z_m[G] packed as a (rows, cols, |G|) coefficient array.
 
-    Products go through the left-regular representation: a matrix over
-    Z_m[G] acts on stacked coefficient vectors as a Z_m matrix ``regular``
-    |G| times as large, and ``IntegersMod`` multiplies that.
+    Products go through a regular representation: a matrix over Z_m[G] acts
+    on stacked coefficient vectors as a Z_m matrix |G| times as large, and
+    ``IntegersMod`` multiplies that.  The product gathers the blocks of the
+    factor with fewer entries (left-regular ``regular(a)`` for a @ X,
+    right-regular for X @ b), so a tall stack of matrices times one small
+    matrix gathers the small one.
     """
 
     linear = True
@@ -392,9 +395,15 @@ class GroupRingScalars:
         return blocks.transpose(0, 2, 1, 3).reshape(rows * n, cols * n)
 
     def matmul(self, a, b):
-        k, cols, n = b.shape
+        rows, (k, cols, n) = a.shape[0], b.shape
+        if cols < rows:
+            # blocks[k, g, j, c] = b[k, j, g^-1 * c]: the matrix of X -> X @ b on X's rows,
+            # each of which holds its k entries' coefficients in a row
+            blocks = np.take(b, self.group.right_regular, axis=2).transpose(0, 3, 1, 2)
+            prod = self.coefficients.matmul(a.reshape(rows, k * n), blocks.reshape(k * n, cols * n))
+            return prod.reshape(rows, cols, n)
         prod = self.coefficients.matmul(self.regular(a), b.transpose(0, 2, 1).reshape(k * n, cols))
-        return prod.reshape(a.shape[0], n, cols).transpose(0, 2, 1)
+        return prod.reshape(rows, n, cols).transpose(0, 2, 1)
 
     def scale(self, c: int, a):
         return (c * a) % self.modulus

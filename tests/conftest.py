@@ -3,6 +3,7 @@ import pytest
 
 from sdpke.holomorph import sdp_exp
 from sdpke.platforms import (
+    DhkeParams,
     random_gl_params,
     random_groupring_params,
     random_make_params,
@@ -18,6 +19,18 @@ PLATFORM_GENERATORS = {
     "make": lambda rng: random_make_params(rng, prime=101),
     "mobs": random_mobs_params,
 }
+
+
+def linear_platform(kind: str, rng: np.random.Generator):
+    """A fresh platform of one of the kinds the dimension attack applies to: "groupring-c2",
+    "groupring-s3", "gl", "make" (over Z_101) or "dhke", at a random small size."""
+    if kind == "dhke":
+        return DhkeParams(prime=101, generator=int(rng.integers(2, 101))).build()
+    if kind.startswith("groupring"):
+        return random_groupring_params(rng, group=kind.split("-")[1], size=int(rng.integers(2, 4))).build()
+    if kind == "gl":
+        return random_gl_params(rng, size=int(rng.integers(2, 4))).build()
+    return random_make_params(rng, prime=101, size=int(rng.integers(1, 4))).build()
 
 
 @pytest.fixture

@@ -1,6 +1,7 @@
 """Scalar and matrix arithmetic against independent brute-force oracles."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 import sdpke.matrices as mx
 from sdpke.errors import ParameterError, SingularMatrixError
 from sdpke.groups import BUNDLED_GROUPS, cyclic_group, load_group
-from sdpke.linalg import is_prime, rank_mod
+from sdpke.linalg import is_prime, rank_mod, rref_mod
 from sdpke.matrices import Matrix
 from sdpke.permutations import Permutation
 from sdpke.platforms import groupring_inverse
@@ -288,6 +289,8 @@ _GROUPRING_MODULI = [2, 7, 1048573, _PRIME_BELOW_INT64_LIMIT]
 @example(group="a5", modulus=_PRIME_BELOW_INT64_LIMIT, shape=(2, 3, 1), near_top=True, seed=0)
 # inner dimension 2 * |A_5| = 120 is the int64 path with the largest terms it admits
 @example(group="a5", modulus=_PRIME_BELOW_INT64_LIMIT, shape=(1, 2, 2), near_top=True, seed=1)
+# more rows than columns gathers the right factor's right-regular blocks, at the same bound
+@example(group="a5", modulus=_PRIME_BELOW_INT64_LIMIT, shape=(3, 2, 1), near_top=True, seed=2)
 def test_groupring_matmul_matches_scalar_oracle(group, modulus, shape, near_top, seed):
     ring = GroupRingScalars(GROUPS[group], modulus)
     r, k, c = shape
@@ -296,6 +299,24 @@ def test_groupring_matmul_matches_scalar_oracle(group, modulus, shape, near_top,
     a = Matrix(ring, gen.integers(lo, modulus, (r, k, ring.group.order)))
     b = Matrix(ring, gen.integers(lo, modulus, (k, c, ring.group.order)))
     assert a @ b == matmul_oracle(a, b)
+
+
+def test_tall_groupring_product_gathers_the_small_factor():
+    # a stack of 512 3x3 matrices over Z_7[A_5] times one 3x3 matrix
+    ring = GroupRingScalars(GROUPS["a5"], 7)
+    gen = np.random.default_rng(4)
+    tall = gen.integers(0, 7, (1536, 3, 60))
+    small = gen.integers(0, 7, (3, 3, 60))
+    tracemalloc.start()
+    try:
+        out = ring.matmul(tall, small)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the product and its reduction are two 2.1 MB arrays and the right-regular blocks
+    # of the small factor 0.26 MB; the left-regular blocks of the tall one would be 133 MB
+    assert peak < 3 * out.nbytes + 2**20
+    assert Matrix(ring, out[:2]) == matmul_oracle(Matrix(ring, tall[:2]), Matrix(ring, small))
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +343,48 @@ def test_singular_and_composite_rejected():
     z6 = IntegersMod(6)
     with pytest.raises(ParameterError, match="prime"):
         mx.inverse(mx.identity(z6, 2))
+
+
+def rref_oracle(a, p: int):
+    """Gauss-Jordan over Python ints, every row operation on whole rows."""
+    r = [[int(x) % p for x in row] for row in a]
+    pivots, lead = [], 0
+    for c in range(len(r[0])):
+        found = next((i for i in range(lead, len(r)) if r[i][c]), None)
+        if found is None:
+            continue
+        r[lead], r[found] = r[found], r[lead]
+        inv = pow(r[lead][c], -1, p)
+        r[lead] = [x * inv % p for x in r[lead]]
+        for i in range(len(r)):
+            if i != lead and r[i][c]:
+                f = r[i][c]
+                r[i] = [(x - f * y) % p for x, y in zip(r[i], r[lead])]
+        pivots.append(c)
+        lead += 1
+        if lead == len(r):
+            break
+    return r, pivots
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    p=st.sampled_from([2, 7, 1009, 2**31 - 1, 2**61 - 1]),
+    shape=st.tuples(st.integers(1, 7), st.integers(1, 7), st.integers(1, 7)),
+    shift=st.sampled_from([0, -3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rref_matches_whole_row_oracle(p, shape, shift, seed):
+    # a product of random factors, so ranks below full occur; a shift leaves entries unreduced;
+    # moduli below 2^31 eliminate in int64 whatever the input dtype, 2^61 - 1 on Python ints
+    rows, inner, cols = shape
+    gen = np.random.default_rng(seed)
+    a = gen.integers(0, min(p, 1 << 20), (rows, inner)) @ gen.integers(0, 3, (inner, cols)) + shift
+    if p > 1 << 28:
+        a = a.astype(object)
+    r, pivots = rref_mod(a, p)
+    assert r.dtype == a.dtype
+    assert (r.tolist(), pivots) == rref_oracle(a.tolist(), p)
 
 
 def test_is_prime_refuses_past_its_proven_range():

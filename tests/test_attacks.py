@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 import sdpke.matrices as mx
 from sdpke.attacks import (
+    AttackOutcome,
+    WorkCounters,
     build_span_basis,
     dimension_attack,
     make_telescoping_attack,
@@ -21,7 +23,7 @@ from sdpke.attacks import (
 )
 from sdpke.errors import NotApplicableError, SizeCapError
 from sdpke.holomorph import sdp_exp, sequence_iter, telescoping_residual
-from sdpke.linalg import EchelonSpan, rank_mod
+from sdpke.linalg import EchelonSpan, rank_mod, solve_mod
 from sdpke.permutations import Permutation
 from sdpke.platforms import (
     DhkeParams,
@@ -36,6 +38,8 @@ from sdpke.platforms import (
 )
 from sdpke.protocol import Transcript, derive_key, keygen, mr_encrypt
 from sdpke.semirings import BitStrings, IntegersMod, TropicalIntegers
+
+from conftest import linear_platform
 
 
 # ---------------------------------------------------------------------------
@@ -98,6 +102,70 @@ def test_dimension_attack_needs_linear_coordinates(rng, transcript_with_exponent
     t = transcript_with_exponents(p, 5, 9)
     with pytest.raises(NotApplicableError):
         dimension_attack(t)
+
+
+def _incremental_dimension_attack(transcript: Transcript) -> AttackOutcome:
+    """The dimension attack one sequence term at a time: an echelon span grown to
+    the first dependence, a second elimination for eta, a second walk for the key.
+    The reference the block version must match in key, counters and detail."""
+    platform = transcript.build_platform()
+    modulus = platform.g.ring.modulus
+    span, elements, vectors = EchelonSpan(modulus), [], []
+    for _n, value in sequence_iter(platform):
+        if not span.add(mx.flatten(value)):
+            break
+        elements.append(value)
+        vectors.append(mx.flatten(value))
+    work = WorkCounters(sequence_terms_generated=len(elements) + 1, rank=len(elements), linear_solves=1)
+    a_obs, b_obs = transcript.alice_value, transcript.bob_value
+    dim = mx.flatten(a_obs).size
+    coords = np.stack(vectors, axis=1) if vectors else np.zeros((dim, 0), dtype=np.int64)  # rank 0 when g = 0
+    eta = solve_mod(coords, mx.flatten(a_obs), modulus)
+    if eta is None:
+        return AttackOutcome(success=False, work=work, detail="A is outside the span of the sequence")
+    additive = platform.op_kind == "add"
+    phi_i_of_b, acc = b_obs, mx.zeros(platform.g.ring, *platform.g.shape)
+    for pos, element in enumerate(elements):
+        phi_i_of_b = platform.phi(phi_i_of_b)
+        term = phi_i_of_b if additive else phi_i_of_b @ element
+        acc = acc + term.scale(int(eta[pos]))
+    if additive:
+        acc = acc + a_obs + b_obs.scale((1 - int(np.sum(eta))) % modulus)
+    verified = transcript.shared_key is None or acc == transcript.shared_key
+    return AttackOutcome(success=verified, recovered_key=acc, work=work)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    kind=st.sampled_from(["groupring-c2", "groupring-s3", "gl", "make", "dhke"]),
+    genuine=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_dimension_attack_equals_incremental_reference(kind, genuine, seed):
+    # a random A lies outside the span unless the sequence spans everything (gl, dhke),
+    # where it yields a key that fails verification
+    rng = np.random.default_rng(seed)
+    p = linear_platform(kind, rng)
+    x, y = (int(v) for v in rng.integers(2, 1 << 16, 2))
+    a = sdp_exp(p, x).value if genuine else p.random_element(rng)
+    b = sdp_exp(p, y).value
+    t = Transcript(params=p.params, alice_value=a, bob_value=b, shared_key=derive_key(p, y, a, b))
+    out, ref = dimension_attack(t), _incremental_dimension_attack(t)
+    assert (out.success, out.work, out.detail) == (ref.success, ref.work, ref.detail)
+    assert out.recovered_key == ref.recovered_key
+    assert out.success or not genuine
+
+
+def test_dimension_attack_on_a_zero_base():
+    # g = 0 makes every a_n zero: rank 0, and A = 0 is the one value on the sequence
+    ring = IntegersMod(101)
+    zero = mx.zeros(ring, 2, 2)
+    params = MakeParams(prime=101, size=2, left_factor=zero, right_factor=zero, base=zero)
+    b = mx.identity(ring, 2)
+    out = dimension_attack(Transcript(params=params, alice_value=zero, bob_value=b))
+    assert out.success and out.recovered_key == b and out.work.rank == 0
+    out = dimension_attack(Transcript(params=params, alice_value=b, bob_value=b))
+    assert not out.success and out.detail == "A is outside the span of the sequence"
 
 
 def test_span_closes_after_first_dependence(rng):

@@ -8,7 +8,9 @@ import sys
 import numpy as np
 import pytest
 
-from sdpke.cli import CSV_HEADER, main
+from sdpke.cli import CSV_HEADER, MAX_TRIALS, main
+from sdpke.groups import MAX_GROUP_ORDER
+from sdpke.platforms import MAX_BITS, MAX_SIZE
 
 
 def run_cli(argv, capsys):
@@ -326,6 +328,9 @@ def _malformed_inputs(tmp_path):
     gl_small_b = [dict(gl[0], B=[row[:2] for row in gl[0]["B"][:2]])]
     mobs28 = transcript("mobs28", ["--platform", "mobs"])
     seeded = ["exchange", "--out", str(tmp_path / "o.json"), "--params"]
+    n = MAX_GROUP_ORDER + 1  # the Cayley table of the cyclic group of order n, one past the cap
+    big_cyclic = {"order": n, "product": [[(i + j) % n for j in range(n)] for i in range(n)],
+                  "identity": 0, "inverse": [-i % n for i in range(n)]}
     return {
         "transcript-without-B": (["attack", "--method", "dimension"], no_b),
         "string-prime": (["exchange", "--out", str(tmp_path / "o.json"), "--params"], string_prime),
@@ -371,6 +376,15 @@ def _malformed_inputs(tmp_path):
         "seeded-bool-seed": (seeded, {"kind": "gl", "seed": True}),
         "seeded-negative-seed": (seeded, {"kind": "gl", "seed": -1}),
         "seeded-seed-2^64": (seeded, {"kind": "gl", "seed": 2**64}),
+        # sizes past the caps, refused before any allocation (size 100000 asked numpy for 74.5 GiB)
+        "seeded-gl-size-100000": (seeded, {"kind": "gl", "seed": 1, "size": 100000}),
+        "seeded-make-size-past-cap": (seeded, {"kind": "make", "seed": 1, "size": MAX_SIZE + 1}),
+        "explicit-gl-size-100000": (seeded, dict(gl[0]["platform"], size=100000)),
+        "mobs-bits-past-cap": (seeded, dict(mobs28[0]["platform"], bits=MAX_BITS + 1)),
+        "seeded-mobs-cycles-past-cap": (seeded, {"kind": "mobs", "seed": 1, "cycle_lengths": [2, MAX_BITS]}),
+        "seeded-mobs-negative-cycle": (seeded, {"kind": "mobs", "seed": 1, "cycle_lengths": [-10**9, 10**9 + 5]}),
+        "groupring-group-order-past-cap": (seeded, dict(groupring[0]["platform"], group=big_cyclic)),
+        "trials-past-cap": (["exchange", "--platform", "gl", "--trials", str(MAX_TRIALS + 1), "--out"], {}),
     }
 
 
@@ -386,6 +400,9 @@ def _malformed_inputs(tmp_path):
         "gl-prime-2^89-1", "tropical-string-entry-lo", "tropical-float-entry-hi", "mobs-float-bits",
         "groupring-float-modulus", "gl-float-prime", "dhke-string-prime", "seeded-string-seed",
         "seeded-float-seed", "seeded-bool-seed", "seeded-negative-seed", "seeded-seed-2^64",
+        "seeded-gl-size-100000", "seeded-make-size-past-cap", "explicit-gl-size-100000", "mobs-bits-past-cap",
+        "seeded-mobs-cycles-past-cap", "seeded-mobs-negative-cycle", "groupring-group-order-past-cap",
+        "trials-past-cap",
     ],
 )
 def test_malformed_json_exits_2_with_one_line(tmp_path, capsys, case):

@@ -2,7 +2,10 @@
 
 import itertools
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sdpke.matrices as mx
 from sdpke.errors import ParameterError
@@ -15,13 +18,15 @@ from sdpke.holomorph import (
     holo_mul,
     sdp_exp,
     sdp_exp_naive,
+    sequence_block,
     sequence_iter,
     telescoping_residual,
 )
+from sdpke.matrices import Matrix
 from sdpke.platforms import DhkeParams, groupring_inverse
 from sdpke.semirings import IntegersMod, TropicalIntegers
 
-from conftest import PLATFORM_GENERATORS
+from conftest import PLATFORM_GENERATORS, linear_platform
 
 ALL_KINDS = list(PLATFORM_GENERATORS)
 
@@ -91,6 +96,34 @@ def test_sequence_iter_equals_holomorph_walk(kind, rng, fresh_platform):
         assert n == cur.exponent
         assert value == cur.value
         cur = holo_mul(p, cur, base)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    kind=st.sampled_from(["groupring-c2", "groupring-s3", "gl", "make", "dhke"]),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_sequence_block_equals_sequence_iter(kind, seed, data):
+    # term by term, from g and from a second start, for every count up to one past the dimension
+    rng = np.random.default_rng(seed)
+    p = linear_platform(kind, rng)
+    count = data.draw(st.integers(1, mx.flatten(p.g).size + 1), label="count")
+    other = mx.random_matrix(rng, p.g.ring, *p.g.shape)
+    block = sequence_block(p, [p.g, other], count)
+    assert block.shape == (2, count, *p.g.data.shape)
+    for n, value in itertools.islice(sequence_iter(p), count):
+        assert Matrix(p.g.ring, block[0, n - 1]) == value
+    x = other
+    for i in range(count):
+        assert Matrix(p.g.ring, block[1, i]) == x
+        x = telescoping_residual(p, x)
+
+
+def test_sequence_block_needs_a_two_sided_phi(rng, fresh_platform):
+    p = fresh_platform("tropical", rng)
+    with pytest.raises(ParameterError, match="two-sided"):
+        sequence_block(p, [p.g], 3)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
