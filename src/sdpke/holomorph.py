@@ -3,11 +3,12 @@
 A platform bundles a carrier semigroup (matrices under one operation), a
 public element g, and an endomorphism phi of that operation.  Pairs
 (a, phi^n) multiply by (a, phi^m)(b, phi^n) = (phi^n(a) ∘ b, phi^(m+n));
-``sdp_exp`` raises (g, phi) to the n-th power by double-and-add, and
-``sdp_exp_naive`` is the sequential reference oracle for it.
-``doubling_chain`` lists the squarings (g, phi)^(2^i) themselves, and
-``sequence_block`` lifts over them to make a whole prefix of the sequence
-a_(n+1) = phi(a_n) ∘ g, from several starts at once, in batched products.
+``doubling_chain`` lists the squarings (g, phi)^(2^i); ``sdp_exp`` raises
+(g, phi) to the n-th power by double-and-add, as ``chain_power``'s product
+of the chain levels at the set bits of n, and ``sdp_exp_naive`` is the
+sequential reference oracle for it.  ``sequence_block`` lifts over the
+chain to make a whole prefix of the sequence a_(n+1) = phi(a_n) ∘ g, from
+several starts at once, in batched products.
 
 Endomorphism powers are represented in closed form per platform (cached
 two-sided factor powers, of which conjugation is one case; star powers,
@@ -28,19 +29,6 @@ from .matrices import Matrix, identity, permute_bits
 from .permutations import Permutation
 
 
-def _square_and_multiply(x, n: int, mul: Callable):
-    """x^n for n >= 1 under an associative ``mul``; O(log n) products."""
-    acc = None
-    sq = x
-    while n:
-        if n & 1:
-            acc = sq if acc is None else mul(acc, sq)
-        n >>= 1
-        if n:
-            sq = mul(sq, sq)
-    return acc
-
-
 class Endomorphism:
     """Base for the per-platform representations of phi^n."""
 
@@ -57,7 +45,14 @@ class Endomorphism:
             raise ParameterError("endomorphism powers are nonnegative")
         if n == 0:
             return IdentityEnd()
-        return _square_and_multiply(self, n, lambda a, b: a.compose(b))
+        acc, sq = None, self
+        while True:
+            if n & 1:
+                acc = sq if acc is None else acc.compose(sq)
+            n >>= 1
+            if not n:
+                return acc
+            sq = sq.compose(sq)
 
 
 class IdentityEnd(Endomorphism):
@@ -240,16 +235,31 @@ def holo_mul(platform: Platform, x: HolomorphPower, y: HolomorphPower) -> Holomo
 
 
 def sdp_exp(platform: Platform, n: int) -> HolomorphPower:
-    """(g, phi)^n by double-and-add; O(log n) holomorph products.
+    """(g, phi)^n by double-and-add: the product of its doubling chain's levels at the set bits of n.
 
-    n = 0 is rejected: three of the five carriers are proper semigroups with
-    no identity to return, and the exchanged sequence starts at a_1 = g.
+    That is bit_length(n) - 1 squarings and popcount(n) - 1 products.  n = 0
+    is rejected: three of the five carriers are proper semigroups with no
+    identity to return, and the exchanged sequence starts at a_1 = g.
+    """
+    return chain_power(platform, doubling_chain(platform, n + 1), n)
+
+
+def chain_power(platform: Platform, chain: list[HolomorphPower], n: int) -> HolomorphPower:
+    """(g, phi)^n from a doubling chain that reaches 2^(bit_length(n) - 1); popcount(n) - 1 products.
+
+    The chain may be longer than n needs, so one chain made up to the larger
+    of several exponents serves each of them.
     """
     if n < 1:
         raise ParameterError("exponent must be >= 1")
-    base = HolomorphPower(platform.g, platform.phi, 1)
-    # holo_mul is looked up at call time, so a rebinding of the module name reaches it
-    return _square_and_multiply(base, n, lambda a, b: holo_mul(platform, a, b))
+    if n >= 2 * chain[-1].exponent:
+        raise ParameterError(f"the doubling chain stops at {chain[-1].exponent}, short of exponent {n}")
+    acc = None
+    for level in chain:
+        if n & level.exponent:
+            # holo_mul is looked up at call time, so a rebinding of the module name reaches it
+            acc = level if acc is None else holo_mul(platform, acc, level)
+    return acc
 
 
 def sdp_exp_naive(platform: Platform, n: int) -> HolomorphPower:

@@ -141,13 +141,13 @@ def random_groupring_params(
     if size == 1 and np.array_equal(table.product, table.product.T):
         raise ParameterError(f"{table.name} is abelian, so 1x1 matrices over its group ring all commute")
     ring = GroupRingScalars(table, modulus)
+    if not is_prime(modulus):
+        raise ParameterError("group ring inverse needs a prime modulus")
+    # H is invertible exactly when its left-regular block is (see groupring_inverse)
     while True:
         h = mx.random_matrix(rng, ring, size, size)
-        try:
-            groupring_inverse(h)
-        except SingularMatrixError:
-            continue
-        break
+        if rank_mod(ring.regular(h.data), modulus) == size * table.order:
+            break
     while True:
         g = mx.random_matrix(rng, ring, size, size)
         if h @ g != g @ h:

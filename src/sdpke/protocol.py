@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import matrices as mx
 from .errors import ParameterError
-from .holomorph import Platform, sdp_exp
+from .holomorph import Platform, chain_power, doubling_chain, sdp_exp
 from .matrices import Matrix
 from .platforms import params_from_obj
 from .semirings import _is_integer
@@ -70,8 +71,14 @@ class Transcript:
     bob_value: Matrix
     shared_key: Matrix | None = None
 
-    def build_platform(self) -> Platform:
+    @cached_property
+    def _platform(self) -> Platform:
         return self.params.build()
+
+    def build_platform(self) -> Platform:
+        """The platform of ``params``, built on the first call and kept: the attacks on one
+        transcript share one build (a kept platform holds no reference back to the transcript)."""
+        return self._platform
 
     def to_obj(self) -> dict:
         obj = {
@@ -85,10 +92,21 @@ class Transcript:
         return obj
 
     @staticmethod
-    def from_obj(obj: dict) -> Transcript:
+    def from_obj(obj: dict, built: dict | None = None) -> Transcript:
+        """The transcript of a record.  ``built`` maps canonical platform JSON to the platform
+        built from it, for a reader of many records: records with equal platform records then
+        share one params object and one build."""
         if obj.get("schema") != TRANSCRIPT_SCHEMA:
             raise ParameterError(f"unsupported transcript schema {obj.get('schema')!r}")
-        params = params_from_obj(obj["platform"])
+        platform = None
+        if built is None:
+            params = params_from_obj(obj["platform"])
+        else:
+            key = json.dumps(obj["platform"], sort_keys=True)
+            if key not in built:
+                built[key] = params_from_obj(obj["platform"]).build()
+            platform = built[key]
+            params = platform.params
         ring = params.ring()
 
         def value(name: str) -> Matrix:
@@ -98,12 +116,15 @@ class Transcript:
                 raise ParameterError(f"transcript {name!r} is {m.rows}x{m.cols}, the platform needs {n}x{n}")
             return m
 
-        return Transcript(
+        transcript = Transcript(
             params=params,
             alice_value=value("A"),
             bob_value=value("B"),
             shared_key=value("key") if "key" in obj else None,
         )
+        if platform is not None:
+            object.__setattr__(transcript, "_platform", platform)  # what build_platform would build
+        return transcript
 
     def to_json(self) -> str:
         return json.dumps(self.to_obj(), sort_keys=True, separators=(",", ":")) + "\n"
@@ -119,19 +140,27 @@ def run_exchange(
     exponent_bits: int = 16,
     include_key: bool = False,
 ) -> tuple[Transcript, bool]:
-    """One full exchange; returns the transcript and whether K_A == K_B."""
-    alice = keygen(platform, rng, exponent_bits)
-    bob = keygen(platform, rng, exponent_bits)
-    k_alice = derive_key(platform, alice.exponent, bob.public_value, alice.public_value)
-    k_bob = derive_key(platform, bob.exponent, alice.public_value, bob.public_value)
-    agreed = k_alice == k_bob
+    """One full exchange; returns the transcript and whether K_A == K_B.
+
+    x_a and then x_b are drawn as two ``keygen`` calls would draw them, and
+    both powers (a_x, phi^x) are products over one doubling chain made up to
+    the larger exponent.  Each party keeps its phi^x from that product, so
+    its key phi^x(peer) ∘ own is ``derive_key``'s without a second
+    exponentiation of phi.
+    """
+    x_a = draw_exponent(rng, exponent_bits)
+    x_b = draw_exponent(rng, exponent_bits)
+    chain = doubling_chain(platform, max(x_a, x_b) + 1)
+    alice, bob = chain_power(platform, chain, x_a), chain_power(platform, chain, x_b)
+    k_alice = platform.op(alice.end(bob.value), alice.value)
+    k_bob = platform.op(bob.end(alice.value), bob.value)
     transcript = Transcript(
         params=platform.params,
-        alice_value=alice.public_value,
-        bob_value=bob.public_value,
+        alice_value=alice.value,
+        bob_value=bob.value,
         shared_key=k_alice if include_key else None,
     )
-    return transcript, agreed
+    return transcript, k_alice == k_bob
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import re
 import subprocess
 import sys
 
@@ -10,7 +11,7 @@ import pytest
 
 from sdpke.cli import CSV_HEADER, MAX_TRIALS, main
 from sdpke.groups import MAX_GROUP_ORDER
-from sdpke.platforms import MAX_BITS, MAX_SIZE
+from sdpke.platforms import MAX_BITS, MAX_SIZE, GLParams
 
 
 def run_cli(argv, capsys):
@@ -270,6 +271,78 @@ def test_attack_on_tampered_transcript_fails_without_traceback(tmp_path, capsys,
     rows = proc.stdout.strip().splitlines()[1:]
     assert len(rows) == 1 and f",{method},0," in rows[0]
     assert "Traceback" not in proc.stderr
+
+
+def _without_micros(report: str) -> str:
+    """A report with its wall-clock column blanked, the one field that may differ between runs."""
+    if report.startswith("["):
+        rows = json.loads(report)
+        for row in rows:
+            row["micros"] = 0
+        return json.dumps(rows)
+    return re.sub(r"^((?:[^,\n]*,){4})\d+", r"\g<1>0", report, flags=re.M)
+
+
+def test_parser_reuse_carries_no_value_between_calls(tmp_path, capsys):
+    # one process: a usage error, a json test-mode exchange, then an exchange on every
+    # default; each gives what it gives as the first call of a fresh process
+    calls = [
+        ["exchange", "--platform", "gl", "--format", "xml", "--out", "x.json"],
+        ["exchange", "--platform", "gl", "--trials", "2", "--seed", "5", "--format", "json",
+         "--test-mode", "--out", "json.json"],
+        ["exchange", "--platform", "gl", "--out", "csv.json"],
+    ]
+    in_process = []
+    for argv in calls:
+        argv = [a if not a.endswith(".json") else str(tmp_path / f"in-{a}") for a in argv]
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        in_process.append((code, _without_micros(captured.out), captured.err))
+    for argv, (code, out, err) in zip(calls, in_process):
+        argv = [a if not a.endswith(".json") else str(tmp_path / f"fresh-{a}") for a in argv]
+        proc = subprocess.run([sys.executable, "-m", "sdpke.cli", *argv], capture_output=True, text=True)
+        assert (code, out, err) == (proc.returncode, _without_micros(proc.stdout), proc.stderr), argv
+    assert [code for code, _, _ in in_process] == [2, 0, 0]
+    assert in_process[2][1].startswith(CSV_HEADER)
+    for name in ("json.json", "csv.json"):
+        assert (tmp_path / f"in-{name}").read_bytes() == (tmp_path / f"fresh-{name}").read_bytes()
+    assert all("key" not in rec for rec in json.loads((tmp_path / "in-csv.json").read_text()))
+
+
+def test_attack_builds_each_distinct_params_once(tmp_path, capsys, monkeypatch):
+    builds = []
+    original = GLParams.build
+
+    def counted(self, *args, **kwargs):
+        builds.append(self)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(GLParams, "build", counted)
+    paths = []
+    for seed in (3, 4):
+        paths.append(tmp_path / f"seed{seed}.json")
+        code, _, _ = run_cli(["exchange", "--platform", "gl", "--trials", "3", "--seed", str(seed),
+                              "--test-mode", "--out", str(paths[-1])], capsys)
+        assert code == 0
+    merged = tmp_path / "merged.json"
+    merged.write_text(json.dumps([*json.loads(paths[0].read_text()), *json.loads(paths[1].read_text())]))
+
+    def attack(path):
+        builds.clear()
+        code, out, _ = run_cli(["attack", "--method", "dimension", "--format", "json", str(path)], capsys)
+        assert code == 0
+        return [{k: v for k, v in row.items() if k not in ("micros", "trial")} for row in json.loads(out)]
+
+    separate = []
+    for path in paths:
+        separate += attack(path)
+        assert len(builds) == 1
+    assert attack(merged) == separate
+    assert len(builds) == 2 and builds[0] != builds[1]
+    assert all(row["success"] == 1 for row in separate) and len(separate) == 6
 
 
 def test_exchange_transcripts_feed_every_attack(tmp_path, capsys):

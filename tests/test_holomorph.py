@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sdpke.holomorph as holomorph
 import sdpke.matrices as mx
 from sdpke.errors import ParameterError
 from sdpke.holomorph import (
@@ -15,6 +16,8 @@ from sdpke.holomorph import (
     Platform,
     TropicalStarPower,
     TwoSidedPower,
+    chain_power,
+    doubling_chain,
     holo_mul,
     sdp_exp,
     sdp_exp_naive,
@@ -84,6 +87,41 @@ def test_fast_exp_equals_naive(kind, rng, fresh_platform):
         assert fast.value == cur.value
         assert fast.end == cur.end
         cur = holo_mul(p, cur, base)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_chain_power_over_a_longer_chain_equals_naive(kind, rng, fresh_platform):
+    # one chain made for the largest exponent serves every smaller one
+    p = fresh_platform(kind, rng)
+    chain = doubling_chain(p, 1 << 10)
+    for n in range(1, 65):
+        got, want = chain_power(p, chain, n), sdp_exp_naive(p, n)
+        assert (got.value, got.end, got.exponent) == (want.value, want.end, n)
+
+
+def test_chain_power_refuses_a_short_chain(rng, fresh_platform):
+    p = fresh_platform("gl", rng)
+    chain = doubling_chain(p, 8)  # levels 1, 2, 4: exponents up to 7
+    assert chain_power(p, chain, 7).value == sdp_exp(p, 7).value
+    for n in (0, 8):
+        with pytest.raises(ParameterError):
+            chain_power(p, chain, n)
+
+
+def test_sdp_exp_holo_mul_count(rng, fresh_platform, monkeypatch):
+    # double-and-add: bit_length - 1 squarings and popcount - 1 products, nothing more
+    p = fresh_platform("gl", rng)
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1].exponent)
+        return holo_mul(*args)
+
+    monkeypatch.setattr(holomorph, "holo_mul", counted)
+    for n in [*range(1, 130), 1 << 40, (1 << 40) - 1, 0x5555_5555, (1 << 63) - 1]:
+        calls.clear()
+        assert sdp_exp(p, n).exponent == n
+        assert len(calls) == n.bit_length() + bin(n).count("1") - 2, n
 
 
 @pytest.mark.parametrize("kind", [*ALL_KINDS, "dhke"])

@@ -1,7 +1,12 @@
 """Exchange round trips, transcript hygiene, and the encryption scheme."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sdpke.matrices as mx
 from sdpke.errors import ParameterError
@@ -76,6 +81,22 @@ def test_key_agreement_trials(kind, rng, fresh_platform):
         assert agreed
 
 
+@settings(deadline=None, max_examples=40)
+@given(kind=st.sampled_from(ALL_KINDS), seed=st.integers(0, 2**32 - 1), bits=st.integers(2, 63))
+def test_run_exchange_equals_keygen_and_derive_key(kind, seed, bits):
+    # the exchange draws as two keygens draw, and each key is derive_key's for its own party
+    p = PLATFORM_GENERATORS[kind](np.random.default_rng(seed)).build()
+    transcript, agreed = run_exchange(p, np.random.default_rng([seed, 1]), bits, include_key=True)
+    again = np.random.default_rng([seed, 1])
+    alice, bob = keygen(p, again, bits), keygen(p, again, bits)
+    assert transcript.alice_value == alice.public_value == sdp_exp(p, alice.exponent).value
+    assert transcript.bob_value == bob.public_value == sdp_exp(p, bob.exponent).value
+    k_alice = derive_key(p, alice.exponent, bob.public_value, alice.public_value)
+    k_bob = derive_key(p, bob.exponent, alice.public_value, bob.public_value)
+    assert transcript.shared_key == k_alice == k_bob
+    assert agreed
+
+
 def test_transcript_contains_no_secrets(rng, fresh_platform):
     p = fresh_platform("gl", rng)
     transcript, _ = run_exchange(p, rng, include_key=False)
@@ -95,6 +116,22 @@ def test_transcript_json_round_trip(kind, rng, fresh_platform):
     assert again.bob_value == transcript.bob_value
     assert again.shared_key == transcript.shared_key
     assert again.params == transcript.params
+
+
+def test_build_platform_is_kept_without_a_reference_cycle(rng, fresh_platform):
+    # the attacks on one transcript share one build, and dropping the transcript frees it at once
+    p = fresh_platform("make", rng)
+    transcript = Transcript.from_json(run_exchange(p, rng)[0].to_json())
+    platform = transcript.build_platform()
+    assert transcript.build_platform() is platform
+    assert platform.g == p.g and platform.phi == p.phi
+    ref = weakref.ref(platform)
+    gc.disable()
+    try:
+        del transcript, platform
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_transcript_schema_version_checked():
