@@ -5,7 +5,6 @@ Subcommands:
 * ``exchange`` — run seeded key exchanges on a platform, write the
   transcripts (JSON array) to ``--out``, and report one row per trial.
 * ``attack``  — replay an attack against a transcript file.
-* ``bench``   — per-operation wall-clock rows in CSV, summary to stderr.
 * ``count``   — the telescoping solution-count experiment on the OR/AND
   platform at enumerable sizes.
 
@@ -17,7 +16,9 @@ only add overhead.
 
 Work is done once: the parser is built once per process, each exchange
 raises both parties' exponents over one doubling chain, and ``attack``
-builds each distinct platform record of a transcript file once.
+builds each distinct platform record of a transcript file once.  Each
+subcommand reads its flags from the argparse namespace, so every default
+lives in the parser.
 
 Exit codes: 0 success, 1 trial failure, 2 bad configuration, 3 attack not
 applicable to the platform, 4 enumeration size cap exceeded.
@@ -35,7 +36,7 @@ import functools
 import json
 import sys
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,7 +50,7 @@ from .attacks import (
 from .errors import NotApplicableError, ParameterError, SizeCapError
 from .holomorph import sdp_exp
 from .platforms import PLATFORM_KINDS, MobsParams, params_from_obj, random_params
-from .protocol import Transcript, derive_key, draw_exponent, keygen, run_exchange
+from .protocol import Transcript, draw_exponent, run_exchange
 from .semirings import _is_integer
 
 CSV_HEADER = "platform,trial,operation,success,micros,counters"
@@ -60,26 +61,6 @@ _PLATFORM_STREAM = (1 << 64) - 1
 
 #: upper cap on --trials: every trial's transcript and report row stay in memory
 MAX_TRIALS = 10_000
-
-
-@dataclass
-class RunConfig:
-    platform: str | None = None
-    params_file: str | None = None
-    trials: int = 1
-    seed: int = 0
-    exponent_bits: int = 16
-    test_mode: bool = False
-    out: str | None = None
-    fmt: str = "csv"
-    method: str | None = None
-    x_max: int = 1 << 20
-
-    def __post_init__(self):
-        if not 1 <= self.trials <= MAX_TRIALS:
-            raise ParameterError(f"trials must be in [1, {MAX_TRIALS}], got {self.trials}")
-        if not 0 <= self.seed < (1 << 64):
-            raise ParameterError("seed must fit in 64 bits")
 
 
 @dataclass
@@ -123,15 +104,23 @@ def _reading(what: str):
         raise ParameterError(f"cannot read {what}: {type(exc).__name__}: {exc}") from exc
 
 
-def _load_params(config: RunConfig):
+def _check_run(args: argparse.Namespace):
+    """The range checks on the flags every subcommand registers."""
+    if not 1 <= args.trials <= MAX_TRIALS:
+        raise ParameterError(f"trials must be in [1, {MAX_TRIALS}], got {args.trials}")
+    if not 0 <= args.seed < (1 << 64):
+        raise ParameterError("seed must fit in 64 bits")
+
+
+def _load_params(args: argparse.Namespace):
     """Platform parameters from --params (explicit or seeded) or defaults.
 
     A seeded file holds ``kind``, ``seed`` and any keyword arguments of the
     kind's generator; any other key is an error.
     """
-    if config.params_file:
+    if args.params_file:
         with _reading("params file"):
-            with open(config.params_file) as fh:
+            with open(args.params_file) as fh:
                 obj = json.load(fh)
             if "seed" in obj:
                 seed = obj["seed"]
@@ -141,10 +130,10 @@ def _load_params(config: RunConfig):
                 rng = trial_rng(seed, _PLATFORM_STREAM)
                 return random_params(obj.get("kind"), rng, **overrides)
             return params_from_obj(obj)
-    if config.platform is None:
+    if args.platform is None:
         raise ParameterError("either --platform or --params is required")
-    rng = trial_rng(config.seed, _PLATFORM_STREAM)
-    return random_params(config.platform, rng)
+    rng = trial_rng(args.seed, _PLATFORM_STREAM)
+    return random_params(args.platform, rng)
 
 
 def _write_text(path: str | None, text: str):
@@ -155,12 +144,14 @@ def _write_text(path: str | None, text: str):
             fh.write(text)
 
 
-def _emit_report(rows: list[ReportRow], config: RunConfig, path: str | None):
-    if config.fmt == "csv":
+def _emit_report(rows: list[ReportRow], fmt: str, path: str | None) -> int:
+    """Write the report; the exit code is 0 if every row succeeded, else 1."""
+    if fmt == "csv":
         text = CSV_HEADER + "\n" + "".join(r.to_csv() + "\n" for r in rows)
     else:
         text = json.dumps([r.to_obj() for r in rows], indent=2, sort_keys=True) + "\n"
     _write_text(path, text)
+    return 0 if all(r.success for r in rows) else 1
 
 
 def _transcripts_json(transcripts: list[Transcript]) -> str:
@@ -173,6 +164,8 @@ def _load_transcripts(path: str) -> list[Transcript]:
         with open(path) as fh:
             obj = json.load(fh)
         records = obj if isinstance(obj, list) else [obj]
+        if not records:
+            raise ParameterError("transcript file holds no transcripts")
         built: dict = {}
         return [Transcript.from_obj(rec, built) for rec in records]
 
@@ -181,121 +174,60 @@ def _load_transcripts(path: str) -> list[Transcript]:
 # subcommands
 
 
-def cmd_exchange(config: RunConfig) -> int:
-    if config.out is None:
+def cmd_exchange(args: argparse.Namespace) -> int:
+    if args.out is None:
         raise ParameterError("exchange requires --out for the transcript file")
-    params = _load_params(config)
-    platform = params.build()
+    platform = _load_params(args).build()
 
     def one(trial: int):
-        rng = trial_rng(config.seed, trial)
+        rng = trial_rng(args.seed, trial)
         t0 = time.perf_counter()
-        transcript, agreed = run_exchange(
-            platform, rng, config.exponent_bits, include_key=config.test_mode
-        )
+        transcript, agreed = run_exchange(platform, rng, args.exponent_bits, include_key=args.test_mode)
         micros = int((time.perf_counter() - t0) * 1e6)
         return transcript, ReportRow(platform.name, trial, "exchange", agreed, micros)
 
-    results = [one(t) for t in range(config.trials)]
-    transcripts = [t for t, _ in results]
-    rows = [r for _, r in results]
-    _write_text(config.out, _transcripts_json(transcripts))
-    _emit_report(rows, config, None)
-    return 0 if all(r.success for r in rows) else 1
+    results = [one(t) for t in range(args.trials)]
+    _write_text(args.out, _transcripts_json([t for t, _ in results]))
+    return _emit_report([r for _, r in results], args.fmt, None)
 
 
 _ATTACKS = ("dimension", "telescope", "tropical-binsearch", "mobs-count")
 
 
-def _run_attack(method: str, transcript: Transcript, config: RunConfig):
+def _run_attack(method: str, transcript: Transcript, x_max: int):
+    # the attacks are called by their module-level names, which a tracer may rebind
     if method == "dimension":
         return dimension_attack(transcript)
     if method == "telescope":
         return make_telescoping_attack(transcript)
     if method == "tropical-binsearch":
-        return tropical_binsearch_attack(transcript, x_max=config.x_max)
-    if method == "mobs-count":
-        platform = transcript.build_platform()
-        return mobs_solution_count(platform, transcript.alice_value)
-    raise ParameterError(f"unknown attack method {method!r}")
+        return tropical_binsearch_attack(transcript, x_max=x_max)
+    # mobs-count, the last choice the parser allows
+    return mobs_solution_count(transcript.build_platform(), transcript.alice_value)
 
 
-def cmd_attack(config: RunConfig, transcript_path: str) -> int:
-    if config.method not in _ATTACKS:
-        raise ParameterError(f"--method must be one of {_ATTACKS}")
-    transcripts = _load_transcripts(transcript_path)
-
+def cmd_attack(args: argparse.Namespace) -> int:
     rows = []
-    for trial, transcript in enumerate(transcripts):
+    for trial, transcript in enumerate(_load_transcripts(args.transcript)):
         t0 = time.perf_counter()
-        outcome = _run_attack(config.method, transcript, config)
+        outcome = _run_attack(args.method, transcript, args.x_max)
         micros = int((time.perf_counter() - t0) * 1e6)
         rows.append(
-            ReportRow(
-                transcript.params.kind,
-                trial,
-                config.method,
-                outcome.success,
-                micros,
-                outcome.work.to_obj(),
-            )
+            ReportRow(transcript.params.kind, trial, args.method, outcome.success, micros, outcome.work.to_obj())
         )
-    _emit_report(rows, config, config.out)
-    return 0 if all(r.success for r in rows) else 1
+    return _emit_report(rows, args.fmt, args.out)
 
 
-def cmd_bench(config: RunConfig) -> int:
-    params = _load_params(config)
-    platform = params.build()
-
-    def one(trial: int):
-        rng = trial_rng(config.seed, trial)
-        rows = []
-
-        t0 = time.perf_counter()
-        alice = keygen(platform, rng, config.exponent_bits)
-        rows.append(("keygen", time.perf_counter() - t0))
-
-        bob = keygen(platform, rng, config.exponent_bits)
-        t0 = time.perf_counter()
-        k_alice = derive_key(platform, alice.exponent, bob.public_value, alice.public_value)
-        rows.append(("derive", time.perf_counter() - t0))
-
-        t0 = time.perf_counter()
-        _, agreed = run_exchange(platform, rng, config.exponent_bits)
-        rows.append(("exchange", time.perf_counter() - t0))
-
-        k_bob = derive_key(platform, bob.exponent, alice.public_value, bob.public_value)
-        ok = agreed and k_alice == k_bob
-        return [
-            ReportRow(platform.name, trial, op, ok, int(dt * 1e6)) for op, dt in rows
-        ]
-
-    rows = [row for t in range(config.trials) for row in one(t)]
-    _emit_report(rows, config, config.out)
-
-    by_op: dict[str, list[int]] = {}
-    for r in rows:
-        by_op.setdefault(r.operation, []).append(r.micros)
-    for op, times in sorted(by_op.items()):
-        qs = np.percentile(times, [50, 90, 100])
-        print(
-            f"# {platform.name} {op}: p50={qs[0]:.0f}us p90={qs[1]:.0f}us max={qs[2]:.0f}us",
-            file=sys.stderr,
-        )
-    return 0 if all(r.success for r in rows) else 1
-
-
-def cmd_count(config: RunConfig) -> int:
-    if config.params_file:
-        base_params = _load_params(config)
+def cmd_count(args: argparse.Namespace) -> int:
+    if args.params_file:
+        base_params = _load_params(args)
         if base_params.kind != "mobs":
             raise NotApplicableError("count experiment needs OR/AND platform parameters")
     else:
-        base_params = random_params("mobs", trial_rng(config.seed, _PLATFORM_STREAM), size=2, cycle_lengths=(3,))
+        base_params = random_params("mobs", trial_rng(args.seed, _PLATFORM_STREAM), size=2, cycle_lengths=(3,))
 
     def one(trial: int):
-        rng = trial_rng(config.seed, trial)
+        rng = trial_rng(args.seed, trial)
         ring = base_params.ring()
         fresh = MobsParams(
             size=base_params.size,
@@ -304,7 +236,7 @@ def cmd_count(config: RunConfig) -> int:
             base=mx.random_matrix(rng, ring, base_params.size, base_params.size),
         )
         platform = fresh.build()
-        x = draw_exponent(rng, config.exponent_bits)
+        x = draw_exponent(rng, args.exponent_bits)
         observed = sdp_exp(platform, x).value
         t0 = time.perf_counter()
         outcome = mobs_solution_count(platform, observed, true_exponent=x)
@@ -313,14 +245,14 @@ def cmd_count(config: RunConfig) -> int:
             "mobs", trial, "mobs-count", outcome.success, micros, outcome.work.to_obj()
         )
 
-    rows = [one(t) for t in range(config.trials)]
-    _emit_report(rows, config, config.out)
+    rows = [one(t) for t in range(args.trials)]
+    code = _emit_report(rows, args.fmt, args.out)
     counts = sorted(r.counters["solution_count"] for r in rows)
     print(
         f"# solution counts: min={counts[0]} median={counts[len(counts) // 2]} max={counts[-1]}",
         file=sys.stderr,
     )
-    return 0 if all(r.success for r in rows) else 1
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("exchange", help="run seeded key exchanges, write transcripts")
     _add_flags(p, "--platform", "--params", "--trials", "--seed", "--exponent-bits", "--test-mode",
                "--out", "--format")
+    p.set_defaults(run=cmd_exchange)
 
     p = sub.add_parser("attack", help="run an attack against a transcript file")
     # attack reads neither --trials nor --seed; it accepts both because the
@@ -365,36 +298,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("transcript", help="transcript JSON file written by exchange")
     p.add_argument("--method", choices=_ATTACKS, required=True)
     p.add_argument("--x-max", type=int, default=1 << 20, help="exponent search bound (tropical)")
-
-    p = sub.add_parser("bench", help="per-operation timing rows")
-    _add_flags(p, "--platform", "--params", "--trials", "--seed", "--exponent-bits", "--out", "--format")
+    p.set_defaults(run=cmd_attack)
 
     p = sub.add_parser("count", help="telescoping solution-count experiment (OR/AND platform)")
     _add_flags(p, "--params", "--trials", "--seed", "--exponent-bits", "--out", "--format")
+    p.set_defaults(run=cmd_count)
 
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    """The RunConfig fields the subcommand registered; the rest keep their defaults."""
-    names = [f.name for f in fields(RunConfig)]
-    return RunConfig(**{name: getattr(args, name) for name in names if hasattr(args, name)})
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config = _config_from_args(args)
-        if args.command == "exchange":
-            return cmd_exchange(config)
-        if args.command == "attack":
-            return cmd_attack(config, args.transcript)
-        if args.command == "bench":
-            return cmd_bench(config)
-        if args.command == "count":
-            return cmd_count(config)
-        raise ParameterError(f"unknown command {args.command!r}")
+        _check_run(args)
+        return args.run(args)
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

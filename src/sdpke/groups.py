@@ -7,15 +7,14 @@ through which group ring products are computed: the left one gathers the
 matrix of x -> a * x, the right one that of x -> x * b (see
 ``semirings.GroupRingScalars.matmul``).  Tables are
 validated on construction (full associativity sweep; fine at desk scale).
-Small groups used by the matrix-over-group-ring platform ship as JSON data
-files: c2, s3, a4, a5.
+The small groups the matrix-over-group-ring platform names (c2, s3, a4, a5)
+are built from their definitions, once per process.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-import json
-from importlib import resources
 
 import numpy as np
 
@@ -157,17 +156,13 @@ def alternating_group(n: int) -> FiniteGroupTable:
     return _perm_group_table(perms, name=f"a{n}")
 
 
-def load_group_json(text: str, name: str = "group") -> FiniteGroupTable:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParameterError(f"malformed group table JSON: {exc}") from exc
-    return FiniteGroupTable.from_obj(obj, name=name)
-
-
+@functools.cache
 def load_group(name: str) -> FiniteGroupTable:
-    """Load one of the bundled Cayley tables by name (c2, s3, a4, a5)."""
+    """One of the bundled groups by name (c2, s3, a4, a5), built once per process.
+
+    Each name is the one its builder gives the group, so ``"s3"`` is ``symmetric_group(3)``.
+    """
     if name not in BUNDLED_GROUPS:
         raise ParameterError(f"unknown bundled group {name!r}; have {BUNDLED_GROUPS}")
-    text = resources.files("sdpke.data").joinpath(f"{name}.json").read_text()
-    return load_group_json(text, name=name)
+    builder = {"c": cyclic_group, "s": symmetric_group, "a": alternating_group}[name[0]]
+    return builder(int(name[1:]))

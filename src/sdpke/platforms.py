@@ -84,7 +84,7 @@ class GroupRingParams:
     def ring(self) -> GroupRingScalars:
         return GroupRingScalars(self.group, self.modulus)
 
-    def build(self, allow_commuting: bool = False) -> Platform:
+    def build(self) -> Platform:
         if not is_prime(self.modulus):
             raise ParameterError("group ring platform needs a prime coefficient modulus")
         h, g = self.conjugator, self.base
@@ -94,7 +94,7 @@ class GroupRingParams:
             h_inv = groupring_inverse(h)
         except SingularMatrixError as exc:
             raise ParameterError(f"conjugator is singular: {exc}") from exc
-        if not allow_commuting and h @ g == g @ h:
+        if h @ g == g @ h:
             raise ParameterError("base commutes with the conjugator; degenerate instance")
         ring = self.ring()
         return Platform(
@@ -171,7 +171,7 @@ class GLParams:
     def ring(self) -> IntegersMod:
         return IntegersMod(self.prime)
 
-    def build(self, allow_commuting: bool = False) -> Platform:
+    def build(self) -> Platform:
         if not is_prime(self.prime):
             raise ParameterError("GL platform needs a prime field")
         h, g = self.conjugator, self.base
@@ -183,7 +183,7 @@ class GLParams:
             raise ParameterError("conjugator is singular") from exc
         if mx.try_inverse(g) is None:
             raise ParameterError("base element must be invertible")
-        if not allow_commuting and h @ g == g @ h:
+        if h @ g == g @ h:
             raise ParameterError("base commutes with the conjugator; degenerate instance")
         ring = self.ring()
         return Platform(

@@ -140,28 +140,14 @@ def test_attack_counters_are_deterministic(tmp_path, capsys):
     assert reports[0] == reports[1]
 
 
-def test_bench_csv_header_exact(tmp_path, capsys):
-    out = tmp_path / "bench.csv"
-    code, _, err = run_cli(
-        ["bench", "--platform", "gl", "--trials", "4", "--seed", "2", "--out", str(out)],
-        capsys,
-    )
-    assert code == 0
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "platform,trial,operation,success,micros,counters"
-    assert len(lines) == 1 + 3 * 4  # keygen, derive, exchange per trial
-    assert "p50" in err  # percentile summary on stderr
-
-
 @pytest.mark.parametrize(
     "argv",
     [
         ["exchange", "--platform", "gl", "--exponent-bits", "64"],
-        ["bench", "--platform", "gl", "--exponent-bits", "64"],
         ["count", "--exponent-bits", "64"],
         ["count", "--exponent-bits", "1"],
     ],
-    ids=["exchange-64", "bench-64", "count-64", "count-1"],
+    ids=["exchange-64", "count-64", "count-1"],
 )
 def test_exponent_bits_outside_2_to_63_exit_2_with_one_line(tmp_path, argv):
     proc = subprocess.run(
@@ -182,6 +168,7 @@ def test_exponent_bits_outside_2_to_63_exit_2_with_one_line(tmp_path, argv):
         ["attack", "--method", "dimension", "--params", "p.json", "t.json"],
         ["attack", "--method", "dimension", "--exponent-bits", "16", "t.json"],
         ["attack", "--method", "dimension", "--test-mode", "t.json"],
+        # no bench subcommand: the benchmark harness in bench/ times keygen and derive
         ["bench", "--platform", "gl", "--test-mode"],
     ],
 )
@@ -189,7 +176,8 @@ def test_subcommands_refuse_flags_they_ignore(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+    expected = "invalid choice: 'bench'" if argv[0] == "bench" else "unrecognized arguments"
+    assert expected in capsys.readouterr().err
 
 
 def test_count_experiment(tmp_path, capsys):
@@ -406,6 +394,7 @@ def _malformed_inputs(tmp_path):
                   "identity": 0, "inverse": [-i % n for i in range(n)]}
     return {
         "transcript-without-B": (["attack", "--method", "dimension"], no_b),
+        "empty-transcript-file": (["attack", "--method", "dimension"], []),
         "string-prime": (["exchange", "--out", str(tmp_path / "o.json"), "--params"], string_prime),
         "seeded-string-prime": (
             ["exchange", "--out", str(tmp_path / "o.json"), "--params"],
@@ -475,7 +464,7 @@ def _malformed_inputs(tmp_path):
         "seeded-float-seed", "seeded-bool-seed", "seeded-negative-seed", "seeded-seed-2^64",
         "seeded-gl-size-100000", "seeded-make-size-past-cap", "explicit-gl-size-100000", "mobs-bits-past-cap",
         "seeded-mobs-cycles-past-cap", "seeded-mobs-negative-cycle", "groupring-group-order-past-cap",
-        "trials-past-cap",
+        "trials-past-cap", "empty-transcript-file",
     ],
 )
 def test_malformed_json_exits_2_with_one_line(tmp_path, capsys, case):

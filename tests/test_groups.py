@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -10,7 +11,6 @@ from sdpke.groups import (
     alternating_group,
     cyclic_group,
     load_group,
-    load_group_json,
     symmetric_group,
 )
 
@@ -28,6 +28,24 @@ def test_bundled_tables_match_builders():
     assert load_group("s3") == symmetric_group(3)
     assert load_group("a4") == alternating_group(4)
     assert load_group("a5") == alternating_group(5)
+
+
+def test_bundled_tables_keep_their_element_order():
+    # sha256 of each bundled product table, pinned so that a transcript naming the
+    # group keeps meaning the same elements in the same order
+    digests = {
+        "c2": "c1b92cfd1182059c03f2934cec0ee71e1df9f08ff9f53dec0f3e468e62a0626c",
+        "s3": "d306f7f3933e7339e6cfd86bc9d637c347c4fd56cdc2c0627eb667787b141aac",
+        "a4": "1bfa34a13a10db6df271e23e0a887888b25219ce6befa358fe5292d170454cc5",
+        "a5": "ccb59d4a1a47ccd48479846533320454b1fa44b9effe02f0da06a2b9ead2ebab",
+    }
+    for name, digest in digests.items():
+        product = json.dumps(load_group(name).product.tolist()).encode()
+        assert hashlib.sha256(product).hexdigest() == digest, name
+
+
+def test_load_group_builds_each_group_once():
+    assert load_group("s3") is load_group("s3")
 
 
 def test_unknown_bundled_name_rejected():
@@ -59,15 +77,15 @@ def test_table_without_identity_rejected():
 
 def test_json_round_trip():
     s3 = load_group("s3")
-    again = load_group_json(json.dumps(s3.to_obj()), name="s3")
+    again = FiniteGroupTable.from_obj(json.loads(json.dumps(s3.to_obj())), name="s3")
     assert again == s3
 
 
 def test_malformed_json_rejected():
-    with pytest.raises(ParameterError):
-        load_group_json("{not json")
     with pytest.raises(ParameterError, match="missing field"):
-        load_group_json(json.dumps({"order": 2}))
+        FiniteGroupTable.from_obj({"order": 2})
+    with pytest.raises(ParameterError, match="square"):
+        FiniteGroupTable.from_obj({"order": 2, "product": [0, 1], "identity": 0, "inverse": [0, 1]})
 
 
 def test_inconsistent_declared_fields_rejected():

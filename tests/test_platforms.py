@@ -73,8 +73,6 @@ def test_groupring_commuting_base_rejected(rng):
     )
     with pytest.raises(ParameterError, match="commutes"):
         bad.build()
-    # explicitly allowed when requested (for experiments)
-    assert bad.build(allow_commuting=True).name == "groupring"
 
 
 def test_groupring_composite_modulus_rejected(rng):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import sdpke.matrices as mx
 from sdpke.errors import ParameterError
 from sdpke.holomorph import sdp_exp
-from sdpke.platforms import DhkeParams, GLParams
+from sdpke.platforms import DhkeParams
 from sdpke.protocol import (
     Ciphertext,
     Transcript,
@@ -187,13 +187,11 @@ def test_decrypt_with_wrong_exponent_garbles(rng, fresh_platform):
 
 
 def test_1x1_hand_example_mod_7():
-    # conjugation is trivial on 1x1, so the scheme is textbook ElGamal:
+    # conjugation is trivial on 1x1 matrices, so GL(1, 7) is the dhke platform and the
+    # scheme is textbook ElGamal:
     # g=3, n=2 -> a = 3^2 = 2;  r=3 -> c1 = 3^3 = 6, blind = a*c1 = 12 = 5
     ring = IntegersMod(7)
-    params = GLParams(
-        prime=7, size=1, conjugator=mx.from_rows(ring, [[2]]), base=mx.from_rows(ring, [[3]])
-    )
-    p = params.build(allow_commuting=True)
+    p = DhkeParams(prime=7, generator=3).build()
     a = sdp_exp(p, 2).value
     assert int(a.data[0, 0]) == 2
     c1 = sdp_exp(p, 3).value
