@@ -29,7 +29,7 @@ message recovery for the encryption scheme.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -62,13 +62,7 @@ class WorkCounters:
     solution_count: int = 0
 
     def to_obj(self) -> dict:
-        return {
-            "sequence_terms_generated": self.sequence_terms_generated,
-            "rank": self.rank,
-            "linear_solves": self.linear_solves,
-            "search_steps": self.search_steps,
-            "solution_count": self.solution_count,
-        }
+        return asdict(self)
 
 
 @dataclass

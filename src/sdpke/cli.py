@@ -36,7 +36,7 @@ import functools
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -49,7 +49,7 @@ from .attacks import (
 )
 from .errors import NotApplicableError, ParameterError, SizeCapError
 from .holomorph import sdp_exp
-from .platforms import PLATFORM_KINDS, MobsParams, params_from_obj, random_params
+from .platforms import PLATFORM_KINDS, params_from_obj, random_params
 from .protocol import Transcript, draw_exponent, run_exchange
 from .semirings import _is_integer
 
@@ -77,14 +77,7 @@ class ReportRow:
         return f"{self.platform},{self.trial},{self.operation},{int(self.success)},{self.micros},{counters}"
 
     def to_obj(self) -> dict:
-        return {
-            "platform": self.platform,
-            "trial": self.trial,
-            "operation": self.operation,
-            "success": int(self.success),
-            "micros": self.micros,
-            "counters": self.counters,
-        }
+        return {**asdict(self), "success": int(self.success)}
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
@@ -207,6 +200,8 @@ def _run_attack(method: str, transcript: Transcript, x_max: int):
 
 
 def cmd_attack(args: argparse.Namespace) -> int:
+    if not 1 <= args.x_max <= 1 << 63:  # exponents are drawn below 2^63
+        raise ParameterError(f"x-max must be in [1, 2^63], got {args.x_max}")
     rows = []
     for trial, transcript in enumerate(_load_transcripts(args.transcript)):
         t0 = time.perf_counter()
@@ -226,16 +221,11 @@ def cmd_count(args: argparse.Namespace) -> int:
     else:
         base_params = random_params("mobs", trial_rng(args.seed, _PLATFORM_STREAM), size=2, cycle_lengths=(3,))
 
+    ring, n = base_params.ring(), base_params.size
+
     def one(trial: int):
         rng = trial_rng(args.seed, trial)
-        ring = base_params.ring()
-        fresh = MobsParams(
-            size=base_params.size,
-            bits=base_params.bits,
-            bit_permutation=base_params.bit_permutation,
-            base=mx.random_matrix(rng, ring, base_params.size, base_params.size),
-        )
-        platform = fresh.build()
+        platform = replace(base_params, base=mx.random_matrix(rng, ring, n, n)).build()
         x = draw_exponent(rng, args.exponent_bits)
         observed = sdp_exp(platform, x).value
         t0 = time.perf_counter()
@@ -297,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_flags(p, "--trials", "--seed", "--out", "--format")
     p.add_argument("transcript", help="transcript JSON file written by exchange")
     p.add_argument("--method", choices=_ATTACKS, required=True)
-    p.add_argument("--x-max", type=int, default=1 << 20, help="exponent search bound (tropical)")
+    p.add_argument("--x-max", type=int, default=1 << 20, help="exponent search bound in [1, 2^63] (tropical)")
     p.set_defaults(run=cmd_attack)
 
     p = sub.add_parser("count", help="telescoping solution-count experiment (OR/AND platform)")

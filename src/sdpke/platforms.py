@@ -1,8 +1,13 @@
 """Constructors, parameter records, and validators for the five platforms.
 
-Each platform kind has a frozen params dataclass (JSON-serializable, the
-thing a transcript embeds) and a ``build()`` that validates the parameters
-and returns a ready Platform.  ``build()`` runs no sampled law check: for
+Each platform kind has a frozen params dataclass (the thing a transcript
+embeds) and a ``build()`` that validates the parameters and returns a ready
+Platform.  All kinds share one JSON form: ``kind``, then each field under
+its name, except that the matrices are ``H`` (conjugator or star matrix),
+``H1``/``H2`` (the two factors) and ``g`` (base), and the bit permutation is
+``permutation``.  A matrix is its nested entries, a permutation its image
+list, and a group its bundled name (c2, s3, a4, a5) or its full table.
+Every matrix must be size x size.  ``build()`` runs no sampled law check: for
 every input it accepts, the operation is associative and phi respects it by
 theorem; the test suite samples both laws with ``validate_platform``.
 ``random_*_params`` generators draw fresh parameters from an rng at the
@@ -19,7 +24,7 @@ from __future__ import annotations
 
 import inspect
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -44,6 +49,68 @@ from .semirings import BitStrings, GroupRingScalars, IntegersMod, TropicalIntege
 #: every platform, and the bit length of an OR/AND entry.
 MAX_SIZE = 32
 MAX_BITS = 256
+
+
+# ---------------------------------------------------------------------------
+# the JSON codec and the size check every params record shares
+
+#: the JSON key of each field not written under its own name
+_JSON_KEYS = {"conjugator": "H", "star_matrix": "H", "left_factor": "H1", "right_factor": "H2", "base": "g",
+              "bit_permutation": "permutation"}
+
+
+def _encode(value):
+    if isinstance(value, Matrix):
+        return value.to_obj()
+    if isinstance(value, Permutation):
+        return list(value)
+    if isinstance(value, FiniteGroupTable):
+        # a bundled name stands for that group's own table, not for a relabelling of it
+        bundled = value.name in BUNDLED_GROUPS and value == load_group(value.name)
+        return value.name if bundled else value.to_obj()
+    return value
+
+
+def _decode_group(obj) -> FiniteGroupTable:
+    return load_group(obj) if isinstance(obj, str) else FiniteGroupTable.from_obj(obj)
+
+
+#: decoders of the non-matrix fields that JSON does not hold as they are, by annotation
+_DECODERS = {"FiniteGroupTable": _decode_group, "Permutation": Permutation}
+
+
+class _Params:
+    """A params record: ``kind``, then each dataclass field under its JSON key."""
+
+    def to_obj(self) -> dict:
+        obj = {"kind": self.kind}
+        for f in fields(self):
+            obj[_JSON_KEYS.get(f.name, f.name)] = _encode(getattr(self, f.name))
+        return obj
+
+    @classmethod
+    def from_obj(cls, obj: dict):
+        """Decode the other fields, then the matrices in the record's ring, which
+        ``ring()`` builds from those fields alone."""
+        values, matrices = {}, {}
+        for f in fields(cls):
+            value = obj[_JSON_KEYS.get(f.name, f.name)]
+            if f.type == "Matrix":
+                matrices[f.name] = value
+            else:
+                values[f.name] = _DECODERS[f.type](value) if f.type in _DECODERS else value
+        record = cls(**values, **matrices)
+        ring = record.ring()
+        return replace(record, **{name: mx.from_obj(ring, value) for name, value in matrices.items()})
+
+    def _check_sizes(self) -> None:
+        """Refuse a matrix field that is not size x size."""
+        n = self.size
+        for f in fields(self):
+            m = getattr(self, f.name)
+            if isinstance(m, Matrix) and m.shape != (n, n):
+                key = _JSON_KEYS.get(f.name, f.name)
+                raise ParameterError(f"{f.name} ({key}) is {m.rows}x{m.cols}, size {n} needs {n}x{n}")
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +140,7 @@ def groupring_inverse(h: Matrix) -> Matrix:
 
 
 @dataclass(frozen=True)
-class GroupRingParams:
+class GroupRingParams(_Params):
     kind = "groupring"
     modulus: int
     group: FiniteGroupTable
@@ -85,11 +152,10 @@ class GroupRingParams:
         return GroupRingScalars(self.group, self.modulus)
 
     def build(self) -> Platform:
+        self._check_sizes()
         if not is_prime(self.modulus):
             raise ParameterError("group ring platform needs a prime coefficient modulus")
         h, g = self.conjugator, self.base
-        if h.shape != (self.size, self.size) or g.shape != (self.size, self.size):
-            raise ParameterError("conjugator/base shape does not match declared size")
         try:
             h_inv = groupring_inverse(h)
         except SingularMatrixError as exc:
@@ -104,30 +170,6 @@ class GroupRingParams:
             phi=ConjugatorPower(h, h_inv),
             params=self,
             sampler=lambda rng: mx.random_matrix(rng, ring, self.size, self.size),
-        )
-
-    def to_obj(self) -> dict:
-        group = self.group.name if self.group.name in BUNDLED_GROUPS else self.group.to_obj()
-        return {
-            "kind": self.kind,
-            "modulus": self.modulus,
-            "group": group,
-            "size": self.size,
-            "H": self.conjugator.to_obj(),
-            "g": self.base.to_obj(),
-        }
-
-    @staticmethod
-    def from_obj(obj: dict) -> GroupRingParams:
-        group = obj["group"]
-        table = load_group(group) if isinstance(group, str) else FiniteGroupTable.from_obj(group)
-        ring = GroupRingScalars(table, obj["modulus"])
-        return GroupRingParams(
-            modulus=obj["modulus"],
-            group=table,
-            size=obj["size"],
-            conjugator=mx.from_obj(ring, obj["H"]),
-            base=mx.from_obj(ring, obj["g"]),
         )
 
 
@@ -161,7 +203,7 @@ def random_groupring_params(
 
 
 @dataclass(frozen=True)
-class GLParams:
+class GLParams(_Params):
     kind = "gl"
     prime: int
     size: int
@@ -172,11 +214,10 @@ class GLParams:
         return IntegersMod(self.prime)
 
     def build(self) -> Platform:
+        self._check_sizes()
         if not is_prime(self.prime):
             raise ParameterError("GL platform needs a prime field")
         h, g = self.conjugator, self.base
-        if h.shape != (self.size, self.size) or g.shape != (self.size, self.size):
-            raise ParameterError("conjugator/base shape does not match declared size")
         try:
             h_inv = mx.inverse(h)
         except SingularMatrixError as exc:
@@ -193,25 +234,6 @@ class GLParams:
             phi=ConjugatorPower(h, h_inv),
             params=self,
             sampler=lambda rng: mx.random_matrix(rng, ring, self.size, self.size),
-        )
-
-    def to_obj(self) -> dict:
-        return {
-            "kind": self.kind,
-            "prime": self.prime,
-            "size": self.size,
-            "H": self.conjugator.to_obj(),
-            "g": self.base.to_obj(),
-        }
-
-    @staticmethod
-    def from_obj(obj: dict) -> GLParams:
-        ring = IntegersMod(obj["prime"])
-        return GLParams(
-            prime=obj["prime"],
-            size=obj["size"],
-            conjugator=mx.from_obj(ring, obj["H"]),
-            base=mx.from_obj(ring, obj["g"]),
         )
 
 
@@ -239,7 +261,7 @@ def random_gl_params(rng: np.random.Generator, prime: int = 1009, size: int = 3)
 
 
 @dataclass(frozen=True)
-class TropicalParams:
+class TropicalParams(_Params):
     kind = "tropical"
     size: int
     entry_lo: int
@@ -251,40 +273,17 @@ class TropicalParams:
         return TropicalIntegers()
 
     def build(self) -> Platform:
-        h, g = self.star_matrix, self.base
-        if h.shape != (self.size, self.size) or g.shape != (self.size, self.size):
-            raise ParameterError("matrix shape does not match declared size")
+        self._check_sizes()
         ring = self.ring()
         return Platform(
             name="tropical",
             op_kind="add",
-            g=g,
-            phi=TropicalStarPower(h),
+            g=self.base,
+            phi=TropicalStarPower(self.star_matrix),
             params=self,
             sampler=lambda rng: mx.random_matrix(
                 rng, ring, self.size, self.size, lo=self.entry_lo, hi=self.entry_hi
             ),
-        )
-
-    def to_obj(self) -> dict:
-        return {
-            "kind": self.kind,
-            "size": self.size,
-            "entry_lo": self.entry_lo,
-            "entry_hi": self.entry_hi,
-            "H": self.star_matrix.to_obj(),
-            "g": self.base.to_obj(),
-        }
-
-    @staticmethod
-    def from_obj(obj: dict) -> TropicalParams:
-        ring = TropicalIntegers()
-        return TropicalParams(
-            size=obj["size"],
-            entry_lo=obj["entry_lo"],
-            entry_hi=obj["entry_hi"],
-            star_matrix=mx.from_obj(ring, obj["H"]),
-            base=mx.from_obj(ring, obj["g"]),
         )
 
 
@@ -302,7 +301,7 @@ def random_tropical_params(
 
 
 @dataclass(frozen=True)
-class MakeParams:
+class MakeParams(_Params):
     kind = "make"
     prime: int
     size: int
@@ -314,12 +313,10 @@ class MakeParams:
         return IntegersMod(self.prime)
 
     def build(self) -> Platform:
+        self._check_sizes()
         if not is_prime(self.prime):
             raise ParameterError("additive platform needs a prime field")
         h1, h2, g = self.left_factor, self.right_factor, self.base
-        for m in (h1, h2, g):
-            if m.shape != (self.size, self.size):
-                raise ParameterError("matrix shape does not match declared size")
         for label, m in (("left", h1), ("right", h2)):
             if rank_mod(np.asarray(m.data), self.prime) == self.size:
                 raise ParameterError(f"{label} factor must be non-invertible")
@@ -331,27 +328,6 @@ class MakeParams:
             phi=TwoSidedPower(h1, h2),
             params=self,
             sampler=lambda rng: mx.random_matrix(rng, ring, self.size, self.size),
-        )
-
-    def to_obj(self) -> dict:
-        return {
-            "kind": self.kind,
-            "prime": self.prime,
-            "size": self.size,
-            "H1": self.left_factor.to_obj(),
-            "H2": self.right_factor.to_obj(),
-            "g": self.base.to_obj(),
-        }
-
-    @staticmethod
-    def from_obj(obj: dict) -> MakeParams:
-        ring = IntegersMod(obj["prime"])
-        return MakeParams(
-            prime=obj["prime"],
-            size=obj["size"],
-            left_factor=mx.from_obj(ring, obj["H1"]),
-            right_factor=mx.from_obj(ring, obj["H2"]),
-            base=mx.from_obj(ring, obj["g"]),
         )
 
 
@@ -380,7 +356,7 @@ def random_make_params(
 
 
 @dataclass(frozen=True)
-class MobsParams:
+class MobsParams(_Params):
     kind = "mobs"
     size: int
     bits: int
@@ -391,10 +367,9 @@ class MobsParams:
         return BitStrings(self.bits)
 
     def build(self) -> Platform:
+        self._check_sizes()
         if len(self.bit_permutation) != self.bits:
             raise ParameterError("permutation length differs from bit length")
-        if self.base.shape != (self.size, self.size):
-            raise ParameterError("base shape does not match declared size")
         # fixed points are allowed (the identity permutation is the
         # degenerate DH case); every nontrivial cycle must have prime length
         for cyc in self.bit_permutation.cycles():
@@ -408,25 +383,6 @@ class MobsParams:
             phi=PermutationPower(self.bit_permutation),
             params=self,
             sampler=lambda rng: mx.random_matrix(rng, ring, self.size, self.size),
-        )
-
-    def to_obj(self) -> dict:
-        return {
-            "kind": self.kind,
-            "size": self.size,
-            "bits": self.bits,
-            "permutation": list(self.bit_permutation),
-            "g": self.base.to_obj(),
-        }
-
-    @staticmethod
-    def from_obj(obj: dict) -> MobsParams:
-        ring = BitStrings(obj["bits"])
-        return MobsParams(
-            size=obj["size"],
-            bits=obj["bits"],
-            bit_permutation=Permutation(obj["permutation"]),
-            base=mx.from_obj(ring, obj["g"]),
         )
 
 
@@ -458,7 +414,7 @@ def random_mobs_params(
 
 
 @dataclass(frozen=True)
-class DhkeParams:
+class DhkeParams(_Params):
     kind = "dhke"
     size = 1  # values are 1x1 matrices over Z_p
     prime: int
@@ -468,6 +424,7 @@ class DhkeParams:
         return IntegersMod(self.prime)
 
     def build(self) -> Platform:
+        self._check_sizes()
         if not is_prime(self.prime):
             raise ParameterError("DH platform needs a prime modulus")
         if self.generator % self.prime == 0:
@@ -479,13 +436,6 @@ class DhkeParams:
             return mx.from_rows(ring, [[int(rng.integers(1, self.prime))]])
 
         return Platform(name="dhke", op_kind="mul", g=g, phi=IdentityEnd(), params=self, sampler=sample)
-
-    def to_obj(self) -> dict:
-        return {"kind": self.kind, "prime": self.prime, "generator": self.generator}
-
-    @staticmethod
-    def from_obj(obj: dict) -> DhkeParams:
-        return DhkeParams(prime=obj["prime"], generator=obj["generator"])
 
 
 def random_dhke_params(rng: np.random.Generator, prime: int = 2**31 - 1) -> DhkeParams:
@@ -520,16 +470,16 @@ _GENERATORS = {
 _INTEGER_FIELDS = ("size", "prime", "modulus", "bits", "entry_lo", "entry_hi", "generator")
 
 
-def _check_integers(fields: dict) -> None:
+def _check_integers(obj: dict) -> None:
     """Refuse an integer field from outside that holds another type, a size outside
     [1, MAX_SIZE] or a bit length past MAX_BITS."""
     for name in _INTEGER_FIELDS:
-        if name in fields and not _is_integer(fields[name]):
-            raise ParameterError(f"{name} must be an integer, got {fields[name]!r}")
-    if not 1 <= fields.get("size", 1) <= MAX_SIZE:
-        raise ParameterError(f"size must be an integer in [1, {MAX_SIZE}], got {fields['size']!r}")
-    if fields.get("bits", 1) > MAX_BITS:
-        raise ParameterError(f"bits must be at most {MAX_BITS}, got {fields['bits']!r}")
+        if name in obj and not _is_integer(obj[name]):
+            raise ParameterError(f"{name} must be an integer, got {obj[name]!r}")
+    if not 1 <= obj.get("size", 1) <= MAX_SIZE:
+        raise ParameterError(f"size must be an integer in [1, {MAX_SIZE}], got {obj['size']!r}")
+    if obj.get("bits", 1) > MAX_BITS:
+        raise ParameterError(f"bits must be at most {MAX_BITS}, got {obj['bits']!r}")
 
 
 def params_from_obj(obj: dict):

@@ -385,10 +385,18 @@ def _malformed_inputs(tmp_path):
     tropical_string = first_a_entry(tropical, "7")
     make = transcript("make", ["--platform", "make"])
     groupring = transcript("groupring", ["--platform", "groupring"])
+    tropical_whole = copy.deepcopy(tropical)
     tropical[0]["A"] = [row[:3] for row in tropical[0]["A"][:3]]
     gl_small_b = [dict(gl[0], B=[row[:2] for row in gl[0]["B"][:2]])]
     mobs28 = transcript("mobs28", ["--platform", "mobs"])
     seeded = ["exchange", "--out", str(tmp_path / "o.json"), "--params"]
+    binsearch = ["attack", "--method", "tropical-binsearch", "--x-max"]
+
+    def shrunk(records, key):
+        """The platform record of the first transcript with its matrix ``key`` cut to 2x2."""
+        platform = records[0]["platform"]
+        return dict(platform, **{key: [row[:2] for row in platform[key][:2]]})
+
     n = MAX_GROUP_ORDER + 1  # the Cayley table of the cyclic group of order n, one past the cap
     big_cyclic = {"order": n, "product": [[(i + j) % n for j in range(n)] for i in range(n)],
                   "identity": 0, "inverse": [-i % n for i in range(n)]}
@@ -447,6 +455,16 @@ def _malformed_inputs(tmp_path):
         "seeded-mobs-negative-cycle": (seeded, {"kind": "mobs", "seed": 1, "cycle_lengths": [-10**9, 10**9 + 5]}),
         "groupring-group-order-past-cap": (seeded, dict(groupring[0]["platform"], group=big_cyclic)),
         "trials-past-cap": (["exchange", "--platform", "gl", "--trials", str(MAX_TRIALS + 1), "--out"], {}),
+        # an explicit params matrix that is not size x size
+        "explicit-gl-2x2-H-on-3x3": (seeded, shrunk(gl, "H")),
+        "explicit-make-2x2-H1": (seeded, shrunk(make, "H1")),
+        "explicit-tropical-2x2-H": (seeded, shrunk(tropical, "H")),
+        "explicit-groupring-2x2-g": (seeded, shrunk(groupring, "g")),
+        "explicit-mobs-2x2-g": (seeded, shrunk(mobs28, "g")),
+        # a search bound outside [1, 2^63], refused before the transcript is read
+        "x-max-0": ([*binsearch, "0"], tropical_whole),
+        "x-max-negative": ([*binsearch, "-5"], tropical_whole),
+        "x-max-past-2^63": ([*binsearch, str(2**63 + 1)], tropical_whole),
     }
 
 
@@ -464,7 +482,9 @@ def _malformed_inputs(tmp_path):
         "seeded-float-seed", "seeded-bool-seed", "seeded-negative-seed", "seeded-seed-2^64",
         "seeded-gl-size-100000", "seeded-make-size-past-cap", "explicit-gl-size-100000", "mobs-bits-past-cap",
         "seeded-mobs-cycles-past-cap", "seeded-mobs-negative-cycle", "groupring-group-order-past-cap",
-        "trials-past-cap", "empty-transcript-file",
+        "trials-past-cap", "empty-transcript-file", "explicit-gl-2x2-H-on-3x3", "explicit-make-2x2-H1",
+        "explicit-tropical-2x2-H", "explicit-groupring-2x2-g", "explicit-mobs-2x2-g", "x-max-0",
+        "x-max-negative", "x-max-past-2^63",
     ],
 )
 def test_malformed_json_exits_2_with_one_line(tmp_path, capsys, case):

@@ -7,7 +7,7 @@ import pytest
 
 import sdpke.matrices as mx
 from sdpke.errors import ParameterError
-from sdpke.groups import load_group
+from sdpke.groups import FiniteGroupTable, cyclic_group, load_group
 from sdpke.holomorph import Platform, TwoSidedPower, sdp_exp, validate_platform
 from sdpke.permutations import Permutation
 from sdpke.platforms import (
@@ -296,16 +296,23 @@ def test_params_round_trip(gen, rng):
     assert again.build().g == params.build().g
 
 
-def test_groupring_params_with_inline_group_table(rng):
-    from sdpke.groups import cyclic_group
+def _relabelled_s3() -> FiniteGroupTable:
+    """S_3 with its elements renamed by a rotation of the indices, under the bundled name."""
+    new = np.roll(np.arange(S3.order), 1)  # new[i] is the index element i gets
+    product = np.empty_like(S3.product)
+    product[np.ix_(new, new)] = new[S3.product]
+    return FiniteGroupTable(product, name="s3")
 
-    c5 = cyclic_group(5)
-    ring = GroupRingScalars(c5, 7)
-    params = random_groupring_params(rng, group=c5, size=2)
-    obj = params.to_obj()
-    assert isinstance(obj["group"], dict)  # not a bundled name
-    again = params_from_obj(obj)
-    assert again.group == c5
+
+def test_groupring_params_with_inline_group_table(rng):
+    for table in (cyclic_group(5), _relabelled_s3()):
+        params = random_groupring_params(rng, group=table, size=2)
+        obj = params.to_obj()
+        assert isinstance(obj["group"], dict)  # not a bundled name
+        again = params_from_obj(obj)
+        assert again.group == table
+        assert again == params
+        assert again.build().g == params.build().g
 
 
 def test_unknown_kind_rejected():
