@@ -29,12 +29,12 @@ message recovery for the encryption scheme.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import matrices as mx
-from .errors import NotApplicableError, SizeCapError
+from .errors import NotApplicableError, ParameterError, SizeCapError
 # sdp_exp is not called here; the benchmark's tracer self-test checks that it is rebound in this module
 from .holomorph import (
     HolomorphPower,
@@ -53,6 +53,12 @@ from .semirings import IntegersMod
 MOBS_ENUMERATION_CAP = 1 << 24
 
 
+def check_x_max(x_max: int) -> None:
+    """Refuse a tropical search bound outside [1, 2^63]: exponents are drawn below 2^63."""
+    if not 1 <= x_max <= 1 << 63:
+        raise ParameterError(f"x-max must be in [1, 2^63], got {x_max}")
+
+
 @dataclass
 class WorkCounters:
     sequence_terms_generated: int = 0
@@ -62,7 +68,7 @@ class WorkCounters:
     solution_count: int = 0
 
     def to_obj(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))
 
 
 @dataclass
@@ -266,8 +272,9 @@ def tropical_binsearch_attack(transcript: Transcript, x_max: int = 1 << 20) -> A
     level down, so each probe is one holomorph product and n* = m + 1.
 
     The terms form a chain, so a probe incomparable with A proves that A is
-    no a_x, and the search stops there.
+    no a_x, and the search stops there.  ``check_x_max`` runs before any work.
     """
+    check_x_max(x_max)
     platform = transcript.build_platform()
     if platform.name != "tropical":
         raise NotApplicableError("binary-search exponent recovery applies to the tropical platform only")

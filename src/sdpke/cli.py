@@ -36,12 +36,13 @@ import functools
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import matrices as mx
 from .attacks import (
+    check_x_max,
     dimension_attack,
     make_telescoping_attack,
     mobs_solution_count,
@@ -77,7 +78,7 @@ class ReportRow:
         return f"{self.platform},{self.trial},{self.operation},{int(self.success)},{self.micros},{counters}"
 
     def to_obj(self) -> dict:
-        return {**asdict(self), "success": int(self.success)}
+        return {**vars(self), "success": int(self.success)}
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
@@ -200,8 +201,7 @@ def _run_attack(method: str, transcript: Transcript, x_max: int):
 
 
 def cmd_attack(args: argparse.Namespace) -> int:
-    if not 1 <= args.x_max <= 1 << 63:  # exponents are drawn below 2^63
-        raise ParameterError(f"x-max must be in [1, 2^63], got {args.x_max}")
+    check_x_max(args.x_max)
     rows = []
     for trial, transcript in enumerate(_load_transcripts(args.transcript)):
         t0 = time.perf_counter()

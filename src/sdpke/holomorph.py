@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ParameterError
-from .matrices import Matrix, identity, permute_bits
+from .matrices import Matrix, identity, permute_bits, random_matrix
 from .permutations import Permutation
 
 
@@ -197,7 +197,8 @@ class Platform:
     ``op_kind`` selects the carrier semigroup operation ("mul" for matrix
     product, "add" for entrywise semiring addition); ``phi`` is the public
     endomorphism at power one.  ``params`` points back at the serializable
-    parameter record that built this platform.
+    parameter record that built this platform.  Without a ``sampler``, a
+    random element is a random matrix of g's shape over g's ring.
     """
 
     name: str
@@ -212,7 +213,7 @@ class Platform:
 
     def random_element(self, rng: np.random.Generator) -> Matrix:
         if self.sampler is None:
-            raise ParameterError(f"platform {self.name} has no element sampler")
+            return random_matrix(rng, self.g.ring, *self.g.shape)
         return self.sampler(rng)
 
 

@@ -8,6 +8,8 @@ paths unchanged.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import ParameterError, SingularMatrixError
@@ -17,6 +19,7 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_PROVEN_BOUND = 318665857834031151167461
 
 
+@functools.lru_cache(maxsize=256)  # every inverse asks again about the same few moduli
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin with the primes 2..37 as witnesses.
 
@@ -109,9 +112,8 @@ def inverse_mod(a: np.ndarray, p: int) -> np.ndarray:
     """Inverse of a square matrix over Z_p; raises SingularMatrixError."""
     n = a.shape[0]
     if a.shape != (n, n):
-        raise ParameterError("inverse_mod: matrix must be square")
-    eye = np.eye(n, dtype=a.dtype)
-    aug = np.concatenate([np.asarray(a) % p, eye], axis=1)
+        raise ParameterError("only square matrices can be inverted")
+    aug = np.concatenate([a, np.eye(n, dtype=a.dtype)], axis=1)  # rref_mod reduces it mod p
     r, pivots = rref_mod(aug, p)
     if len(pivots) < n or pivots[:n] != list(range(n)):
         raise SingularMatrixError("matrix is singular mod %d" % p)

@@ -127,18 +127,26 @@ def random_matrix(rng: np.random.Generator, ring, rows: int, cols: int, **kw) ->
 
 
 def inverse(m: Matrix) -> Matrix:
-    """Inverse of a square matrix over Z_p, p prime.
+    """Inverse of a square matrix over Z_p or Z_p[G], p prime.
 
-    Raises SingularMatrixError when no inverse exists and ParameterError for
-    composite moduli (Gaussian elimination needs a field).
+    Over Z_p[G] H -> R, its regular matrix (``GroupRingScalars.regular``), is
+    an injective algebra map, and a unit's inverse in a finite-dimensional
+    algebra is a polynomial in it; so R^-1 is the regular matrix of the
+    two-sided H^-1, whose entry (i, k) is the identity column of block (i, k)
+    of R^-1.  Raises SingularMatrixError when no inverse exists and
+    ParameterError for other entries, a non-square matrix or a composite
+    modulus.
     """
-    if not isinstance(m.ring, IntegersMod):
-        raise ParameterError("matrix inverse is defined over Z_p entries only")
-    if m.rows != m.cols:
-        raise ParameterError("only square matrices can be inverted")
-    if not linalg.is_prime(m.ring.modulus):
-        raise ParameterError(f"modulus {m.ring.modulus} is not prime")
-    return Matrix(m.ring, linalg.inverse_mod(m.data, m.ring.modulus))
+    ring = m.ring
+    if not ring.linear:
+        raise ParameterError(f"matrix inverse needs Z_p or Z_p[G] entries, got {ring!r}")
+    if not linalg.is_prime(ring.modulus):
+        raise ParameterError(f"modulus {ring.modulus} is not prime")
+    if isinstance(ring, IntegersMod):
+        return Matrix(ring, linalg.inverse_mod(m.data, ring.modulus))
+    r, n = m.rows, ring.group.order
+    blocks = linalg.inverse_mod(ring.regular(m.data), ring.modulus).reshape(r, n, r, n)
+    return Matrix(ring, np.ascontiguousarray(blocks[:, :, :, ring.group.identity].transpose(0, 2, 1)))
 
 
 def try_inverse(m: Matrix) -> Matrix | None:

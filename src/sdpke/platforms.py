@@ -7,9 +7,11 @@ its name, except that the matrices are ``H`` (conjugator or star matrix),
 ``H1``/``H2`` (the two factors) and ``g`` (base), and the bit permutation is
 ``permutation``.  A matrix is its nested entries, a permutation its image
 list, and a group its bundled name (c2, s3, a4, a5) or its full table.
-Every matrix must be size x size.  ``build()`` runs no sampled law check: for
-every input it accepts, the operation is associative and phi respects it by
-theorem; the test suite samples both laws with ``validate_platform``.
+Every matrix must be size x size.  GL(r, p) and the group ring share one
+build: phi is conjugation by an invertible H.  ``build()`` runs no sampled
+law check: for every input it accepts, the operation is associative and phi
+respects it by theorem; the test suite samples both laws with
+``validate_platform``.
 ``random_*_params`` generators draw fresh parameters from an rng at the
 desk-scale default sizes.
 
@@ -29,7 +31,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import matrices as mx
-from .errors import ParameterError, SingularMatrixError
+from .errors import ParameterError
 from .groups import BUNDLED_GROUPS, FiniteGroupTable, load_group
 from .holomorph import (
     ConjugatorPower,
@@ -39,7 +41,7 @@ from .holomorph import (
     TropicalStarPower,
     TwoSidedPower,
 )
-from .linalg import inverse_mod, is_prime, rank_mod
+from .linalg import is_prime
 from .matrices import Matrix
 from .permutations import Permutation
 from .semirings import BitStrings, GroupRingScalars, IntegersMod, TropicalIntegers, _is_integer
@@ -114,29 +116,26 @@ class _Params:
 
 
 # ---------------------------------------------------------------------------
-# matrices over group rings, automorphism = conjugation
+# matrices over group rings or over Z_p, automorphism = conjugation
 
 
-def groupring_inverse(h: Matrix) -> Matrix:
-    """Two-sided inverse of a square matrix over Z_p[G], p prime.
+def _conjugation_platform(params: GroupRingParams | GLParams) -> Platform:
+    """phi(X) = H^-1 X H for an invertible ``conjugator`` H that does not commute with ``base``."""
+    params._check_sizes()
+    h, g = params.conjugator, params.base
+    h_inv = mx.try_inverse(h)
+    if h_inv is None:
+        raise ParameterError("conjugator is singular")
+    if h @ g == g @ h:
+        raise ParameterError("base commutes with the conjugator; degenerate instance")
+    return Platform(name=params.kind, op_kind="mul", g=g, phi=ConjugatorPower(h, h_inv), params=params)
 
-    The left-regular representation is an injective algebra map, so H is
-    invertible exactly when its regular matrix R is, and then R^-1 is the
-    regular matrix of H^-1: entry (i, k) of H^-1 is the identity column of
-    block (i, k) of R^-1.  The two-sided check runs before returning.
-    """
-    ring = h.ring
-    if not isinstance(ring, GroupRingScalars) or h.rows != h.cols:
-        raise ParameterError("group ring inverse needs a square group ring matrix")
-    if not is_prime(ring.modulus):
-        raise ParameterError("group ring inverse needs a prime modulus")
-    r, n = h.rows, ring.group.order
-    blocks = inverse_mod(ring.regular(h.data), ring.modulus).reshape(r, n, r, n)
-    inv = Matrix(ring, np.ascontiguousarray(blocks[:, :, :, ring.group.identity].transpose(0, 2, 1)))
-    ident = mx.identity(ring, r)
-    if h @ inv != ident or inv @ h != ident:
-        raise SingularMatrixError("inverse verification failed")
-    return inv
+
+def _random_invertible(rng: np.random.Generator, ring, size: int) -> Matrix:
+    while True:
+        m = mx.random_matrix(rng, ring, size, size)
+        if mx.try_inverse(m) is not None:
+            return m
 
 
 @dataclass(frozen=True)
@@ -152,25 +151,7 @@ class GroupRingParams(_Params):
         return GroupRingScalars(self.group, self.modulus)
 
     def build(self) -> Platform:
-        self._check_sizes()
-        if not is_prime(self.modulus):
-            raise ParameterError("group ring platform needs a prime coefficient modulus")
-        h, g = self.conjugator, self.base
-        try:
-            h_inv = groupring_inverse(h)
-        except SingularMatrixError as exc:
-            raise ParameterError(f"conjugator is singular: {exc}") from exc
-        if h @ g == g @ h:
-            raise ParameterError("base commutes with the conjugator; degenerate instance")
-        ring = self.ring()
-        return Platform(
-            name="groupring",
-            op_kind="mul",
-            g=g,
-            phi=ConjugatorPower(h, h_inv),
-            params=self,
-            sampler=lambda rng: mx.random_matrix(rng, ring, self.size, self.size),
-        )
+        return _conjugation_platform(self)
 
 
 def random_groupring_params(
@@ -183,23 +164,15 @@ def random_groupring_params(
     if size == 1 and np.array_equal(table.product, table.product.T):
         raise ParameterError(f"{table.name} is abelian, so 1x1 matrices over its group ring all commute")
     ring = GroupRingScalars(table, modulus)
-    if not is_prime(modulus):
-        raise ParameterError("group ring inverse needs a prime modulus")
-    # H is invertible exactly when its left-regular block is (see groupring_inverse)
-    while True:
-        h = mx.random_matrix(rng, ring, size, size)
-        if rank_mod(ring.regular(h.data), modulus) == size * table.order:
-            break
+    h = _random_invertible(rng, ring, size)
     while True:
         g = mx.random_matrix(rng, ring, size, size)
         if h @ g != g @ h:
-            break
-    return GroupRingParams(modulus=modulus, group=table, size=size, conjugator=h, base=g)
+            return GroupRingParams(modulus=modulus, group=table, size=size, conjugator=h, base=g)
 
 
 # ---------------------------------------------------------------------------
-# GL(r, p), automorphism = conjugation (the invertible variant used by the
-# public-key encryption scheme)
+# GL(r, p), the invertible variant used by the public-key encryption scheme
 
 
 @dataclass(frozen=True)
@@ -214,46 +187,21 @@ class GLParams(_Params):
         return IntegersMod(self.prime)
 
     def build(self) -> Platform:
-        self._check_sizes()
-        if not is_prime(self.prime):
-            raise ParameterError("GL platform needs a prime field")
-        h, g = self.conjugator, self.base
-        try:
-            h_inv = mx.inverse(h)
-        except SingularMatrixError as exc:
-            raise ParameterError("conjugator is singular") from exc
-        if mx.try_inverse(g) is None:
+        platform = _conjugation_platform(self)
+        if mx.try_inverse(self.base) is None:
             raise ParameterError("base element must be invertible")
-        if h @ g == g @ h:
-            raise ParameterError("base commutes with the conjugator; degenerate instance")
-        ring = self.ring()
-        return Platform(
-            name="gl",
-            op_kind="mul",
-            g=g,
-            phi=ConjugatorPower(h, h_inv),
-            params=self,
-            sampler=lambda rng: mx.random_matrix(rng, ring, self.size, self.size),
-        )
+        return platform
 
 
 def random_gl_params(rng: np.random.Generator, prime: int = 1009, size: int = 3) -> GLParams:
     if size < 2:
         raise ParameterError("gl size must be >= 2: GL(1, p) is commutative")
     ring = IntegersMod(prime)
-
-    def invertible() -> Matrix:
-        while True:
-            m = mx.random_matrix(rng, ring, size, size)
-            if mx.try_inverse(m) is not None:
-                return m
-
-    h = invertible()
+    h = _random_invertible(rng, ring, size)
     while True:
-        g = invertible()
+        g = _random_invertible(rng, ring, size)
         if h @ g != g @ h:
-            break
-    return GLParams(prime=prime, size=size, conjugator=h, base=g)
+            return GLParams(prime=prime, size=size, conjugator=h, base=g)
 
 
 # ---------------------------------------------------------------------------
@@ -314,31 +262,18 @@ class MakeParams(_Params):
 
     def build(self) -> Platform:
         self._check_sizes()
-        if not is_prime(self.prime):
-            raise ParameterError("additive platform needs a prime field")
-        h1, h2, g = self.left_factor, self.right_factor, self.base
+        h1, h2 = self.left_factor, self.right_factor
         for label, m in (("left", h1), ("right", h2)):
-            if rank_mod(np.asarray(m.data), self.prime) == self.size:
+            if mx.try_inverse(m) is not None:  # raises on a composite modulus
                 raise ParameterError(f"{label} factor must be non-invertible")
-        ring = self.ring()
-        return Platform(
-            name="make",
-            op_kind="add",
-            g=g,
-            phi=TwoSidedPower(h1, h2),
-            params=self,
-            sampler=lambda rng: mx.random_matrix(rng, ring, self.size, self.size),
-        )
+        return Platform(name="make", op_kind="add", g=self.base, phi=TwoSidedPower(h1, h2), params=self)
 
 
 def _random_singular(rng: np.random.Generator, ring: IntegersMod, n: int) -> Matrix:
-    # a rank-deficient product has a zero eigenvalue by construction
-    while True:
-        u = mx.random_matrix(rng, ring, n, max(n - 1, 1))
-        v = mx.random_matrix(rng, ring, max(n - 1, 1), n)
-        m = u @ v if n > 1 else mx.from_rows(ring, [[0]])
-        if rank_mod(np.asarray(m.data), ring.modulus) < n:
-            return m
+    # an n x (n-1) by (n-1) x n product has rank at most n - 1, so it is singular
+    u = mx.random_matrix(rng, ring, n, max(n - 1, 1))
+    v = mx.random_matrix(rng, ring, max(n - 1, 1), n)
+    return u @ v if n > 1 else mx.from_rows(ring, [[0]])
 
 
 def random_make_params(
@@ -375,15 +310,8 @@ class MobsParams(_Params):
         for cyc in self.bit_permutation.cycles():
             if len(cyc) > 1 and not is_prime(len(cyc)):
                 raise ParameterError(f"cycle length {len(cyc)} is not prime")
-        ring = self.ring()
-        return Platform(
-            name="mobs",
-            op_kind="mul",
-            g=self.base,
-            phi=PermutationPower(self.bit_permutation),
-            params=self,
-            sampler=lambda rng: mx.random_matrix(rng, ring, self.size, self.size),
-        )
+        phi = PermutationPower(self.bit_permutation)
+        return Platform(name="mobs", op_kind="mul", g=self.base, phi=phi, params=self)
 
 
 def cycle_permutation(cycle_lengths: Sequence[int]) -> Permutation:

@@ -14,7 +14,6 @@ from sdpke.groups import BUNDLED_GROUPS, cyclic_group, load_group
 from sdpke.linalg import is_prime, rank_mod, rref_mod
 from sdpke.matrices import Matrix
 from sdpke.permutations import Permutation
-from sdpke.platforms import groupring_inverse
 from sdpke.semirings import (
     TROP_INF,
     BitString,
@@ -345,6 +344,27 @@ def test_singular_and_composite_rejected():
         mx.inverse(mx.identity(z6, 2))
 
 
+@pytest.mark.parametrize(
+    "m, message",
+    [
+        (mx.identity(TropicalIntegers(), 2), "Z_p or Z_p\\[G\\]"),
+        (mx.identity(BitStrings(4), 2), "Z_p or Z_p\\[G\\]"),
+        (mx.identity(GroupRingScalars(S3, 6), 2), "not prime"),
+    ],
+    ids=["tropical", "bitstrings", "groupring-mod-6"],
+)
+def test_inverse_refuses_entries_without_a_prime_field(m, message):
+    with pytest.raises(ParameterError, match=message):
+        mx.inverse(m)
+
+
+def test_try_inverse_is_none_on_a_singular_groupring_element():
+    # (1 + g)(1 - g) = 0 in Z_7[C_2], so 1 + g is a zero divisor
+    ring = GroupRingScalars(C2, 7)
+    h = mx.from_rows(ring, [[GroupRingElement(C2, 7, [1, 1])]])
+    assert mx.try_inverse(h) is None
+
+
 def rref_oracle(a, p: int):
     """Gauss-Jordan over Python ints, every row operation on whole rows."""
     r = [[int(x) % p for x in row] for row in a]
@@ -413,9 +433,9 @@ def test_groupring_inverse_is_two_sided(group, modulus, n, seed):
     ]
     if rank_mod(np.stack(columns, axis=1), modulus) < dim:
         with pytest.raises(SingularMatrixError):
-            groupring_inverse(h)
+            mx.inverse(h)
         return
-    inv = groupring_inverse(h)
+    inv = mx.inverse(h)
     eye = mx.identity(ring, n)
     assert matmul_oracle(h, inv) == eye
     assert matmul_oracle(inv, h) == eye
@@ -440,9 +460,9 @@ def test_groupring_inverse_over_c2_singular_exactly_at_zero_norm(element):
     h = mx.from_rows(ring, [[GroupRingElement(C2, p, [a0, a1])]])
     if (a0 + a1) * (a0 - a1) % p == 0:
         with pytest.raises(SingularMatrixError):
-            groupring_inverse(h)
+            mx.inverse(h)
     else:
-        inv = groupring_inverse(h)
+        inv = mx.inverse(h)
         assert matmul_oracle(h, inv) == matmul_oracle(inv, h) == mx.identity(ring, 1)
 
 

@@ -21,7 +21,7 @@ from sdpke.attacks import (
     _build_l_matrix,
     _power_list,
 )
-from sdpke.errors import NotApplicableError, SizeCapError
+from sdpke.errors import NotApplicableError, ParameterError, SizeCapError
 from sdpke.holomorph import sdp_exp, sequence_iter, telescoping_residual
 from sdpke.linalg import EchelonSpan, rank_mod, solve_mod
 from sdpke.permutations import Permutation
@@ -315,6 +315,15 @@ def test_tropical_bounded_search_failure(rng, transcript_with_exponents):
     assert not out.success
     assert out.recovered_key is None
     assert "admissible" in out.detail
+
+
+@pytest.mark.parametrize("x_max", [0, -5, (1 << 63) + 1])
+def test_tropical_bound_outside_range_rejected(rng, transcript_with_exponents, x_max):
+    p = random_tropical_params(rng).build()
+    t = transcript_with_exponents(p, 5000, 9)
+    with pytest.raises(ParameterError, match=r"x-max must be in \[1, 2\^63\]"):
+        tropical_binsearch_attack(t, x_max=x_max)
+    assert tropical_binsearch_attack(t, x_max=1 << 63).success
 
 
 def test_tropical_incomparable_value_fails_after_one_probe(rng):

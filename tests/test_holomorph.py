@@ -12,6 +12,7 @@ import sdpke.matrices as mx
 from sdpke.errors import ParameterError
 from sdpke.holomorph import (
     HolomorphPower,
+    IdentityEnd,
     IteratedStarPower,
     Platform,
     TropicalStarPower,
@@ -26,7 +27,7 @@ from sdpke.holomorph import (
     telescoping_residual,
 )
 from sdpke.matrices import Matrix
-from sdpke.platforms import DhkeParams, groupring_inverse
+from sdpke.platforms import DhkeParams
 from sdpke.semirings import IntegersMod, TropicalIntegers
 
 from conftest import PLATFORM_GENERATORS, linear_platform
@@ -45,6 +46,15 @@ def make_1x1_additive_platform():
         phi=TwoSidedPower(mx.from_rows(ring, [[2]]), mx.from_rows(ring, [[4]])),
         sampler=lambda rng: mx.random_matrix(rng, ring, 1, 1),
     )
+
+
+def test_platform_without_sampler_draws_g_shaped_matrices_over_g_ring(rng):
+    ring = IntegersMod(1009)
+    g = mx.random_matrix(rng, ring, 2, 3)
+    platform = Platform(name="sample", op_kind="add", g=g, phi=IdentityEnd())
+    x = platform.random_element(np.random.default_rng(5))
+    assert x.ring == ring and x.shape == (2, 3)
+    assert x == mx.random_matrix(np.random.default_rng(5), ring, 2, 3)
 
 
 def test_exp_base_case(rng, fresh_platform):
@@ -220,7 +230,7 @@ def test_conjugation_closed_form(rng, fresh_platform):
         p = fresh_platform(kind, rng)
         params = p.params
         h, m = params.conjugator, params.base
-        h_inv = mx.inverse(h) if kind == "gl" else groupring_inverse(h)
+        h_inv = mx.inverse(h)
         hm_pow = h @ m
         h_inv_pow = h_inv
         for n in range(1, 33):

@@ -90,12 +90,10 @@ def test_groupring_composite_modulus_rejected(rng):
 
 @pytest.mark.parametrize("gen", [random_groupring_params, random_gl_params], ids=["groupring", "gl"])
 def test_conjugation_power_rep_matches_explicit_powers(gen, rng):
-    from sdpke.platforms import groupring_inverse
-
     params = gen(rng)
     p = params.build()
     h = params.conjugator
-    h_inv = mx.inverse(h) if params.kind == "gl" else groupring_inverse(h)
+    h_inv = mx.inverse(h)
     h_x, h_inv_x = h, h_inv
     for x in range(1, 65):
         assert p.phi.power(x)(p.g) == h_inv_x @ p.g @ h_x
@@ -181,6 +179,14 @@ def test_make_matches_summation_oracle(rng):
         assert sdp_exp(p, n).value == acc
         acc = acc + (h1_i @ m @ h2_i)
         h1_i, h2_i = h1_i @ h1, h2_i @ h2
+
+
+def test_make_composite_modulus_rejected():
+    ring = IntegersMod(6)
+    zero = mx.zeros(ring, 3, 3)
+    params = MakeParams(prime=6, size=3, left_factor=zero, right_factor=zero, base=zero)
+    with pytest.raises(ParameterError, match="not prime"):
+        params.build()
 
 
 def test_make_invertible_factor_rejected(rng):
