@@ -8,36 +8,45 @@ public element g, and an endomorphism phi of that operation.  Pairs
 of the chain levels at the set bits of n, and ``sdp_exp_naive`` is the
 sequential reference oracle for it.  ``sequence_block`` lifts over the
 chain to make a whole prefix of the sequence a_(n+1) = phi(a_n) ∘ g, from
-several starts at once, in batched products.
+several starts at once, in batched products on every carrier.
 
 Endomorphism powers are represented in closed form per platform (cached
 two-sided factor powers, of which conjugation is one case; star powers,
 exact because the star product is associative; permutation powers), so
-applying phi^n costs O(1) matrix operations after an O(log n) setup.
+applying phi^n costs O(1) matrix operations after an O(log n) setup.  Each
+has one action, ``act``, on packed entries with leading stack axes.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .errors import ParameterError
-from .matrices import Matrix, identity, permute_bits, random_matrix
+from .matrices import Matrix, random_matrix
 from .permutations import Permutation
 
 
 class Endomorphism:
     """Base for the per-platform representations of phi^n."""
 
-    def __call__(self, x: Matrix) -> Matrix:
+    def act(self, data: np.ndarray) -> np.ndarray:
+        """phi^n on the packed entries of one matrix or, along leading axes, a stack of them."""
         raise NotImplementedError
 
+    def __call__(self, x: Matrix) -> Matrix:
+        return Matrix(x.ring, self.act(x.data))
+
     def compose(self, other: Endomorphism) -> Endomorphism:
-        """self after other; for powers of one phi this is phi^(m+n)."""
-        raise NotImplementedError
+        """self after other; for powers of one phi this is phi^(m+n).  Past the identity,
+        each representation composes (``_compose``) only with its own kind."""
+        if isinstance(other, IdentityEnd):
+            return self
+        if not (isinstance(other, type(self)) or isinstance(self, type(other))):
+            raise ParameterError("cannot compose endomorphisms of different platforms")
+        return self._compose(other)
 
     def power(self, n: int) -> Endomorphism:
         """n-fold self-composition by square-and-multiply; power(0) is the identity."""
@@ -58,14 +67,11 @@ class Endomorphism:
 class IdentityEnd(Endomorphism):
     """The identity automorphism; degenerates the exchange to plain DH."""
 
-    def __call__(self, x: Matrix) -> Matrix:
-        return x
+    def act(self, data: np.ndarray) -> np.ndarray:
+        return data
 
     def compose(self, other: Endomorphism) -> Endomorphism:
         return other
-
-    def power(self, n: int) -> Endomorphism:
-        return self
 
     def __eq__(self, other):
         return isinstance(other, IdentityEnd)
@@ -78,14 +84,11 @@ class TwoSidedPower(Endomorphism):
         self.left_pow = left_pow
         self.right_pow = right_pow
 
-    def __call__(self, x: Matrix) -> Matrix:
-        return self.left_pow @ x @ self.right_pow
+    def act(self, data: np.ndarray) -> np.ndarray:
+        ring = self.left_pow.ring
+        return ring.matmul(ring.matmul(self.left_pow.data, data), self.right_pow.data)
 
-    def compose(self, other: Endomorphism) -> Endomorphism:
-        if isinstance(other, IdentityEnd):
-            return self
-        if not isinstance(other, TwoSidedPower):
-            raise ParameterError("cannot compose endomorphisms of different platforms")
+    def _compose(self, other: TwoSidedPower) -> Endomorphism:
         return TwoSidedPower(self.left_pow @ other.left_pow, self.right_pow @ other.right_pow)
 
     def __eq__(self, other):
@@ -114,14 +117,12 @@ class TropicalStarPower(Endomorphism):
     def __init__(self, star_pow: Matrix):
         self.star_pow = star_pow
 
-    def __call__(self, x: Matrix) -> Matrix:
-        return x.star(self.star_pow)
+    def act(self, data: np.ndarray) -> np.ndarray:
+        """X ⋆ S = X ⊕ S ⊕ X⊗S."""
+        ring, s = self.star_pow.ring, self.star_pow.data
+        return ring.add(ring.add(data, s), ring.matmul(data, s))
 
-    def compose(self, other: Endomorphism) -> Endomorphism:
-        if isinstance(other, IdentityEnd):
-            return self
-        if not isinstance(other, TropicalStarPower):
-            raise ParameterError("cannot compose endomorphisms of different platforms")
+    def _compose(self, other: TropicalStarPower) -> Endomorphism:
         # self after other: (G ⋆ S_other) ⋆ S_self = G ⋆ (S_other ⋆ S_self)
         return TropicalStarPower(other.star_pow.star(self.star_pow))
 
@@ -138,16 +139,15 @@ class IteratedStarPower(Endomorphism):
         self.base = base
         self.n = n
 
-    def __call__(self, x: Matrix) -> Matrix:
+    def act(self, data: np.ndarray) -> np.ndarray:
+        step = TropicalStarPower(self.base)
         for _ in range(self.n):
-            x = x.star(self.base)
-        return x
+            data = step.act(data)
+        return data
 
-    def compose(self, other: Endomorphism) -> Endomorphism:
-        if isinstance(other, IdentityEnd):
-            return self
-        if not isinstance(other, IteratedStarPower) or other.base != self.base:
-            raise ParameterError("cannot compose endomorphisms of different platforms")
+    def _compose(self, other: IteratedStarPower) -> Endomorphism:
+        if other.base != self.base:
+            raise ParameterError("cannot compose star powers of different matrices")
         return IteratedStarPower(self.base, self.n + other.n)
 
     def __eq__(self, other):
@@ -159,19 +159,15 @@ class IteratedStarPower(Endomorphism):
 
 
 class PermutationPower(Endomorphism):
-    """phi^n permutes the bit positions of every entry by perm^n."""
+    """phi^n permutes the bit positions of every entry by perm^n: bit i of the image is bit perm[i]."""
 
     def __init__(self, perm: Permutation):
         self.perm = perm
 
-    def __call__(self, x: Matrix) -> Matrix:
-        return permute_bits(x, self.perm)
+    def act(self, data: np.ndarray) -> np.ndarray:
+        return data[..., list(self.perm)]
 
-    def compose(self, other: Endomorphism) -> Endomorphism:
-        if isinstance(other, IdentityEnd):
-            return self
-        if not isinstance(other, PermutationPower):
-            raise ParameterError("cannot compose endomorphisms of different platforms")
+    def _compose(self, other: PermutationPower) -> Endomorphism:
         # entry action is contravariant: self-after-other reindexes by other*self
         return PermutationPower(other.perm * self.perm)
 
@@ -182,12 +178,6 @@ class PermutationPower(Endomorphism):
 
     def __eq__(self, other):
         return isinstance(other, PermutationPower) and self.perm == other.perm
-
-
-_OPS: dict[str, Callable[[Matrix, Matrix], Matrix]] = {
-    "mul": operator.matmul,
-    "add": operator.add,
-}
 
 
 @dataclass(frozen=True)
@@ -209,7 +199,7 @@ class Platform:
     sampler: Callable[[np.random.Generator], Matrix] | None = field(default=None, repr=False)
 
     def op(self, a: Matrix, b: Matrix) -> Matrix:
-        return _OPS[self.op_kind](a, b)
+        return a @ b if self.op_kind == "mul" else a + b
 
     def random_element(self, rng: np.random.Generator) -> Matrix:
         if self.sampler is None:
@@ -287,35 +277,20 @@ def sequence_block(platform: Platform, starts: list[Matrix], count: int) -> np.n
 
     Every such sequence satisfies x_(i+m) = phi^m(x_i) ∘ a_m, so each level
     (a_m, phi^m) of the doubling chain extends all the prefixes from m terms
-    to 2m at once: O(log count) levels instead of one carrier step per term.
-    phi must be two-sided, phi^m(X) = L X R (or the identity), and then a
-    level is two products on stacked terms: L @ [X_1 | ... | X_q], then
-    [L X_1; ...; L X_q] @ (R a_m) (on the additive carrier @ R, then + a_m).
-    The result has shape (len(starts), count) + the packed shape of g.
+    to 2m at once: phi^m acts on the stack of prefixes, and the carrier
+    operation with a_m follows, O(log count) levels instead of one carrier
+    step per term.  The result has shape (len(starts), count) + the packed
+    shape of g.
     """
-    g = platform.g
-    ring, (rows, cols), entry = g.ring, g.shape, g.data.shape[2:]
+    ring = platform.g.ring
+    kernel = ring.matmul if platform.op_kind == "mul" else ring.add
     block = np.stack([x.data for x in starts])[:, None]
     for level in doubling_chain(platform, count):
         m = level.exponent
         if m >= count:  # count 1: the chain still holds (g, phi), and nothing is left to make
             break
-        x = block[:, : min(m, count - m)]
-        q = x.shape[0] * x.shape[1]
-        if isinstance(level.end, TwoSidedPower):
-            left, right = level.end.left_pow, level.end.right_pow
-        elif isinstance(level.end, IdentityEnd):
-            left, right = identity(ring, rows), identity(ring, cols)
-        else:
-            raise ParameterError(f"{platform.name}: the sequence block needs a two-sided phi")
-        wide = left @ Matrix(ring, np.moveaxis(x, 2, 0).reshape(rows, q * cols, *entry))
-        wide = np.moveaxis(wide.data.reshape(rows, q, cols, *entry), 0, 1)
-        tall = Matrix(ring, wide.reshape(q * rows, cols, *entry))
-        if platform.op_kind == "mul":
-            new = (tall @ (right @ level.value)).data
-        else:
-            new = ring.add((tall @ right).data.reshape(q, rows, cols, *entry), level.value.data)
-        block = np.concatenate([block, new.reshape(x.shape)], axis=1)
+        new = kernel(level.end.act(block[:, : min(m, count - m)]), level.value.data)
+        block = np.concatenate([block, new], axis=1)
     return block
 
 

@@ -186,5 +186,7 @@ def permute_bits(m: Matrix, perm: Permutation) -> Matrix:
     """
     if not isinstance(m.ring, BitStrings):
         raise ParameterError("bit permutation applies to bitstring matrices only")
-    return Matrix(m.ring, m.ring.permute_bits(m.data, perm))
+    if len(perm) != m.ring.length:
+        raise ParameterError("permutation length differs from bit length")
+    return Matrix(m.ring, m.data[..., list(perm)])
 

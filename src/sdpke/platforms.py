@@ -131,10 +131,23 @@ def _conjugation_platform(params: GroupRingParams | GLParams) -> Platform:
     return Platform(name=params.kind, op_kind="mul", g=g, phi=ConjugatorPower(h, h_inv), params=params)
 
 
-def _random_invertible(rng: np.random.Generator, ring, size: int) -> Matrix:
+def _is_central(h: Matrix) -> bool:
+    """Whether h commutes with every matrix of its size: with each unit matrix E_ij and, over
+    Z_m[G], with each group element times the identity, which generate them all as a ring."""
+    ring, n = h.ring, h.rows
+    probes = np.multiply.outer(np.eye(n * n, dtype=ring.dtype).reshape(-1, n, n), ring.identity(1)[0, 0])
+    if isinstance(ring, GroupRingScalars):
+        elements = np.multiply.outer(np.eye(ring.group.order, dtype=np.int64), np.eye(n, dtype=np.int64))
+        probes = np.concatenate([probes, elements.transpose(0, 2, 3, 1)])
+    return np.array_equal(ring.matmul(h.data, probes), ring.matmul(probes, h.data))
+
+
+def _random_noncentral_unit(rng: np.random.Generator, ring, size: int) -> Matrix:
+    """A random invertible matrix that is not central: no base can be drawn for a central H, and a
+    central GL base commutes with H.  ``_is_central`` draws nothing, so other draws are unchanged."""
     while True:
         m = mx.random_matrix(rng, ring, size, size)
-        if mx.try_inverse(m) is not None:
+        if mx.try_inverse(m) is not None and not _is_central(m):
             return m
 
 
@@ -164,7 +177,7 @@ def random_groupring_params(
     if size == 1 and np.array_equal(table.product, table.product.T):
         raise ParameterError(f"{table.name} is abelian, so 1x1 matrices over its group ring all commute")
     ring = GroupRingScalars(table, modulus)
-    h = _random_invertible(rng, ring, size)
+    h = _random_noncentral_unit(rng, ring, size)
     while True:
         g = mx.random_matrix(rng, ring, size, size)
         if h @ g != g @ h:
@@ -197,9 +210,9 @@ def random_gl_params(rng: np.random.Generator, prime: int = 1009, size: int = 3)
     if size < 2:
         raise ParameterError("gl size must be >= 2: GL(1, p) is commutative")
     ring = IntegersMod(prime)
-    h = _random_invertible(rng, ring, size)
+    h = _random_noncentral_unit(rng, ring, size)
     while True:
-        g = _random_invertible(rng, ring, size)
+        g = _random_noncentral_unit(rng, ring, size)
         if h @ g != g @ h:
             return GLParams(prime=prime, size=size, conjugator=h, base=g)
 

@@ -197,5 +197,4 @@ def mr_encrypt(
 def mr_decrypt(platform: Platform, exponent: int, public_key: Matrix, ct: Ciphertext) -> Matrix:
     """Recompute the blinding factor K = phi^n(c1) a and return K^-1 c2."""
     _require_invertible_carrier(platform)
-    k = platform.op(platform.phi.power(exponent)(ct.c1), public_key)
-    return mx.inverse(k) @ ct.c2
+    return mx.inverse(derive_key(platform, exponent, ct.c1, public_key)) @ ct.c2

@@ -12,6 +12,10 @@ inverses, a Z_m scalar action, coordinates for linear algebra), and
 tropical scalars, ``(|G|,)`` coefficients for group ring entries and
 ``(k,)`` bools for k-bit strings.
 
+The kernels broadcast over leading stack axes in front of (rows, cols) +
+entry_shape, so one call multiplies or adds a stack of matrices and one
+matrix; the group ring product takes a stack on one side only.
+
 Packed arrays are canonical: of dtype ``dtype``, Z_m values in [0, m),
 tropical entries Python ints or ``TROP_INF``.  Only the kernels and the
 parsers (``pack``, ``from_obj``, ``random``) make them, and ``Matrix``
@@ -309,7 +313,7 @@ class IntegersMod:
         return (a - b) % self.modulus
 
     def matmul(self, a, b):
-        if a.shape[1] > self._int64_inner_max:
+        if a.shape[-1] > self._int64_inner_max:
             # exact over Python ints; the reduced product fits self.dtype again
             prod = (a.astype(object, copy=False) @ b.astype(object, copy=False)) % self.modulus
             return prod.astype(self.dtype, copy=False)
@@ -395,6 +399,16 @@ class GroupRingScalars:
         return blocks.transpose(0, 2, 1, 3).reshape(rows * n, cols * n)
 
     def matmul(self, a, b):
+        if a.ndim > 3:  # a stacked left factor: its stack becomes rows of one product
+            if b.ndim > 3:
+                raise ParameterError("a group ring product takes a stack on one side only")
+            rows, k, n = a.shape[-3:]
+            return self.matmul(a.reshape(-1, k, n), b).reshape(*a.shape[:-3], rows, b.shape[1], n)
+        if b.ndim > 3:  # a stacked right factor: its stack becomes columns of one product
+            k, cols, n = b.shape[-3:]
+            wide = np.moveaxis(b.reshape(-1, k, cols, n), 0, 1).reshape(k, -1, n)
+            prod = self.matmul(a, wide).reshape(a.shape[0], -1, cols, n)
+            return np.moveaxis(prod, 1, 0).reshape(*b.shape[:-3], a.shape[0], cols, n)
         rows, (k, cols, n) = a.shape[0], b.shape
         if cols < rows:
             # blocks[k, g, j, c] = b[k, j, g^-1 * c]: the matrix of X -> X @ b on X's rows,
@@ -456,7 +470,7 @@ class TropicalIntegers:
         return np.minimum(a, b)
 
     def matmul(self, a, b):
-        return (a[:, :, None] + b[None, :, :]).min(axis=1)
+        return (a[..., :, :, None] + b[..., None, :, :]).min(axis=-2)
 
     def entry(self, data, i: int, j: int) -> TropicalScalar:
         return TropicalScalar(data[i, j])
@@ -512,12 +526,7 @@ class BitStrings:
         return a | b
 
     def matmul(self, a, b):
-        return np.any(a[:, :, None, :] & b[None, :, :, :], axis=1)
-
-    def permute_bits(self, data, perm: Permutation):
-        if len(perm) != self.length:
-            raise ParameterError("permutation length differs from bit length")
-        return data[..., list(perm)]
+        return np.any(a[..., :, :, None, :] & b[..., None, :, :, :], axis=-3)
 
     def entry(self, data, i: int, j: int) -> BitString:
         return BitString.from_string("".join("1" if b else "0" for b in data[i, j]))

@@ -318,6 +318,69 @@ def test_tall_groupring_product_gathers_the_small_factor():
     assert Matrix(ring, out[:2]) == matmul_oracle(Matrix(ring, tall[:2]), Matrix(ring, small))
 
 
+#: rings of the stacked-product property, each with the largest inner dimension k it draws
+_STACKED_RINGS = {
+    "zmod-7": (IntegersMod(7), 4),
+    # k * (m-1)^2 passes 2^63 from k = 129 on: the exact Python-int path of an int64 ring
+    "zmod-int64-limit": (IntegersMod(_PRIME_BELOW_INT64_LIMIT), 140),
+    "zmod-object": (IntegersMod(2**31 - 1), 4),
+    "groupring-s3": (GroupRingScalars(S3, 7), 3),
+    # inner dimension k * |A_5| passes 128 from k = 3 on, the Python-int path again
+    "groupring-a5": (GroupRingScalars(GROUPS["a5"], _PRIME_BELOW_INT64_LIMIT), 3),
+    "tropical": (TropicalIntegers(), 4),
+    "bits": (BitStrings(5), 4),
+}
+
+
+def _packed(gen, ring, rows: int, cols: int, stack=()) -> np.ndarray:
+    """Random packed entries of shape stack + (rows, cols) + entry shape, near the top of Z_m."""
+    shape = (*stack, rows, cols, *ring.entry_shape)
+    if isinstance(ring, TropicalIntegers):
+        return gen.integers(-50, 51, shape).astype(object)
+    if isinstance(ring, BitStrings):
+        return gen.integers(0, 2, shape).astype(np.bool_)
+    return gen.integers(max(0, ring.modulus - 1024), ring.modulus, shape).astype(ring.dtype)
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    name=st.sampled_from(sorted(_STACKED_RINGS)),
+    stacked_left=st.booleans(),
+    stack=st.sampled_from([(2,), (4,), (2, 3), (1, 2)]),
+    rows=st.integers(1, 3),
+    cols=st.integers(1, 3),
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(name="zmod-int64-limit", stacked_left=True, stack=(2,), rows=2, cols=1, data=None, seed=0)
+@example(name="zmod-int64-limit", stacked_left=False, stack=(2, 3), rows=1, cols=2, data=None, seed=1)
+@example(name="groupring-a5", stacked_left=True, stack=(2,), rows=3, cols=1, data=None, seed=2)
+@example(name="groupring-a5", stacked_left=False, stack=(2, 3), rows=1, cols=3, data=None, seed=3)
+def test_stacked_matmul_matches_oracle_per_matrix(name, stacked_left, stack, rows, cols, data, seed):
+    # a stack of q >= 2 matrices times one matrix, or one matrix times a stack: each matrix of the
+    # result is the scalar product of its own factors
+    ring, k_max = _STACKED_RINGS[name]
+    k = k_max if data is None else data.draw(st.integers(1, k_max), label="k")
+    gen = np.random.default_rng(seed)
+    if stacked_left:
+        a, b = _packed(gen, ring, rows, k, stack), _packed(gen, ring, k, cols)
+    else:
+        a, b = _packed(gen, ring, rows, k), _packed(gen, ring, k, cols, stack)
+    out = ring.matmul(a, b)
+    assert out.shape == (*stack, rows, cols, *ring.entry_shape)
+    for idx in np.ndindex(*stack):
+        left = Matrix(ring, a[idx] if stacked_left else a)
+        right = Matrix(ring, b if stacked_left else b[idx])
+        assert Matrix(ring, out[idx]) == matmul_oracle(left, right)
+
+
+def test_groupring_product_refuses_stacks_on_both_sides():
+    ring = GroupRingScalars(S3, 7)
+    gen = np.random.default_rng(5)
+    with pytest.raises(ParameterError, match="one side"):
+        ring.matmul(_packed(gen, ring, 2, 2, (2,)), _packed(gen, ring, 2, 2, (2,)))
+
+
 # ---------------------------------------------------------------------------
 # inverse over Z_p and over Z_p[G]
 

@@ -210,6 +210,31 @@ def test_seeded_params_file_generation(tmp_path, capsys):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "params",
+    [
+        {"kind": "gl", "seed": 7, "prime": 2, "size": 2},
+        {"kind": "groupring", "seed": 173, "modulus": 2, "group": "c2", "size": 2},
+    ],
+    ids=["gl", "groupring"],
+)
+def test_seeded_params_with_a_central_first_conjugator_exits_0(tmp_path, params):
+    # each seed draws a central conjugator first, which every base commutes with: the generator
+    # redraws it, and a subprocess timeout bounds a draw that never ends
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(params))
+    out = tmp_path / "t.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "sdpke.cli", "exchange", "--params", str(path), "--trials", "2", "--test-mode",
+         "--out", str(out)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert [record["platform"]["kind"] for record in json.loads(out.read_text())] == [params["kind"]] * 2
+
+
 def test_json_report_format(tmp_path, capsys):
     out = tmp_path / "t.json"
     run_cli(

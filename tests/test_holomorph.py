@@ -11,9 +11,11 @@ import sdpke.holomorph as holomorph
 import sdpke.matrices as mx
 from sdpke.errors import ParameterError
 from sdpke.holomorph import (
+    ConjugatorPower,
     HolomorphPower,
     IdentityEnd,
     IteratedStarPower,
+    PermutationPower,
     Platform,
     TropicalStarPower,
     TwoSidedPower,
@@ -27,7 +29,8 @@ from sdpke.holomorph import (
     telescoping_residual,
 )
 from sdpke.matrices import Matrix
-from sdpke.platforms import DhkeParams
+from sdpke.permutations import Permutation
+from sdpke.platforms import DhkeParams, random_mobs_params, random_tropical_params
 from sdpke.semirings import IntegersMod, TropicalIntegers
 
 from conftest import PLATFORM_GENERATORS, linear_platform
@@ -146,18 +149,29 @@ def test_sequence_iter_equals_holomorph_walk(kind, rng, fresh_platform):
         cur = holo_mul(p, cur, base)
 
 
-@settings(deadline=None, max_examples=60)
+def block_platform(kind: str, rng: np.random.Generator):
+    """A ``linear_platform`` kind, or a small tropical or MOBS platform."""
+    size = int(rng.integers(1, 4))
+    if kind == "tropical":
+        return random_tropical_params(rng, size=size, entry_lo=-50, entry_hi=50).build()
+    if kind == "mobs":
+        return random_mobs_params(rng, size=size, cycle_lengths=(2, 3)).build()
+    return linear_platform(kind, rng)
+
+
+@settings(deadline=None, max_examples=80)
 @given(
-    kind=st.sampled_from(["groupring-c2", "groupring-s3", "gl", "make", "dhke"]),
+    kind=st.sampled_from(["groupring-c2", "groupring-s3", "gl", "make", "dhke", "tropical", "mobs"]),
     seed=st.integers(0, 2**32 - 1),
     data=st.data(),
 )
 def test_sequence_block_equals_sequence_iter(kind, seed, data):
-    # term by term, from g and from a second start, for every count up to one past the dimension
+    # term by term, from g and from a second start, for every count up to one past the
+    # number of packed coordinates (the dimension, on the linear carriers)
     rng = np.random.default_rng(seed)
-    p = linear_platform(kind, rng)
-    count = data.draw(st.integers(1, mx.flatten(p.g).size + 1), label="count")
-    other = mx.random_matrix(rng, p.g.ring, *p.g.shape)
+    p = block_platform(kind, rng)
+    count = data.draw(st.integers(1, p.g.data.size + 1), label="count")
+    other = p.random_element(rng)
     block = sequence_block(p, [p.g, other], count)
     assert block.shape == (2, count, *p.g.data.shape)
     for n, value in itertools.islice(sequence_iter(p), count):
@@ -168,10 +182,40 @@ def test_sequence_block_equals_sequence_iter(kind, seed, data):
         x = telescoping_residual(p, x)
 
 
-def test_sequence_block_needs_a_two_sided_phi(rng, fresh_platform):
-    p = fresh_platform("tropical", rng)
-    with pytest.raises(ParameterError, match="two-sided"):
-        sequence_block(p, [p.g], 3)
+def _one_of_each_kind():
+    ring, trop = IntegersMod(7), TropicalIntegers()
+    h = mx.from_rows(ring, [[1, 2], [0, 1]])
+    s = mx.from_rows(trop, [[0, 1], [2, 0]])
+    return {
+        "two-sided": TwoSidedPower(h, h),
+        "conjugator": ConjugatorPower(h, mx.inverse(h)),
+        "star": TropicalStarPower(s),
+        "iterated-star": IteratedStarPower(s, 2),
+        "permutation": PermutationPower(Permutation([1, 2, 0])),
+    }
+
+
+_END_KINDS = ["two-sided", "star", "iterated-star", "permutation"]
+
+
+@pytest.mark.parametrize(
+    "first,second", [(a, b) for a in _END_KINDS for b in _END_KINDS if a != b] + [("conjugator", "star")]
+)
+def test_compose_refuses_endomorphisms_of_different_kinds(first, second):
+    ends = _one_of_each_kind()
+    with pytest.raises(ParameterError, match="different platforms"):
+        ends[first].compose(ends[second])
+
+
+def test_compose_accepts_the_identity_and_two_sided_powers_of_either_class():
+    ends = _one_of_each_kind()
+    for end in ends.values():
+        assert end.compose(IdentityEnd()) is end
+        assert IdentityEnd().compose(end) is end
+    conj, two_sided = ends["conjugator"], ends["two-sided"]
+    x = mx.from_rows(IntegersMod(7), [[3, 1], [4, 1]])
+    assert conj.compose(two_sided)(x) == conj(two_sided(x))
+    assert two_sided.compose(conj)(x) == two_sided(conj(x))
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)

@@ -1,5 +1,7 @@
 """Constructor validation and per-platform structure checks."""
 
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -9,6 +11,7 @@ import sdpke.matrices as mx
 from sdpke.errors import ParameterError
 from sdpke.groups import FiniteGroupTable, cyclic_group, load_group
 from sdpke.holomorph import Platform, TwoSidedPower, sdp_exp, validate_platform
+from sdpke.matrices import Matrix
 from sdpke.permutations import Permutation
 from sdpke.platforms import (
     PLATFORM_KINDS,
@@ -17,6 +20,7 @@ from sdpke.platforms import (
     MakeParams,
     MobsParams,
     TropicalParams,
+    _is_central,
     cycle_permutation,
     params_from_obj,
     random_gl_params,
@@ -120,6 +124,44 @@ def test_gl_composite_modulus_rejected(rng):
     params = GLParams(prime=1000, size=2, conjugator=mx.identity(ring, 2), base=mx.identity(ring, 2))
     with pytest.raises(ParameterError, match="prime"):
         params.build()
+
+
+# ---------------------------------------------------------------------------
+# a central conjugator commutes with every base, so the generators redraw it
+
+
+@pytest.mark.parametrize(
+    "kind,seed,kwargs,ring",
+    [
+        ("gl", 8, {"prime": 2, "size": 2}, IntegersMod(2)),
+        ("groupring", 78, {"modulus": 2, "group": "c2", "size": 2}, GroupRingScalars(load_group("c2"), 2)),
+    ],
+)
+def test_generator_redraws_a_central_conjugator(kind, seed, kwargs, ring):
+    # the seed's first invertible draw is central (I over Z_2, a scalar unit over Z_2[C_2]), so no
+    # base could be drawn on it: the call runs in a subprocess with a timeout, in case it never ends
+    draws = np.random.default_rng(seed)
+    candidates = iter(lambda: mx.random_matrix(draws, ring, 2, 2), None)
+    assert _is_central(next(m for m in candidates if mx.try_inverse(m) is not None))
+    call = f"random_params({kind!r}, np.random.default_rng({seed}), **{kwargs!r})"
+    code = f"import numpy as np; from sdpke.platforms import random_params; {call}.build()"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert not _is_central(random_params(kind, np.random.default_rng(seed), **kwargs).conjugator)
+
+
+def test_is_central_is_the_scalar_matrices_of_central_entries():
+    z7 = IntegersMod(7)
+    assert _is_central(mx.identity(z7, 3)) and _is_central(mx.from_rows(z7, [[5]]))
+    assert not _is_central(mx.from_rows(z7, [[1, 1], [0, 1]]))
+    assert not _is_central(mx.from_rows(z7, [[1, 0], [0, 2]]))
+    ring = GroupRingScalars(S3, 7)
+    central_entry = np.ones(S3.order, dtype=np.int64)  # the sum of all elements
+    transposition = next(g for g in range(S3.order) if g != S3.identity and S3.product[g, g] == S3.identity)
+    for entry, central in ((central_entry, True), (np.eye(S3.order, dtype=np.int64)[transposition], False)):
+        data = np.zeros((2, 2, S3.order), dtype=np.int64)
+        data[0, 0] = data[1, 1] = entry
+        assert _is_central(Matrix(ring, data)) is central
 
 
 # ---------------------------------------------------------------------------
