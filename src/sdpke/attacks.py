@@ -41,6 +41,7 @@ from .holomorph import (
     Platform,
     doubling_chain,
     holo_mul,
+    phi_power,
     sdp_exp,
     sequence_block,
     telescoping_residual,
@@ -50,7 +51,8 @@ from .matrices import Matrix
 from .protocol import Ciphertext, Transcript
 from .semirings import IntegersMod
 
-MOBS_ENUMERATION_CAP = 1 << 24
+#: entries of the largest array the OR/AND census allocates, 2^n n^2 k booleans
+MOBS_CENSUS_CAP = 1 << 24
 
 
 def check_x_max(x_max: int) -> None:
@@ -319,12 +321,13 @@ def mobs_solution_count(
 ) -> AttackOutcome:
     """Count every Y with h(A) M = Y A over the OR/AND matrix semiring.
 
-    The count is exact over all 2^(n^2 k) candidate matrices, and refused
-    when that candidate space exceeds ``MOBS_ENUMERATION_CAP``, but it visits
+    The count is exact over all 2^(n^2 k) candidate matrices, but it visits
     none of them: OR and AND act bit by bit, and row i of Y A reads row i of
     Y only, so the count is the product over the n k slices (row i, bit b) of
     the number of the 2^n bit vectors u with OR_l (u_l AND A_lj) equal to
-    bit b of (h(A) M)_ij for every column j.
+    bit b of (h(A) M)_ij for every column j.  Its largest arrays hold one
+    boolean per (u, row or column, other index, bit), 2^n n^2 k in all, and
+    a platform past ``MOBS_CENSUS_CAP`` of them is refused before any work.
 
     phi^x(M) always satisfies the equation (telescoping identity), so for a
     genuine A the count is at least 1; when ``true_exponent`` is given,
@@ -335,10 +338,11 @@ def mobs_solution_count(
         raise NotApplicableError("solution counting applies to the OR/AND platform only")
     n = platform.g.rows
     k = platform.g.ring.length
-    total_bits = n * n * k
-    if (1 << total_bits) > MOBS_ENUMERATION_CAP:
+    entries = (1 << n) * n * n * k
+    if entries > MOBS_CENSUS_CAP:
         raise SizeCapError(
-            f"{n}x{n} matrices of {k}-bit strings need 2^{total_bits} candidates (cap {MOBS_ENUMERATION_CAP})"
+            f"the census of {n}x{n} matrices of {k}-bit strings needs 2^{n}*{n}^2*{k} = {entries} entries "
+            f"(cap {MOBS_CENSUS_CAP})"
         )
 
     residual = telescoping_residual(platform, observed)
@@ -350,7 +354,7 @@ def mobs_solution_count(
     work = WorkCounters(solution_count=count)
     success = count >= 1
     if true_exponent is not None:
-        y_true = platform.phi.power(true_exponent)(platform.g)
+        y_true = phi_power(platform, true_exponent)(platform.g)
         success = success and y_true @ observed == residual
     return AttackOutcome(success=success, work=work)
 

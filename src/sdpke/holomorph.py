@@ -2,13 +2,17 @@
 
 A platform bundles a carrier semigroup (matrices under one operation), a
 public element g, and an endomorphism phi of that operation.  Pairs
-(a, phi^n) multiply by (a, phi^m)(b, phi^n) = (phi^n(a) ∘ b, phi^(m+n));
-``doubling_chain`` lists the squarings (g, phi)^(2^i); ``sdp_exp`` raises
-(g, phi) to the n-th power by double-and-add, as ``chain_power``'s product
-of the chain levels at the set bits of n, and ``sdp_exp_naive`` is the
-sequential reference oracle for it.  ``sequence_block`` lifts over the
-chain to make a whole prefix of the sequence a_(n+1) = phi(a_n) ∘ g, from
-several starts at once, in batched products on every carrier.
+(a, phi^n) multiply by (a, phi^m)(b, phi^n) = (phi^n(a) ∘ b, phi^(m+n)).
+
+The squarings (g, phi)^(2^i) depend on the platform alone, so each
+``Platform`` caches them: ``doubling_chain`` squares only past the last
+cached level, and every power in the library is taken from that one chain.
+``sdp_exp`` raises (g, phi) to the n-th power by double-and-add, as
+``chain_power``'s product of the chain levels at the set bits of n;
+``phi_power`` composes only their endomorphisms, and ``sdp_exp_naive`` is
+the sequential reference oracle.  ``sequence_block`` lifts over the chain
+to make a whole prefix of the sequence a_(n+1) = phi(a_n) ∘ g, from several
+starts at once, in batched products on every carrier.
 
 Endomorphism powers are represented in closed form per platform (cached
 two-sided factor powers, of which conjugation is one case; star powers,
@@ -27,6 +31,10 @@ import numpy as np
 from .errors import ParameterError
 from .matrices import Matrix, random_matrix
 from .permutations import Permutation
+from .semirings import BitStrings
+
+#: levels a platform's doubling chain may hold: (g, phi)^(2^i) for i < 64
+MAX_CHAIN_LEVELS = 64
 
 
 class Endomorphism:
@@ -37,7 +45,12 @@ class Endomorphism:
         raise NotImplementedError
 
     def __call__(self, x: Matrix) -> Matrix:
+        """phi^n(x); a matrix phi^n does not act on is refused here (``act`` checks nothing)."""
+        self._check_operand(x.ring)
         return Matrix(x.ring, self.act(x.data))
+
+    def _check_operand(self, ring) -> None:
+        """Raise ParameterError unless phi^n acts on matrices over ``ring``."""
 
     def compose(self, other: Endomorphism) -> Endomorphism:
         """self after other; for powers of one phi this is phi^(m+n).  Past the identity,
@@ -64,6 +77,11 @@ class Endomorphism:
             sq = sq.compose(sq)
 
 
+def _require_ring(own, ring) -> None:
+    if ring is not own and ring != own:
+        raise ParameterError(f"an endomorphism over {own!r} cannot act on a matrix over {ring!r}")
+
+
 class IdentityEnd(Endomorphism):
     """The identity automorphism; degenerates the exchange to plain DH."""
 
@@ -87,6 +105,9 @@ class TwoSidedPower(Endomorphism):
     def act(self, data: np.ndarray) -> np.ndarray:
         ring = self.left_pow.ring
         return ring.matmul(ring.matmul(self.left_pow.data, data), self.right_pow.data)
+
+    def _check_operand(self, ring) -> None:
+        _require_ring(self.left_pow.ring, ring)
 
     def _compose(self, other: TwoSidedPower) -> Endomorphism:
         return TwoSidedPower(self.left_pow @ other.left_pow, self.right_pow @ other.right_pow)
@@ -122,6 +143,9 @@ class TropicalStarPower(Endomorphism):
         ring, s = self.star_pow.ring, self.star_pow.data
         return ring.add(ring.add(data, s), ring.matmul(data, s))
 
+    def _check_operand(self, ring) -> None:
+        _require_ring(self.star_pow.ring, ring)
+
     def _compose(self, other: TropicalStarPower) -> Endomorphism:
         # self after other: (G ⋆ S_other) ⋆ S_self = G ⋆ (S_other ⋆ S_self)
         return TropicalStarPower(other.star_pow.star(self.star_pow))
@@ -145,6 +169,9 @@ class IteratedStarPower(Endomorphism):
             data = step.act(data)
         return data
 
+    def _check_operand(self, ring) -> None:
+        _require_ring(self.base.ring, ring)
+
     def _compose(self, other: IteratedStarPower) -> Endomorphism:
         if other.base != self.base:
             raise ParameterError("cannot compose star powers of different matrices")
@@ -166,6 +193,10 @@ class PermutationPower(Endomorphism):
 
     def act(self, data: np.ndarray) -> np.ndarray:
         return data[..., list(self.perm)]
+
+    def _check_operand(self, ring) -> None:
+        if not (isinstance(ring, BitStrings) and ring.length == len(self.perm)):
+            raise ParameterError(f"a permutation of {len(self.perm)} bit positions cannot act on {ring!r}")
 
     def _compose(self, other: PermutationPower) -> Endomorphism:
         # entry action is contravariant: self-after-other reindexes by other*self
@@ -189,6 +220,11 @@ class Platform:
     endomorphism at power one.  ``params`` points back at the serializable
     parameter record that built this platform.  Without a ``sampler``, a
     random element is a random matrix of g's shape over g's ring.
+
+    ``_chain`` caches the doubling chain (g, phi)^(2^i) that
+    ``doubling_chain`` has made so far.  It takes no part in equality or
+    hashing, ``dataclasses.replace`` starts it empty, and a longer chain
+    replaces the whole tuple, so a prefix already handed out never changes.
     """
 
     name: str
@@ -197,6 +233,7 @@ class Platform:
     phi: Endomorphism
     params: object = None
     sampler: Callable[[np.random.Generator], Matrix] | None = field(default=None, repr=False)
+    _chain: tuple[HolomorphPower, ...] = field(default=(), init=False, compare=False, repr=False)
 
     def op(self, a: Matrix, b: Matrix) -> Matrix:
         return a @ b if self.op_kind == "mul" else a + b
@@ -226,30 +263,51 @@ def holo_mul(platform: Platform, x: HolomorphPower, y: HolomorphPower) -> Holomo
 
 
 def sdp_exp(platform: Platform, n: int) -> HolomorphPower:
-    """(g, phi)^n by double-and-add: the product of its doubling chain's levels at the set bits of n.
+    """(g, phi)^n by double-and-add: the product of the platform's doubling chain levels at the set bits of n.
 
-    That is bit_length(n) - 1 squarings and popcount(n) - 1 products.  n = 0
+    That is popcount(n) - 1 products, plus one squaring for each level up to
+    2^(bit_length(n) - 1) that the platform has not cached yet: bit_length(n)
+    - 1 squarings on a fresh platform, none once its chain reaches n.  n = 0
     is rejected: three of the five carriers are proper semigroups with no
     identity to return, and the exchanged sequence starts at a_1 = g.
     """
     return chain_power(platform, doubling_chain(platform, n + 1), n)
 
 
-def chain_power(platform: Platform, chain: list[HolomorphPower], n: int) -> HolomorphPower:
+def _levels_at_bits(chain: tuple[HolomorphPower, ...], n: int) -> list[HolomorphPower]:
+    """The levels at the set bits of n >= 1 of a chain that reaches 2^(bit_length(n) - 1)."""
+    if n < 1:
+        raise ParameterError("exponent must be >= 1")
+    if n >= 2 * chain[-1].exponent:
+        raise ParameterError(f"the doubling chain stops at {chain[-1].exponent}, short of exponent {n}")
+    return [level for level in chain if n & level.exponent]
+
+
+def chain_power(platform: Platform, chain: tuple[HolomorphPower, ...], n: int) -> HolomorphPower:
     """(g, phi)^n from a doubling chain that reaches 2^(bit_length(n) - 1); popcount(n) - 1 products.
 
     The chain may be longer than n needs, so one chain made up to the larger
     of several exponents serves each of them.
     """
-    if n < 1:
-        raise ParameterError("exponent must be >= 1")
-    if n >= 2 * chain[-1].exponent:
-        raise ParameterError(f"the doubling chain stops at {chain[-1].exponent}, short of exponent {n}")
-    acc = None
-    for level in chain:
-        if n & level.exponent:
-            # holo_mul is looked up at call time, so a rebinding of the module name reaches it
-            acc = level if acc is None else holo_mul(platform, acc, level)
+    acc, *rest = _levels_at_bits(chain, n)
+    for level in rest:
+        # holo_mul is looked up at call time, so a rebinding of the module name reaches it
+        acc = holo_mul(platform, acc, level)
+    return acc
+
+
+def phi_power(platform: Platform, n: int) -> Endomorphism:
+    """phi^n as the composition of the platform's doubling chain endomorphisms at the set bits of n.
+
+    That is popcount(n) - 1 compositions and no squaring of phi: the chain
+    is made up to n first if the platform has not cached that far.  phi^0
+    is the identity.
+    """
+    if n == 0:
+        return IdentityEnd()
+    acc, *rest = (level.end for level in _levels_at_bits(doubling_chain(platform, n + 1), n))
+    for end in rest:
+        acc = acc.compose(end)
     return acc
 
 
@@ -264,12 +322,21 @@ def sdp_exp_naive(platform: Platform, n: int) -> HolomorphPower:
     return cur
 
 
-def doubling_chain(platform: Platform, limit: int) -> list[HolomorphPower]:
-    """The levels (g, phi)^(2^i) for every 2^i < limit, and (g, phi) itself; one squaring per level."""
-    chain = [HolomorphPower(platform.g, platform.phi, 1)]
-    while 2 * chain[-1].exponent < limit:
-        chain.append(holo_mul(platform, chain[-1], chain[-1]))
-    return chain
+def doubling_chain(platform: Platform, limit: int) -> tuple[HolomorphPower, ...]:
+    """The levels (g, phi)^(2^i) for every 2^i < limit, and (g, phi) itself: a prefix of the platform's chain.
+
+    Only the levels past the cached ones are squared, one squaring each, and
+    the longer chain then replaces the cached tuple.  A limit past 2^64
+    would need more than ``MAX_CHAIN_LEVELS`` levels and is refused.
+    """
+    levels = max(limit - 1, 1).bit_length()
+    if levels > MAX_CHAIN_LEVELS:
+        raise ParameterError(f"a doubling chain holds at most {MAX_CHAIN_LEVELS} levels, limit {limit} needs {levels}")
+    chain = platform._chain or (HolomorphPower(platform.g, platform.phi, 1),)
+    while len(chain) < levels:
+        chain += (holo_mul(platform, chain[-1], chain[-1]),)
+    object.__setattr__(platform, "_chain", chain)
+    return chain[:levels]
 
 
 def sequence_block(platform: Platform, starts: list[Matrix], count: int) -> np.ndarray:

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import matrices as mx
 from .errors import ParameterError
-from .holomorph import Platform, chain_power, doubling_chain, sdp_exp
+from .holomorph import Platform, chain_power, doubling_chain, phi_power, sdp_exp
 from .matrices import Matrix
 from .platforms import params_from_obj
 from .semirings import _is_integer
@@ -57,9 +57,13 @@ def keygen(platform: Platform, rng: np.random.Generator, exponent_bits: int = 16
 
 
 def derive_key(platform: Platform, exponent: int, peer_value: Matrix, own_value: Matrix) -> Matrix:
-    """Shared key phi^x(B) ∘ A from the private exponent x and both publics."""
-    phi_x = platform.phi.power(exponent)
-    return platform.op(phi_x(peer_value), own_value)
+    """Shared key phi^x(B) ∘ A from the private exponent x and both publics.
+
+    phi^x is composed from the endomorphisms of the platform's cached
+    doubling chain at the set bits of x, which ``keygen`` has already made:
+    popcount(x) - 1 compositions and no squaring of phi.
+    """
+    return platform.op(phi_power(platform, exponent)(peer_value), own_value)
 
 
 @dataclass(frozen=True)

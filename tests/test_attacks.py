@@ -485,26 +485,39 @@ def test_mobs_count_equals_enumeration(data, seed, x, genuine):
 
 
 def test_mobs_count_at_the_cap_is_admitted(rng):
-    p = random_mobs_params(rng, size=2, cycle_lengths=(2, 2, 2)).build()  # 2^24 candidates, the cap
+    p = random_mobs_params(rng, size=16, cycle_lengths=(1,)).build()  # 2^16 * 16^2 * 1 = 2^24 entries, the cap
     observed = sdp_exp(p, 40503).value
     start = time.perf_counter()
     out = mobs_solution_count(p, observed, true_exponent=40503)
-    assert time.perf_counter() - start < 1.0  # visiting all 2^24 candidates takes seconds
+    assert time.perf_counter() - start < 1.0  # 2^256 candidates: none is visited
     assert out.success and out.work.solution_count >= 1
 
 
 def test_mobs_cap_refuses_one_past_the_cap(rng):
-    p = random_mobs_params(rng, size=1, cycle_lengths=(2, 23)).build()  # 2^25 candidates
+    p = random_mobs_params(rng, size=16, cycle_lengths=(2,)).build()  # 2^25 census entries
     with pytest.raises(SizeCapError) as exc:
         mobs_solution_count(p, p.g)
-    assert str(exc.value) == "1x1 matrices of 25-bit strings need 2^25 candidates (cap 16777216)"
+    assert str(exc.value) == (
+        "the census of 16x16 matrices of 2-bit strings needs 2^16*16^2*2 = 33554432 entries (cap 16777216)"
+    )
 
 
 def test_mobs_cap_refuses_large_instances(rng):
-    params = random_mobs_params(rng)  # 3x3 of 28-bit strings: 2^252 candidates
-    p = params.build()
+    p = random_mobs_params(rng, size=16).build()  # 16x16 of 28-bit strings: 2^16 * 16^2 * 28 entries
     with pytest.raises(SizeCapError):
         mobs_solution_count(p, p.g)
+
+
+def test_mobs_count_runs_on_the_default_platform(rng):
+    # 3x3 of 28-bit strings: 2^252 candidates, but a census of 2^3 * 3^2 * 28 = 2016 entries
+    p = random_mobs_params(rng).build()
+    x = 40503
+    observed = sdp_exp(p, x).value
+    out = mobs_solution_count(p, observed, true_exponent=x)
+    assert out.work.solution_count >= 1
+    assert out.success  # the true phi^x(g) is one of the solutions
+    y_true = p.phi.power(x)(p.g)
+    assert y_true @ observed == telescoping_residual(p, observed)
 
 
 def test_mobs_count_not_applicable_elsewhere(rng):

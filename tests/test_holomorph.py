@@ -1,5 +1,6 @@
 """Exponentiation engine: oracle equivalence, composition law, telescoping."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -31,7 +32,8 @@ from sdpke.holomorph import (
 from sdpke.matrices import Matrix
 from sdpke.permutations import Permutation
 from sdpke.platforms import DhkeParams, random_mobs_params, random_tropical_params
-from sdpke.semirings import IntegersMod, TropicalIntegers
+from sdpke.protocol import derive_key
+from sdpke.semirings import BitStrings, IntegersMod, TropicalIntegers
 
 from conftest import PLATFORM_GENERATORS, linear_platform
 
@@ -122,19 +124,84 @@ def test_chain_power_refuses_a_short_chain(rng, fresh_platform):
 
 
 def test_sdp_exp_holo_mul_count(rng, fresh_platform, monkeypatch):
-    # double-and-add: bit_length - 1 squarings and popcount - 1 products, nothing more
+    # double-and-add over the platform's cached chain: popcount - 1 products, and one squaring
+    # per level the chain does not hold yet (bit_length - 1 of them on a fresh platform)
     p = fresh_platform("gl", rng)
-    calls = []
+    squarings, products = [], []
 
-    def counted(*args):
-        calls.append(args[1].exponent)
-        return holo_mul(*args)
+    def counted(platform, x, y):
+        (squarings if x is y else products).append(x.exponent)
+        return holo_mul(platform, x, y)
 
     monkeypatch.setattr(holomorph, "holo_mul", counted)
-    for n in [*range(1, 130), 1 << 40, (1 << 40) - 1, 0x5555_5555, (1 << 63) - 1]:
-        calls.clear()
-        assert sdp_exp(p, n).exponent == n
-        assert len(calls) == n.bit_length() + bin(n).count("1") - 2, n
+    n = 0x5555
+    assert sdp_exp(p, n).exponent == n
+    assert (len(squarings), len(products)) == (n.bit_length() - 1, bin(n).count("1") - 1)
+    levels = n.bit_length()
+    for m in [*range(1, 130), 1 << 40, (1 << 40) - 1, 0x5555_5555, 3, (1 << 63) - 1, 1 << 62]:
+        squarings.clear()
+        products.clear()
+        assert sdp_exp(p, m).exponent == m
+        assert len(products) == bin(m).count("1") - 1, m
+        assert len(squarings) == max(0, m.bit_length() - levels), m
+        levels = max(levels, m.bit_length())
+
+
+def _small_platform(kind: str, seed: int) -> Platform:
+    rng = np.random.default_rng(seed)
+    if kind == "dhke":
+        return DhkeParams(prime=101, generator=int(rng.integers(2, 101))).build()
+    return PLATFORM_GENERATORS[kind](rng).build()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from([*ALL_KINDS, "dhke"]),
+    seed=st.integers(0, 2**32 - 1),
+    steps=st.lists(
+        st.tuples(
+            st.integers(1, 64),
+            st.integers(0, (1 << 63) - 1),
+            st.one_of(st.integers(-2, 70), st.integers(1, 1 << 64)),
+        ),
+        min_size=1,
+        max_size=5,
+    ),
+)
+def test_cached_chain_serves_every_power(kind, seed, steps):
+    # one platform, exponents and limits rising and falling: whatever the cache holds, every
+    # power taken from it equals the uncached computation, and a chain is the prefix asked for
+    p = _small_platform(kind, seed)
+    rng = np.random.default_rng(seed)
+    for n, x, limit in steps:
+        got, want = sdp_exp(p, n), sdp_exp_naive(p, n)
+        assert (got.value, got.end, got.exponent) == (want.value, want.end, n)
+        peer, own = p.random_element(rng), p.random_element(rng)
+        assert derive_key(p, x, peer, own) == p.op(p.phi.power(x)(peer), own)
+        chain = doubling_chain(p, limit)
+        assert [level.exponent for level in chain] == ([1 << i for i in range(64) if 1 << i < limit] or [1])
+        assert chain == p._chain[: len(chain)]
+        assert len(p._chain) <= holomorph.MAX_CHAIN_LEVELS == 64
+
+
+def test_chain_past_64_levels_is_refused():
+    p = DhkeParams(prime=101, generator=3).build()
+    assert len(doubling_chain(p, 1 << 64)) == 64
+    with pytest.raises(ParameterError, match="at most 64 levels"):
+        doubling_chain(p, (1 << 64) + 1)
+    assert len(p._chain) == 64
+
+
+def test_replaced_platform_starts_with_an_empty_chain(rng, fresh_platform):
+    p = fresh_platform("gl", rng)
+    sdp_exp(p, 1000)
+    assert len(p._chain) == 10
+    q = dataclasses.replace(p, g=p.random_element(rng))
+    assert q._chain == ()
+    assert sdp_exp(q, 1000).value == sdp_exp_naive(q, 1000).value != sdp_exp(p, 1000).value
+    assert [level.value for level in q._chain] == [sdp_exp_naive(q, 1 << i).value for i in range(10)]
+    same = dataclasses.replace(p)  # the cache takes no part in equality
+    assert same._chain == () and same == p
 
 
 @pytest.mark.parametrize("kind", [*ALL_KINDS, "dhke"])
@@ -300,3 +367,32 @@ def test_star_power_matches_iterated_star_oracle(rng):
     g = mx.random_matrix(rng, ring, 3, 3, lo=-20, hi=20)
     for n in range(1, 12):
         assert TropicalStarPower(h).power(n)(g) == IteratedStarPower(h, n)(g)
+
+
+def _foreign_operands():
+    """(endomorphism, its own operand, operands it must refuse) for each kind of phi^n."""
+    z7, z11 = IntegersMod(7), IntegersMod(11)
+    h = mx.from_rows(z7, [[1, 2], [0, 3]])
+    z7_x, z11_x = mx.from_rows(z7, [[1, 0], [4, 6]]), mx.from_rows(z11, [[1, 0], [4, 6]])
+    trop = mx.from_rows(TropicalIntegers(), [[1, 0], [4, 6]])
+    bits = mx.from_rows(BitStrings(3), [["101", "011"], ["000", "111"]])
+    short_bits = mx.from_rows(BitStrings(2), [["10", "01"], ["00", "11"]])
+    long_bits = mx.from_rows(BitStrings(4), [["1010", "0110"], ["0001", "1111"]])
+    return {
+        "two-sided": (TwoSidedPower(h, h), z7_x, [z11_x, trop]),
+        "conjugator": (ConjugatorPower(h, h), z7_x, [z11_x, bits]),
+        "star": (TropicalStarPower(trop), trop, [z11_x, bits]),
+        "iterated-star": (IteratedStarPower(trop, 2), trop, [z7_x]),
+        "permutation": (PermutationPower(Permutation([1, 2, 0])), bits, [short_bits, long_bits, z11_x]),
+    }
+
+
+@pytest.mark.parametrize("kind", list(_foreign_operands()))
+def test_endomorphism_refuses_a_matrix_it_does_not_act_on(kind):
+    # TwoSidedPower over Z_7 used to reduce a Z_11 matrix mod 7 and label it Z_11, and a
+    # permutation longer than the bit length raised numpy's IndexError
+    end, own, foreign = _foreign_operands()[kind]
+    assert end(own).ring == own.ring
+    for x in foreign:
+        with pytest.raises(ParameterError):
+            end(x)
