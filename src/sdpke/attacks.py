@@ -54,6 +54,9 @@ from .semirings import IntegersMod
 #: entries of the largest array the OR/AND census allocates, 2^n n^2 k booleans
 MOBS_CENSUS_CAP = 1 << 24
 
+#: entries of the largest array the dimension attack allocates, its 2 (D + 1) D term block
+DIMENSION_ATTACK_CAP = 1 << 26
+
 
 def check_x_max(x_max: int) -> None:
     """Refuse a tropical search bound outside [1, 2^63]: exponents are drawn below 2^63."""
@@ -146,16 +149,26 @@ def dimension_attack(transcript: Transcript) -> AttackOutcome:
     ``sequence_terms_generated`` counts a_1 .. a_(k+1), the prefix through
     the first dependence, as a term-by-term walk makes it, so recorded
     counters and report digests stay comparable; the block holds up to
-    D + 1 terms.
+    D + 1 terms.  D = size^2 |entry| comes from the params, and a block of
+    2 (D + 1) D entries past ``DIMENSION_ATTACK_CAP`` is refused before the
+    platform is built.
     """
-    platform = transcript.build_platform()
-    ring = platform.g.ring
+    params = transcript.params
+    ring = params.ring()
     if not ring.linear:
-        raise NotApplicableError(f"platform {platform.name!r} has no Z_p-linear coordinates")
+        raise NotApplicableError(f"platform {params.kind!r} has no Z_p-linear coordinates")
+    n, per_entry = params.size, math.prod(ring.entry_shape)
+    dim = n * n * per_entry
+    entries = 2 * (dim + 1) * dim
+    if entries > DIMENSION_ATTACK_CAP:
+        raise SizeCapError(
+            f"the dimension attack on {n}x{n} matrices of {per_entry} coordinates per entry works in D = {dim} "
+            f"and needs 2(D+1)D = {entries} entries (cap {DIMENSION_ATTACK_CAP})"
+        )
+    platform = transcript.build_platform()
     modulus = ring.modulus
     a_obs, b_obs = transcript.alice_value, transcript.bob_value
 
-    dim = mx.flatten(platform.g).size
     block = sequence_block(platform, [platform.g, telescoping_residual(platform, b_obs)], dim + 1)
     terms, keyed = block.reshape(2, dim + 1, dim)
     reduced, pivots = rref_mod(np.concatenate([terms.T, mx.flatten(a_obs)[:, None]], axis=1), modulus)
@@ -191,13 +204,11 @@ def _power_list(m: Matrix, count: int) -> list[Matrix]:
 
 
 def _build_l_matrix(h1_pows: list[Matrix], y: Matrix, h2_pows: list[Matrix]) -> np.ndarray:
-    """Columns flatten(H1^i Y H2^j), i and j ranging over the given power lists."""
-    cols = []
-    for h1i in h1_pows:
-        left = h1i @ y
-        for h2j in h2_pows:
-            cols.append(mx.flatten(left @ h2j))
-    return np.stack(cols, axis=1)
+    """Columns flatten(H1^i Y H2^j), i major, i and j ranging over the given power lists."""
+    ring = y.ring
+    left = ring.matmul(np.stack([h.data for h in h1_pows]), y.data)
+    prods = ring.matmul(left[:, None], np.stack([h.data for h in h2_pows]))
+    return prods.reshape(len(h1_pows) * len(h2_pows), -1).T
 
 
 def make_telescoping_attack(transcript: Transcript) -> AttackOutcome:

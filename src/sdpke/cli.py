@@ -14,11 +14,11 @@ transcripts, outcomes, and work counters; only wall-clock fields vary.
 Trials run sequentially: their small numpy calls hold the GIL, so threads
 only add overhead.
 
-Work is done once: the parser is built once per process, each exchange
-raises both parties' exponents over one doubling chain, and ``attack``
-builds each distinct platform record of a transcript file once.  Each
-subcommand reads its flags from the argparse namespace, so every default
-lives in the parser.
+Work is done once: the parser is built once per process, the exchanges
+of one call raise their exponents over the platform's cached doubling
+chain, and ``attack`` builds each distinct platform record of a transcript
+file once.  Each subcommand reads its flags from the argparse namespace,
+so every default lives in the parser.
 
 Exit codes: 0 success, 1 trial failure, 2 bad configuration, 3 attack not
 applicable to the platform, 4 enumeration size cap exceeded.
@@ -89,12 +89,13 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
 @contextlib.contextmanager
 def _reading(what: str):
     """Turn an unreadable file or a malformed record in it (a missing key, a
-    value of the wrong type or range) into one ParameterError line."""
+    value of the wrong type or range, JSON nested past the recursion limit)
+    into one ParameterError line."""
     try:
         yield
     except ParameterError:  # a ValueError that already says what is wrong
         raise
-    except (OSError, KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
+    except (OSError, KeyError, TypeError, ValueError, AttributeError, OverflowError, RecursionError) as exc:
         raise ParameterError(f"cannot read {what}: {type(exc).__name__}: {exc}") from exc
 
 

@@ -7,12 +7,12 @@ public element g, and an endomorphism phi of that operation.  Pairs
 The squarings (g, phi)^(2^i) depend on the platform alone, so each
 ``Platform`` caches them: ``doubling_chain`` squares only past the last
 cached level, and every power in the library is taken from that one chain.
-``sdp_exp`` raises (g, phi) to the n-th power by double-and-add, as
-``chain_power``'s product of the chain levels at the set bits of n;
-``phi_power`` composes only their endomorphisms, and ``sdp_exp_naive`` is
-the sequential reference oracle.  ``sequence_block`` lifts over the chain
-to make a whole prefix of the sequence a_(n+1) = phi(a_n) ∘ g, from several
-starts at once, in batched products on every carrier.
+``sdp_exp`` raises (g, phi) to the n-th power by double-and-add, as the
+product of the chain levels at the set bits of n; ``phi_power`` composes
+only their endomorphisms, and ``sdp_exp_naive`` is the sequential
+reference oracle.  ``sequence_block`` lifts over the chain to make a whole
+prefix of the sequence a_(n+1) = phi(a_n) ∘ g, from several starts at
+once, in batched products on every carrier.
 
 Endomorphism powers are represented in closed form per platform (cached
 two-sided factor powers, of which conjugation is one case; star powers,
@@ -186,29 +186,28 @@ class IteratedStarPower(Endomorphism):
 
 
 class PermutationPower(Endomorphism):
-    """phi^n permutes the bit positions of every entry by perm^n: bit i of the image is bit perm[i]."""
+    """phi^n permutes the bit positions of every entry: bit i of the image is bit ``index[i]``.
 
-    def __init__(self, perm: Permutation):
-        self.perm = perm
+    ``index`` is perm^n in one-line notation, held as one read-only intp array.
+    """
+
+    def __init__(self, perm: Permutation | np.ndarray):
+        self.index = np.array(perm, dtype=np.intp)
+        self.index.flags.writeable = False
 
     def act(self, data: np.ndarray) -> np.ndarray:
-        return data[..., list(self.perm)]
+        return data[..., self.index]
 
     def _check_operand(self, ring) -> None:
-        if not (isinstance(ring, BitStrings) and ring.length == len(self.perm)):
-            raise ParameterError(f"a permutation of {len(self.perm)} bit positions cannot act on {ring!r}")
+        if not (isinstance(ring, BitStrings) and ring.length == len(self.index)):
+            raise ParameterError(f"a permutation of {len(self.index)} bit positions cannot act on {ring!r}")
 
     def _compose(self, other: PermutationPower) -> Endomorphism:
-        # entry action is contravariant: self-after-other reindexes by other*self
-        return PermutationPower(other.perm * self.perm)
-
-    def power(self, n: int) -> Endomorphism:
-        if n == 0:
-            return IdentityEnd()
-        return PermutationPower(self.perm**n)
+        # entry action is contravariant: bit i of self-after-other is bit other.index[self.index[i]]
+        return PermutationPower(other.index[self.index])
 
     def __eq__(self, other):
-        return isinstance(other, PermutationPower) and self.perm == other.perm
+        return isinstance(other, PermutationPower) and np.array_equal(self.index, other.index)
 
 
 @dataclass(frozen=True)
@@ -262,6 +261,13 @@ def holo_mul(platform: Platform, x: HolomorphPower, y: HolomorphPower) -> Holomo
     )
 
 
+def _levels_at_bits(platform: Platform, n: int) -> list[HolomorphPower]:
+    """The levels of the platform's doubling chain at the set bits of n >= 1, the chain made up to n first."""
+    if n < 1:
+        raise ParameterError("exponent must be >= 1")
+    return [level for level in doubling_chain(platform, n + 1) if n & level.exponent]
+
+
 def sdp_exp(platform: Platform, n: int) -> HolomorphPower:
     """(g, phi)^n by double-and-add: the product of the platform's doubling chain levels at the set bits of n.
 
@@ -271,25 +277,7 @@ def sdp_exp(platform: Platform, n: int) -> HolomorphPower:
     is rejected: three of the five carriers are proper semigroups with no
     identity to return, and the exchanged sequence starts at a_1 = g.
     """
-    return chain_power(platform, doubling_chain(platform, n + 1), n)
-
-
-def _levels_at_bits(chain: tuple[HolomorphPower, ...], n: int) -> list[HolomorphPower]:
-    """The levels at the set bits of n >= 1 of a chain that reaches 2^(bit_length(n) - 1)."""
-    if n < 1:
-        raise ParameterError("exponent must be >= 1")
-    if n >= 2 * chain[-1].exponent:
-        raise ParameterError(f"the doubling chain stops at {chain[-1].exponent}, short of exponent {n}")
-    return [level for level in chain if n & level.exponent]
-
-
-def chain_power(platform: Platform, chain: tuple[HolomorphPower, ...], n: int) -> HolomorphPower:
-    """(g, phi)^n from a doubling chain that reaches 2^(bit_length(n) - 1); popcount(n) - 1 products.
-
-    The chain may be longer than n needs, so one chain made up to the larger
-    of several exponents serves each of them.
-    """
-    acc, *rest = _levels_at_bits(chain, n)
+    acc, *rest = _levels_at_bits(platform, n)
     for level in rest:
         # holo_mul is looked up at call time, so a rebinding of the module name reaches it
         acc = holo_mul(platform, acc, level)
@@ -305,7 +293,7 @@ def phi_power(platform: Platform, n: int) -> Endomorphism:
     """
     if n == 0:
         return IdentityEnd()
-    acc, *rest = (level.end for level in _levels_at_bits(doubling_chain(platform, n + 1), n))
+    acc, *rest = (level.end for level in _levels_at_bits(platform, n))
     for end in rest:
         acc = acc.compose(end)
     return acc

@@ -1,4 +1,4 @@
-"""Permutations of {0..k-1} with fast powers via cycle decomposition."""
+"""Permutations of {0..k-1}: the public bit permutation of the OR/AND platform."""
 
 from __future__ import annotations
 
@@ -8,11 +8,7 @@ from .errors import ParameterError
 
 
 class Permutation:
-    """A bijection on {0..k-1}, stored in one-line notation.
-
-    ``p[i]`` is the image of ``i``.  Composition ``p * q`` applies ``q``
-    first, then ``p``:  ``(p * q)[i] == p[q[i]]``.
-    """
+    """A bijection on {0..k-1}, stored in one-line notation: ``p[i]`` is the image of ``i``."""
 
     __slots__ = ("_map",)
 
@@ -61,17 +57,6 @@ class Permutation:
     def __repr__(self) -> str:
         return f"Permutation({list(self._map)})"
 
-    def __mul__(self, other: Permutation) -> Permutation:
-        if len(self) != len(other):
-            raise ParameterError("cannot compose permutations of different sizes")
-        return Permutation(tuple(self._map[j] for j in other._map))
-
-    def inverse(self) -> Permutation:
-        inv = [0] * len(self)
-        for i, j in enumerate(self._map):
-            inv[j] = i
-        return Permutation(inv)
-
     def cycles(self) -> list[tuple[int, ...]]:
         """Cycle decomposition, fixed points included as 1-cycles."""
         out, seen = [], [False] * len(self)
@@ -88,14 +73,3 @@ class Permutation:
 
     def order(self) -> int:
         return math.lcm(*(len(c) for c in self.cycles()))
-
-    def __pow__(self, n: int) -> Permutation:
-        """n-fold composition; O(k) regardless of n via cycle decomposition."""
-        if n < 0:
-            return self.inverse() ** (-n)
-        mapping = [0] * len(self)
-        for cyc in self.cycles():
-            l = len(cyc)
-            for pos, i in enumerate(cyc):
-                mapping[i] = cyc[(pos + n) % l]
-        return Permutation(mapping)

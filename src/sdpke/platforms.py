@@ -77,8 +77,14 @@ def _decode_group(obj) -> FiniteGroupTable:
     return load_group(obj) if isinstance(obj, str) else FiniteGroupTable.from_obj(obj)
 
 
+def _decode_permutation(obj) -> Permutation:
+    if not (isinstance(obj, list) and all(_is_integer(i) for i in obj)):
+        raise ParameterError(f"permutation must be a list of integers, got {obj!r}")
+    return Permutation(obj)
+
+
 #: decoders of the non-matrix fields that JSON does not hold as they are, by annotation
-_DECODERS = {"FiniteGroupTable": _decode_group, "Permutation": Permutation}
+_DECODERS = {"FiniteGroupTable": _decode_group, "Permutation": _decode_permutation}
 
 
 class _Params:

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import matrices as mx
 from .errors import ParameterError
-from .holomorph import Platform, chain_power, doubling_chain, phi_power, sdp_exp
+from .holomorph import Platform, phi_power, sdp_exp
 from .matrices import Matrix
 from .platforms import params_from_obj
 from .semirings import _is_integer
@@ -147,15 +147,14 @@ def run_exchange(
     """One full exchange; returns the transcript and whether K_A == K_B.
 
     x_a and then x_b are drawn as two ``keygen`` calls would draw them, and
-    both powers (a_x, phi^x) are products over one doubling chain made up to
-    the larger exponent.  Each party keeps its phi^x from that product, so
+    both powers (a_x, phi^x) are ``sdp_exp`` products over the platform's
+    cached doubling chain.  Each party keeps its phi^x from that product, so
     its key phi^x(peer) ∘ own is ``derive_key``'s without a second
     exponentiation of phi.
     """
     x_a = draw_exponent(rng, exponent_bits)
     x_b = draw_exponent(rng, exponent_bits)
-    chain = doubling_chain(platform, max(x_a, x_b) + 1)
-    alice, bob = chain_power(platform, chain, x_a), chain_power(platform, chain, x_b)
+    alice, bob = sdp_exp(platform, x_a), sdp_exp(platform, x_b)
     k_alice = platform.op(alice.end(bob.value), alice.value)
     k_bob = platform.op(bob.end(alice.value), bob.value)
     transcript = Transcript(

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import sdpke.matrices as mx
 from sdpke.attacks import (
+    DIMENSION_ATTACK_CAP,
     AttackOutcome,
     WorkCounters,
     build_span_basis,
@@ -22,11 +23,13 @@ from sdpke.attacks import (
     _power_list,
 )
 from sdpke.errors import NotApplicableError, ParameterError, SizeCapError
+from sdpke.groups import load_group
 from sdpke.holomorph import sdp_exp, sequence_iter, telescoping_residual
 from sdpke.linalg import EchelonSpan, rank_mod, solve_mod
 from sdpke.permutations import Permutation
 from sdpke.platforms import (
     DhkeParams,
+    GroupRingParams,
     MakeParams,
     MobsParams,
     TropicalParams,
@@ -37,7 +40,7 @@ from sdpke.platforms import (
     random_tropical_params,
 )
 from sdpke.protocol import Transcript, derive_key, keygen, mr_encrypt
-from sdpke.semirings import BitStrings, IntegersMod, TropicalIntegers
+from sdpke.semirings import BitStrings, GroupRingScalars, IntegersMod, TropicalIntegers
 
 from conftest import linear_platform
 
@@ -102,6 +105,21 @@ def test_dimension_attack_needs_linear_coordinates(rng, transcript_with_exponent
     t = transcript_with_exponents(p, 5, 9)
     with pytest.raises(NotApplicableError):
         dimension_attack(t)
+
+
+def test_dimension_attack_refuses_a_size_32_a5_record_before_building_it():
+    # D = 32^2 * 60 = 61440 coordinates: a (2, D+1, D) block of about 7.5e9 int64 entries
+    group = load_group("a5")
+    zero = mx.zeros(GroupRingScalars(group, 7), 32, 32)
+    params = GroupRingParams(modulus=7, group=group, size=32, conjugator=zero, base=zero)
+    t = Transcript(params=params, alice_value=zero, bob_value=zero)
+    with pytest.raises(SizeCapError) as exc:
+        dimension_attack(t)
+    assert str(exc.value) == (
+        "the dimension attack on 32x32 matrices of 60 coordinates per entry works in D = 61440 "
+        f"and needs 2(D+1)D = 7549870080 entries (cap {DIMENSION_ATTACK_CAP})"
+    )
+    assert "_platform" not in vars(t)  # build_platform never ran
 
 
 def _incremental_dimension_attack(transcript: Transcript) -> AttackOutcome:

@@ -523,3 +523,47 @@ def test_malformed_json_exits_2_with_one_line(tmp_path, capsys, case):
     assert len(proc.stderr.strip().splitlines()) == 1
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
+
+
+def test_deeply_nested_json_exits_2_with_one_line(tmp_path, capsys):
+    # json.load raises RecursionError past the interpreter's recursion limit
+    deep = "[" * 100_000 + "]" * 100_000
+    params = tmp_path / "deep.params.json"
+    params.write_text('{"kind": "gl", "seed": ' + deep + "}")
+    code, _, err = run_cli(["exchange", "--params", str(params), "--out", str(tmp_path / "o.json")], capsys)
+    assert code == 2 and err.startswith("error: cannot read params file: RecursionError")
+    transcript = tmp_path / "deep.json"
+    transcript.write_text(deep)
+    proc = subprocess.run(
+        [sys.executable, "-m", "sdpke.cli", "attack", "--method", "dimension", str(transcript)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert proc.stderr.startswith("error: cannot read transcript file: RecursionError")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "permutation", [[1.5, 0.5], ["1", "0"], [True, False], "10"], ids=["float", "text", "bool", "string"]
+)
+def test_permutation_of_non_integers_exits_2(tmp_path, capsys, permutation):
+    # int() used to truncate 1.5 to 1 and read "10" as [1, 0], so these ran as the permutation [1, 0]
+    def files(perm):
+        params = {"kind": "mobs", "size": 1, "bits": 2, "permutation": perm, "g": [["10"]]}
+        params_path, transcript_path = tmp_path / "p.json", tmp_path / "t.json"
+        params_path.write_text(json.dumps(params))
+        transcript_path.write_text(json.dumps([{"schema": 1, "platform": params, "A": [["10"]], "B": [["01"]]}]))
+        return (
+            ["exchange", "--params", str(params_path), "--out", str(tmp_path / "o.json")],
+            ["attack", "--method", "mobs-count", str(transcript_path)],
+        )
+
+    for argv in files([1, 0]):
+        assert run_cli(argv, capsys)[0] == 0
+    for argv in files(permutation):
+        code, _, err = run_cli(argv, capsys)
+        assert code == 2
+        assert err == f"error: permutation must be a list of integers, got {permutation!r}\n"

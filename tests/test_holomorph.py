@@ -20,9 +20,9 @@ from sdpke.holomorph import (
     Platform,
     TropicalStarPower,
     TwoSidedPower,
-    chain_power,
     doubling_chain,
     holo_mul,
+    phi_power,
     sdp_exp,
     sdp_exp_naive,
     sequence_block,
@@ -106,21 +106,12 @@ def test_fast_exp_equals_naive(kind, rng, fresh_platform):
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_chain_power_over_a_longer_chain_equals_naive(kind, rng, fresh_platform):
-    # one chain made for the largest exponent serves every smaller one
+    # a cached chain made for a larger exponent serves every smaller one
     p = fresh_platform(kind, rng)
-    chain = doubling_chain(p, 1 << 10)
+    doubling_chain(p, 1 << 10)
     for n in range(1, 65):
-        got, want = chain_power(p, chain, n), sdp_exp_naive(p, n)
+        got, want = sdp_exp(p, n), sdp_exp_naive(p, n)
         assert (got.value, got.end, got.exponent) == (want.value, want.end, n)
-
-
-def test_chain_power_refuses_a_short_chain(rng, fresh_platform):
-    p = fresh_platform("gl", rng)
-    chain = doubling_chain(p, 8)  # levels 1, 2, 4: exponents up to 7
-    assert chain_power(p, chain, 7).value == sdp_exp(p, 7).value
-    for n in (0, 8):
-        with pytest.raises(ParameterError):
-            chain_power(p, chain, n)
 
 
 def test_sdp_exp_holo_mul_count(rng, fresh_platform, monkeypatch):
@@ -367,6 +358,36 @@ def test_star_power_matches_iterated_star_oracle(rng):
     g = mx.random_matrix(rng, ring, 3, 3, lo=-20, hi=20)
     for n in range(1, 12):
         assert TropicalStarPower(h).power(n)(g) == IteratedStarPower(h, n)(g)
+
+
+def _cycle_power(perm: Permutation, x: int) -> list[int]:
+    """perm^x in one-line notation: each point moves x mod its cycle's length steps along its cycle."""
+    image = [0] * len(perm)
+    for cyc in perm.cycles():
+        for pos, i in enumerate(cyc):
+            image[i] = cyc[(pos + x) % len(cyc)]
+    return image
+
+
+def test_mobs_phi_power_matches_the_cycle_oracle(rng):
+    params = random_mobs_params(rng)
+    p = params.build()
+    perm = params.bit_permutation
+    order = perm.order()
+    a, b = p.random_element(rng), p.random_element(rng)
+    xs = [1, 2, 3, order, order + 1, (1 << 63) - 1, *(int(v) for v in rng.integers(2, 1 << 62, 8))]
+    for x in xs:
+        image = _cycle_power(perm, x)
+        want = PermutationPower(Permutation(image))
+        assert phi_power(p, x) == want
+        assert p.phi.power(x) == want
+        assert derive_key(p, x, b, a) == mx.permute_bits(b, Permutation(image)) @ a
+
+
+def test_permutation_power_index_is_read_only(rng):
+    index = random_mobs_params(rng).build().phi.index
+    with pytest.raises(ValueError):
+        index[0] = 1
 
 
 def _foreign_operands():
