@@ -20,9 +20,9 @@ params = random_params("groupring", rng)
 platform = params.build()
 print(f"platform: 3x3 matrices over Z_7[S_3]; ambient dimension 9 * 6 = 54")
 
-basis = build_span_basis(platform, 7)
-print(f"sequence closes after {basis.rank} terms: a_1 .. a_{basis.rank} are independent,"
-      f" a_{basis.rank + 1} is not")
+rank = len(build_span_basis(platform))
+print(f"sequence closes after {rank} terms: a_1 .. a_{rank} are independent,"
+      f" a_{rank + 1} is not")
 
 x, y = 48611, 13297  # secrets; used only to stage the transcript and check the answer
 a = sdp_exp(platform, x).value

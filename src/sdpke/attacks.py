@@ -10,14 +10,16 @@ the exchanged values), each returning an AttackOutcome:
   independent prefix (it ends at the first linear dependence) and writes
   the observed value A in it, and the shared key is reassembled from
   public terms phi^i(B) ∘ a_i by linearity of phi, made in the same block.
+  ``build_span_basis`` returns that independent prefix alone.
 * ``make_telescoping_attack`` — specific to the additive platform.  The
   telescoping identity pins down phi^x(g) exactly (additive carriers are
   groups, so the solution is unique), and a Cayley-Hamilton argument turns
-  key recovery into one small linear solve.
+  key recovery into one small linear solve, replayed on B by the Z_p kernel.
 * ``tropical_binsearch_attack`` — the exchanged sequence is entrywise
   non-increasing, so its terms form a chain and an admissible exponent is
-  found by binary lifting over the doubling chain (g, phi)^(2^i); a term
-  incomparable with A proves A is off the sequence.
+  found by binary lifting over the doubling chain (g, phi)^(2^i), one
+  carrier step per probe; a term incomparable with A proves A is off the
+  sequence, and phi^x is composed once, for the key.
 * ``mobs_solution_count`` — exact census of how many Y satisfy the
   telescoping equality on the OR/AND platform, counted one (row, bit) slice
   of Y at a time; evidence for why the telescoping route fails there.
@@ -36,16 +38,7 @@ import numpy as np
 from . import matrices as mx
 from .errors import NotApplicableError, ParameterError, SizeCapError
 # sdp_exp is not called here; the benchmark's tracer self-test checks that it is rebound in this module
-from .holomorph import (
-    HolomorphPower,
-    Platform,
-    doubling_chain,
-    holo_mul,
-    phi_power,
-    sdp_exp,
-    sequence_block,
-    telescoping_residual,
-)
+from .holomorph import Platform, doubling_chain, phi_power, sdp_exp, sequence_block, telescoping_residual
 from .linalg import rref_mod, solve_mod
 from .matrices import Matrix
 from .protocol import Ciphertext, Transcript
@@ -98,33 +91,18 @@ def _verify(recovered: Matrix | None, transcript: Transcript) -> bool:
 # dimension attack
 
 
-@dataclass
-class SpanBasis:
-    """Maximal linearly independent prefix a_1, ..., a_k of the exchange sequence.
+def build_span_basis(platform: Platform) -> np.ndarray:
+    """The maximal linearly independent prefix a_1 .. a_k of the exchange sequence, as a (k, D) array.
 
-    The first dependence closes the span, because a_(m+1) = phi(a_m) ∘ a_1
-    and both phi and ∘-by-a_1 act linearly on the ambient coordinates.
-    """
-
-    elements: list[Matrix]
-    vectors: list[np.ndarray]
-
-    @property
-    def rank(self) -> int:
-        return len(self.elements)
-
-
-def build_span_basis(platform: Platform, modulus: int) -> SpanBasis:
-    """a_1 .. a_(D+1) as one sequence block, D the ambient dimension, and one elimination.
-
-    The rank is at most D, so the block reaches the first dependence, and
-    since that dependence closes the span, the pivots are the prefix.
+    a_1 .. a_(D+1), D the ambient dimension, are made as one sequence block
+    and eliminated once over the platform's modulus.  The rank is at most D,
+    so the block reaches the first dependence, and that dependence closes
+    the span, because a_(m+1) = phi(a_m) ∘ a_1 and both phi and ∘-by-a_1 act
+    linearly on the ambient coordinates: the pivots are the prefix.
     """
     dim = mx.flatten(platform.g).size
-    terms = sequence_block(platform, [platform.g], dim + 1)[0]
-    vectors = terms.reshape(dim + 1, dim)
-    rank = len(rref_mod(vectors.T, modulus)[1])
-    return SpanBasis(elements=[Matrix(platform.g.ring, t) for t in terms[:rank]], vectors=list(vectors[:rank]))
+    vectors = sequence_block(platform, [platform.g], dim + 1)[0].reshape(dim + 1, dim)
+    return vectors[: len(rref_mod(vectors.T, platform.g.ring.modulus)[1])]
 
 
 def dimension_attack(transcript: Transcript) -> AttackOutcome:
@@ -244,7 +222,7 @@ def make_telescoping_attack(transcript: Transcript) -> AttackOutcome:
         return AttackOutcome(success=False, work=work, detail="H1 A H2 + M - A is outside the H1^i M H2^j span")
 
     l_b = _build_l_matrix(h1_pows, b_obs, h2_pows)
-    phi_x_of_b = mx.unflatten(platform.g.ring, (l_b @ t) % p, n, n)
+    phi_x_of_b = mx.unflatten(platform.g.ring, IntegersMod(p).matmul(l_b, t[:, None]), n, n)
     key = phi_x_of_b + a_obs
 
     return AttackOutcome(
@@ -280,9 +258,12 @@ def tropical_binsearch_attack(transcript: Transcript, x_max: int = 1 << 20) -> A
     x <= x_max.  Any admissible exponent works: a_x' = a_x forces
     a_(x'+y) = a_(x+y), so the derived key is the true key.
 
-    The search squares (g, phi) into the doubling chain D_i = (g, phi)^(2^i)
-    and grows the longest prefix (a_m, phi^m) with a_m not <= A from the top
-    level down, so each probe is one holomorph product and n* = m + 1.
+    The search walks carrier values over the platform's doubling chain
+    D_i = (a_(2^i), phi^(2^i)): it grows the longest prefix m with a_m not
+    <= A from the top level down, each probe one carrier step
+    a_(m+2^i) = phi^(2^i)(a_m) ∘ a_(2^i), and the hit is a_(m+1) =
+    phi(a_m) ∘ g.  Only the key needs phi^(m+1), composed once from the
+    chain by ``phi_power``.
 
     The terms form a chain, so a probe incomparable with A proves that A is
     no a_x, and the search stops there.  ``check_x_max`` runs before any work.
@@ -294,29 +275,27 @@ def tropical_binsearch_attack(transcript: Transcript, x_max: int = 1 << 20) -> A
     a_obs, b_obs = transcript.alice_value, transcript.bob_value
 
     work = WorkCounters()
-    chain = doubling_chain(platform, x_max)
-
-    above: HolomorphPower | None = None  # the longest prefix known to have a_m not <= A
-    for step in reversed(chain):
-        if (0 if above is None else above.exponent) + step.exponent >= x_max:
+    m, a_m = 0, None  # the longest prefix known to have a_m not <= A; a_0 is no term
+    for step in reversed(doubling_chain(platform, x_max)):
+        if m + step.exponent >= x_max:
             continue
-        probe = step if above is None else holo_mul(platform, above, step)
+        probe = step.value if a_m is None else platform.op(step.end(a_m), step.value)
         work.search_steps += 1
-        le, ge = _compare_entrywise(probe.value, a_obs)
+        le, ge = _compare_entrywise(probe, a_obs)
         if not (le or ge):
-            return AttackOutcome(success=False, work=work, detail=f"a_{probe.exponent} is incomparable with A")
+            return AttackOutcome(success=False, work=work, detail=f"a_{m + step.exponent} is incomparable with A")
         if not le:
-            above = probe
+            m, a_m = m + step.exponent, probe
 
-    hit = chain[0] if above is None else holo_mul(platform, above, chain[0])
-    if hit.value != a_obs:
+    hit = platform.g if a_m is None else telescoping_residual(platform, a_m)
+    if hit != a_obs:
         return AttackOutcome(success=False, work=work, detail=f"no admissible exponent <= {x_max}")
 
-    key = platform.op(hit.end(b_obs), a_obs)
+    key = platform.op(phi_power(platform, m + 1)(b_obs), a_obs)
     return AttackOutcome(
         success=_verify(key, transcript),
         recovered_key=key,
-        recovered_exponent=hit.exponent,
+        recovered_exponent=m + 1,
         work=work,
     )
 

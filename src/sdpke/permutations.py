@@ -5,18 +5,22 @@ from __future__ import annotations
 import math
 
 from .errors import ParameterError
+from .semirings import _is_integer
 
 
 class Permutation:
-    """A bijection on {0..k-1}, stored in one-line notation: ``p[i]`` is the image of ``i``."""
+    """A bijection on {0..k-1}, stored in one-line notation: ``p[i]`` is the image of ``i``.
+
+    A float, bool or text entry is refused, never truncated or read as digits.
+    """
 
     __slots__ = ("_map",)
 
     def __init__(self, mapping):
-        m = tuple(int(i) for i in mapping)
-        if sorted(m) != list(range(len(m))):
+        m = tuple(mapping)
+        if not all(_is_integer(i) for i in m) or sorted(m) != list(range(len(m))):
             raise ParameterError(f"not a permutation of 0..{len(m) - 1}: {m}")
-        self._map = m
+        self._map = tuple(int(i) for i in m)
 
     @staticmethod
     def identity(k: int) -> Permutation:

@@ -51,6 +51,9 @@ from .semirings import BitStrings, GroupRingScalars, IntegersMod, TropicalIntege
 #: every platform, and the bit length of an OR/AND entry.
 MAX_SIZE = 32
 MAX_BITS = 256
+#: largest size * |G| of a group ring record: its n x n matrices act as (n|G|) x (n|G|)
+#: Z_m matrices, and a size-8 A_5 record (480) already takes seconds to draw and build
+MAX_GROUPRING_SIDE = 480
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +160,12 @@ def _random_noncentral_unit(rng: np.random.Generator, ring, size: int) -> Matrix
             return m
 
 
+def _check_groupring_side(size: int, group: FiniteGroupTable) -> None:
+    """Refuse a group ring record past ``MAX_GROUPRING_SIDE``, before any draw or inverse."""
+    if size * group.order > MAX_GROUPRING_SIDE:
+        raise ParameterError(f"size * |G| = {size} * {group.order} is past the group ring cap {MAX_GROUPRING_SIDE}")
+
+
 @dataclass(frozen=True)
 class GroupRingParams(_Params):
     kind = "groupring"
@@ -170,6 +179,7 @@ class GroupRingParams(_Params):
         return GroupRingScalars(self.group, self.modulus)
 
     def build(self) -> Platform:
+        _check_groupring_side(self.size, self.group)
         return _conjugation_platform(self)
 
 
@@ -180,6 +190,7 @@ def random_groupring_params(
     size: int = 3,
 ) -> GroupRingParams:
     table = load_group(group) if isinstance(group, str) else group
+    _check_groupring_side(size, table)
     if size == 1 and np.array_equal(table.product, table.product.T):
         raise ParameterError(f"{table.name} is abelian, so 1x1 matrices over its group ring all commute")
     ring = GroupRingScalars(table, modulus)

@@ -29,12 +29,15 @@ multiplication (integer + for tropical, AND for bitstrings).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ParameterError
 from .groups import FiniteGroupTable
-from .permutations import Permutation
+
+if TYPE_CHECKING:  # permutations checks its entries with _is_integer from here
+    from .permutations import Permutation
 
 #: Formal additive identity of the tropical semiring.  Finite tropical values
 #: are always Python ints; the IEEE infinity is used only as this one formal

@@ -538,6 +538,21 @@ def test_perm_power_basics():
     assert p.order() == 6
 
 
+@pytest.mark.parametrize(
+    "mapping", [[0.5, 1.5], ["1", "0"], [True, False], "10"], ids=["float", "text", "bool", "string"]
+)
+def test_permutation_refuses_entries_that_are_not_integers(mapping):
+    # int() used to truncate 0.5 to 0 and read "10" as [1, 0]; the params decoder follows the same rule
+    with pytest.raises(ParameterError, match="not a permutation of 0..1"):
+        Permutation(mapping)
+
+
+def test_permutation_accepts_numpy_integers_and_ranges():
+    assert list(Permutation(np.array([2, 0, 1], dtype=np.int64))) == [2, 0, 1]
+    assert list(Permutation([np.int64(1), np.int64(0)])) == [1, 0]
+    assert Permutation(range(4)) == Permutation.identity(4)
+
+
 def test_bit_action_examples(rng):
     bs = BitStrings(2)
     m = mx.from_rows(bs, [["10"]])

@@ -5,13 +5,16 @@ import json
 import re
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
+from sdpke.attacks import make_telescoping_attack
 from sdpke.cli import CSV_HEADER, MAX_TRIALS, main
 from sdpke.groups import MAX_GROUP_ORDER
-from sdpke.platforms import MAX_BITS, MAX_SIZE, GLParams
+from sdpke.platforms import MAX_BITS, MAX_GROUPRING_SIDE, MAX_SIZE, GLParams
+from sdpke.protocol import Transcript
 
 
 def run_cli(argv, capsys):
@@ -95,6 +98,33 @@ def test_attack_round_trip_telescope(tmp_path, capsys):
     rows = stdout.strip().splitlines()[1:]
     assert len(rows) == 3
     assert all(",telescope,1," in r for r in rows)
+
+
+def test_telescope_at_a_28_bit_prime_and_size_24_recovers_the_true_key(tmp_path, capsys):
+    # p = 2^28 - 57 with n^2 = 576 columns: replaying the solution on B sums 576 products
+    # near 2^56, past int64, so the replay has to go through the ring kernel's overflow guard
+    params = tmp_path / "make24.params.json"
+    params.write_text(json.dumps({"kind": "make", "seed": 1, "prime": 268435399, "size": 24}))
+    keyed, bare = tmp_path / "keyed.json", tmp_path / "bare.json"
+    for out, flags in ((keyed, ["--test-mode"]), (bare, [])):
+        argv = ["exchange", "--params", str(params), "--seed", "1", *flags, "--out", str(out)]
+        assert run_cli(argv, capsys)[0] == 0
+    code, stdout, _ = run_cli(["attack", "--method", "telescope", str(keyed)], capsys)
+    assert code == 0, stdout
+    true_key = Transcript.from_obj(json.loads(keyed.read_text())[0]).shared_key
+    outcome = make_telescoping_attack(Transcript.from_obj(json.loads(bare.read_text())[0]))
+    assert outcome.success and outcome.recovered_key == true_key
+
+
+@pytest.mark.parametrize("size", [9, 32])
+def test_groupring_params_past_the_side_cap_exit_2_with_one_line(tmp_path, capsys, size):
+    params = tmp_path / "a5.params.json"
+    params.write_text(json.dumps({"kind": "groupring", "seed": 1, "group": "a5", "size": size}))
+    start = time.perf_counter()
+    code, _, err = run_cli(["exchange", "--params", str(params), "--out", str(tmp_path / "o.json")], capsys)
+    assert time.perf_counter() - start < 0.5
+    assert code == 2
+    assert err == f"error: size * |G| = {size} * 60 is past the group ring cap {MAX_GROUPRING_SIDE}\n"
 
 
 def test_attack_not_applicable_exits_3(tmp_path, capsys):

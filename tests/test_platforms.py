@@ -9,11 +9,13 @@ import pytest
 
 import sdpke.matrices as mx
 from sdpke.errors import ParameterError
-from sdpke.groups import FiniteGroupTable, cyclic_group, load_group
+from sdpke.groups import BUNDLED_GROUPS, FiniteGroupTable, cyclic_group, load_group
 from sdpke.holomorph import Platform, TwoSidedPower, sdp_exp, validate_platform
 from sdpke.matrices import Matrix
 from sdpke.permutations import Permutation
 from sdpke.platforms import (
+    MAX_GROUPRING_SIDE,
+    MAX_SIZE,
     PLATFORM_KINDS,
     GLParams,
     GroupRingParams,
@@ -86,6 +88,33 @@ def test_groupring_composite_modulus_rejected(rng):
     )
     with pytest.raises(ParameterError, match="prime"):
         params.build()
+
+
+def _zero_groupring_record(group: str, size: int) -> GroupRingParams:
+    table = load_group(group)
+    zero = mx.zeros(GroupRingScalars(table, 7), size, size)
+    return GroupRingParams(modulus=7, group=table, size=size, conjugator=zero, base=zero)
+
+
+@pytest.mark.parametrize("size", [9, 32])
+def test_groupring_record_past_the_side_cap_refused_before_any_work(size):
+    # a size-8 A_5 record (side 480) already takes seconds to draw and build
+    message = f"size * |G| = {size} * 60 is past the group ring cap {MAX_GROUPRING_SIDE}"
+    record = _zero_groupring_record("a5", size)
+    start = time.perf_counter()
+    with pytest.raises(ParameterError) as generated:
+        random_groupring_params(np.random.default_rng(1), group="a5", size=size)
+    with pytest.raises(ParameterError) as built:
+        record.build()
+    assert time.perf_counter() - start < 0.5
+    assert str(generated.value) == str(built.value) == message
+
+
+@pytest.mark.parametrize("group, size", [(g, MAX_SIZE) for g in BUNDLED_GROUPS if g != "a5"] + [("a5", 8)])
+def test_groupring_side_cap_admits_every_other_bundled_group_up_to_max_size(group, size):
+    # past the cap check, the zero conjugator fails as singular
+    with pytest.raises(ParameterError, match="singular"):
+        _zero_groupring_record(group, size).build()
 
 
 # ---------------------------------------------------------------------------
