@@ -25,7 +25,8 @@ applicable to the platform, 4 enumeration size cap exceeded.
 
 Report rows have the fixed shape
 ``platform,trial,operation,success,micros,counters`` in CSV mode; counters
-serialize as ``name=value`` pairs joined by ``;``.
+serialize as ``name=value`` pairs joined by ``;``, then a failed attack's
+``detail=<text>`` (a ``detail`` key in JSON).
 """
 
 from __future__ import annotations
@@ -72,13 +73,16 @@ class ReportRow:
     success: bool
     micros: int
     counters: dict = field(default_factory=dict)
+    detail: str = ""  # a failed attack's reason, written only when set
 
     def to_csv(self) -> str:
-        counters = ";".join(f"{k}={v}" for k, v in self.counters.items())
+        counters = {**self.counters, "detail": self.detail} if self.detail else self.counters
+        counters = ";".join(f"{k}={v}" for k, v in counters.items())
         return f"{self.platform},{self.trial},{self.operation},{int(self.success)},{self.micros},{counters}"
 
     def to_obj(self) -> dict:
-        return {**vars(self), "success": int(self.success)}
+        obj = {**vars(self), "success": int(self.success)}
+        return obj if self.detail else {k: v for k, v in obj.items() if k != "detail"}
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
@@ -208,9 +212,8 @@ def cmd_attack(args: argparse.Namespace) -> int:
         t0 = time.perf_counter()
         outcome = _run_attack(args.method, transcript, args.x_max)
         micros = int((time.perf_counter() - t0) * 1e6)
-        rows.append(
-            ReportRow(transcript.params.kind, trial, args.method, outcome.success, micros, outcome.work.to_obj())
-        )
+        work = outcome.work.to_obj()
+        rows.append(ReportRow(transcript.params.kind, trial, args.method, outcome.success, micros, work, outcome.detail))
     return _emit_report(rows, args.fmt, args.out)
 
 

@@ -7,9 +7,9 @@ public element g, and an endomorphism phi of that operation.  Pairs
 The squarings (g, phi)^(2^i) depend on the platform alone, so each
 ``Platform`` caches them: ``doubling_chain`` squares only past the last
 cached level, and every power in the library is taken from that one chain.
-``sdp_exp`` raises (g, phi) to the n-th power by double-and-add, as the
-product of the chain levels at the set bits of n; ``phi_power`` composes
-only their endomorphisms, and ``sdp_exp_naive`` is the sequential
+Each half of (g, phi)^n has one function over the chain levels at the set
+bits of n, ``carrier_power`` for a_n and ``phi_power`` for phi^n; ``sdp_exp``
+is the pair of the two, and ``sdp_exp_naive`` is the sequential
 reference oracle.  ``sequence_block`` lifts over the chain to make a whole
 prefix of the sequence a_(n+1) = phi(a_n) ∘ g, from several starts at
 once, in batched products on every carrier.
@@ -268,20 +268,16 @@ def _levels_at_bits(platform: Platform, n: int) -> list[HolomorphPower]:
     return [level for level in doubling_chain(platform, n + 1) if n & level.exponent]
 
 
-def sdp_exp(platform: Platform, n: int) -> HolomorphPower:
-    """(g, phi)^n by double-and-add: the product of the platform's doubling chain levels at the set bits of n.
-
-    That is popcount(n) - 1 products, plus one squaring for each level up to
-    2^(bit_length(n) - 1) that the platform has not cached yet: bit_length(n)
-    - 1 squarings on a fresh platform, none once its chain reaches n.  n = 0
-    is rejected: three of the five carriers are proper semigroups with no
-    identity to return, and the exchanged sequence starts at a_1 = g.
-    """
-    acc, *rest = _levels_at_bits(platform, n)
+def carrier_power(platform: Platform, n: int) -> Matrix:
+    """a_n, the carrier half of (g, phi)^n: each set bit of n past the lowest is one carrier step
+    phi^m(a) ∘ a_m with the chain level (a_m, phi^m) there, and no endomorphism is composed.
+    n = 0 is rejected: three of the five carriers are proper semigroups with no identity to
+    return, and the exchanged sequence starts at a_1 = g."""
+    first, *rest = _levels_at_bits(platform, n)
+    value = first.value
     for level in rest:
-        # holo_mul is looked up at call time, so a rebinding of the module name reaches it
-        acc = holo_mul(platform, acc, level)
-    return acc
+        value = platform.op(level.end(value), level.value)
+    return value
 
 
 def phi_power(platform: Platform, n: int) -> Endomorphism:
@@ -297,6 +293,11 @@ def phi_power(platform: Platform, n: int) -> Endomorphism:
     for end in rest:
         acc = acc.compose(end)
     return acc
+
+
+def sdp_exp(platform: Platform, n: int) -> HolomorphPower:
+    """(g, phi)^n as its two halves, ``carrier_power`` and ``phi_power``; n = 0 is rejected."""
+    return HolomorphPower(carrier_power(platform, n), phi_power(platform, n), n)
 
 
 def sdp_exp_naive(platform: Platform, n: int) -> HolomorphPower:

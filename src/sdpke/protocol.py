@@ -1,10 +1,11 @@
 """The two-party exchange and the derived public-key encryption scheme.
 
 Both parties raise (g, phi) to a private exponent and transmit only the
-carrier component; each then applies its private endomorphism power to the
-peer's value and composes with its own.  The encryption scheme reuses the
-same machinery: the recipient's public value blinds the message, and only
-the holder of the private exponent can recompute the blinding factor.
+carrier component a_x; each then composes its private endomorphism power
+phi^x once, applies it to the peer's value and composes with its own.  The
+encryption scheme reuses the same machinery: the recipient's public value
+blinds the message, and only the holder of the private exponent can
+recompute the blinding factor.
 
 Secrets (exponents, ephemeral keys, endomorphism powers) never appear in a
 Transcript; a transcript is exactly the eavesdropper's view, plus an
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import matrices as mx
 from .errors import ParameterError
-from .holomorph import Platform, phi_power, sdp_exp
+from .holomorph import Platform, carrier_power, phi_power, sdp_exp
 from .matrices import Matrix
 from .platforms import params_from_obj
 from .semirings import _is_integer
@@ -51,9 +52,10 @@ def draw_exponent(rng: np.random.Generator, exponent_bits: int) -> int:
 
 
 def keygen(platform: Platform, rng: np.random.Generator, exponent_bits: int = 16) -> KeyPair:
-    """Draw x uniformly from [2, 2^exponent_bits) and publish a_x."""
+    """Draw x uniformly from [2, 2^exponent_bits) and publish a_x, made by ``carrier_power``
+    alone: phi^x is composed only where it is applied, in ``derive_key``."""
     x = draw_exponent(rng, exponent_bits)
-    return KeyPair(x, sdp_exp(platform, x).value)
+    return KeyPair(x, carrier_power(platform, x))
 
 
 def derive_key(platform: Platform, exponent: int, peer_value: Matrix, own_value: Matrix) -> Matrix:
@@ -144,23 +146,15 @@ def run_exchange(
     exponent_bits: int = 16,
     include_key: bool = False,
 ) -> tuple[Transcript, bool]:
-    """One full exchange; returns the transcript and whether K_A == K_B.
-
-    x_a and then x_b are drawn as two ``keygen`` calls would draw them, and
-    both powers (a_x, phi^x) are ``sdp_exp`` products over the platform's
-    cached doubling chain.  Each party keeps its phi^x from that product, so
-    its key phi^x(peer) ∘ own is ``derive_key``'s without a second
-    exponentiation of phi.
-    """
-    x_a = draw_exponent(rng, exponent_bits)
-    x_b = draw_exponent(rng, exponent_bits)
-    alice, bob = sdp_exp(platform, x_a), sdp_exp(platform, x_b)
-    k_alice = platform.op(alice.end(bob.value), alice.value)
-    k_bob = platform.op(bob.end(alice.value), bob.value)
+    """One full exchange, two ``keygen`` and two ``derive_key`` calls; returns the transcript and
+    whether K_A == K_B.  x_a is drawn before x_b, as the two ``keygen`` calls draw them."""
+    alice, bob = keygen(platform, rng, exponent_bits), keygen(platform, rng, exponent_bits)
+    k_alice = derive_key(platform, alice.exponent, bob.public_value, alice.public_value)
+    k_bob = derive_key(platform, bob.exponent, alice.public_value, bob.public_value)
     transcript = Transcript(
         params=platform.params,
-        alice_value=alice.value,
-        bob_value=bob.value,
+        alice_value=alice.public_value,
+        bob_value=bob.public_value,
         shared_key=k_alice if include_key else None,
     )
     return transcript, k_alice == k_bob

@@ -1,20 +1,27 @@
 """Harness contracts: exit codes, determinism, report formats, schema."""
 
+import contextlib
 import copy
+import functools
+import io
 import json
+import os
 import re
 import subprocess
 import sys
+import tempfile
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdpke.attacks import make_telescoping_attack
 from sdpke.cli import CSV_HEADER, MAX_TRIALS, main
 from sdpke.groups import MAX_GROUP_ORDER
-from sdpke.platforms import MAX_BITS, MAX_GROUPRING_SIDE, MAX_SIZE, GLParams
-from sdpke.protocol import Transcript
+from sdpke.platforms import MAX_BITS, MAX_GROUPRING_SIDE, MAX_SIZE, GLParams, random_params
+from sdpke.protocol import Transcript, run_exchange
 
 
 def run_cli(argv, capsys):
@@ -152,6 +159,32 @@ def test_attack_bounded_tropical_search_reports_failure(tmp_path, capsys):
     assert code == 1
     rows = stdout.strip().splitlines()[1:]
     assert all(",tropical-binsearch,0," in r for r in rows)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_failed_attack_rows_carry_their_detail(tmp_path, capsys, fmt):
+    # a failed row says why it failed; a successful row has no detail at all
+    out = tmp_path / "t.json"
+    run_cli(
+        ["exchange", "--platform", "tropical", "--trials", "2", "--seed", "10",
+         "--test-mode", "--out", str(out)],
+        capsys,
+    )
+    code, stdout, _ = run_cli(
+        ["attack", "--method", "tropical-binsearch", "--x-max", "3", "--format", fmt, str(out)], capsys
+    )
+    assert code == 1
+    reason = r"no admissible exponent <= 3|a_\d+ is incomparable with A"
+    if fmt == "csv":
+        rows = stdout.strip().splitlines()[1:]
+        assert len(rows) == 2
+        assert all(re.fullmatch(f"detail=({reason})", r.split(";")[-1]) for r in rows), rows
+    else:
+        rows = json.loads(stdout)
+        assert len(rows) == 2 and all(re.fullmatch(reason, row["detail"]) for row in rows), rows
+    code, stdout, _ = run_cli(["attack", "--method", "tropical-binsearch", "--format", fmt, str(out)], capsys)
+    assert code == 0
+    assert "detail" not in stdout
 
 
 def test_attack_counters_are_deterministic(tmp_path, capsys):
@@ -597,3 +630,64 @@ def test_permutation_of_non_integers_exits_2(tmp_path, capsys, permutation):
         code, _, err = run_cli(argv, capsys)
         assert code == 2
         assert err == f"error: permutation must be a list of integers, got {permutation!r}\n"
+
+
+# ---------------------------------------------------------------------------
+# one changed field of a valid record: every outside input ends in an exit code and one line
+
+#: the attack each platform's transcripts are replayed with
+_ATTACK_OF = {"gl": "dimension", "groupring": "dimension", "dhke": "dimension", "make": "telescope",
+              "tropical": "tropical-binsearch", "mobs": "mobs-count"}
+#: values of another JSON type, or out of every field's range, that replace a field
+_SWAPS = [None, True, 1.5, -1, 1 << 70, "x", [], {}, [[0]]]
+
+
+@functools.cache
+def _valid_transcript(kind: str) -> dict:
+    platform = random_params(kind, np.random.default_rng(1)).build()
+    return run_exchange(platform, np.random.default_rng(2), include_key=True)[0].to_obj()
+
+
+def _paths(obj, prefix=()):
+    """The path of every value inside a JSON object, the object itself excluded."""
+    children = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in children:
+        yield (*prefix, key)
+        yield from _paths(value, (*prefix, key))
+
+
+def _change_one_field(data, obj) -> None:
+    """Swap one value's type, change its shape, or delete it, in place."""
+    *parents, last = data.draw(st.sampled_from(list(_paths(obj))))
+    container = functools.reduce(lambda node, key: node[key], parents, obj)
+    change = data.draw(st.sampled_from(["swap", "shape", "delete"]))
+    value = container[last]
+    if change == "swap":
+        container[last] = data.draw(st.sampled_from(_SWAPS))
+    elif change == "shape":
+        shapes = [value[:-1], value + value[-1:], [value]] if isinstance(value, list) and value else [[value]]
+        container[last] = data.draw(st.sampled_from(shapes))
+    else:
+        del container[last]
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(sorted(_ATTACK_OF)), record=st.sampled_from(["transcript", "params"]), data=st.data())
+def test_one_changed_field_exits_0_to_4_with_at_most_one_line(kind, record, data):
+    obj = copy.deepcopy(_valid_transcript(kind))
+    if record == "params":
+        obj = obj["platform"]
+    _change_one_field(data, obj)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "in.json")
+        with open(path, "w") as fh:
+            json.dump(obj, fh)
+        if record == "transcript":
+            argv = ["attack", "--method", _ATTACK_OF[kind], path]
+        else:
+            argv = ["exchange", "--params", path, "--out", os.path.join(tmp, "out.json")]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert 0 <= code <= 4
+    assert len(err.getvalue().splitlines()) <= 1 and "Traceback" not in err.getvalue(), err.getvalue()

@@ -13,6 +13,7 @@ import sdpke.matrices as mx
 from sdpke.errors import ParameterError
 from sdpke.holomorph import (
     ConjugatorPower,
+    Endomorphism,
     HolomorphPower,
     IdentityEnd,
     IteratedStarPower,
@@ -20,6 +21,7 @@ from sdpke.holomorph import (
     Platform,
     TropicalStarPower,
     TwoSidedPower,
+    carrier_power,
     doubling_chain,
     holo_mul,
     phi_power,
@@ -32,7 +34,7 @@ from sdpke.holomorph import (
 from sdpke.matrices import Matrix
 from sdpke.permutations import Permutation
 from sdpke.platforms import DhkeParams, random_mobs_params, random_tropical_params
-from sdpke.protocol import derive_key
+from sdpke.protocol import derive_key, keygen
 from sdpke.semirings import BitStrings, IntegersMod, TropicalIntegers
 
 from conftest import PLATFORM_GENERATORS, linear_platform
@@ -115,27 +117,58 @@ def test_chain_power_over_a_longer_chain_equals_naive(kind, rng, fresh_platform)
 
 
 def test_sdp_exp_holo_mul_count(rng, fresh_platform, monkeypatch):
-    # double-and-add over the platform's cached chain: popcount - 1 products, and one squaring
-    # per level the chain does not hold yet (bit_length - 1 of them on a fresh platform)
+    # holo_mul only squares the platform's cached chain, one squaring per level it does not hold yet
+    # (bit_length - 1 on a fresh platform): sdp_exp makes no holomorph product of its own.  Past the
+    # squarings, a_x is popcount - 1 carrier steps and phi^x popcount - 1 compositions; on a warm
+    # chain carrier_power and keygen compose no endomorphism, and derive_key composes phi^x once.
     p = fresh_platform("gl", rng)
-    squarings, products = [], []
+    squarings, products, steps, compositions = [], [], [], []
+    op, compose = Platform.op, Endomorphism.compose
 
     def counted(platform, x, y):
         (squarings if x is y else products).append(x.exponent)
         return holo_mul(platform, x, y)
 
+    def counted_op(platform, a, b):
+        steps.append(a)
+        return op(platform, a, b)
+
+    def counted_compose(end, other):
+        compositions.append(other)
+        return compose(end, other)
+
     monkeypatch.setattr(holomorph, "holo_mul", counted)
+    monkeypatch.setattr(Platform, "op", counted_op)
+    monkeypatch.setattr(Endomorphism, "compose", counted_compose)
+
+    def counted_call(fn, *args):
+        """fn(*args), and (squarings, other holo_mul products, carrier steps and compositions
+        past the squarings' own) made by it."""
+        for made in (squarings, products, steps, compositions):
+            made.clear()
+        result = fn(*args)
+        return result, (len(squarings), len(products), len(steps) - len(squarings), len(compositions) - len(squarings))
+
+    def ones(m: int) -> int:
+        return bin(m).count("1")
+
     n = 0x5555
-    assert sdp_exp(p, n).exponent == n
-    assert (len(squarings), len(products)) == (n.bit_length() - 1, bin(n).count("1") - 1)
+    power, made = counted_call(sdp_exp, p, n)
+    assert power.exponent == n and made == (n.bit_length() - 1, 0, ones(n) - 1, ones(n) - 1)
     levels = n.bit_length()
     for m in [*range(1, 130), 1 << 40, (1 << 40) - 1, 0x5555_5555, 3, (1 << 63) - 1, 1 << 62]:
-        squarings.clear()
-        products.clear()
-        assert sdp_exp(p, m).exponent == m
-        assert len(products) == bin(m).count("1") - 1, m
-        assert len(squarings) == max(0, m.bit_length() - levels), m
+        power, made = counted_call(sdp_exp, p, m)
+        assert power.exponent == m and made == (max(0, m.bit_length() - levels), 0, ones(m) - 1, ones(m) - 1), m
         levels = max(levels, m.bit_length())
+    assert levels == 63
+    for m in [*range(1, 130), (1 << 40) - 1, 0x5555_5555, (1 << 63) - 1, 1 << 62]:
+        assert counted_call(carrier_power, p, m)[1] == (0, 0, ones(m) - 1, 0), m
+    for _ in range(20):
+        alice, made_a = counted_call(keygen, p, rng, 63)
+        bob, made_b = counted_call(keygen, p, rng, 63)
+        assert (made_a, made_b) == ((0, 0, ones(alice.exponent) - 1, 0), (0, 0, ones(bob.exponent) - 1, 0))
+        _, made = counted_call(derive_key, p, alice.exponent, bob.public_value, alice.public_value)
+        assert made == (0, 0, 1, ones(alice.exponent) - 1)
 
 
 def _small_platform(kind: str, seed: int) -> Platform:

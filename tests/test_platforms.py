@@ -6,6 +6,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sdpke.matrices as mx
 from sdpke.errors import ParameterError
@@ -191,6 +193,67 @@ def test_is_central_is_the_scalar_matrices_of_central_entries():
         data = np.zeros((2, 2, S3.order), dtype=np.int64)
         data[0, 0] = data[1, 1] = entry
         assert _is_central(Matrix(ring, data)) is central
+
+
+def _is_central_by_probes(h: Matrix) -> bool:
+    """The stacked-probe oracle for ``_is_central``: h commutes with each unit matrix E_ij and, over
+    Z_m[G], with each group element times the identity, which generate every matrix as a ring."""
+    ring, n = h.ring, h.rows
+    probes = np.multiply.outer(np.eye(n * n, dtype=ring.dtype).reshape(-1, n, n), ring.identity(1)[0, 0])
+    if isinstance(ring, GroupRingScalars):
+        elements = np.multiply.outer(np.eye(ring.group.order, dtype=np.int64), np.eye(n, dtype=np.int64))
+        probes = np.concatenate([probes, elements.transpose(0, 2, 3, 1)])
+    return np.array_equal(ring.matmul(h.data, probes), ring.matmul(probes, h.data))
+
+
+def _central_entry(ring, rng: np.random.Generator) -> np.ndarray:
+    """A random central entry: any residue of Z_m, and over Z_m[G] a class function of G."""
+    if not isinstance(ring, GroupRingScalars):
+        return rng.integers(0, ring.modulus, size=())
+    group = ring.group
+    elements = np.arange(group.order)
+    # conjugates[h, g] = h g h^-1, so a conjugacy class is labelled by its least element
+    conjugates = group.product[group.product[elements[:, None], elements[None, :]], group.inverse[:, None]]
+    return rng.integers(0, ring.modulus, size=group.order)[conjugates.min(axis=0)]
+
+
+_CENTRALITY_RINGS = [IntegersMod(5), *(GroupRingScalars(load_group(name), 5) for name in ("c2", "s3", "a4"))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    ring=st.sampled_from(_CENTRALITY_RINGS),
+    size=st.integers(1, 3),
+    form=st.sampled_from(["random", "scalar", "central", "perturbed"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_is_central_agrees_with_the_probe_oracle(ring, size, form, seed):
+    # random matrices, scalar matrices of any entry, c·I for a central c, and c·I with one entry moved
+    draws = np.random.default_rng(seed)
+    if form == "random":
+        h = mx.random_matrix(draws, ring, size, size)
+    else:
+        c = _central_entry(ring, draws) if form != "scalar" else mx.random_matrix(draws, ring, 1, 1).data[0, 0]
+        data = np.multiply.outer(np.eye(size, dtype=np.int64), c)
+        if form == "perturbed":
+            i, j = draws.integers(0, size, size=2)
+            k = (int(draws.integers(0, ring.group.order)),) if isinstance(ring, GroupRingScalars) else ()
+            data[(i, j, *k)] = (data[(i, j, *k)] + draws.integers(1, ring.modulus)) % ring.modulus
+        h = Matrix(ring, data)
+    assert _is_central(h) is _is_central_by_probes(h)
+    if form == "central":
+        assert _is_central(h)
+
+
+def test_seeded_a4_size_32_groupring_draw_is_quick():
+    # the centrality check of the conjugator draw is O(n^2 |G|), not a stack of n^2 + |G| products
+    code = (
+        "import time, numpy as np; from sdpke.platforms import random_groupring_params; t = time.perf_counter(); "
+        "random_groupring_params(np.random.default_rng(1), group='a4', size=32); print(time.perf_counter() - t)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 10
 
 
 # ---------------------------------------------------------------------------
