@@ -26,11 +26,16 @@ the exchanged values), each returning an AttackOutcome:
 
 ``mr_message_recovery`` turns the dimension attack into ciphertext-only
 message recovery for the encryption scheme.
+
+``ATTACKS`` maps each ``sdpke attack --method`` name to its runner, so a
+new method is one entry there.  A recovered key succeeds when it equals
+the transcript's ground-truth key, or when the transcript carries none.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,13 +83,10 @@ class AttackOutcome:
     detail: str = ""
 
 
-def _verify(recovered: Matrix | None, transcript: Transcript) -> bool:
-    """Success means the exact shared key when ground truth is available."""
-    if recovered is None:
-        return False
-    if transcript.shared_key is not None:
-        return recovered == transcript.shared_key
-    return True
+def _recovered(key: Matrix, transcript: Transcript, work: WorkCounters, exponent: int | None = None) -> AttackOutcome:
+    """The outcome of a recovered key: success means the exact shared key when ground truth is available."""
+    success = transcript.shared_key is None or key == transcript.shared_key
+    return AttackOutcome(success=success, recovered_key=key, recovered_exponent=exponent, work=work)
 
 
 # ---------------------------------------------------------------------------
@@ -161,12 +163,7 @@ def dimension_attack(transcript: Transcript) -> AttackOutcome:
     key = Matrix(ring, key.reshape(platform.g.data.shape))
     if platform.op_kind == "add":
         key = key + b_obs.scale((1 - int(np.sum(eta))) % modulus)
-
-    return AttackOutcome(
-        success=_verify(key, transcript),
-        recovered_key=key,
-        work=work,
-    )
+    return _recovered(key, transcript, work)
 
 
 # ---------------------------------------------------------------------------
@@ -202,41 +199,26 @@ def make_telescoping_attack(transcript: Transcript) -> AttackOutcome:
     Higher-degree columns add nothing to that span, so an inconsistent
     system proves D is no H1^x M H2^x, and the attack fails.
     """
-    platform = transcript.build_platform()
-    if platform.name != "make":
-        raise NotApplicableError("telescoping solve applies to the additive platform only")
-    params = platform.params
-    p = params.prime
-    n = params.size
-    h1, h2, m = params.left_factor, params.right_factor, params.base
-    a_obs, b_obs = transcript.alice_value, transcript.bob_value
-
-    work = WorkCounters()
-    d = telescoping_residual(platform, a_obs) - a_obs
-
-    h1_pows = _power_list(h1, n)
-    h2_pows = _power_list(h2, n)
-    work.linear_solves = 1
-    t = solve_mod(_build_l_matrix(h1_pows, m, h2_pows), mx.flatten(d), p)
+    d = telescoped_conjugate(transcript)
+    params = transcript.params
+    p, n = params.prime, params.size
+    h1_pows = _power_list(params.left_factor, n)
+    h2_pows = _power_list(params.right_factor, n)
+    work = WorkCounters(linear_solves=1)
+    t = solve_mod(_build_l_matrix(h1_pows, params.base, h2_pows), mx.flatten(d), p)
     if t is None:
         return AttackOutcome(success=False, work=work, detail="H1 A H2 + M - A is outside the H1^i M H2^j span")
 
-    l_b = _build_l_matrix(h1_pows, b_obs, h2_pows)
-    phi_x_of_b = mx.unflatten(platform.g.ring, IntegersMod(p).matmul(l_b, t[:, None]), n, n)
-    key = phi_x_of_b + a_obs
-
-    return AttackOutcome(
-        success=_verify(key, transcript),
-        recovered_key=key,
-        work=work,
-    )
+    l_b = _build_l_matrix(h1_pows, transcript.bob_value, h2_pows)
+    phi_x_of_b = mx.unflatten(d.ring, IntegersMod(p).matmul(l_b, t[:, None]), n, n)
+    return _recovered(phi_x_of_b + transcript.alice_value, transcript, work)
 
 
 def telescoped_conjugate(transcript: Transcript) -> Matrix:
-    """The public quantity H1 A H2 + M - A (equals phi^x(g); used by tests)."""
+    """The public quantity D = H1 A H2 + M - A, equal to phi^x(g); the telescoping attack solves from it."""
     platform = transcript.build_platform()
     if platform.name != "make":
-        raise NotApplicableError("defined for the additive platform only")
+        raise NotApplicableError("telescoping solve applies to the additive platform only")
     return telescoping_residual(platform, transcript.alice_value) - transcript.alice_value
 
 
@@ -292,12 +274,7 @@ def tropical_binsearch_attack(transcript: Transcript, x_max: int = 1 << 20) -> A
         return AttackOutcome(success=False, work=work, detail=f"no admissible exponent <= {x_max}")
 
     key = platform.op(phi_power(platform, m + 1)(b_obs), a_obs)
-    return AttackOutcome(
-        success=_verify(key, transcript),
-        recovered_key=key,
-        recovered_exponent=m + 1,
-        work=work,
-    )
+    return _recovered(key, transcript, work, exponent=m + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -365,3 +342,16 @@ def mr_message_recovery(platform: Platform, public_key: Matrix, ct: Ciphertext) 
     if outcome.recovered_key is None:
         raise NotApplicableError("dimension attack did not produce a key")
     return mx.inverse(outcome.recovered_key) @ ct.c2
+
+
+# ---------------------------------------------------------------------------
+# the method table
+
+#: each ``--method`` name's runner; a runner looks its attack up by the
+#: module-level name when it runs, so a tracer that rebinds the name sees the call
+ATTACKS: dict[str, Callable[[Transcript, int], AttackOutcome]] = {
+    "dimension": lambda transcript, x_max: dimension_attack(transcript),
+    "telescope": lambda transcript, x_max: make_telescoping_attack(transcript),
+    "tropical-binsearch": lambda transcript, x_max: tropical_binsearch_attack(transcript, x_max=x_max),
+    "mobs-count": lambda transcript, x_max: mobs_solution_count(transcript.build_platform(), transcript.alice_value),
+}

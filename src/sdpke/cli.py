@@ -4,7 +4,8 @@ Subcommands:
 
 * ``exchange`` — run seeded key exchanges on a platform, write the
   transcripts (JSON array) to ``--out``, and report one row per trial.
-* ``attack``  — replay an attack against a transcript file.
+* ``attack``  — replay an attack against a transcript file; ``--method``
+  names an entry of ``sdpke.attacks.ATTACKS``.
 * ``count``   — the telescoping solution-count experiment on the OR/AND
   platform at enumerable sizes.
 
@@ -20,8 +21,9 @@ chain, and ``attack`` builds each distinct platform record of a transcript
 file once.  Each subcommand reads its flags from the argparse namespace,
 so every default lives in the parser.
 
-Exit codes: 0 success, 1 trial failure, 2 bad configuration, 3 attack not
-applicable to the platform, 4 enumeration size cap exceeded.
+Exit codes: 0 success, 1 trial failure, 2 bad configuration (an ``--out``
+that cannot be written included), 3 attack not applicable to the platform,
+4 enumeration size cap exceeded.
 
 Report rows have the fixed shape
 ``platform,trial,operation,success,micros,counters`` in CSV mode; counters
@@ -42,13 +44,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import matrices as mx
-from .attacks import (
-    check_x_max,
-    dimension_attack,
-    make_telescoping_attack,
-    mobs_solution_count,
-    tropical_binsearch_attack,
-)
+from .attacks import ATTACKS, check_x_max, mobs_solution_count
 from .errors import NotApplicableError, ParameterError, SizeCapError
 from .holomorph import sdp_exp
 from .platforms import PLATFORM_KINDS, params_from_obj, random_params
@@ -136,11 +132,15 @@ def _load_params(args: argparse.Namespace):
 
 
 def _write_text(path: str | None, text: str):
+    """Write to stdout, or to ``path``; a path that cannot be written is a ParameterError line."""
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ParameterError(f"cannot write {path}: {type(exc).__name__}: {exc.strerror or exc}") from exc
 
 
 def _emit_report(rows: list[ReportRow], fmt: str, path: str | None) -> int:
@@ -190,27 +190,12 @@ def cmd_exchange(args: argparse.Namespace) -> int:
     return _emit_report([r for _, r in results], args.fmt, None)
 
 
-_ATTACKS = ("dimension", "telescope", "tropical-binsearch", "mobs-count")
-
-
-def _run_attack(method: str, transcript: Transcript, x_max: int):
-    # the attacks are called by their module-level names, which a tracer may rebind
-    if method == "dimension":
-        return dimension_attack(transcript)
-    if method == "telescope":
-        return make_telescoping_attack(transcript)
-    if method == "tropical-binsearch":
-        return tropical_binsearch_attack(transcript, x_max=x_max)
-    # mobs-count, the last choice the parser allows
-    return mobs_solution_count(transcript.build_platform(), transcript.alice_value)
-
-
 def cmd_attack(args: argparse.Namespace) -> int:
     check_x_max(args.x_max)
     rows = []
     for trial, transcript in enumerate(_load_transcripts(args.transcript)):
         t0 = time.perf_counter()
-        outcome = _run_attack(args.method, transcript, args.x_max)
+        outcome = ATTACKS[args.method](transcript, args.x_max)
         micros = int((time.perf_counter() - t0) * 1e6)
         work = outcome.work.to_obj()
         rows.append(ReportRow(transcript.params.kind, trial, args.method, outcome.success, micros, work, outcome.detail))
@@ -290,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     # benchmark's cli workload passes one argument list to every subcommand
     _add_flags(p, "--trials", "--seed", "--out", "--format")
     p.add_argument("transcript", help="transcript JSON file written by exchange")
-    p.add_argument("--method", choices=_ATTACKS, required=True)
+    p.add_argument("--method", choices=tuple(ATTACKS), required=True)
     p.add_argument("--x-max", type=int, default=1 << 20, help="exponent search bound in [1, 2^63] (tropical)")
     p.set_defaults(run=cmd_attack)
 

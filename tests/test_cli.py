@@ -17,10 +17,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdpke.attacks import make_telescoping_attack
-from sdpke.cli import CSV_HEADER, MAX_TRIALS, main
+from sdpke import attacks
+from sdpke.attacks import ATTACKS, AttackOutcome, make_telescoping_attack
+from sdpke.cli import CSV_HEADER, MAX_TRIALS, build_parser, main
+from sdpke.errors import NotApplicableError
 from sdpke.groups import MAX_GROUP_ORDER
-from sdpke.platforms import MAX_BITS, MAX_GROUPRING_SIDE, MAX_SIZE, GLParams, random_params
+from sdpke.platforms import MAX_BITS, MAX_GROUPRING_SIDE, MAX_SIZE, PLATFORM_KINDS, GLParams, random_params
 from sdpke.protocol import Transcript, run_exchange
 
 
@@ -691,3 +693,85 @@ def test_one_changed_field_exits_0_to_4_with_at_most_one_line(kind, record, data
             code = main(argv)
     assert 0 <= code <= 4
     assert len(err.getvalue().splitlines()) <= 1 and "Traceback" not in err.getvalue(), err.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# the method table: the CLI's --method list, its dispatch and the applicability matrix
+
+
+def _default_transcript_file(tmp_path, capsys, kind: str):
+    path = tmp_path / f"{kind}.json"
+    code, _, _ = run_cli(["exchange", "--platform", kind, "--seed", "5", "--test-mode", "--out", str(path)], capsys)
+    assert code == 0
+    return path
+
+
+@pytest.mark.parametrize("command", ["exchange", "attack", "count"])
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+def test_unwritable_out_exits_2_with_one_line(tmp_path, capsys, command, target):
+    if command == "attack":
+        argv = ["attack", "--method", "dimension", str(_default_transcript_file(tmp_path, capsys, "gl"))]
+    else:
+        argv = {"exchange": ["exchange", "--platform", "gl"], "count": ["count", "--seed", "1"]}[command]
+    out = tmp_path / "missing" / "out.json" if target == "missing-directory" else tmp_path
+    code, _, err = run_cli([*argv, "--out", str(out)], capsys)
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: cannot write {out}: ")
+    assert "Traceback" not in err
+
+
+def _method_choices() -> tuple:
+    attack = build_parser()._subparsers._group_actions[0].choices["attack"]
+    return next(action.choices for action in attack._actions if action.dest == "method")
+
+
+def test_method_choices_are_the_attack_table_and_runners_reach_the_module_level_attacks(tmp_path, capsys, monkeypatch):
+    assert _method_choices() == tuple(ATTACKS)
+    calls = []
+
+    def stub(name):
+        def record(*args, **kwargs):
+            calls.append((name, args, kwargs))
+            return AttackOutcome(success=True)
+
+        return record
+
+    monkeypatch.setattr(attacks, "dimension_attack", stub("dimension"))
+    monkeypatch.setattr(attacks, "tropical_binsearch_attack", stub("tropical"))
+    path = _default_transcript_file(tmp_path, capsys, "gl")
+    assert run_cli(["attack", "--method", "dimension", str(path)], capsys)[0] == 0
+    assert run_cli(["attack", "--method", "tropical-binsearch", "--x-max", "7", str(path)], capsys)[0] == 0
+    assert [(name, kwargs) for name, _, kwargs in calls] == [("dimension", {}), ("tropical", {"x_max": 7})]
+    assert all(isinstance(args[0], Transcript) for _, args, _ in calls)
+
+
+#: the platforms each method applies to; every other default platform exits 3
+_APPLIES_TO = {
+    "dimension": {"groupring", "gl", "make", "dhke"},
+    "telescope": {"make"},
+    "tropical-binsearch": {"tropical"},
+    "mobs-count": {"mobs"},
+}
+
+#: each method's attack function, called without the table
+_DIRECT = {
+    "dimension": attacks.dimension_attack,
+    "telescope": attacks.make_telescoping_attack,
+    "tropical-binsearch": attacks.tropical_binsearch_attack,
+    "mobs-count": lambda t: attacks.mobs_solution_count(t.build_platform(), t.alice_value),
+}
+
+
+@pytest.mark.parametrize("kind", PLATFORM_KINDS)
+def test_attack_applicability_matrix(tmp_path, capsys, kind):
+    assert set(_APPLIES_TO) == set(ATTACKS) == set(_DIRECT)
+    path = _default_transcript_file(tmp_path, capsys, kind)
+    transcript = Transcript.from_obj(json.loads(path.read_text())[0])
+    for method, kinds in _APPLIES_TO.items():
+        code, _, err = run_cli(["attack", "--method", method, str(path)], capsys)
+        assert code == (0 if kind in kinds else 3), (method, err)
+        if kind in kinds:
+            assert _DIRECT[method](transcript).success
+        else:
+            with pytest.raises(NotApplicableError):
+                _DIRECT[method](transcript)
