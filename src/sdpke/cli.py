@@ -22,8 +22,8 @@ file once.  Each subcommand reads its flags from the argparse namespace,
 so every default lives in the parser.
 
 Exit codes: 0 success, 1 trial failure, 2 bad configuration (an ``--out``
-that cannot be written included), 3 attack not applicable to the platform,
-4 enumeration size cap exceeded.
+that cannot be written included, found before the first trial), 3 attack
+not applicable to the platform, 4 enumeration size cap exceeded.
 
 Report rows have the fixed shape
 ``platform,trial,operation,success,micros,counters`` in CSV mode; counters
@@ -37,6 +37,7 @@ import argparse
 import contextlib
 import functools
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass, field, replace
@@ -48,7 +49,7 @@ from .attacks import ATTACKS, check_x_max, mobs_solution_count
 from .errors import NotApplicableError, ParameterError, SizeCapError
 from .holomorph import sdp_exp
 from .platforms import PLATFORM_KINDS, params_from_obj, random_params
-from .protocol import Transcript, draw_exponent, run_exchange
+from .protocol import Transcript, check_exponent_bits, draw_exponent, run_exchange
 from .semirings import _is_integer
 
 CSV_HEADER = "platform,trial,operation,success,micros,counters"
@@ -99,12 +100,33 @@ def _reading(what: str):
         raise ParameterError(f"cannot read {what}: {type(exc).__name__}: {exc}") from exc
 
 
+@contextlib.contextmanager
+def _writing(path: str):
+    """Turn a path that cannot be written (a missing directory, a directory) into one ParameterError line."""
+    try:
+        yield
+    except OSError as exc:
+        raise ParameterError(f"cannot write {path}: {type(exc).__name__}: {exc.strerror or exc}") from exc
+
+
 def _check_run(args: argparse.Namespace):
-    """The range checks on the flags every subcommand registers."""
+    """The range checks on the flags, then a probe of ``--out``, before any input is read.
+
+    The probe appends nothing to an existing file and removes a file it made itself."""
     if not 1 <= args.trials <= MAX_TRIALS:
         raise ParameterError(f"trials must be in [1, {MAX_TRIALS}], got {args.trials}")
     if not 0 <= args.seed < (1 << 64):
         raise ParameterError("seed must fit in 64 bits")
+    if "exponent_bits" in args:
+        check_exponent_bits(args.exponent_bits)
+    if "x_max" in args:
+        check_x_max(args.x_max)
+    if args.out is not None:
+        existed = os.path.exists(args.out)
+        with _writing(args.out), open(args.out, "a"):
+            pass
+        if not existed:
+            os.remove(args.out)
 
 
 def _load_params(args: argparse.Namespace):
@@ -132,15 +154,12 @@ def _load_params(args: argparse.Namespace):
 
 
 def _write_text(path: str | None, text: str):
-    """Write to stdout, or to ``path``; a path that cannot be written is a ParameterError line."""
+    """Write to stdout, or to ``path``."""
     if path is None:
         sys.stdout.write(text)
         return
-    try:
-        with open(path, "w") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise ParameterError(f"cannot write {path}: {type(exc).__name__}: {exc.strerror or exc}") from exc
+    with _writing(path), open(path, "w") as fh:
+        fh.write(text)
 
 
 def _emit_report(rows: list[ReportRow], fmt: str, path: str | None) -> int:
@@ -191,7 +210,6 @@ def cmd_exchange(args: argparse.Namespace) -> int:
 
 
 def cmd_attack(args: argparse.Namespace) -> int:
-    check_x_max(args.x_max)
     rows = []
     for trial, transcript in enumerate(_load_transcripts(args.transcript)):
         t0 = time.perf_counter()

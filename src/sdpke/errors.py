@@ -15,3 +15,11 @@ class NotApplicableError(RuntimeError):
 
 class SizeCapError(RuntimeError):
     """The problem instance exceeds the configured enumeration cap."""
+
+
+def refuse_unknown_keys(record: dict, known, what: str) -> None:
+    """Refuse a record read from outside that holds a key its reader does not read, so a
+    misspelt optional key (a transcript's ``key`` as ``Key``) is not dropped without a word."""
+    unknown = sorted(set(record) - set(known))
+    if unknown:
+        raise ParameterError(f"unknown {what} keys {unknown}; accepted: {sorted(known)}")

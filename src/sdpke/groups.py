@@ -18,7 +18,7 @@ import itertools
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, refuse_unknown_keys
 
 BUNDLED_GROUPS = ("c2", "s3", "a4", "a5")
 #: largest accepted group order; validation builds n^3 products (2 x 14 MB at 120)
@@ -106,6 +106,7 @@ class FiniteGroupTable:
         for field in ("order", "product", "identity", "inverse"):
             if field not in obj:
                 raise ParameterError(f"group table record missing field {field!r}")
+        refuse_unknown_keys(obj, ("order", "product", "identity", "inverse"), "group table")
         table = FiniteGroupTable(obj["product"], name=name)
         if table.order != obj["order"]:
             raise ParameterError("declared order does not match product table")

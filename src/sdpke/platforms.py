@@ -31,7 +31,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import matrices as mx
-from .errors import ParameterError
+from .errors import ParameterError, refuse_unknown_keys
 from .groups import BUNDLED_GROUPS, FiniteGroupTable, load_group
 from .holomorph import (
     ConjugatorPower,
@@ -103,6 +103,7 @@ class _Params:
     def from_obj(cls, obj: dict):
         """Decode the other fields, then the matrices in the record's ring, which
         ``ring()`` builds from those fields alone."""
+        refuse_unknown_keys(obj, ["kind", *(_JSON_KEYS.get(f.name, f.name) for f in fields(cls))], cls.kind)
         values, matrices = {}, {}
         for f in fields(cls):
             value = obj[_JSON_KEYS.get(f.name, f.name)]
@@ -453,8 +454,6 @@ def random_params(kind: str, rng: np.random.Generator, **overrides):
         raise ParameterError(f"unknown platform kind {kind!r}")
     generator = _GENERATORS[kind]
     accepted = list(inspect.signature(generator).parameters)[1:]  # all but rng
-    unknown = sorted(set(overrides) - set(accepted))
-    if unknown:
-        raise ParameterError(f"unknown {kind} parameters {unknown}; accepted: {accepted}")
+    refuse_unknown_keys(overrides, accepted, f"{kind} parameter")
     _check_integers(overrides)
     return generator(rng, **overrides)

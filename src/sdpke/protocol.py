@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from . import matrices as mx
-from .errors import ParameterError
+from .errors import ParameterError, refuse_unknown_keys
 from .holomorph import Platform, carrier_power, phi_power, sdp_exp
 from .matrices import Matrix
 from .platforms import params_from_obj
@@ -44,10 +44,15 @@ class Ciphertext:
     c2: Matrix
 
 
-def draw_exponent(rng: np.random.Generator, exponent_bits: int) -> int:
-    """x uniform on [2, 2^exponent_bits); the range is empty below 2 bits and past int64 above 63."""
+def check_exponent_bits(exponent_bits) -> None:
+    """Refuse a bit count whose exponent range [2, 2^bits) is empty (below 2) or past int64 (above 63)."""
     if not (_is_integer(exponent_bits) and 2 <= exponent_bits <= 63):
         raise ParameterError(f"exponent bits must be an integer in [2, 63], got {exponent_bits!r}")
+
+
+def draw_exponent(rng: np.random.Generator, exponent_bits: int) -> int:
+    """x uniform on [2, 2^exponent_bits)."""
+    check_exponent_bits(exponent_bits)
     return int(rng.integers(2, 1 << exponent_bits))
 
 
@@ -102,8 +107,10 @@ class Transcript:
         """The transcript of a record.  ``built`` maps canonical platform JSON to the platform
         built from it, for a reader of many records: records with equal platform records then
         share one params object and one build."""
-        if obj.get("schema") != TRANSCRIPT_SCHEMA:
-            raise ParameterError(f"unsupported transcript schema {obj.get('schema')!r}")
+        schema = obj.get("schema")
+        if not (_is_integer(schema) and schema == TRANSCRIPT_SCHEMA):
+            raise ParameterError(f"unsupported transcript schema {schema!r}")
+        refuse_unknown_keys(obj, ("schema", "platform", "A", "B", "key"), "transcript")
         platform = None
         if built is None:
             params = params_from_obj(obj["platform"])

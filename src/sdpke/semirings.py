@@ -12,9 +12,9 @@ inverses, a Z_m scalar action, coordinates for linear algebra), and
 tropical scalars, ``(|G|,)`` coefficients for group ring entries and
 ``(k,)`` bools for k-bit strings.
 
-The kernels broadcast over leading stack axes in front of (rows, cols) +
-entry_shape, so one call multiplies or adds a stack of matrices and one
-matrix; the group ring product takes a stack on one side only.
+The kernels broadcast leading stack axes in front of (rows, cols) +
+entry_shape on both sides, as numpy's ``@`` does, so one call multiplies or
+adds a stack of matrices and one matrix, or two stacks.
 
 Packed arrays are canonical: of dtype ``dtype``, Z_m values in [0, m),
 tropical entries Python ints or ``TROP_INF``.  Only the kernels and the
@@ -102,12 +102,6 @@ class ZMod:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        v = self._coerce(other)
-        if v is None:
-            return NotImplemented
-        return ZMod(self.value - v, self.modulus)
-
     def __mul__(self, other):
         v = self._coerce(other)
         if v is None:
@@ -115,12 +109,6 @@ class ZMod:
         return ZMod(self.value * v, self.modulus)
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return ZMod(-self.value, self.modulus)
-
-    def inverse(self) -> ZMod:
-        return ZMod(pow(self.value, -1, self.modulus), self.modulus)
 
     def __repr__(self):
         return f"{self.value} (mod {self.modulus})"
@@ -167,10 +155,6 @@ class GroupRingElement:
     def __add__(self, other: GroupRingElement) -> GroupRingElement:
         self._check(other)
         return GroupRingElement(self.group, self.modulus, self.coeffs + other.coeffs)
-
-    def __sub__(self, other: GroupRingElement) -> GroupRingElement:
-        self._check(other)
-        return GroupRingElement(self.group, self.modulus, self.coeffs - other.coeffs)
 
     def __mul__(self, other: GroupRingElement) -> GroupRingElement:
         self._check(other)
@@ -347,10 +331,11 @@ class GroupRingScalars:
 
     Products go through a regular representation: a matrix over Z_m[G] acts
     on stacked coefficient vectors as a Z_m matrix |G| times as large, and
-    ``IntegersMod`` multiplies that.  The product gathers the blocks of the
-    factor with fewer entries (left-regular ``regular(a)`` for a @ X,
-    right-regular for X @ b), so a tall stack of matrices times one small
-    matrix gathers the small one.
+    ``IntegersMod`` multiplies that, broadcasting leading stack axes.  The
+    product gathers the blocks of the factor with fewer entries, stack axes
+    included (left-regular ``regular(a)`` for a @ X, right-regular for
+    X @ b), so a tall stack of matrices times one small matrix, on either
+    side, gathers the small one.
     """
 
     linear = True
@@ -391,36 +376,28 @@ class GroupRingScalars:
         return (a - b) % self.modulus
 
     def regular(self, data):
-        """The (rows*n x cols*n) Z_m matrix of X -> data @ X, n = |G|.
+        """The (rows*n x cols*n) Z_m matrix of X -> data @ X, n = |G|, for each matrix of a stack.
 
         Block (i, k) is the left-regular matrix of entry (i, k).  It acts on
         X's coefficients stacked by row: row k*n + g of the stack holds
-        coefficient g of X's row k.
+        coefficient g of X's row k.  Leading stack axes stay in front.
         """
-        rows, cols, n = data.shape
-        blocks = np.take(data, self.group.left_regular, axis=2)  # [i, k, c, g] = data[i, k, c * g^-1]
-        return blocks.transpose(0, 2, 1, 3).reshape(rows * n, cols * n)
+        rows, cols, n = data.shape[-3:]
+        blocks = data.take(self.group.left_regular, axis=-1)  # [..., i, k, c, g] = data[..., i, k, c * g^-1]
+        return blocks.swapaxes(-3, -2).reshape(data.shape[:-3] + (rows * n, cols * n))
 
     def matmul(self, a, b):
-        if a.ndim > 3:  # a stacked left factor: its stack becomes rows of one product
-            if b.ndim > 3:
-                raise ParameterError("a group ring product takes a stack on one side only")
-            rows, k, n = a.shape[-3:]
-            return self.matmul(a.reshape(-1, k, n), b).reshape(*a.shape[:-3], rows, b.shape[1], n)
-        if b.ndim > 3:  # a stacked right factor: its stack becomes columns of one product
-            k, cols, n = b.shape[-3:]
-            wide = np.moveaxis(b.reshape(-1, k, cols, n), 0, 1).reshape(k, -1, n)
-            prod = self.matmul(a, wide).reshape(a.shape[0], -1, cols, n)
-            return np.moveaxis(prod, 1, 0).reshape(*b.shape[:-3], a.shape[0], cols, n)
-        rows, (k, cols, n) = a.shape[0], b.shape
-        if cols < rows:
-            # blocks[k, g, j, c] = b[k, j, g^-1 * c]: the matrix of X -> X @ b on X's rows,
+        rows, k, n = a.shape[-3:]
+        cols = b.shape[-2]
+        if b.size < a.size:
+            # blocks[..., k, g, j, c] = b[..., k, j, g^-1 * c]: the matrix of X -> X @ b on X's rows,
             # each of which holds its k entries' coefficients in a row
-            blocks = np.take(b, self.group.right_regular, axis=2).transpose(0, 3, 1, 2)
-            prod = self.coefficients.matmul(a.reshape(rows, k * n), blocks.reshape(k * n, cols * n))
-            return prod.reshape(rows, cols, n)
-        prod = self.coefficients.matmul(self.regular(a), b.transpose(0, 2, 1).reshape(k * n, cols))
-        return prod.reshape(rows, n, cols).transpose(0, 2, 1)
+            blocks = b.take(self.group.right_regular, axis=-1).swapaxes(-1, -3).swapaxes(-1, -2)
+            prod = self.coefficients.matmul(a.reshape(a.shape[:-2] + (k * n,)),
+                                            blocks.reshape(b.shape[:-3] + (k * n, cols * n)))
+            return prod.reshape(prod.shape[:-1] + (cols, n))
+        prod = self.coefficients.matmul(self.regular(a), b.swapaxes(-1, -2).reshape(b.shape[:-3] + (k * n, cols)))
+        return prod.reshape(prod.shape[:-2] + (rows, n, cols)).swapaxes(-1, -2)
 
     def scale(self, c: int, a):
         return (c * a) % self.modulus

@@ -300,22 +300,29 @@ def test_groupring_matmul_matches_scalar_oracle(group, modulus, shape, near_top,
     assert a @ b == matmul_oracle(a, b)
 
 
-def test_tall_groupring_product_gathers_the_small_factor():
-    # a stack of 512 3x3 matrices over Z_7[A_5] times one 3x3 matrix
+@pytest.mark.parametrize("tall_left", [True, False], ids=["tall-times-small", "small-times-tall"])
+def test_tall_groupring_product_gathers_the_small_factor(tall_left):
+    # a 1536x3 matrix over Z_7[A_5] times one 3x3 matrix, or one 3x3 matrix times
+    # a stack of 512 3x3 matrices holding the same entries
     ring = GroupRingScalars(GROUPS["a5"], 7)
     gen = np.random.default_rng(4)
     tall = gen.integers(0, 7, (1536, 3, 60))
     small = gen.integers(0, 7, (3, 3, 60))
+    a, b = (tall, small) if tall_left else (small, tall.reshape(512, 3, 3, 60))
     tracemalloc.start()
     try:
-        out = ring.matmul(tall, small)
+        out = ring.matmul(a, b)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the product and its reduction are two 2.1 MB arrays and the right-regular blocks
-    # of the small factor 0.26 MB; the left-regular blocks of the tall one would be 133 MB
+    # the product and its reduction are two 2.1 MB arrays (with a 2.1 MB copy of the stack
+    # when it is the right factor) and the regular blocks of the small factor 0.26 MB;
+    # the regular blocks of the tall one would be 133 MB
     assert peak < 3 * out.nbytes + 2**20
-    assert Matrix(ring, out[:2]) == matmul_oracle(Matrix(ring, tall[:2]), Matrix(ring, small))
+    if tall_left:
+        assert Matrix(ring, out[:2]) == matmul_oracle(Matrix(ring, tall[:2]), Matrix(ring, small))
+    else:
+        assert Matrix(ring, out[0]) == matmul_oracle(Matrix(ring, small), Matrix(ring, b[0]))
 
 
 #: rings of the stacked-product property, each with the largest inner dimension k it draws
@@ -342,43 +349,42 @@ def _packed(gen, ring, rows: int, cols: int, stack=()) -> np.ndarray:
     return gen.integers(max(0, ring.modulus - 1024), ring.modulus, shape).astype(ring.dtype)
 
 
-@settings(deadline=None, max_examples=80)
+#: (left, right) stack shapes: a stack on one side, or stacks on both sides that broadcast
+_STACK_SHAPES = [
+    *(((), stack) for stack in [(2,), (4,), (2, 3), (1, 2)]),
+    *((stack, ()) for stack in [(2,), (4,), (2, 3), (1, 2)]),
+    ((2,), (2,)), ((2, 1), (1, 3)), ((1,), (4,)), ((3, 1), (2,)),
+]
+
+
+@settings(deadline=None, max_examples=100)
 @given(
     name=st.sampled_from(sorted(_STACKED_RINGS)),
-    stacked_left=st.booleans(),
-    stack=st.sampled_from([(2,), (4,), (2, 3), (1, 2)]),
+    stacks=st.sampled_from(_STACK_SHAPES),
     rows=st.integers(1, 3),
     cols=st.integers(1, 3),
     data=st.data(),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(name="zmod-int64-limit", stacked_left=True, stack=(2,), rows=2, cols=1, data=None, seed=0)
-@example(name="zmod-int64-limit", stacked_left=False, stack=(2, 3), rows=1, cols=2, data=None, seed=1)
-@example(name="groupring-a5", stacked_left=True, stack=(2,), rows=3, cols=1, data=None, seed=2)
-@example(name="groupring-a5", stacked_left=False, stack=(2, 3), rows=1, cols=3, data=None, seed=3)
-def test_stacked_matmul_matches_oracle_per_matrix(name, stacked_left, stack, rows, cols, data, seed):
-    # a stack of q >= 2 matrices times one matrix, or one matrix times a stack: each matrix of the
-    # result is the scalar product of its own factors
+@example(name="zmod-int64-limit", stacks=((2,), ()), rows=2, cols=1, data=None, seed=0)
+@example(name="zmod-int64-limit", stacks=((), (2, 3)), rows=1, cols=2, data=None, seed=1)
+@example(name="groupring-a5", stacks=((2,), ()), rows=3, cols=1, data=None, seed=2)
+@example(name="groupring-a5", stacks=((), (2, 3)), rows=1, cols=3, data=None, seed=3)
+@example(name="groupring-a5", stacks=((2, 1), (1, 3)), rows=2, cols=1, data=None, seed=4)
+@example(name="groupring-s3", stacks=((2,), (2,)), rows=2, cols=2, data=None, seed=5)
+def test_stacked_matmul_matches_oracle_per_matrix(name, stacks, rows, cols, data, seed):
+    # a stack of matrices times one matrix, one matrix times a stack, or two stacks that
+    # broadcast: each matrix of the result is the scalar product of its own factors
     ring, k_max = _STACKED_RINGS[name]
     k = k_max if data is None else data.draw(st.integers(1, k_max), label="k")
     gen = np.random.default_rng(seed)
-    if stacked_left:
-        a, b = _packed(gen, ring, rows, k, stack), _packed(gen, ring, k, cols)
-    else:
-        a, b = _packed(gen, ring, rows, k), _packed(gen, ring, k, cols, stack)
+    a, b = _packed(gen, ring, rows, k, stacks[0]), _packed(gen, ring, k, cols, stacks[1])
     out = ring.matmul(a, b)
+    stack = np.broadcast_shapes(*stacks)
     assert out.shape == (*stack, rows, cols, *ring.entry_shape)
+    a, b = np.broadcast_to(a, stack + a.shape[len(stacks[0]):]), np.broadcast_to(b, stack + b.shape[len(stacks[1]):])
     for idx in np.ndindex(*stack):
-        left = Matrix(ring, a[idx] if stacked_left else a)
-        right = Matrix(ring, b if stacked_left else b[idx])
-        assert Matrix(ring, out[idx]) == matmul_oracle(left, right)
-
-
-def test_groupring_product_refuses_stacks_on_both_sides():
-    ring = GroupRingScalars(S3, 7)
-    gen = np.random.default_rng(5)
-    with pytest.raises(ParameterError, match="one side"):
-        ring.matmul(_packed(gen, ring, 2, 2, (2,)), _packed(gen, ring, 2, 2, (2,)))
+        assert Matrix(ring, out[idx]) == matmul_oracle(Matrix(ring, a[idx]), Matrix(ring, b[idx]))
 
 
 # ---------------------------------------------------------------------------

@@ -17,11 +17,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdpke import attacks
+from sdpke import attacks, cli
 from sdpke.attacks import ATTACKS, AttackOutcome, make_telescoping_attack
 from sdpke.cli import CSV_HEADER, MAX_TRIALS, build_parser, main
 from sdpke.errors import NotApplicableError
-from sdpke.groups import MAX_GROUP_ORDER
+from sdpke.groups import MAX_GROUP_ORDER, load_group
 from sdpke.platforms import MAX_BITS, MAX_GROUPRING_SIDE, MAX_SIZE, PLATFORM_KINDS, GLParams, random_params
 from sdpke.protocol import Transcript, run_exchange
 
@@ -718,6 +718,57 @@ def test_unwritable_out_exits_2_with_one_line(tmp_path, capsys, command, target)
     assert code == 2
     assert len(err.splitlines()) == 1 and err.startswith(f"error: cannot write {out}: ")
     assert "Traceback" not in err
+
+
+def test_unwritable_out_is_found_before_the_first_trial(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "run_exchange", lambda *args, **kwargs: calls.append(args))
+    out = tmp_path / "missing" / "t.json"
+    code, _, err = run_cli(["exchange", "--platform", "gl", "--trials", "3", "--out", str(out)], capsys)
+    assert code == 2 and err.startswith(f"error: cannot write {out}: ")
+    assert calls == []
+
+
+@pytest.mark.parametrize("existing", [True, False], ids=["existing-file", "new-file"])
+def test_a_failed_command_leaves_its_out_path_as_it_was(tmp_path, capsys, existing):
+    # one command fails on a flag checked before --out, one on a params file read after it
+    out = tmp_path / "t.json"
+    if existing:
+        out.write_text("earlier transcripts\n")
+    bad_params = tmp_path / "bad.params.json"
+    bad_params.write_text("{not json")
+    for argv in (["--platform", "gl", "--exponent-bits", "1"], ["--params", str(bad_params)]):
+        code, _, err = run_cli(["exchange", *argv, "--out", str(out)], capsys)
+        assert code == 2 and len(err.splitlines()) == 1
+        assert out.read_text() == "earlier transcripts\n" if existing else not out.exists()
+
+
+@pytest.mark.parametrize("record", ["params", "transcript", "transcript-platform", "group-table"])
+def test_unknown_record_key_exits_2_with_one_line_naming_it(tmp_path, capsys, record):
+    kind = "groupring" if record == "group-table" else "make"
+    records = json.loads(_default_transcript_file(tmp_path, capsys, kind).read_text())
+    rec = records[0]
+    path = tmp_path / "in.json"
+    if record == "transcript":
+        # the hazard: a wrong A fails against the ground truth under "key", but with the
+        # ground truth spelt "Key" the wrong recovered key would count as a success
+        rec["A"] = np.random.default_rng(5).integers(0, rec["platform"]["prime"], (3, 3)).tolist()
+        path.write_text(json.dumps(records))
+        assert run_cli(["attack", "--method", "dimension", str(path)], capsys)[0] == 1
+        rec["Key"] = rec.pop("key")
+    elif record == "group-table":
+        rec["platform"]["group"] = {**load_group(rec["platform"]["group"]).to_obj(), "Key": 1}
+    else:
+        rec["platform"]["Key"] = 1
+    if record == "params":
+        path.write_text(json.dumps(rec["platform"]))
+        argv = ["exchange", "--params", str(path), "--out", str(tmp_path / "o.json")]
+    else:
+        path.write_text(json.dumps(records))
+        argv = ["attack", "--method", "dimension", str(path)]
+    code, _, err = run_cli(argv, capsys)
+    assert code == 2 and len(err.splitlines()) == 1
+    assert err.startswith("error: unknown ") and "['Key']" in err
 
 
 def _method_choices() -> tuple:

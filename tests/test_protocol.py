@@ -135,8 +135,10 @@ def test_build_platform_is_kept_without_a_reference_cycle(rng, fresh_platform):
 
 
 def test_transcript_schema_version_checked():
-    with pytest.raises(ParameterError, match="schema"):
-        Transcript.from_obj({"schema": 99, "platform": {}, "A": [], "B": []})
+    # the schema is the integer 1: a bool, a float or text equal to it is refused too
+    for schema in (99, True, 1.0, "1"):
+        with pytest.raises(ParameterError, match="schema"):
+            Transcript.from_obj({"schema": schema, "platform": {}, "A": [], "B": []})
 
 
 @pytest.mark.parametrize("field", ["A", "B", "key"])
