@@ -103,10 +103,11 @@ class FiniteGroupTable:
 
     @staticmethod
     def from_obj(obj: dict, name: str = "group") -> FiniteGroupTable:
-        for field in ("order", "product", "identity", "inverse"):
+        keys = ("order", "product", "identity", "inverse")
+        for field in keys:
             if field not in obj:
                 raise ParameterError(f"group table record missing field {field!r}")
-        refuse_unknown_keys(obj, ("order", "product", "identity", "inverse"), "group table")
+        refuse_unknown_keys(obj, keys, "group table")
         table = FiniteGroupTable(obj["product"], name=name)
         if table.order != obj["order"]:
             raise ParameterError("declared order does not match product table")
