@@ -18,8 +18,11 @@ only add overhead.
 Work is done once: the parser is built once per process, the exchanges
 of one call raise their exponents over the platform's cached doubling
 chain, and ``attack`` builds each distinct platform record of a transcript
-file once.  Each subcommand reads its flags from the argparse namespace,
-so every default lives in the parser.
+file once, while it reads the file, so every trial on one record shares
+the build.  A record that an attack then refuses has been built all the
+same: the dimension attack's block cap, which the library call checks
+before any build, comes after it here.  Each subcommand reads its flags
+from the argparse namespace, so every default lives in the parser.
 
 Exit codes: 0 success, 1 trial failure, 2 bad configuration (an ``--out``
 that cannot be written included, found before the first trial), 3 attack
@@ -46,11 +49,10 @@ import numpy as np
 
 from . import matrices as mx
 from .attacks import ATTACKS, check_x_max, mobs_solution_count
-from .errors import NotApplicableError, ParameterError, SizeCapError
+from .errors import NotApplicableError, ParameterError, SizeCapError, _is_integer
 from .holomorph import sdp_exp
 from .platforms import PLATFORM_KINDS, params_from_obj, random_params
 from .protocol import Transcript, check_exponent_bits, draw_exponent, run_exchange
-from .semirings import _is_integer
 
 CSV_HEADER = "platform,trial,operation,success,micros,counters"
 

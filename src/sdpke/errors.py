@@ -1,4 +1,6 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the checks every record reader shares."""
+
+import numpy as np
 
 
 class ParameterError(ValueError):
@@ -15,6 +17,11 @@ class NotApplicableError(RuntimeError):
 
 class SizeCapError(RuntimeError):
     """The problem instance exceeds the configured enumeration cap."""
+
+
+def _is_integer(x) -> bool:
+    """True for an int or numpy integer, false for a bool, float or text read from outside."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)  # bool subclasses int
 
 
 def refuse_unknown_keys(record: dict, known, what: str) -> None:

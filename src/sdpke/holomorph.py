@@ -38,7 +38,13 @@ MAX_CHAIN_LEVELS = 64
 
 
 class Endomorphism:
-    """Base for the per-platform representations of phi^n."""
+    """Base for the per-platform representations of phi^n.
+
+    ``ring`` is the ring of the matrices phi^n acts on; ``None`` (the
+    identity) acts on every ring.
+    """
+
+    ring = None
 
     def act(self, data: np.ndarray) -> np.ndarray:
         """phi^n on the packed entries of one matrix or, along leading axes, a stack of them."""
@@ -51,6 +57,8 @@ class Endomorphism:
 
     def _check_operand(self, ring) -> None:
         """Raise ParameterError unless phi^n acts on matrices over ``ring``."""
+        if ring is not self.ring and self.ring is not None and ring != self.ring:
+            raise ParameterError(f"an endomorphism over {self.ring!r} cannot act on a matrix over {ring!r}")
 
     def compose(self, other: Endomorphism) -> Endomorphism:
         """self after other; for powers of one phi this is phi^(m+n).  Past the identity,
@@ -77,11 +85,6 @@ class Endomorphism:
             sq = sq.compose(sq)
 
 
-def _require_ring(own, ring) -> None:
-    if ring is not own and ring != own:
-        raise ParameterError(f"an endomorphism over {own!r} cannot act on a matrix over {ring!r}")
-
-
 class IdentityEnd(Endomorphism):
     """The identity automorphism; degenerates the exchange to plain DH."""
 
@@ -101,13 +104,11 @@ class TwoSidedPower(Endomorphism):
     def __init__(self, left_pow: Matrix, right_pow: Matrix):
         self.left_pow = left_pow
         self.right_pow = right_pow
+        self.ring = left_pow.ring
 
     def act(self, data: np.ndarray) -> np.ndarray:
-        ring = self.left_pow.ring
+        ring = self.ring
         return ring.matmul(ring.matmul(self.left_pow.data, data), self.right_pow.data)
-
-    def _check_operand(self, ring) -> None:
-        _require_ring(self.left_pow.ring, ring)
 
     def _compose(self, other: TwoSidedPower) -> Endomorphism:
         return TwoSidedPower(self.left_pow @ other.left_pow, self.right_pow @ other.right_pow)
@@ -137,14 +138,12 @@ class TropicalStarPower(Endomorphism):
 
     def __init__(self, star_pow: Matrix):
         self.star_pow = star_pow
+        self.ring = star_pow.ring
 
     def act(self, data: np.ndarray) -> np.ndarray:
         """X ⋆ S = X ⊕ S ⊕ X⊗S."""
-        ring, s = self.star_pow.ring, self.star_pow.data
+        ring, s = self.ring, self.star_pow.data
         return ring.add(ring.add(data, s), ring.matmul(data, s))
-
-    def _check_operand(self, ring) -> None:
-        _require_ring(self.star_pow.ring, ring)
 
     def _compose(self, other: TropicalStarPower) -> Endomorphism:
         # self after other: (G ⋆ S_other) ⋆ S_self = G ⋆ (S_other ⋆ S_self)
@@ -162,15 +161,13 @@ class IteratedStarPower(Endomorphism):
             raise ParameterError("iterated star power needs n >= 1")
         self.base = base
         self.n = n
+        self.ring = base.ring
 
     def act(self, data: np.ndarray) -> np.ndarray:
         step = TropicalStarPower(self.base)
         for _ in range(self.n):
             data = step.act(data)
         return data
-
-    def _check_operand(self, ring) -> None:
-        _require_ring(self.base.ring, ring)
 
     def _compose(self, other: IteratedStarPower) -> Endomorphism:
         if other.base != self.base:
@@ -189,6 +186,8 @@ class PermutationPower(Endomorphism):
     """phi^n permutes the bit positions of every entry: bit i of the image is bit ``index[i]``.
 
     ``index`` is perm^n in one-line notation, held as one read-only intp array.
+    It keeps its own operand rule, on the bit length, and no ``ring``: a
+    ``BitStrings`` per composition would cost a third of the composition.
     """
 
     def __init__(self, perm: Permutation | np.ndarray):
@@ -203,6 +202,8 @@ class PermutationPower(Endomorphism):
             raise ParameterError(f"a permutation of {len(self.index)} bit positions cannot act on {ring!r}")
 
     def _compose(self, other: PermutationPower) -> Endomorphism:
+        if other.index.shape != self.index.shape:
+            raise ParameterError("cannot compose endomorphisms of different platforms")
         # entry action is contravariant: bit i of self-after-other is bit other.index[self.index[i]]
         return PermutationPower(other.index[self.index])
 

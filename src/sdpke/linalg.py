@@ -109,13 +109,17 @@ def solve_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:
 
 
 def inverse_mod(a: np.ndarray, p: int) -> np.ndarray:
-    """Inverse of a square matrix over Z_p; raises SingularMatrixError."""
+    """Inverse of a square matrix over Z_p; raises SingularMatrixError.
+
+    [a | I] has rank n, so it always has n pivots; a is invertible exactly
+    when they are the first n columns.
+    """
     n = a.shape[0]
     if a.shape != (n, n):
         raise ParameterError("only square matrices can be inverted")
     aug = np.concatenate([a, np.eye(n, dtype=a.dtype)], axis=1)  # rref_mod reduces it mod p
     r, pivots = rref_mod(aug, p)
-    if len(pivots) < n or pivots[:n] != list(range(n)):
+    if pivots != list(range(n)):
         raise SingularMatrixError("matrix is singular mod %d" % p)
     return r[:, n:]
 

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import ParameterError
-from .semirings import _is_integer
+from .errors import ParameterError, _is_integer
 
 
 class Permutation:

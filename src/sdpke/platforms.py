@@ -31,7 +31,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import matrices as mx
-from .errors import ParameterError, refuse_unknown_keys
+from .errors import ParameterError, _is_integer, refuse_unknown_keys
 from .groups import BUNDLED_GROUPS, FiniteGroupTable, load_group
 from .holomorph import (
     ConjugatorPower,
@@ -44,7 +44,7 @@ from .holomorph import (
 from .linalg import is_prime
 from .matrices import Matrix
 from .permutations import Permutation
-from .semirings import BitStrings, GroupRingScalars, IntegersMod, TropicalIntegers, _is_integer
+from .semirings import BitStrings, GroupRingScalars, IntegersMod, TropicalIntegers
 
 #: Upper caps on the sizes a params file or generator call may ask for, so a
 #: few bytes of JSON cannot demand a huge allocation: the matrix size n of

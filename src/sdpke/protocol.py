@@ -21,11 +21,10 @@ from functools import cached_property
 import numpy as np
 
 from . import matrices as mx
-from .errors import ParameterError, refuse_unknown_keys
+from .errors import ParameterError, _is_integer, refuse_unknown_keys
 from .holomorph import Platform, carrier_power, phi_power, sdp_exp
 from .matrices import Matrix
 from .platforms import params_from_obj
-from .semirings import _is_integer
 
 TRANSCRIPT_SCHEMA = 1
 

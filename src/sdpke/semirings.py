@@ -29,15 +29,12 @@ multiplication (integer + for tropical, AND for bitstrings).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, _is_integer
 from .groups import FiniteGroupTable
-
-if TYPE_CHECKING:  # permutations checks its entries with _is_integer from here
-    from .permutations import Permutation
+from .permutations import Permutation
 
 #: Formal additive identity of the tropical semiring.  Finite tropical values
 #: are always Python ints; the IEEE infinity is used only as this one formal
@@ -49,10 +46,6 @@ TROP_INF = float("inf")
 # dimension k of the product keeps k * (m-1)^2 below 2^63.  Group ring
 # products run through that same kernel, so Z_m[G] shares the bound.
 _INT64_MOD_LIMIT = 1 << 28
-
-
-def _is_integer(x) -> bool:
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)  # bool subclasses int
 
 
 def _integer_array(obj, allow_inf: bool = False) -> np.ndarray:
@@ -135,10 +128,6 @@ class GroupRingElement:
         self.coeffs = coeffs
 
     @staticmethod
-    def zero(group: FiniteGroupTable, modulus: int) -> GroupRingElement:
-        return GroupRingElement(group, modulus, np.zeros(group.order, dtype=np.int64))
-
-    @staticmethod
     def basis(group: FiniteGroupTable, modulus: int, index: int) -> GroupRingElement:
         c = np.zeros(group.order, dtype=np.int64)
         c[index] = 1
@@ -181,11 +170,6 @@ class GroupRingElement:
     def __repr__(self):
         terms = [f"{int(c)}.g{i}" for i, c in enumerate(self.coeffs) if c]
         return " + ".join(terms) if terms else "0"
-
-
-def axpy(c, a: GroupRingElement, b: GroupRingElement) -> GroupRingElement:
-    """c*a + b, the scalar action used to take linear combinations."""
-    return c * a + b
 
 
 @dataclass(frozen=True)
@@ -341,8 +325,6 @@ class GroupRingScalars:
     linear = True
 
     def __init__(self, group: FiniteGroupTable, modulus: int):
-        if modulus < 2:
-            raise ParameterError("modulus must be >= 2")
         if modulus > _INT64_MOD_LIMIT:
             raise ParameterError(f"group ring modulus must be at most 2^28, got {modulus}")
         self.group = group

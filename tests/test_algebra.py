@@ -23,8 +23,6 @@ from sdpke.semirings import (
     IntegersMod,
     TropicalIntegers,
     TropicalScalar,
-    ZMod,
-    axpy,
 )
 
 S3 = load_group("s3")
@@ -78,18 +76,6 @@ def test_group_ring_associative_randomized(rng):
     for _ in range(1000):
         a, b, c = (GroupRingElement(S3, 7, rng.integers(0, 7, 6)) for _ in range(3))
         assert (a * b) * c == a * (b * c)
-
-
-def test_axpy():
-    rng = np.random.default_rng(3)
-    a = GroupRingElement(S3, 7, rng.integers(0, 7, 6))
-    b = GroupRingElement(S3, 7, rng.integers(0, 7, 6))
-    zero = GroupRingElement.zero(S3, 7)
-    assert axpy(0, a, b) == b
-    assert axpy(1, a, zero) == a
-    got = axpy(ZMod(3, 7), a, b)
-    expect = [(3 * int(x) + int(y)) % 7 for x, y in zip(a.coeffs, b.coeffs)]
-    assert list(got.coeffs) == expect
 
 
 def test_mismatched_rings_rejected():

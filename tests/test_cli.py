@@ -21,8 +21,16 @@ from sdpke import attacks, cli
 from sdpke.attacks import ATTACKS, AttackOutcome, make_telescoping_attack
 from sdpke.cli import CSV_HEADER, MAX_TRIALS, build_parser, main
 from sdpke.errors import NotApplicableError
-from sdpke.groups import MAX_GROUP_ORDER, load_group
-from sdpke.platforms import MAX_BITS, MAX_GROUPRING_SIDE, MAX_SIZE, PLATFORM_KINDS, GLParams, random_params
+from sdpke.groups import MAX_GROUP_ORDER, cyclic_group, load_group
+from sdpke.platforms import (
+    MAX_BITS,
+    MAX_GROUPRING_SIDE,
+    MAX_SIZE,
+    PLATFORM_KINDS,
+    GLParams,
+    random_groupring_params,
+    random_params,
+)
 from sdpke.protocol import Transcript, run_exchange
 
 
@@ -646,8 +654,13 @@ _SWAPS = [None, True, 1.5, -1, 1 << 70, "x", [], {}, [[0]]]
 
 @functools.cache
 def _valid_transcript(kind: str) -> dict:
-    platform = random_params(kind, np.random.default_rng(1)).build()
-    return run_exchange(platform, np.random.default_rng(2), include_key=True)[0].to_obj()
+    """A test-mode transcript of the kind's default platform, or of a size-2 group ring over an inline c5 table."""
+    rng = np.random.default_rng(1)
+    if kind == "groupring-c5":
+        params = random_groupring_params(rng, group=cyclic_group(5), size=2)
+    else:
+        params = random_params(kind, rng)
+    return run_exchange(params.build(), np.random.default_rng(2), include_key=True)[0].to_obj()
 
 
 def _paths(obj, prefix=()):
@@ -693,6 +706,44 @@ def test_one_changed_field_exits_0_to_4_with_at_most_one_line(kind, record, data
             code = main(argv)
     assert 0 <= code <= 4
     assert len(err.getvalue().splitlines()) <= 1 and "Traceback" not in err.getvalue(), err.getvalue()
+
+
+def _integer_leaves(obj) -> dict:
+    """The first path of each integer leaf of a record per path shape, list indices read as ``*``."""
+    shapes = {}
+    for path in _paths(obj):
+        value = functools.reduce(lambda node, key: node[key], path, obj)
+        if isinstance(value, int) and not isinstance(value, bool):
+            shapes.setdefault(tuple("*" if isinstance(k, int) else k for k in path), path)
+    return shapes
+
+
+@pytest.mark.parametrize("record", ["transcript", "params"])
+@pytest.mark.parametrize("kind", [*sorted(_ATTACK_OF), "groupring-c5"])
+def test_every_integer_field_refuses_a_float_a_bool_and_text(tmp_path, kind, record):
+    # an inline group table read 0.5 as 0, false as 0 and "0" as 0, and ran the exchange
+    valid = _valid_transcript(kind)
+    path = tmp_path / "in.json"
+    if record == "transcript":
+        argv = ["attack", "--method", _ATTACK_OF.get(kind, "dimension"), str(path)]
+    else:
+        valid = valid["platform"]
+        argv = ["exchange", "--params", str(path), "--out", str(tmp_path / "out.json")]
+    leaves = _integer_leaves(valid)
+    assert leaves
+    accepted = []
+    for shape, (*parents, last) in leaves.items():
+        for bad in (lambda v: v + 0.5, lambda v: True, str):
+            obj = copy.deepcopy(valid)
+            container = functools.reduce(lambda node, key: node[key], parents, obj)
+            container[last] = bad(container[last])
+            path.write_text(json.dumps(obj))
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv)
+            if code != 2 or len(err.getvalue().splitlines()) != 1:
+                accepted.append((shape, container[last], code, err.getvalue()))
+    assert accepted == []
 
 
 # ---------------------------------------------------------------------------

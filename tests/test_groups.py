@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -86,6 +87,19 @@ def test_malformed_json_rejected():
         FiniteGroupTable.from_obj({"order": 2})
     with pytest.raises(ParameterError, match="square"):
         FiniteGroupTable.from_obj({"order": 2, "product": [0, 1], "identity": 0, "inverse": [0, 1]})
+
+    # np.asarray(..., dtype=np.int64) truncated 0.5 to 0 and read "0" as 0, so these loaded as c5
+    cases = [("product", v) for v in (0.5, 0.0, False, "0")] + [("inverse", v) for v in (0.5, 0.0, False, "0")]
+    for field, value in cases + [("identity", 0.0), ("identity", False), ("order", 5.0)]:
+        obj = cyclic_group(5).to_obj()
+        if field == "product":
+            obj["product"][0][0] = value
+        elif field == "inverse":
+            obj["inverse"][0] = value
+        else:
+            obj[field] = value
+        with pytest.raises(ParameterError, match=re.escape(f"group table {field} holds {value!r}, not an integer")):
+            FiniteGroupTable.from_obj(obj)
 
 
 def test_inconsistent_declared_fields_rejected():

@@ -283,6 +283,7 @@ def _one_of_each_kind():
         "star": TropicalStarPower(s),
         "iterated-star": IteratedStarPower(s, 2),
         "permutation": PermutationPower(Permutation([1, 2, 0])),
+        "short-permutation": PermutationPower(Permutation([1, 0])),
     }
 
 
@@ -290,9 +291,13 @@ _END_KINDS = ["two-sided", "star", "iterated-star", "permutation"]
 
 
 @pytest.mark.parametrize(
-    "first,second", [(a, b) for a in _END_KINDS for b in _END_KINDS if a != b] + [("conjugator", "star")]
+    "first,second",
+    [(a, b) for a in _END_KINDS for b in _END_KINDS if a != b]
+    + [("conjugator", "star"), ("permutation", "short-permutation"), ("short-permutation", "permutation")],
 )
 def test_compose_refuses_endomorphisms_of_different_kinds(first, second):
+    # a 2-bit power after a 3-bit one made the index [0, 2], not a permutation of {0, 1};
+    # the other order raised numpy's IndexError
     ends = _one_of_each_kind()
     with pytest.raises(ParameterError, match="different platforms"):
         ends[first].compose(ends[second])
