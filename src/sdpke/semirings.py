@@ -52,6 +52,8 @@ def _integer_array(obj, allow_inf: bool = False) -> np.ndarray:
     """Nested values as an object array of Python ints (and TROP_INF, also given as "inf")."""
     arr = np.array(obj, dtype=object)
     flat = arr.reshape(-1)
+    if set(map(type, flat.tolist())) <= {int}:  # what JSON gives: nothing to refuse or convert
+        return arr
     for i, x in enumerate(flat):
         if _is_integer(x):
             flat[i] = int(x)

@@ -444,20 +444,25 @@ def rref_oracle(a, p: int):
 
 @settings(deadline=None, max_examples=80)
 @given(
-    p=st.sampled_from([2, 7, 1009, 2**31 - 1, 2**61 - 1]),
+    p=st.sampled_from([2, 7, 1009, 2**21 - 9, 2**31 - 1, 2**61 - 1]),
     shape=st.tuples(st.integers(1, 7), st.integers(1, 7), st.integers(1, 7)),
     shift=st.sampled_from([0, -3]),
     seed=st.integers(0, 2**32 - 1),
 )
+@example(p=2**21 - 9, shape=(6, 7, 7), shift=0, seed=25)  # overflows if reduced one operation late
 def test_rref_matches_whole_row_oracle(p, shape, shift, seed):
     # a product of random factors, so ranks below full occur; a shift leaves entries unreduced;
-    # moduli below 2^31 eliminate in int64 whatever the input dtype, 2^61 - 1 on Python ints
+    # moduli below 2^31 eliminate in int64 whatever the input dtype, 2^61 - 1 on Python ints;
+    # 2^21 - 9 allows one unreduced row operation, so from the third pivot on a reduction
+    # runs in the middle of the elimination
     rows, inner, cols = shape
     gen = np.random.default_rng(seed)
     a = gen.integers(0, min(p, 1 << 20), (rows, inner)) @ gen.integers(0, 3, (inner, cols)) + shift
     if p > 1 << 28:
         a = a.astype(object)
+    before = a.copy()
     r, pivots = rref_mod(a, p)
+    assert np.array_equal(a, before)
     assert r.dtype == a.dtype
     assert (r.tolist(), pivots) == rref_oracle(a.tolist(), p)
 
