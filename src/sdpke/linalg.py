@@ -1,14 +1,17 @@
 """Exact linear algebra over Z_p (p prime) on integer numpy arrays.
 
-``rref_mod`` eliminates in int64 for any p < 2^31, whatever the input dtype,
-and on Python ints above.  It delays reduction mod p (the technique of
-FFLAS-FFPACK: Dumas, Giorgi and Pernet, ACM TOMS 2008).  Each row operation
-subtracts a product of two reduced values, at most (p-1)^2, so an entry n
-operations past its last reduction lies in [-n(p-1)^2, p).  Scaling the pivot
-row by an inverse below p keeps such an entry below 2^63 in absolute value
-while n <= floor((floor(2^63/p) - p) / (p-1)^2), so the array is reduced only
-when n would pass that budget: 3.7e16 at p = 7, 9.0e9 at p = 1009, 1 at
-p = 2^21 - 9, and 0 (a reduction before every operation) from 2^21 + 1 on.
+``rref_mod`` eliminates in int64 whenever a product of two residues fits
+int64, (p-1)^2 < 2^63 (p <= 3037000500, the rule by which ``IntegersMod``
+stores int64), whatever the input dtype, and on Python ints above.  It delays
+reduction mod p (the technique of FFLAS-FFPACK: Dumas, Giorgi and Pernet, ACM
+TOMS 2008).  Each row operation subtracts a product of two reduced values, at
+most (p-1)^2, so an entry n operations past its last reduction lies in
+[-n(p-1)^2, p).  Scaling the pivot row by an inverse below p keeps such an
+entry below 2^63 in absolute value while
+n <= floor((floor(2^63/p) - p) / (p-1)^2), so the array is reduced only when n
+would pass that budget: 3.7e16 at p = 7, 9.0e9 at p = 1009, 1 at
+p = 2^21 - 9, and 0 (a reduction before every operation, each product then
+at most (p-1)^2) from 2^21 + 1 on.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import functools
 import numpy as np
 
 from .errors import ParameterError, SingularMatrixError
+from .semirings import residue_products_fit_int64
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 #: psi_12, the least strong pseudoprime to all twelve witnesses
@@ -64,7 +68,7 @@ def rref_mod(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     a = np.asarray(a)
     # eliminate on a reduced copy of the transpose, so column c of R is the
     # contiguous row w[c] and a row operation is one rank-1 update of w[c+1:]
-    w = (a.T % p).astype(np.int64 if p < 1 << 31 else object, order="C")
+    w = (a.T % p).astype(np.int64 if residue_products_fit_int64(p) else object, order="C")
     budget = ((1 << 63) // p - p) // max(1, (p - 1) ** 2)
     cols, rows = w.shape
     pivots: list[int] = []

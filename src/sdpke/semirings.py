@@ -21,6 +21,11 @@ tropical entries Python ints or ``TROP_INF``.  Only the kernels and the
 parsers (``pack``, ``from_obj``, ``random``) make them, and ``Matrix``
 trusts both; the parsers refuse bools, floats and text as integers.
 
+Z_m is stored as int64 whenever a product of two residues fits a signed
+word, (m-1)^2 < 2^63, and as Python ints above.  Each Z_m product sums in
+int64, on unsigned views of the same entries, or on Python ints, by a bound
+proven for its own inner dimension (``IntegersMod.matmul``).
+
 Semiring operator convention on scalars: ``+`` is the semiring addition
 (min for tropical, OR for bitstrings) and ``*`` is the semiring
 multiplication (integer + for tropical, AND for bitstrings).
@@ -41,11 +46,18 @@ from .permutations import Permutation
 #: symbol (comparisons and sums against ints are exact).
 TROP_INF = float("inf")
 
-# Z_m entries are stored as int64 up to this modulus (as object arrays of
-# Python ints above it); IntegersMod.matmul sums in int64 only while the inner
-# dimension k of the product keeps k * (m-1)^2 below 2^63.  Group ring
-# products run through that same kernel, so Z_m[G] shares the bound.
-_INT64_MOD_LIMIT = 1 << 28
+# Z_m[G] moduli stop here: GroupRingElement's convolution sums up to
+# |G| <= MAX_GROUP_ORDER = 120 products of at most (m-1)^2 in int64, and
+# 128 (m-1)^2 < 2^63 holds up to this modulus.
+_GROUPRING_MOD_LIMIT = 1 << 28
+
+
+def residue_products_fit_int64(modulus: int) -> bool:
+    """Whether a product of two residues mod m, at most (m-1)^2, fits int64: m <= 3037000500.
+
+    Z_m is stored as int64 exactly then, and ``linalg.rref_mod`` eliminates in int64.
+    """
+    return (modulus - 1) ** 2 < 1 << 63
 
 
 def _integer_array(obj, allow_inf: bool = False) -> np.ndarray:
@@ -203,6 +215,13 @@ class TropicalScalar:
         return "+inf" if self.value == TROP_INF else str(self.value)
 
 
+def _text_bits(s: str) -> list[bool]:
+    """Bit i of 0/1 text is character i."""
+    if set(s) - {"0", "1"}:
+        raise ParameterError(f"bitstring must be 0/1 text, got {s!r}")
+    return [ch == "1" for ch in s]
+
+
 @dataclass(frozen=True)
 class BitString:
     """A fixed-length bit vector; ``+`` is bitwise OR, ``*`` bitwise AND."""
@@ -216,9 +235,7 @@ class BitString:
 
     @staticmethod
     def from_string(s: str) -> BitString:
-        if set(s) - {"0", "1"}:
-            raise ParameterError(f"bitstring must be 0/1 text, got {s!r}")
-        mask = sum(1 << i for i, ch in enumerate(s) if ch == "1")
+        mask = sum(1 << i for i, bit in enumerate(_text_bits(s)) if bit)
         return BitString(mask, len(s))
 
     def to_string(self) -> str:
@@ -263,9 +280,12 @@ class IntegersMod:
         if modulus < 2:
             raise ParameterError("modulus must be >= 2")
         self.modulus = int(modulus)
-        self.dtype = object if self.modulus > _INT64_MOD_LIMIT else np.int64
-        # a product entry sums k terms below m^2: exact in int64 while k*(m-1)^2 < 2^63
-        self._int64_inner_max = ((1 << 63) - 1) // (self.modulus - 1) ** 2
+        self.dtype = np.int64 if residue_products_fit_int64(self.modulus) else object
+        # a product entry sums k terms of at most (m-1)^2: exact in int64 while k*(m-1)^2 < 2^63,
+        # and on unsigned views of int64 entries while k*(m-1)^2 < 2^64
+        square = (self.modulus - 1) ** 2
+        self._int64_inner_max = ((1 << 63) - 1) // square
+        self._uint64_inner_max = ((1 << 64) - 1) // square if self.dtype is np.int64 else 0
 
     def __eq__(self, other):
         return isinstance(other, IntegersMod) and other.modulus == self.modulus
@@ -286,11 +306,15 @@ class IntegersMod:
         return (a - b) % self.modulus
 
     def matmul(self, a, b):
-        if a.shape[-1] > self._int64_inner_max:
-            # exact over Python ints; the reduced product fits self.dtype again
-            prod = (a.astype(object, copy=False) @ b.astype(object, copy=False)) % self.modulus
-            return prod.astype(self.dtype, copy=False)
-        return (a @ b) % self.modulus
+        k = a.shape[-1]
+        if k <= self._int64_inner_max:
+            return (a @ b) % self.modulus
+        if k <= self._uint64_inner_max:
+            # canonical entries lie in [0, m), so the zero-copy unsigned views hold the same values
+            return ((a.view(np.uint64) @ b.view(np.uint64)) % self.modulus).view(np.int64)
+        # exact over Python ints; the reduced product fits self.dtype again
+        prod = (a.astype(object, copy=False) @ b.astype(object, copy=False)) % self.modulus
+        return prod.astype(self.dtype, copy=False)
 
     def scale(self, c: int, a):
         return (c * a) % self.modulus
@@ -327,7 +351,7 @@ class GroupRingScalars:
     linear = True
 
     def __init__(self, group: FiniteGroupTable, modulus: int):
-        if modulus > _INT64_MOD_LIMIT:
+        if modulus > _GROUPRING_MOD_LIMIT:
             raise ParameterError(f"group ring modulus must be at most 2^28, got {modulus}")
         self.group = group
         self.modulus = int(modulus)
@@ -498,14 +522,16 @@ class BitStrings:
     def _bits(self, e) -> list[bool]:
         """Bits of one entry given as 0/1 text, a BitString or an integer mask."""
         if isinstance(e, str):
-            e = BitString.from_string(e)
-        elif _is_integer(e):
-            e = BitString(int(e), self.length)  # range-checks the mask
-        elif not isinstance(e, BitString):
-            raise ParameterError(f"bit entries are 0/1 text or integer masks, got {e!r}")
-        if e.length != self.length:
+            bits = _text_bits(e)
+        else:
+            if _is_integer(e):
+                e = BitString(int(e), self.length)  # range-checks the mask
+            elif not isinstance(e, BitString):
+                raise ParameterError(f"bit entries are 0/1 text or integer masks, got {e!r}")
+            bits = [(e.mask >> i) & 1 == 1 for i in range(e.length)]
+        if len(bits) != self.length:
             raise ParameterError("bitstring length differs from ring length")
-        return [ch == "1" for ch in e.to_string()]
+        return bits
 
     def pack(self, rows) -> np.ndarray:
         return np.array([[self._bits(e) for e in r] for r in rows], dtype=np.bool_)

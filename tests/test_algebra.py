@@ -23,6 +23,7 @@ from sdpke.semirings import (
     IntegersMod,
     TropicalIntegers,
     TropicalScalar,
+    residue_products_fit_int64,
 )
 
 S3 = load_group("s3")
@@ -221,24 +222,29 @@ def test_shape_and_ring_mismatches_rejected(rng):
 
 
 def test_large_modulus_object_path(rng):
-    big = IntegersMod(2**31 - 1)
+    big = IntegersMod(2**61 - 1)
+    assert big.dtype == object
     a = mx.random_matrix(rng, big, 3, 3)
     b = mx.random_matrix(rng, big, 3, 3)
     assert a @ b == matmul_oracle(a, b)
     assert (a @ mx.identity(big, 3)) == a
 
 
-#: the largest prime below 2^28, the largest modulus IntegersMod stores as int64
-_PRIME_BELOW_INT64_LIMIT = 2**28 - 57
+#: the largest prime below 2^28, the group-ring modulus bound
+_PRIME_BELOW_2_28 = 2**28 - 57
+#: the largest prime p with (p-1)^2 < 2^63, the largest prime IntegersMod stores as int64
+_LARGEST_INT64_PRIME = 3037000493
 
 
 def test_long_inner_dimension_does_not_overflow_int64():
-    # 200 * (m-1)^2 exceeds 2^63: summed in int64 the entry wraps to 267603855
-    m = _PRIME_BELOW_INT64_LIMIT
+    # k * (m-1)^2 exceeds 2^63: summed in int64 the k = 200 entry wraps to 267603855;
+    # k = 300 exceeds 2^64 too, so the unsigned sums would wrap as well
+    m = _PRIME_BELOW_2_28
     ring = IntegersMod(m)
-    a = mx.from_rows(ring, [[m - 1] * 200])
-    b = mx.from_rows(ring, [[m - 1]] * 200)
-    assert (a @ b)[0, 0].value == 200
+    for k in (200, 300):
+        a = mx.from_rows(ring, [[m - 1] * k])
+        b = mx.from_rows(ring, [[m - 1]] * k)
+        assert (a @ b)[0, 0].value == k
 
 
 @settings(deadline=None, max_examples=30)
@@ -259,7 +265,7 @@ def test_zmod_matmul_near_int64_limit_matches_oracle(shape, modulus, seed):
 
 GROUPS = {name: load_group(name) for name in BUNDLED_GROUPS}
 #: prime moduli from 2 up to the largest below the group-ring bound 2^28
-_GROUPRING_MODULI = [2, 7, 1048573, _PRIME_BELOW_INT64_LIMIT]
+_GROUPRING_MODULI = [2, 7, 1048573, _PRIME_BELOW_2_28]
 
 
 @settings(deadline=None, max_examples=60)
@@ -270,12 +276,14 @@ _GROUPRING_MODULI = [2, 7, 1048573, _PRIME_BELOW_INT64_LIMIT]
     near_top=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-# inner dimension 3 * |A_5| = 180 is past _int64_inner_max (128) at 2^28-57: the Python-int path
-@example(group="a5", modulus=_PRIME_BELOW_INT64_LIMIT, shape=(2, 3, 1), near_top=True, seed=0)
+# inner dimension 3 * |A_5| = 180 is past _int64_inner_max (128) at 2^28-57: the unsigned path
+@example(group="a5", modulus=_PRIME_BELOW_2_28, shape=(2, 3, 1), near_top=True, seed=0)
+# inner dimension 5 * |A_5| = 300 is past _uint64_inner_max (256) as well: the Python-int path
+@example(group="a5", modulus=_PRIME_BELOW_2_28, shape=(1, 5, 1), near_top=True, seed=3)
 # inner dimension 2 * |A_5| = 120 is the int64 path with the largest terms it admits
-@example(group="a5", modulus=_PRIME_BELOW_INT64_LIMIT, shape=(1, 2, 2), near_top=True, seed=1)
+@example(group="a5", modulus=_PRIME_BELOW_2_28, shape=(1, 2, 2), near_top=True, seed=1)
 # more rows than columns gathers the right factor's right-regular blocks, at the same bound
-@example(group="a5", modulus=_PRIME_BELOW_INT64_LIMIT, shape=(3, 2, 1), near_top=True, seed=2)
+@example(group="a5", modulus=_PRIME_BELOW_2_28, shape=(3, 2, 1), near_top=True, seed=2)
 def test_groupring_matmul_matches_scalar_oracle(group, modulus, shape, near_top, seed):
     ring = GroupRingScalars(GROUPS[group], modulus)
     r, k, c = shape
@@ -314,12 +322,15 @@ def test_tall_groupring_product_gathers_the_small_factor(tall_left):
 #: rings of the stacked-product property, each with the largest inner dimension k it draws
 _STACKED_RINGS = {
     "zmod-7": (IntegersMod(7), 4),
-    # k * (m-1)^2 passes 2^63 from k = 129 on: the exact Python-int path of an int64 ring
-    "zmod-int64-limit": (IntegersMod(_PRIME_BELOW_INT64_LIMIT), 140),
-    "zmod-object": (IntegersMod(2**31 - 1), 4),
+    # k * (m-1)^2 passes 2^63 from k = 129 on (unsigned views) and 2^64 from k = 257 on
+    # (the exact Python-int path of an int64 ring)
+    "zmod-int64-limit": (IntegersMod(_PRIME_BELOW_2_28), 260),
+    # the same three paths at k = 1-2, 3-4 and 5-6
+    "zmod-uint64": (IntegersMod(2**31 - 1), 6),
+    "zmod-object": (IntegersMod(2**61 - 1), 4),
     "groupring-s3": (GroupRingScalars(S3, 7), 3),
-    # inner dimension k * |A_5| passes 128 from k = 3 on, the Python-int path again
-    "groupring-a5": (GroupRingScalars(GROUPS["a5"], _PRIME_BELOW_INT64_LIMIT), 3),
+    # inner dimension k * |A_5| passes 128 from k = 3 on (unsigned) and 256 from k = 5 on (Python ints)
+    "groupring-a5": (GroupRingScalars(GROUPS["a5"], _PRIME_BELOW_2_28), 5),
     "tropical": (TropicalIntegers(), 4),
     "bits": (BitStrings(5), 4),
 }
@@ -363,14 +374,65 @@ def test_stacked_matmul_matches_oracle_per_matrix(name, stacks, rows, cols, data
     # broadcast: each matrix of the result is the scalar product of its own factors
     ring, k_max = _STACKED_RINGS[name]
     k = k_max if data is None else data.draw(st.integers(1, k_max), label="k")
+    _assert_stacked_product_matches_oracle(ring, rows, k, cols, stacks, seed)
+
+
+def _assert_stacked_product_matches_oracle(ring, rows: int, k: int, cols: int, stacks, seed: int):
+    """Multiply random near-top stacks of the given shapes and check each matrix of the result."""
     gen = np.random.default_rng(seed)
     a, b = _packed(gen, ring, rows, k, stacks[0]), _packed(gen, ring, k, cols, stacks[1])
     out = ring.matmul(a, b)
     stack = np.broadcast_shapes(*stacks)
     assert out.shape == (*stack, rows, cols, *ring.entry_shape)
+    assert out.dtype == ring.dtype
     a, b = np.broadcast_to(a, stack + a.shape[len(stacks[0]):]), np.broadcast_to(b, stack + b.shape[len(stacks[1]):])
     for idx in np.ndindex(*stack):
         assert Matrix(ring, out[idx]) == matmul_oracle(Matrix(ring, a[idx]), Matrix(ring, b[idx]))
+
+
+#: moduli stored as int64 whose products take all three kernel paths as k grows, with their
+#: (int64, unsigned) inner-dimension bounds: the largest k with k (m-1)^2 below 2^63 and 2^64
+_WORD_BOUNDS = {
+    _PRIME_BELOW_2_28: (128, 256),
+    2**31 - 1: (2, 4),
+    _LARGEST_INT64_PRIME: (1, 2),
+}
+
+
+@st.composite
+def _word_modulus_and_inner_dimension(draw):
+    modulus = draw(st.sampled_from(sorted(_WORD_BOUNDS)))
+    return modulus, draw(st.integers(1, 2 * _WORD_BOUNDS[modulus][1] + 1), label="k")
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    case=_word_modulus_and_inner_dimension(),
+    stacks=st.sampled_from(_STACK_SHAPES),
+    rows=st.integers(1, 2),
+    cols=st.integers(1, 2),
+    seed=st.integers(0, 2**32 - 1),
+)
+# k at the int64 bound, one past it (unsigned views), at the unsigned bound and one past it (Python ints)
+@example(case=(_PRIME_BELOW_2_28, 128), stacks=((2,), ()), rows=1, cols=1, seed=0)
+@example(case=(_PRIME_BELOW_2_28, 129), stacks=((), (2,)), rows=1, cols=1, seed=1)
+@example(case=(_PRIME_BELOW_2_28, 256), stacks=((2,), ()), rows=1, cols=1, seed=2)
+@example(case=(_PRIME_BELOW_2_28, 257), stacks=((), (2,)), rows=1, cols=1, seed=3)
+@example(case=(2**31 - 1, 2), stacks=((2, 3), ()), rows=2, cols=2, seed=4)
+@example(case=(2**31 - 1, 3), stacks=((), (2, 3)), rows=2, cols=2, seed=5)
+@example(case=(2**31 - 1, 4), stacks=((4,), ()), rows=2, cols=2, seed=6)
+@example(case=(2**31 - 1, 5), stacks=((), (4,)), rows=2, cols=2, seed=7)
+@example(case=(_LARGEST_INT64_PRIME, 1), stacks=((2, 3), ()), rows=2, cols=2, seed=8)
+@example(case=(_LARGEST_INT64_PRIME, 2), stacks=((), (2, 3)), rows=2, cols=2, seed=9)
+@example(case=(_LARGEST_INT64_PRIME, 3), stacks=((1, 2), ()), rows=2, cols=2, seed=10)
+def test_zmod_products_on_both_sides_of_both_word_bounds_match_oracle(case, stacks, rows, cols, seed):
+    # entries near m-1 make every bound tight: one inner dimension past the int64 (unsigned) bound,
+    # the signed (unsigned) sums wrap
+    modulus, k = case
+    ring = IntegersMod(modulus)
+    assert ring.dtype == np.int64
+    assert (ring._int64_inner_max, ring._uint64_inner_max) == _WORD_BOUNDS[modulus]
+    _assert_stacked_product_matches_oracle(ring, rows, k, cols, stacks, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +506,7 @@ def rref_oracle(a, p: int):
 
 @settings(deadline=None, max_examples=80)
 @given(
-    p=st.sampled_from([2, 7, 1009, 2**21 - 9, 2**31 - 1, 2**61 - 1]),
+    p=st.sampled_from([2, 7, 1009, 2**21 - 9, 2**31 - 1, _LARGEST_INT64_PRIME, 2**61 - 1]),
     shape=st.tuples(st.integers(1, 7), st.integers(1, 7), st.integers(1, 7)),
     shift=st.sampled_from([0, -3]),
     seed=st.integers(0, 2**32 - 1),
@@ -452,14 +514,14 @@ def rref_oracle(a, p: int):
 @example(p=2**21 - 9, shape=(6, 7, 7), shift=0, seed=25)  # overflows if reduced one operation late
 def test_rref_matches_whole_row_oracle(p, shape, shift, seed):
     # a product of random factors, so ranks below full occur; a shift leaves entries unreduced;
-    # moduli below 2^31 eliminate in int64 whatever the input dtype, 2^61 - 1 on Python ints;
+    # moduli with (p-1)^2 < 2^63 eliminate in int64, 2^61 - 1 on Python ints;
     # 2^21 - 9 allows one unreduced row operation, so from the third pivot on a reduction
     # runs in the middle of the elimination
     rows, inner, cols = shape
     gen = np.random.default_rng(seed)
     a = gen.integers(0, min(p, 1 << 20), (rows, inner)) @ gen.integers(0, 3, (inner, cols)) + shift
-    if p > 1 << 28:
-        a = a.astype(object)
+    if not residue_products_fit_int64(p):
+        a = a.astype(object)  # the dtype IntegersMod(p) stores
     before = a.copy()
     r, pivots = rref_mod(a, p)
     assert np.array_equal(a, before)
@@ -669,10 +731,12 @@ def test_flatten_unflatten_round_trip_all_sizes(rng):
 # canonical packed form: kernels and parsers make it, Matrix only checks dtype
 
 
-#: Z_m on both sides of the int64 limit 2^28, and the three other rings
+#: Z_m with 3x3 products in int64, on unsigned views and (stored as objects) on Python ints,
+#: and the three other rings
 CANONICAL_RINGS = {
     "zmod-int64": IntegersMod(2**28 - 57),
-    "zmod-object": IntegersMod(2**31 - 1),
+    "zmod-uint64": IntegersMod(2**31 - 1),
+    "zmod-object": IntegersMod(2**61 - 1),
     "groupring": GroupRingScalars(S3, 7),
     "tropical": TropicalIntegers(),
     "bits": BitStrings(5),
@@ -711,9 +775,9 @@ def test_every_matrix_result_is_canonical(name, n, c, seed):
         results.append(mx.permute_bits(a, Permutation(rng.permutation(ring.length).tolist())))
     if isinstance(ring, IntegersMod) and (inverse := mx.try_inverse(a)) is not None:
         results.append(inverse)
-    if name == "zmod-int64":
-        # one inner dimension past the int64 bound: the product runs on Python ints
-        k = ring._int64_inner_max + 1
+    if isinstance(ring, IntegersMod) and ring.dtype == np.int64:
+        # one inner dimension past the unsigned bound: the product of an int64 ring runs on Python ints
+        k = ring._uint64_inner_max + 1
         row, col = mx.random_matrix(rng, ring, 1, k), mx.random_matrix(rng, ring, k, 1)
         results += [row, col, row @ col]
     for m in list(results):
@@ -730,7 +794,7 @@ def test_every_matrix_result_is_canonical(name, n, c, seed):
     "ring,data",
     [
         (IntegersMod(7), np.zeros((2, 2))),
-        (IntegersMod(2**31 - 1), np.zeros((2, 2), dtype=np.int64)),
+        (IntegersMod(2**61 - 1), np.zeros((2, 2), dtype=np.int64)),
         (GroupRingScalars(S3, 7), np.zeros((2, 2, 6), dtype=np.int32)),
         (TropicalIntegers(), np.zeros((2, 2), dtype=np.int64)),
         (BitStrings(3), np.zeros((2, 2, 3), dtype=np.uint8)),
