@@ -456,4 +456,6 @@ def random_params(kind: str, rng: np.random.Generator, **overrides):
     accepted = list(inspect.signature(generator).parameters)[1:]  # all but rng
     refuse_unknown_keys(overrides, accepted, f"{kind} parameter")
     _check_integers(overrides)
+    if overrides.get("prime", 0) >= 1 << 63:  # the seeded draws are numpy int64 integers below the prime
+        raise ParameterError(f"a seeded prime must be below 2^63, got {overrides['prime']}")
     return generator(rng, **overrides)

@@ -22,9 +22,11 @@ parsers (``pack``, ``from_obj``, ``random``) make them, and ``Matrix``
 trusts both; the parsers refuse bools, floats and text as integers.
 
 Z_m is stored as int64 whenever a product of two residues fits a signed
-word, (m-1)^2 < 2^63, and as Python ints above.  Each Z_m product sums in
-int64, on unsigned views of the same entries, or on Python ints, by a bound
-proven for its own inner dimension (``IntegersMod.matmul``).
+word, (m-1)^2 < 2^63, and as Python ints above.  A Z_m product sums as
+stored while that is exact: at every inner dimension k on Python ints, while
+k(m-1)^2 < 2^63 in int64.  An int64 product past that sums on unsigned views
+of the same entries, in blocks of the inner dimension whose sums stay below
+2^64, each reduced mod m before they are added (``IntegersMod.matmul``).
 
 Semiring operator convention on scalars: ``+`` is the semiring addition
 (min for tropical, OR for bitstrings) and ``*`` is the semiring
@@ -169,10 +171,6 @@ class GroupRingElement:
                 out[table[f]] += af * other.coeffs
         return GroupRingElement(self.group, self.modulus, out)
 
-    def __rmul__(self, scalar) -> GroupRingElement:
-        c = scalar.value if isinstance(scalar, ZMod) else int(scalar)
-        return GroupRingElement(self.group, self.modulus, c * self.coeffs)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, GroupRingElement)
@@ -281,11 +279,12 @@ class IntegersMod:
             raise ParameterError("modulus must be >= 2")
         self.modulus = int(modulus)
         self.dtype = np.int64 if residue_products_fit_int64(self.modulus) else object
-        # a product entry sums k terms of at most (m-1)^2: exact in int64 while k*(m-1)^2 < 2^63,
-        # and on unsigned views of int64 entries while k*(m-1)^2 < 2^64
+        # a product entry sums k terms of at most (m-1)^2.  As stored, the sum is exact at every k on
+        # Python ints and while k*(m-1)^2 < 2^63 in int64; past that, int64 entries sum on unsigned
+        # views in blocks of at most _uint64_inner_max terms, k*(m-1)^2 < 2^64
         square = (self.modulus - 1) ** 2
-        self._int64_inner_max = ((1 << 63) - 1) // square
-        self._uint64_inner_max = ((1 << 64) - 1) // square if self.dtype is np.int64 else 0
+        self._int64_inner_max = ((1 << 63) - 1) // square if self.dtype is np.int64 else float("inf")
+        self._uint64_inner_max = ((1 << 64) - 1) // square
 
     def __eq__(self, other):
         return isinstance(other, IntegersMod) and other.modulus == self.modulus
@@ -309,12 +308,17 @@ class IntegersMod:
         k = a.shape[-1]
         if k <= self._int64_inner_max:
             return (a @ b) % self.modulus
-        if k <= self._uint64_inner_max:
-            # canonical entries lie in [0, m), so the zero-copy unsigned views hold the same values
-            return ((a.view(np.uint64) @ b.view(np.uint64)) % self.modulus).view(np.int64)
-        # exact over Python ints; the reduced product fits self.dtype again
-        prod = (a.astype(object, copy=False) @ b.astype(object, copy=False)) % self.modulus
-        return prod.astype(self.dtype, copy=False)
+        # canonical entries lie in [0, m), so the zero-copy unsigned views hold the same values
+        a, b = a.view(np.uint64), b.view(np.uint64)
+        step = self._uint64_inner_max
+        if k <= step:
+            return ((a @ b) % self.modulus).view(np.int64)
+        # each block of at most `step` terms sums below 2^64 and reduces below m; n blocks sum
+        # below n m, under 2^64 for every n < 2^64 / m (over 6 * 10^9 blocks, as m < 3037000500)
+        total = (a[..., :step] @ b[..., :step, :]) % self.modulus
+        for i in range(step, k, step):
+            total += (a[..., i:i + step] @ b[..., i:i + step, :]) % self.modulus
+        return (total % self.modulus).view(np.int64)
 
     def scale(self, c: int, a):
         return (c * a) % self.modulus

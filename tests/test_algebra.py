@@ -278,7 +278,7 @@ _GROUPRING_MODULI = [2, 7, 1048573, _PRIME_BELOW_2_28]
 )
 # inner dimension 3 * |A_5| = 180 is past _int64_inner_max (128) at 2^28-57: the unsigned path
 @example(group="a5", modulus=_PRIME_BELOW_2_28, shape=(2, 3, 1), near_top=True, seed=0)
-# inner dimension 5 * |A_5| = 300 is past _uint64_inner_max (256) as well: the Python-int path
+# inner dimension 5 * |A_5| = 300 is past _uint64_inner_max (256) as well: two unsigned blocks
 @example(group="a5", modulus=_PRIME_BELOW_2_28, shape=(1, 5, 1), near_top=True, seed=3)
 # inner dimension 2 * |A_5| = 120 is the int64 path with the largest terms it admits
 @example(group="a5", modulus=_PRIME_BELOW_2_28, shape=(1, 2, 2), near_top=True, seed=1)
@@ -323,13 +323,13 @@ def test_tall_groupring_product_gathers_the_small_factor(tall_left):
 _STACKED_RINGS = {
     "zmod-7": (IntegersMod(7), 4),
     # k * (m-1)^2 passes 2^63 from k = 129 on (unsigned views) and 2^64 from k = 257 on
-    # (the exact Python-int path of an int64 ring)
+    # (unsigned blocks of at most 256 terms, each reduced mod m)
     "zmod-int64-limit": (IntegersMod(_PRIME_BELOW_2_28), 260),
     # the same three paths at k = 1-2, 3-4 and 5-6
     "zmod-uint64": (IntegersMod(2**31 - 1), 6),
     "zmod-object": (IntegersMod(2**61 - 1), 4),
     "groupring-s3": (GroupRingScalars(S3, 7), 3),
-    # inner dimension k * |A_5| passes 128 from k = 3 on (unsigned) and 256 from k = 5 on (Python ints)
+    # inner dimension k * |A_5| passes 128 from k = 3 on (unsigned) and 256 from k = 5 on (unsigned blocks)
     "groupring-a5": (GroupRingScalars(GROUPS["a5"], _PRIME_BELOW_2_28), 5),
     "tropical": (TropicalIntegers(), 4),
     "bits": (BitStrings(5), 4),
@@ -390,8 +390,9 @@ def _assert_stacked_product_matches_oracle(ring, rows: int, k: int, cols: int, s
         assert Matrix(ring, out[idx]) == matmul_oracle(Matrix(ring, a[idx]), Matrix(ring, b[idx]))
 
 
-#: moduli stored as int64 whose products take all three kernel paths as k grows, with their
-#: (int64, unsigned) inner-dimension bounds: the largest k with k (m-1)^2 below 2^63 and 2^64
+#: moduli stored as int64 whose products sum in int64, on unsigned views and in unsigned blocks
+#: as k grows, with their (int64, unsigned) inner-dimension bounds: the largest k with k (m-1)^2
+#: below 2^63 and 2^64, the unsigned one also the block length
 _WORD_BOUNDS = {
     _PRIME_BELOW_2_28: (128, 256),
     2**31 - 1: (2, 4),
@@ -413,7 +414,7 @@ def _word_modulus_and_inner_dimension(draw):
     cols=st.integers(1, 2),
     seed=st.integers(0, 2**32 - 1),
 )
-# k at the int64 bound, one past it (unsigned views), at the unsigned bound and one past it (Python ints)
+# k at the int64 bound, one past it (unsigned views), at the unsigned bound and one past it (two blocks)
 @example(case=(_PRIME_BELOW_2_28, 128), stacks=((2,), ()), rows=1, cols=1, seed=0)
 @example(case=(_PRIME_BELOW_2_28, 129), stacks=((), (2,)), rows=1, cols=1, seed=1)
 @example(case=(_PRIME_BELOW_2_28, 256), stacks=((2,), ()), rows=1, cols=1, seed=2)
@@ -425,6 +426,15 @@ def _word_modulus_and_inner_dimension(draw):
 @example(case=(_LARGEST_INT64_PRIME, 1), stacks=((2, 3), ()), rows=2, cols=2, seed=8)
 @example(case=(_LARGEST_INT64_PRIME, 2), stacks=((), (2, 3)), rows=2, cols=2, seed=9)
 @example(case=(_LARGEST_INT64_PRIME, 3), stacks=((1, 2), ()), rows=2, cols=2, seed=10)
+# k at twice the unsigned bound (two full blocks) and one past it (a third block of one term),
+# and 151 blocks at the largest modulus stored as int64
+@example(case=(_PRIME_BELOW_2_28, 512), stacks=((2,), ()), rows=1, cols=1, seed=11)
+@example(case=(_PRIME_BELOW_2_28, 513), stacks=((), (2,)), rows=1, cols=1, seed=12)
+@example(case=(2**31 - 1, 8), stacks=((2, 3), ()), rows=2, cols=2, seed=13)
+@example(case=(2**31 - 1, 9), stacks=((), (2, 3)), rows=2, cols=2, seed=14)
+@example(case=(_LARGEST_INT64_PRIME, 4), stacks=((1, 2), ()), rows=2, cols=2, seed=15)
+@example(case=(_LARGEST_INT64_PRIME, 5), stacks=((2,), (2,)), rows=2, cols=2, seed=16)
+@example(case=(_LARGEST_INT64_PRIME, 301), stacks=((2, 1), (1, 3)), rows=2, cols=2, seed=17)
 def test_zmod_products_on_both_sides_of_both_word_bounds_match_oracle(case, stacks, rows, cols, seed):
     # entries near m-1 make every bound tight: one inner dimension past the int64 (unsigned) bound,
     # the signed (unsigned) sums wrap
@@ -433,6 +443,36 @@ def test_zmod_products_on_both_sides_of_both_word_bounds_match_oracle(case, stac
     assert ring.dtype == np.int64
     assert (ring._int64_inner_max, ring._uint64_inner_max) == _WORD_BOUNDS[modulus]
     _assert_stacked_product_matches_oracle(ring, rows, k, cols, stacks, seed)
+
+
+class _RefusesObjectCast(np.ndarray):
+    """An int64 array whose ``astype`` refuses object: a product that leaves machine words fails."""
+
+    def astype(self, dtype, *args, **kwargs):
+        if np.dtype(dtype) == object:
+            raise AssertionError("an int64-stored product cast its operands to object")
+        return super().astype(dtype, *args, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "modulus,k", [(_PRIME_BELOW_2_28, 257), (2**31 - 1, 5), (2**31 - 1, 24), (_LARGEST_INT64_PRIME, 301)]
+)
+def test_int64_product_past_the_unsigned_bound_builds_no_object_array(modulus, k):
+    ring = IntegersMod(modulus)
+    assert ring.dtype == np.int64 and k > ring._uint64_inner_max
+    gen = np.random.default_rng(k)
+    a, b = (gen.integers(modulus - 1024, modulus, shape) for shape in [(2, k), (k, 3)])
+    out = ring.matmul(a.view(_RefusesObjectCast), b.view(_RefusesObjectCast))
+    assert out.dtype == np.int64
+    assert Matrix(ring, np.asarray(out)) == matmul_oracle(Matrix(ring, a), Matrix(ring, b))
+
+
+@pytest.mark.parametrize("k", range(1, 11))
+def test_object_stored_zmod_products_match_oracle(k):
+    # Python ints are exact at every inner dimension, so object storage multiplies as stored
+    ring = IntegersMod(2**61 - 1)
+    assert ring.dtype == object
+    _assert_stacked_product_matches_oracle(ring, 2, k, 2, ((2,), ()), seed=k)
 
 
 # ---------------------------------------------------------------------------
@@ -776,7 +816,7 @@ def test_every_matrix_result_is_canonical(name, n, c, seed):
     if isinstance(ring, IntegersMod) and (inverse := mx.try_inverse(a)) is not None:
         results.append(inverse)
     if isinstance(ring, IntegersMod) and ring.dtype == np.int64:
-        # one inner dimension past the unsigned bound: the product of an int64 ring runs on Python ints
+        # one inner dimension past the unsigned bound: the product of an int64 ring sums two unsigned blocks
         k = ring._uint64_inner_max + 1
         row, col = mx.random_matrix(rng, ring, 1, k), mx.random_matrix(rng, ring, k, 1)
         results += [row, col, row @ col]

@@ -144,6 +144,15 @@ def test_groupring_params_past_the_side_cap_exit_2_with_one_line(tmp_path, capsy
     assert err == f"error: size * |G| = {size} * 60 is past the group ring cap {MAX_GROUPRING_SIDE}\n"
 
 
+@pytest.mark.parametrize("kind", ["make", "gl", "dhke"])
+def test_seeded_prime_past_2_63_exits_2_with_one_line(tmp_path, capsys, kind):
+    params = tmp_path / "p.json"
+    params.write_text(json.dumps({"kind": kind, "seed": 1, "prime": 2**64 + 13}))
+    code, _, err = run_cli(["exchange", "--params", str(params), "--out", str(tmp_path / "o.json")], capsys)
+    assert code == 2
+    assert err == f"error: a seeded prime must be below 2^63, got {2**64 + 13}\n"
+
+
 def test_attack_not_applicable_exits_3(tmp_path, capsys):
     out = tmp_path / "t.json"
     run_cli(

@@ -465,6 +465,37 @@ def test_unknown_generator_override_rejected(rng):
         random_params("gl", rng, sise=5)
 
 
+#: the smallest prime past 2^64: numpy draws no int64 integer below it
+_PRIME_PAST_2_64 = 2**64 + 13
+
+
+@pytest.mark.parametrize("kind", ["make", "gl", "dhke"])
+def test_seeded_prime_past_2_63_refused_before_any_draw(kind):
+    rng = np.random.default_rng(1)
+    state = rng.bit_generator.state
+    with pytest.raises(ParameterError, match=rf"^a seeded prime must be below 2\^63, got {_PRIME_PAST_2_64}$"):
+        random_params(kind, rng, prime=_PRIME_PAST_2_64)
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        {"kind": "make", "size": 2, "H1": [[1, 1], [1, 1]], "H2": [[2, 0], [4, 0]], "g": [[0, 5], [7, 11]]},
+        {"kind": "gl", "size": 2, "H": [[1, 1], [0, 1]], "g": [[1, 0], [1, 1]]},
+        {"kind": "dhke", "generator": 3},
+    ],
+    ids=["make", "gl", "dhke"],
+)
+def test_explicit_record_at_a_prime_past_2_64_exchanges_on_object_storage(record, rng):
+    from sdpke.protocol import run_exchange
+
+    params = params_from_obj({**record, "prime": _PRIME_PAST_2_64})
+    assert params.ring().dtype == object
+    _, agreed = run_exchange(params.build(), rng, exponent_bits=16)
+    assert agreed
+
+
 # ---------------------------------------------------------------------------
 # algebra laws (build() does not sample them: each holds by theorem)
 
