@@ -147,7 +147,7 @@ class TropicalStarPower(Endomorphism):
 
     def _compose(self, other: TropicalStarPower) -> Endomorphism:
         # self after other: (G ⋆ S_other) ⋆ S_self = G ⋆ (S_other ⋆ S_self)
-        return TropicalStarPower(other.star_pow.star(self.star_pow))
+        return TropicalStarPower(Matrix(self.ring, self.act(other.star_pow.data)))
 
     def __eq__(self, other):
         return isinstance(other, TropicalStarPower) and self.star_pow == other.star_pow

@@ -2,12 +2,13 @@
 
 A Matrix wraps a ring descriptor and a read-only numpy array already in the
 ring's packed, canonical form (see ``semirings``); the constructor checks
-only its dtype and shape.  Build matrices with ``from_rows``, ``from_obj`` or
-``random_matrix``; a raw ``Matrix(ring, data)`` needs canonical ``data`` of
-dtype ``ring.dtype`` and makes that array read-only.  All operations return
-new values; ``A @ B`` is the semiring matrix product (sum-product with the
-ring's own plus and times), ``A + B`` the entrywise semiring addition, and
-``A.star(B)`` the adjoint product A + B + A@B.
+only its dtype, one of the ring's declared ``dtypes``, and its shape.  Build
+matrices with ``from_rows``, ``from_obj`` or ``random_matrix``; a raw
+``Matrix(ring, data)`` needs canonical ``data`` and makes that array
+read-only.  All operations return new values; ``A @ B`` is the semiring
+matrix product (sum-product with the ring's own plus and times), ``A + B``
+the entrywise semiring addition, and ``A.star(B)`` the adjoint product
+A + B + A@B.
 """
 
 from __future__ import annotations
@@ -26,10 +27,10 @@ class Matrix:
     __slots__ = ("ring", "data")
 
     def __init__(self, ring, data: np.ndarray):
-        if getattr(data, "dtype", None) != ring.dtype or data.ndim < 2 or data.shape[2:] != ring.entry_shape:
+        if getattr(data, "dtype", None) not in ring.dtypes or data.ndim < 2 or data.shape[2:] != ring.entry_shape:
             raise ParameterError(
-                f"expected dtype {np.dtype(ring.dtype)} and shape (rows, cols) + {ring.entry_shape} "
-                f"for {ring!r}, got {getattr(data, 'dtype', type(data).__name__)} {np.shape(data)}"
+                f"expected dtype {' or '.join(str(np.dtype(d)) for d in ring.dtypes)} and shape (rows, cols) + "
+                f"{ring.entry_shape} for {ring!r}, got {getattr(data, 'dtype', type(data).__name__)} {np.shape(data)}"
             )
         data.setflags(write=False)
         self.ring = ring

@@ -398,6 +398,8 @@ class DhkeParams(_Params):
 
 
 def random_dhke_params(rng: np.random.Generator, prime: int = 2**31 - 1) -> DhkeParams:
+    if prime < 3:  # the generator is drawn from [2, prime)
+        raise ParameterError(f"a DH prime must be at least 3, got {prime}")
     return DhkeParams(prime=prime, generator=int(rng.integers(2, prime)))
 
 

@@ -16,9 +16,11 @@ The kernels broadcast leading stack axes in front of (rows, cols) +
 entry_shape on both sides, as numpy's ``@`` does, so one call multiplies or
 adds a stack of matrices and one matrix, or two stacks.
 
-Packed arrays are canonical: of dtype ``dtype``, Z_m values in [0, m),
-tropical entries Python ints or ``TROP_INF``.  Only the kernels and the
-parsers (``pack``, ``from_obj``, ``random``) make them, and ``Matrix``
+Packed arrays are canonical: of one of the ring's ``dtypes``, Z_m values
+in [0, m), tropical entries int64 exactly when every entry is finite with
+|x| < 2^62 and otherwise Python ints or ``TROP_INF`` in an object array, so
+one value has one dtype.  Only the kernels and the parsers (``pack``,
+``from_obj``, ``random``, ``zeros``, ``identity``) make them, and ``Matrix``
 trusts both; the parsers refuse bools, floats and text as integers.
 
 Z_m is stored as int64 whenever a product of two residues fits a signed
@@ -27,6 +29,12 @@ stored while that is exact: at every inner dimension k on Python ints, while
 k(m-1)^2 < 2^63 in int64.  An int64 product past that sums on unsigned views
 of the same entries, in blocks of the inner dimension whose sums stay below
 2^64, each reduced mod m before they are added (``IntegersMod.matmul``).
+
+A tropical sum of two int64 entries below 2^62 in magnitude is exact in
+int64, so min-plus products of int64 operands run on words; a result with
+an entry past 2^62 converts exactly to Python ints, and any object operand
+(+inf, or an entry past 2^62) sends the product down the Python-int path
+(``TropicalIntegers``).
 
 Semiring operator convention on scalars: ``+`` is the semiring addition
 (min for tropical, OR for bitstrings) and ``*`` is the semiring
@@ -44,9 +52,13 @@ from .groups import FiniteGroupTable
 from .permutations import Permutation
 
 #: Formal additive identity of the tropical semiring.  Finite tropical values
-#: are always Python ints; the IEEE infinity is used only as this one formal
-#: symbol (comparisons and sums against ints are exact).
+#: are int64 words or Python ints; the IEEE infinity is used only as this one
+#: formal symbol, in object arrays (comparisons and sums against ints are exact).
 TROP_INF = float("inf")
+
+#: tropical entries are stored as int64 exactly when all are finite and below this in magnitude:
+#: two of them then sum exactly in int64, |a + b| < 2^63
+_TROP_WORD_BOUND = 1 << 62
 
 # Z_m[G] moduli stop here: GroupRingElement's convolution sums up to
 # |G| <= MAX_GROUP_ORDER = 120 products of at most (m-1)^2 in int64, and
@@ -60,6 +72,11 @@ def residue_products_fit_int64(modulus: int) -> bool:
     Z_m is stored as int64 exactly then, and ``linalg.rref_mod`` eliminates in int64.
     """
     return (modulus - 1) ** 2 < 1 << 63
+
+
+def _words_fit(words: np.ndarray) -> bool:
+    """Whether every entry x of an int64 array has |x| < 2^62; read as uint64, |x| is exact even at -2^63."""
+    return np.maximum.reduce(np.abs(words).view(np.uint64), axis=None, initial=0) < _TROP_WORD_BOUND
 
 
 def _integer_array(obj, allow_inf: bool = False) -> np.ndarray:
@@ -279,6 +296,7 @@ class IntegersMod:
             raise ParameterError("modulus must be >= 2")
         self.modulus = int(modulus)
         self.dtype = np.int64 if residue_products_fit_int64(self.modulus) else object
+        self.dtypes = (self.dtype,)
         # a product entry sums k terms of at most (m-1)^2.  As stored, the sum is exact at every k on
         # Python ints and while k*(m-1)^2 < 2^63 in int64; past that, int64 entries sum on unsigned
         # views in blocks of at most _uint64_inner_max terms, k*(m-1)^2 < 2^64
@@ -361,6 +379,7 @@ class GroupRingScalars:
         self.modulus = int(modulus)
         self.coefficients = IntegersMod(self.modulus)
         self.dtype = np.int64
+        self.dtypes = (self.dtype,)
         self.entry_shape = (group.order,)
 
     def __eq__(self, other):
@@ -431,17 +450,21 @@ class GroupRingScalars:
 
 
 class TropicalIntegers:
-    """Integer (min, +) entries, packed as an object array of Python ints.
+    """Integer (min, +) entries and the formal +inf, packed as a (rows, cols) array.
 
-    Object dtype keeps the arithmetic exact for arbitrarily large values and
-    lets the formal +inf ride along as the IEEE infinity.
+    The array is int64 exactly when every entry is finite with |x| < 2^62,
+    and otherwise an object array of Python ints and ``TROP_INF``, so one
+    value has one dtype.  Two int64 entries then sum exactly in int64, so a
+    product of int64 operands runs on words and keeps them while its entries
+    stay below 2^62; past that it converts, exactly, to Python ints.  An
+    entrywise min never leaves its operands' range.  An object operand sends
+    the product down the Python-int path, exact at every size, +inf included.
     """
 
     linear = False
     entry_shape = ()
-
-    def __init__(self):
-        self.dtype = object
+    dtype = np.int64  # the word storage; ``dtypes`` adds the exact fallback
+    dtypes = (np.int64, object)
 
     def __eq__(self, other):
         return isinstance(other, TropicalIntegers)
@@ -449,20 +472,34 @@ class TropicalIntegers:
     def __repr__(self):
         return "TropicalIntegers()"
 
+    @staticmethod
+    def _from_objects(data: np.ndarray) -> np.ndarray:
+        """Python ints and TROP_INF in canonical form: int64 when all are finite and fit, else as they are."""
+        try:
+            words = data.astype(np.int64)
+        except OverflowError:  # +inf, or an int past int64
+            return data
+        return words if _words_fit(words) else data
+
     def zeros(self, rows: int, cols: int) -> np.ndarray:
         # additive identity of (min, +) is +inf
-        return np.full((rows, cols), TROP_INF, dtype=object)
+        return self._from_objects(np.full((rows, cols), TROP_INF, dtype=object))
 
     def identity(self, n: int) -> np.ndarray:
-        out = self.zeros(n, n)
+        out = np.full((n, n), TROP_INF, dtype=object)
         np.fill_diagonal(out, 0)
-        return out
+        return self._from_objects(out)
 
     def add(self, a, b):
-        return np.minimum(a, b)
+        out = np.minimum(a, b)
+        return self._from_objects(out) if out.dtype == object else out
 
     def matmul(self, a, b):
-        return (a[..., :, :, None] + b[..., None, :, :]).min(axis=-2)
+        out = np.minimum.reduce(a[..., :, :, None] + b[..., None, :, :], axis=-2)
+        if out.dtype == object:  # an object operand: Python ints, exact at every size, +inf included
+            return self._from_objects(out)
+        # int64 operands below 2^62 sum exactly; a result past that converts, exactly, to Python ints
+        return out if _words_fit(out) else out.astype(object)
 
     def entry(self, data, i: int, j: int) -> TropicalScalar:
         return TropicalScalar(data[i, j])
@@ -471,13 +508,18 @@ class TropicalIntegers:
         return self.from_obj([[e.value if isinstance(e, TropicalScalar) else e for e in r] for r in rows])
 
     def random(self, rng: np.random.Generator, rows: int, cols: int, lo: int, hi: int) -> np.ndarray:
-        return rng.integers(lo, hi + 1, size=(rows, cols), dtype=np.int64).astype(object)
+        """Entries drawn uniformly from [lo, hi], refused before the draw unless -2^62 < lo <= hi < 2^62."""
+        if not -_TROP_WORD_BOUND < lo <= hi < _TROP_WORD_BOUND:
+            raise ParameterError(f"tropical entry bounds need -2^62 < entry_lo <= entry_hi < 2^62, got [{lo}, {hi}]")
+        return rng.integers(lo, hi + 1, size=(rows, cols), dtype=np.int64)
 
     def to_obj(self, data) -> list:
-        return [["inf" if x == TROP_INF else int(x) for x in row] for row in data]
+        if data.dtype == object:
+            return [["inf" if x == TROP_INF else x for x in row] for row in data.tolist()]
+        return data.tolist()
 
     def from_obj(self, obj) -> np.ndarray:
-        return _integer_array(obj, allow_inf=True)
+        return self._from_objects(_integer_array(obj, allow_inf=True))
 
 
 class BitStrings:
@@ -497,6 +539,7 @@ class BitStrings:
             raise ParameterError("bit length must be >= 1")
         self.length = int(length)
         self.dtype = np.bool_
+        self.dtypes = (self.dtype,)
         self.entry_shape = (self.length,)
 
     def __eq__(self, other):

@@ -1,6 +1,7 @@
 """Scalar and matrix arithmetic against independent brute-force oracles."""
 
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -209,6 +210,75 @@ def test_mat_star_associative(abc):
     assert a.star(b).star(c) == a.star(b.star(c))
 
 
+#: tropical entries around the int64 storage bound 2^62, one kind per operand: int64 operands
+#: (small, or just inside the bound, whose sums pass it) and object ones (across the bound,
+#: past int64, or with +inf)
+_TROP_BOUNDARY_ENTRIES = {
+    "small": st.integers(-50, 50),
+    "inside": st.one_of(st.integers(2**62 - 50, 2**62 - 1), st.integers(-(2**62) + 1, -(2**62) + 50)),
+    "across": st.one_of(st.integers(2**62 - 3, 2**62 + 3), st.integers(-(2**62) - 3, -(2**62) + 3)),
+    "past-int64": st.integers(-(2**70), 2**70),
+    "with-inf": st.one_of(st.integers(-50, 50), st.just(TROP_INF)),
+}
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    kinds=st.tuples(*[st.sampled_from(sorted(_TROP_BOUNDARY_ENTRIES))] * 3),
+    stacks=st.sampled_from([((), ()), ((2,), ()), ((), (2,)), ((2, 1), (1, 3))]),
+    dims=st.tuples(*[st.integers(1, 3)] * 3),
+    data=st.data(),
+)
+def test_tropical_kernels_match_the_scalar_oracle_across_the_word_bound(kinds, stacks, dims, data):
+    # add, matmul and stacked matmul on int64, object and mixed operands against TropicalScalar
+    # arithmetic on Python ints; every operand and result is in its one canonical dtype
+    ring = TropicalIntegers()
+    rows, k, cols = dims
+
+    def operand(kind, shape, label):
+        values = data.draw(st.lists(_TROP_BOUNDARY_ENTRIES[kind], min_size=math.prod(shape),
+                                    max_size=math.prod(shape)), label=label)
+        packed = ring.from_obj(np.array(values, dtype=object).reshape(shape))
+        assert_canonical_data(ring, packed)
+        return packed
+
+    a = operand(kinds[0], (*stacks[0], rows, k), "a")
+    b = operand(kinds[1], (*stacks[1], k, cols), "b")
+    c = operand(kinds[2], a.shape, "c")
+
+    total = ring.add(a, c)
+    assert_canonical_data(ring, total)
+    assert total.reshape(-1).tolist() == [(TropicalScalar(x) + TropicalScalar(y)).value
+                                          for x, y in zip(a.reshape(-1).tolist(), c.reshape(-1).tolist())]
+
+    out = ring.matmul(a, b)
+    stack = np.broadcast_shapes(*stacks)
+    assert out.shape == (*stack, rows, cols)
+    assert_canonical_data(ring, out)
+    a, b = np.broadcast_to(a, stack + a.shape[-2:]), np.broadcast_to(b, stack + b.shape[-2:])
+    for idx in np.ndindex(*stack):
+        assert Matrix(ring, out[idx]) == matmul_oracle(Matrix(ring, a[idx]), Matrix(ring, b[idx]))
+
+
+@pytest.mark.parametrize(
+    "a,b,product",
+    [
+        # int64 operands whose product passes 2^62: exact, in Python ints
+        ([[2**62 - 1]], [[2**62 - 1]], [[2**63 - 2]]),
+        ([[-(2**62) + 1, 0]], [[-(2**62) + 1], [5]], [[-(2**63) + 2]]),
+        # an object operand, past int64, whose product comes back inside the bound: int64 again
+        ([[2**70, 3]], [[-(2**70)], [4]], [[0]]),
+        ([[TROP_INF, 3]], [[1], [TROP_INF]], [[TROP_INF]]),
+    ],
+    ids=["past-the-bound", "negative-past-the-bound", "back-inside", "inf"],
+)
+def test_tropical_product_storage_follows_its_values(a, b, product):
+    ring = TropicalIntegers()
+    out = mx.from_rows(ring, a) @ mx.from_rows(ring, b)
+    assert out.to_obj() == [["inf" if x == TROP_INF else x for x in row] for row in product]
+    assert_canonical(out)
+
+
 def test_shape_and_ring_mismatches_rejected(rng):
     zm = IntegersMod(7)
     a = mx.random_matrix(rng, zm, 2, 3)
@@ -340,7 +410,7 @@ def _packed(gen, ring, rows: int, cols: int, stack=()) -> np.ndarray:
     """Random packed entries of shape stack + (rows, cols) + entry shape, near the top of Z_m."""
     shape = (*stack, rows, cols, *ring.entry_shape)
     if isinstance(ring, TropicalIntegers):
-        return gen.integers(-50, 51, shape).astype(object)
+        return gen.integers(-50, 51, shape)
     if isinstance(ring, BitStrings):
         return gen.integers(0, 2, shape).astype(np.bool_)
     return gen.integers(max(0, ring.modulus - 1024), ring.modulus, shape).astype(ring.dtype)
@@ -384,7 +454,7 @@ def _assert_stacked_product_matches_oracle(ring, rows: int, k: int, cols: int, s
     out = ring.matmul(a, b)
     stack = np.broadcast_shapes(*stacks)
     assert out.shape == (*stack, rows, cols, *ring.entry_shape)
-    assert out.dtype == ring.dtype
+    assert_canonical_data(ring, out)
     a, b = np.broadcast_to(a, stack + a.shape[len(stacks[0]):]), np.broadcast_to(b, stack + b.shape[len(stacks[1]):])
     for idx in np.ndindex(*stack):
         assert Matrix(ring, out[idx]) == matmul_oracle(Matrix(ring, a[idx]), Matrix(ring, b[idx]))
@@ -783,15 +853,26 @@ CANONICAL_RINGS = {
 }
 
 
-def assert_canonical(m: Matrix):
-    ring = m.ring
-    assert not m.data.flags.writeable
-    assert m.data.dtype == ring.dtype
+def assert_canonical_data(ring, data: np.ndarray):
+    """Packed entries (of one matrix or a stack) in the ring's one canonical form for their values."""
+    if isinstance(ring, TropicalIntegers):
+        # int64 exactly when every entry is finite with |x| < 2^62
+        fits = all(x != TROP_INF and -(2**62) < x < 2**62 for x in data.flat)
+        assert data.dtype == (np.int64 if fits else object)
+        if data.dtype == object:
+            # Python ints (numpy ints in an object array would wrap) or the formal +inf, no other float
+            assert all(type(x) is int or (type(x) is float and x == TROP_INF) for x in data.flat)
+        return
+    assert data.dtype == ring.dtype
     if ring.linear:
-        assert all(0 <= x < ring.modulus for x in m.data.flat)
-    if ring.dtype == object:
-        # Python ints (numpy ints in an object array would wrap) or the formal +inf
-        assert all(type(x) is int or x == TROP_INF for x in m.data.flat)
+        assert all(0 <= x < ring.modulus for x in data.flat)
+    if data.dtype == object:
+        assert all(type(x) is int for x in data.flat)
+
+
+def assert_canonical(m: Matrix):
+    assert not m.data.flags.writeable
+    assert_canonical_data(m.ring, m.data)
 
 
 @settings(max_examples=80, deadline=None)
@@ -836,10 +917,10 @@ def test_every_matrix_result_is_canonical(name, n, c, seed):
         (IntegersMod(7), np.zeros((2, 2))),
         (IntegersMod(2**61 - 1), np.zeros((2, 2), dtype=np.int64)),
         (GroupRingScalars(S3, 7), np.zeros((2, 2, 6), dtype=np.int32)),
-        (TropicalIntegers(), np.zeros((2, 2), dtype=np.int64)),
+        (TropicalIntegers(), np.zeros((2, 2))),
         (BitStrings(3), np.zeros((2, 2, 3), dtype=np.uint8)),
     ],
-    ids=["zmod-float", "zmod-object-given-int64", "groupring-int32", "tropical-int64", "bits-uint8"],
+    ids=["zmod-float", "zmod-object-given-int64", "groupring-int32", "tropical-float64", "bits-uint8"],
 )
 def test_raw_matrix_of_wrong_dtype_rejected(ring, data):
     with pytest.raises(ParameterError, match="dtype"):

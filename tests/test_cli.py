@@ -3,6 +3,7 @@
 import contextlib
 import copy
 import functools
+import hashlib
 import io
 import json
 import os
@@ -151,6 +152,52 @@ def test_seeded_prime_past_2_63_exits_2_with_one_line(tmp_path, capsys, kind):
     code, _, err = run_cli(["exchange", "--params", str(params), "--out", str(tmp_path / "o.json")], capsys)
     assert code == 2
     assert err == f"error: a seeded prime must be below 2^63, got {2**64 + 13}\n"
+
+
+_TROPICAL_BOUNDS = "tropical entry bounds need -2^62 < entry_lo <= entry_hi < 2^62, got"
+
+
+@pytest.mark.parametrize(
+    "record,message",
+    [
+        ({"kind": "tropical", "seed": 1, "entry_lo": 5, "entry_hi": 1}, f"{_TROPICAL_BOUNDS} [5, 1]"),
+        ({"kind": "tropical", "seed": 1, "entry_lo": -(2**62)}, f"{_TROPICAL_BOUNDS} [{-(2**62)}, 1000]"),
+        ({"kind": "tropical", "seed": 1, "entry_hi": 2**62}, f"{_TROPICAL_BOUNDS} [-1000, {2**62}]"),
+        ({"kind": "tropical", "seed": 1, "entry_lo": -(2**63) - 1}, f"{_TROPICAL_BOUNDS} [{-(2**63) - 1}, 1000]"),
+        ({"kind": "dhke", "seed": 1, "prime": 2}, "a DH prime must be at least 3, got 2"),
+    ],
+    ids=["tropical-lo-past-hi", "tropical-lo-at-bound", "tropical-hi-at-bound", "tropical-lo-past-int64",
+         "dhke-prime-2"],
+)
+def test_seeded_record_numpy_cannot_draw_from_exits_2_with_one_line(tmp_path, capsys, record, message):
+    # numpy cannot draw from these bounds (low >= high, or low past int64): each is refused before
+    # the draw with one line, and every tropical draw accepted is int64-stored
+    params = tmp_path / "p.json"
+    params.write_text(json.dumps(record))
+    code, _, err = run_cli(["exchange", "--params", str(params), "--out", str(tmp_path / "o.json")], capsys)
+    assert code == 2
+    assert err == f"error: {message}\n"
+
+
+#: sha256 of the transcript file written by ``exchange --platform tropical --trials 2 --seed 1
+#: --test-mode`` at 16- and 63-bit exponents, recorded while every tropical entry was a Python int
+_TROPICAL_TRANSCRIPT_SHA256 = {
+    16: "857a6355857e1761ab170b39018030dedb79dedee1ec3c1792425ea2295913d6",
+    63: "52b2750ba367079d366b4681133b6754184bab28cce119cc2e35bacb7c27bfa9",
+}
+
+
+@pytest.mark.parametrize("bits", sorted(_TROPICAL_TRANSCRIPT_SHA256))
+def test_tropical_transcript_bytes_are_pinned(tmp_path, capsys, bits):
+    # at 63 bits the keys reach about -10^22, past the int64 storage bound of 2^62, so the
+    # exchange runs the exact Python-int fallback end to end
+    out = tmp_path / "t.json"
+    argv = ["exchange", "--platform", "tropical", "--exponent-bits", str(bits), "--trials", "2", "--seed", "1",
+            "--test-mode", "--out", str(out)]
+    assert run_cli(argv, capsys)[0] == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _TROPICAL_TRANSCRIPT_SHA256[bits]
+    smallest = min(x for record in json.loads(out.read_text()) for row in record["key"] for x in row)
+    assert (smallest <= -(2**62)) == (bits == 63)
 
 
 def test_attack_not_applicable_exits_3(tmp_path, capsys):
