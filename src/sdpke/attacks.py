@@ -133,7 +133,14 @@ def dimension_attack(transcript: Transcript) -> AttackOutcome:
     2 (D + 1) D entries past ``DIMENSION_ATTACK_CAP`` is refused before the
     platform is built.
     """
-    params = transcript.params
+    key, work = _span_key(transcript.params, transcript.build_platform, transcript.alice_value, transcript.bob_value)
+    if key is None:
+        return AttackOutcome(success=False, work=work, detail="A is outside the span of the sequence")
+    return _recovered(key, transcript, work)
+
+
+def _span_key(params, build_platform, a_obs: Matrix, b_obs: Matrix) -> tuple[Matrix | None, WorkCounters]:
+    """The key of ``dimension_attack``, None when A is off the span; the platform is built after the cap check."""
     ring = params.ring()
     if not ring.linear:
         raise NotApplicableError(f"platform {params.kind!r} has no Z_p-linear coordinates")
@@ -145,9 +152,8 @@ def dimension_attack(transcript: Transcript) -> AttackOutcome:
             f"the dimension attack on {n}x{n} matrices of {per_entry} coordinates per entry works in D = {dim} "
             f"and needs 2(D+1)D = {entries} entries (cap {DIMENSION_ATTACK_CAP})"
         )
-    platform = transcript.build_platform()
+    platform = build_platform()
     modulus = ring.modulus
-    a_obs, b_obs = transcript.alice_value, transcript.bob_value
 
     block = sequence_block(platform, [platform.g, telescoping_residual(platform, b_obs)], dim + 1)
     terms, keyed = block.reshape(2, dim + 1, dim)
@@ -156,14 +162,14 @@ def dimension_attack(transcript: Transcript) -> AttackOutcome:
     rank = len(pivots) - outside
     work = WorkCounters(sequence_terms_generated=rank + 1, rank=rank, linear_solves=1)
     if outside:
-        return AttackOutcome(success=False, work=work, detail="A is outside the span of the sequence")
+        return None, work
 
     eta = reduced[:rank, dim + 1]
     key = IntegersMod(modulus).matmul(keyed[:rank].T, eta[:, None])
     key = Matrix(ring, key.reshape(platform.g.data.shape))
     if platform.op_kind == "add":
         key = key + b_obs.scale((1 - int(np.sum(eta))) % modulus)
-    return _recovered(key, transcript, work)
+    return key, work
 
 
 # ---------------------------------------------------------------------------
@@ -335,13 +341,12 @@ def mr_message_recovery(platform: Platform, public_key: Matrix, ct: Ciphertext) 
 
     The blinding factor K = phi^n(c1) a is exactly a shared key for the
     pair of public values (a, c1), so the dimension attack recovers it and
-    K^-1 c2 is the message.
+    K^-1 c2 is the message.  The attack runs on the given platform, built once by the caller.
     """
-    synthetic = Transcript(params=platform.params, alice_value=public_key, bob_value=ct.c1)
-    outcome = dimension_attack(synthetic)
-    if outcome.recovered_key is None:
+    key, _ = _span_key(platform.params, lambda: platform, public_key, ct.c1)
+    if key is None:
         raise NotApplicableError("dimension attack did not produce a key")
-    return mx.inverse(outcome.recovered_key) @ ct.c2
+    return mx.inverse(key) @ ct.c2
 
 
 # ---------------------------------------------------------------------------

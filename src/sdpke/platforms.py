@@ -44,7 +44,7 @@ from .holomorph import (
 from .linalg import is_prime
 from .matrices import Matrix
 from .permutations import Permutation
-from .semirings import BitStrings, GroupRingScalars, IntegersMod, TropicalIntegers
+from .semirings import BitStrings, GroupRingScalars, IntegersMod, TropicalIntegers, check_tropical_bounds
 
 #: Upper caps on the sizes a params file or generator call may ask for, so a
 #: few bytes of JSON cannot demand a huge allocation: the matrix size n of
@@ -253,6 +253,7 @@ class TropicalParams(_Params):
 
     def build(self) -> Platform:
         self._check_sizes()
+        check_tropical_bounds(self.entry_lo, self.entry_hi)  # the sampler draws from them
         ring = self.ring()
         return Platform(
             name="tropical",

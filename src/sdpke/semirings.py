@@ -10,7 +10,8 @@ structure: ``linear`` is True when the entries form a Z_m-module (additive
 inverses, a Z_m scalar action, coordinates for linear algebra), and
 ``entry_shape`` is the array shape of one packed entry: ``()`` for Z_m and
 tropical scalars, ``(|G|,)`` coefficients for group ring entries and
-``(k,)`` bools for k-bit strings.
+``(k,)`` bools for k-bit strings.  Z_m[G] entries are Z_m coefficients on
+that axis, so ``GroupRingScalars`` runs ``IntegersMod``'s entrywise code.
 
 The kernels broadcast leading stack axes in front of (rows, cols) +
 entry_shape on both sides, as numpy's ``@`` does, so one call multiplies or
@@ -77,6 +78,12 @@ def residue_products_fit_int64(modulus: int) -> bool:
 def _words_fit(words: np.ndarray) -> bool:
     """Whether every entry x of an int64 array has |x| < 2^62; read as uint64, |x| is exact even at -2^63."""
     return np.maximum.reduce(np.abs(words).view(np.uint64), axis=None, initial=0) < _TROP_WORD_BOUND
+
+
+def check_tropical_bounds(lo: int, hi: int) -> None:
+    """Refuse tropical entry bounds unless -2^62 < lo <= hi < 2^62: numpy draws from them, into int64 storage."""
+    if not -_TROP_WORD_BOUND < lo <= hi < _TROP_WORD_BOUND:
+        raise ParameterError(f"tropical entry bounds need -2^62 < entry_lo <= entry_hi < 2^62, got [{lo}, {hi}]")
 
 
 def _integer_array(obj, allow_inf: bool = False) -> np.ndarray:
@@ -286,7 +293,7 @@ class BitString:
 
 
 class IntegersMod:
-    """Entries in Z_m packed as a (rows, cols) integer array."""
+    """Entries in Z_m packed as a (rows, cols) + ``entry_shape`` integer array; ``entry_shape`` is () here."""
 
     linear = True
     entry_shape = ()
@@ -311,7 +318,7 @@ class IntegersMod:
         return f"IntegersMod({self.modulus})"
 
     def zeros(self, rows: int, cols: int) -> np.ndarray:
-        return np.zeros((rows, cols), dtype=self.dtype)
+        return np.zeros((rows, cols) + self.entry_shape, dtype=self.dtype)
 
     def identity(self, n: int) -> np.ndarray:
         return np.eye(n, dtype=self.dtype)
@@ -348,11 +355,11 @@ class IntegersMod:
         return self.from_obj([[e.value if isinstance(e, ZMod) else e for e in r] for r in rows])
 
     def random(self, rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-        data = rng.integers(0, self.modulus, size=(rows, cols), dtype=np.int64)
+        data = rng.integers(0, self.modulus, size=(rows, cols) + self.entry_shape, dtype=np.int64)
         return data.astype(self.dtype, copy=False)
 
     def to_obj(self, data) -> list:
-        return [[int(x) for x in row] for row in data]
+        return data.tolist()
 
     def from_obj(self, obj) -> np.ndarray:
         return (_integer_array(obj) % self.modulus).astype(self.dtype, copy=False)
@@ -361,11 +368,14 @@ class IntegersMod:
 class GroupRingScalars:
     """Entries in Z_m[G] packed as a (rows, cols, |G|) coefficient array.
 
+    Z_m[G] is a Z_m-module: an entry is |G| Z_m coefficients on a trailing
+    axis, and the entrywise kernels, draws, storage rule and JSON codec are
+    ``IntegersMod``'s (no subclass of it: Z_m and Z_m[G] are different rings).
     Products go through a regular representation: a matrix over Z_m[G] acts
     on stacked coefficient vectors as a Z_m matrix |G| times as large, and
-    ``IntegersMod`` multiplies that, broadcasting leading stack axes.  The
-    product gathers the blocks of the factor with fewer entries, stack axes
-    included (left-regular ``regular(a)`` for a @ X, right-regular for
+    ``IntegersMod.matmul`` multiplies that, broadcasting leading stack axes.
+    The product gathers the blocks of the factor with fewer entries, stack
+    axes included (left-regular ``regular(a)`` for a @ X, right-regular for
     X @ b), so a tall stack of matrices times one small matrix, on either
     side, gathers the small one.
     """
@@ -375,11 +385,8 @@ class GroupRingScalars:
     def __init__(self, group: FiniteGroupTable, modulus: int):
         if modulus > _GROUPRING_MOD_LIMIT:
             raise ParameterError(f"group ring modulus must be at most 2^28, got {modulus}")
+        IntegersMod.__init__(self, modulus)
         self.group = group
-        self.modulus = int(modulus)
-        self.coefficients = IntegersMod(self.modulus)
-        self.dtype = np.int64
-        self.dtypes = (self.dtype,)
         self.entry_shape = (group.order,)
 
     def __eq__(self, other):
@@ -392,19 +399,18 @@ class GroupRingScalars:
     def __repr__(self):
         return f"GroupRingScalars({self.group.name}, mod {self.modulus})"
 
-    def zeros(self, rows: int, cols: int) -> np.ndarray:
-        return np.zeros((rows, cols, self.group.order), dtype=np.int64)
+    zeros = IntegersMod.zeros
+    add = IntegersMod.add
+    sub = IntegersMod.sub
+    scale = IntegersMod.scale
+    random = IntegersMod.random
+    to_obj = IntegersMod.to_obj
+    from_obj = IntegersMod.from_obj
 
     def identity(self, n: int) -> np.ndarray:
         out = self.zeros(n, n)
         out[np.arange(n), np.arange(n), self.group.identity] = 1 % self.modulus
         return out
-
-    def add(self, a, b):
-        return (a + b) % self.modulus
-
-    def sub(self, a, b):
-        return (a - b) % self.modulus
 
     def regular(self, data):
         """The (rows*n x cols*n) Z_m matrix of X -> data @ X, n = |G|, for each matrix of a stack.
@@ -424,29 +430,17 @@ class GroupRingScalars:
             # blocks[..., k, g, j, c] = b[..., k, j, g^-1 * c]: the matrix of X -> X @ b on X's rows,
             # each of which holds its k entries' coefficients in a row
             blocks = b.take(self.group.right_regular, axis=-1).swapaxes(-1, -3).swapaxes(-1, -2)
-            prod = self.coefficients.matmul(a.reshape(a.shape[:-2] + (k * n,)),
-                                            blocks.reshape(b.shape[:-3] + (k * n, cols * n)))
+            prod = IntegersMod.matmul(self, a.reshape(a.shape[:-2] + (k * n,)),
+                                      blocks.reshape(b.shape[:-3] + (k * n, cols * n)))
             return prod.reshape(prod.shape[:-1] + (cols, n))
-        prod = self.coefficients.matmul(self.regular(a), b.swapaxes(-1, -2).reshape(b.shape[:-3] + (k * n, cols)))
+        prod = IntegersMod.matmul(self, self.regular(a), b.swapaxes(-1, -2).reshape(b.shape[:-3] + (k * n, cols)))
         return prod.reshape(prod.shape[:-2] + (rows, n, cols)).swapaxes(-1, -2)
-
-    def scale(self, c: int, a):
-        return (c * a) % self.modulus
 
     def entry(self, data, i: int, j: int) -> GroupRingElement:
         return GroupRingElement(self.group, self.modulus, data[i, j])
 
     def pack(self, rows) -> np.ndarray:
         return self.from_obj([[e.coeffs for e in r] for r in rows])
-
-    def random(self, rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-        return rng.integers(0, self.modulus, size=(rows, cols, self.group.order), dtype=np.int64)
-
-    def to_obj(self, data) -> list:
-        return [[list(map(int, entry)) for entry in row] for row in data]
-
-    def from_obj(self, obj) -> np.ndarray:
-        return (_integer_array(obj) % self.modulus).astype(self.dtype)
 
 
 class TropicalIntegers:
@@ -508,9 +502,8 @@ class TropicalIntegers:
         return self.from_obj([[e.value if isinstance(e, TropicalScalar) else e for e in r] for r in rows])
 
     def random(self, rng: np.random.Generator, rows: int, cols: int, lo: int, hi: int) -> np.ndarray:
-        """Entries drawn uniformly from [lo, hi], refused before the draw unless -2^62 < lo <= hi < 2^62."""
-        if not -_TROP_WORD_BOUND < lo <= hi < _TROP_WORD_BOUND:
-            raise ParameterError(f"tropical entry bounds need -2^62 < entry_lo <= entry_hi < 2^62, got [{lo}, {hi}]")
+        """Entries drawn uniformly from [lo, hi], after ``check_tropical_bounds``."""
+        check_tropical_bounds(lo, hi)
         return rng.integers(lo, hi + 1, size=(rows, cols), dtype=np.int64)
 
     def to_obj(self, data) -> list:

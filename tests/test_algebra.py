@@ -1,6 +1,7 @@
 """Scalar and matrix arithmetic against independent brute-force oracles."""
 
 import itertools
+import json
 import math
 import tracemalloc
 
@@ -289,6 +290,27 @@ def test_shape_and_ring_mismatches_rejected(rng):
         a + mx.random_matrix(rng, zm, 3, 2)
     with pytest.raises(ParameterError):
         a + mx.random_matrix(rng, IntegersMod(5), 2, 3)
+    # Z_7[S_3] borrows Z_7's entry kernels but is another ring: unequal both ways, no subclass,
+    # and no sum or product mixes its matrices with Z_7 matrices
+    gr = GroupRingScalars(S3, 7)
+    assert zm != gr and gr != zm
+    assert not isinstance(gr, IntegersMod)
+    z, g = mx.random_matrix(rng, zm, 2, 2), mx.random_matrix(rng, gr, 2, 2)
+    for x, y in ((z, g), (g, z)):
+        with pytest.raises(ParameterError):
+            x + y
+        with pytest.raises(ParameterError):
+            x @ y
+
+
+def test_object_zmod_round_trips_through_json():
+    # m past 2^64: entries past every word are written and read back as Python ints
+    ring = IntegersMod(2**64 + 13)
+    assert ring.dtype == object
+    m = mx.from_obj(ring, [[2**64 + 12, 0], [1, 2**63]])
+    obj = m.to_obj()
+    assert all(type(x) is int for row in obj for x in row)
+    assert mx.from_obj(ring, json.loads(json.dumps(obj))) == m
 
 
 def test_large_modulus_object_path(rng):

@@ -29,6 +29,7 @@ from sdpke.linalg import EchelonSpan, rank_mod, solve_mod
 from sdpke.permutations import Permutation
 from sdpke.platforms import (
     DhkeParams,
+    GLParams,
     GroupRingParams,
     MakeParams,
     MobsParams,
@@ -563,3 +564,15 @@ def test_message_recovery_random_trials(rng):
         msg = p.random_element(rng)
         ct = mr_encrypt(p, kp.public_value, msg, rng)
         assert mr_message_recovery(p, kp.public_value, ct) == msg
+
+
+def test_message_recovery_runs_on_the_given_platform(rng, monkeypatch):
+    # the attack runs on the caller's platform: no params record is built again during the call
+    p = random_gl_params(rng).build()
+    kp = keygen(p, rng)
+    msg = p.random_element(rng)
+    ct = mr_encrypt(p, kp.public_value, msg, rng)
+    builds, build = [], GLParams.build
+    monkeypatch.setattr(GLParams, "build", lambda params: builds.append(params) or build(params))
+    assert mr_message_recovery(p, kp.public_value, ct) == msg
+    assert builds == []

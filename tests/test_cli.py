@@ -157,6 +157,10 @@ def test_seeded_prime_past_2_63_exits_2_with_one_line(tmp_path, capsys, kind):
 _TROPICAL_BOUNDS = "tropical entry bounds need -2^62 < entry_lo <= entry_hi < 2^62, got"
 
 
+def _explicit_tropical(lo: int, hi: int) -> dict:
+    return {"kind": "tropical", "size": 1, "entry_lo": lo, "entry_hi": hi, "H": [[0]], "g": [[1]]}
+
+
 @pytest.mark.parametrize(
     "record,message",
     [
@@ -165,13 +169,18 @@ _TROPICAL_BOUNDS = "tropical entry bounds need -2^62 < entry_lo <= entry_hi < 2^
         ({"kind": "tropical", "seed": 1, "entry_hi": 2**62}, f"{_TROPICAL_BOUNDS} [-1000, {2**62}]"),
         ({"kind": "tropical", "seed": 1, "entry_lo": -(2**63) - 1}, f"{_TROPICAL_BOUNDS} [{-(2**63) - 1}, 1000]"),
         ({"kind": "dhke", "seed": 1, "prime": 2}, "a DH prime must be at least 3, got 2"),
+        (_explicit_tropical(5, 1), f"{_TROPICAL_BOUNDS} [5, 1]"),
+        (_explicit_tropical(-1000, 2**62), f"{_TROPICAL_BOUNDS} [-1000, {2**62}]"),
+        (_explicit_tropical(-(2**70), 2**70), f"{_TROPICAL_BOUNDS} [{-(2**70)}, {2**70}]"),
     ],
     ids=["tropical-lo-past-hi", "tropical-lo-at-bound", "tropical-hi-at-bound", "tropical-lo-past-int64",
-         "dhke-prime-2"],
+         "dhke-prime-2", "explicit-tropical-lo-past-hi", "explicit-tropical-hi-at-bound",
+         "explicit-tropical-past-int64"],
 )
 def test_seeded_record_numpy_cannot_draw_from_exits_2_with_one_line(tmp_path, capsys, record, message):
     # numpy cannot draw from these bounds (low >= high, or low past int64): each is refused before
-    # the draw with one line, and every tropical draw accepted is int64-stored
+    # the draw with one line, and every tropical draw accepted is int64-stored.  An explicit tropical
+    # record, whose sampler draws from its bounds, is refused by the same rule when it is built
     params = tmp_path / "p.json"
     params.write_text(json.dumps(record))
     code, _, err = run_cli(["exchange", "--params", str(params), "--out", str(tmp_path / "o.json")], capsys)
@@ -179,25 +188,40 @@ def test_seeded_record_numpy_cannot_draw_from_exits_2_with_one_line(tmp_path, ca
     assert err == f"error: {message}\n"
 
 
-#: sha256 of the transcript file written by ``exchange --platform tropical --trials 2 --seed 1
-#: --test-mode`` at 16- and 63-bit exponents, recorded while every tropical entry was a Python int
-_TROPICAL_TRANSCRIPT_SHA256 = {
-    16: "857a6355857e1761ab170b39018030dedb79dedee1ec3c1792425ea2295913d6",
-    63: "52b2750ba367079d366b4681133b6754184bab28cce119cc2e35bacb7c27bfa9",
+#: sha256 of the transcript file written by ``exchange <source> --trials 2 --seed 1 --test-mode``,
+#: recorded while every tropical entry was a Python int and every Z_m and Z_m[G] entry was
+#: written by its own int(); the source is a platform kind and flags, or a seeded params record
+_TRANSCRIPT_SHA256 = {
+    "tropical-16": (["--platform", "tropical", "--exponent-bits", "16"],
+                    "857a6355857e1761ab170b39018030dedb79dedee1ec3c1792425ea2295913d6"),
+    "tropical-63": (["--platform", "tropical", "--exponent-bits", "63"],
+                    "52b2750ba367079d366b4681133b6754184bab28cce119cc2e35bacb7c27bfa9"),
+    "groupring": (["--platform", "groupring"], "a253287777778d45c32ba8652c57cb3861021aec8f7c3858678ab80c226ba608"),
+    "gl": (["--platform", "gl"], "79d8a2b881863fbd88fd3c2cd3c0f9673c783f21c569e206366014f0acbb4701"),
+    "make": (["--platform", "make"], "0753677598c315bb374a0c8c7656234f2d911a2db363e3dbd6edd0a754679a73"),
+    "dhke": (["--platform", "dhke"], "4b07b05f0494d9f91f058a50d8aae768c3003473830b6400a57ce9ce175c0369"),
+    # (p-1)^2 is past 2^63 for this prime, so Z_p is stored as Python ints in object arrays
+    "make-object": ({"kind": "make", "seed": 1, "prime": 4294967291},
+                    "8f2368ca6a912edb3a9c39d6399016ab5cbb0f77169957e917aa8e4f1191c408"),
 }
 
 
-@pytest.mark.parametrize("bits", sorted(_TROPICAL_TRANSCRIPT_SHA256))
-def test_tropical_transcript_bytes_are_pinned(tmp_path, capsys, bits):
-    # at 63 bits the keys reach about -10^22, past the int64 storage bound of 2^62, so the
-    # exchange runs the exact Python-int fallback end to end
+@pytest.mark.parametrize("case", list(_TRANSCRIPT_SHA256))
+def test_transcript_bytes_are_pinned(tmp_path, capsys, case):
+    source, digest = _TRANSCRIPT_SHA256[case]
+    if isinstance(source, dict):
+        params = tmp_path / "p.json"
+        params.write_text(json.dumps(source))
+        source = ["--params", str(params)]
     out = tmp_path / "t.json"
-    argv = ["exchange", "--platform", "tropical", "--exponent-bits", str(bits), "--trials", "2", "--seed", "1",
-            "--test-mode", "--out", str(out)]
+    argv = ["exchange", *source, "--trials", "2", "--seed", "1", "--test-mode", "--out", str(out)]
     assert run_cli(argv, capsys)[0] == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == _TROPICAL_TRANSCRIPT_SHA256[bits]
-    smallest = min(x for record in json.loads(out.read_text()) for row in record["key"] for x in row)
-    assert (smallest <= -(2**62)) == (bits == 63)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    if case.startswith("tropical"):
+        # at 63 bits the keys reach about -10^22, past the int64 storage bound of 2^62, so the
+        # exchange runs the exact Python-int fallback end to end
+        smallest = min(x for record in json.loads(out.read_text()) for row in record["key"] for x in row)
+        assert (smallest <= -(2**62)) == (case == "tropical-63")
 
 
 def test_attack_not_applicable_exits_3(tmp_path, capsys):
