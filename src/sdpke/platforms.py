@@ -34,7 +34,6 @@ from . import matrices as mx
 from .errors import ParameterError, _is_integer, refuse_unknown_keys
 from .groups import BUNDLED_GROUPS, FiniteGroupTable, load_group
 from .holomorph import (
-    ConjugatorPower,
     IdentityEnd,
     Platform,
     PermutationPower,
@@ -138,7 +137,7 @@ def _conjugation_platform(params: GroupRingParams | GLParams) -> Platform:
         raise ParameterError("conjugator is singular")
     if h @ g == g @ h:
         raise ParameterError("base commutes with the conjugator; degenerate instance")
-    return Platform(name=params.kind, op_kind="mul", g=g, phi=ConjugatorPower(h, h_inv), params=params)
+    return Platform(name=params.kind, op_kind="mul", g=g, phi=TwoSidedPower(h_inv, h), params=params)
 
 
 def _is_central(h: Matrix) -> bool:

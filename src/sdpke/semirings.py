@@ -30,6 +30,9 @@ stored while that is exact: at every inner dimension k on Python ints, while
 k(m-1)^2 < 2^63 in int64.  An int64 product past that sums on unsigned views
 of the same entries, in blocks of the inner dimension whose sums stay below
 2^64, each reduced mod m before they are added (``IntegersMod.matmul``).
+Z_m[G] takes only the moduli Z_m stores as int64, by the same rule, so its
+coefficients always live on words and ``linalg.rref_mod`` eliminates its
+regular blocks in int64.
 
 A tropical sum of two int64 entries below 2^62 in magnitude is exact in
 int64, so min-plus products of int64 operands run on words; a result with
@@ -60,12 +63,6 @@ TROP_INF = float("inf")
 #: tropical entries are stored as int64 exactly when all are finite and below this in magnitude:
 #: two of them then sum exactly in int64, |a + b| < 2^63
 _TROP_WORD_BOUND = 1 << 62
-
-# Z_m[G] moduli stop here: GroupRingElement's convolution sums up to
-# |G| <= MAX_GROUP_ORDER = 120 products of at most (m-1)^2 in int64, and
-# 128 (m-1)^2 < 2^63 holds up to this modulus.
-_GROUPRING_MOD_LIMIT = 1 << 28
-
 
 def residue_products_fit_int64(modulus: int) -> bool:
     """Whether a product of two residues mod m, at most (m-1)^2, fits int64: m <= 3037000500.
@@ -187,12 +184,12 @@ class GroupRingElement:
 
     def __mul__(self, other: GroupRingElement) -> GroupRingElement:
         self._check(other)
-        table = self.group.product
+        table, m = self.group.product, self.modulus
         out = np.zeros(self.group.order, dtype=np.int64)
         for f in range(self.group.order):
             af = int(self.coeffs[f])
-            if af:
-                out[table[f]] += af * other.coeffs
+            if af:  # reduced at each term: a partial sum is at most m(m-1), below 2^63 for every Z_m[G] modulus
+                out[table[f]] = (out[table[f]] + af * other.coeffs) % m
         return GroupRingElement(self.group, self.modulus, out)
 
     def __eq__(self, other) -> bool:
@@ -371,6 +368,7 @@ class GroupRingScalars:
     Z_m[G] is a Z_m-module: an entry is |G| Z_m coefficients on a trailing
     axis, and the entrywise kernels, draws, storage rule and JSON codec are
     ``IntegersMod``'s (no subclass of it: Z_m and Z_m[G] are different rings).
+    The modulus is one Z_m stores as int64, (m-1)^2 < 2^63, and no other.
     Products go through a regular representation: a matrix over Z_m[G] acts
     on stacked coefficient vectors as a Z_m matrix |G| times as large, and
     ``IntegersMod.matmul`` multiplies that, broadcasting leading stack axes.
@@ -383,9 +381,9 @@ class GroupRingScalars:
     linear = True
 
     def __init__(self, group: FiniteGroupTable, modulus: int):
-        if modulus > _GROUPRING_MOD_LIMIT:
-            raise ParameterError(f"group ring modulus must be at most 2^28, got {modulus}")
         IntegersMod.__init__(self, modulus)
+        if not residue_products_fit_int64(self.modulus):
+            raise ParameterError(f"group ring modulus needs (m-1)^2 < 2^63, m <= 3037000500, got {modulus}")
         self.group = group
         self.entry_shape = (group.order,)
 
@@ -409,7 +407,7 @@ class GroupRingScalars:
 
     def identity(self, n: int) -> np.ndarray:
         out = self.zeros(n, n)
-        out[np.arange(n), np.arange(n), self.group.identity] = 1 % self.modulus
+        out[np.arange(n), np.arange(n), self.group.identity] = 1
         return out
 
     def regular(self, data):

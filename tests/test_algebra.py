@@ -322,7 +322,7 @@ def test_large_modulus_object_path(rng):
     assert (a @ mx.identity(big, 3)) == a
 
 
-#: the largest prime below 2^28, the group-ring modulus bound
+#: the largest prime below 2^28
 _PRIME_BELOW_2_28 = 2**28 - 57
 #: the largest prime p with (p-1)^2 < 2^63, the largest prime IntegersMod stores as int64
 _LARGEST_INT64_PRIME = 3037000493
@@ -356,8 +356,24 @@ def test_zmod_matmul_near_int64_limit_matches_oracle(shape, modulus, seed):
 
 
 GROUPS = {name: load_group(name) for name in BUNDLED_GROUPS}
-#: prime moduli from 2 up to the largest below the group-ring bound 2^28
-_GROUPRING_MODULI = [2, 7, 1048573, _PRIME_BELOW_2_28]
+#: prime moduli from 2 up to the largest Z_m[G] admits, the largest prime Z_m stores as int64
+_GROUPRING_MODULI = [2, 7, 1048573, _PRIME_BELOW_2_28, 2**31 - 1, _LARGEST_INT64_PRIME]
+
+
+def test_groupring_modulus_is_refused_exactly_when_residue_products_overflow_int64():
+    assert GroupRingScalars(S3, 3037000500).dtype is np.int64
+    with pytest.raises(ParameterError, match="got 3037000501"):
+        GroupRingScalars(S3, 3037000501)
+
+
+def test_convolution_near_the_largest_int64_prime_matches_double_loop_oracle():
+    # 60 products near (m-1)^2 ~ 2^63 each: summed unreduced in int64, the convolution wrapped
+    m = _LARGEST_INT64_PRIME
+    a5 = GROUPS["a5"]
+    gen = np.random.default_rng(5)
+    for _ in range(5):
+        a, b = (GroupRingElement(a5, m, gen.integers(m - 1024, m, a5.order)) for _ in range(2))
+        assert a * b == conv_oracle(a, b)
 
 
 @settings(deadline=None, max_examples=60)
@@ -376,6 +392,14 @@ _GROUPRING_MODULI = [2, 7, 1048573, _PRIME_BELOW_2_28]
 @example(group="a5", modulus=_PRIME_BELOW_2_28, shape=(1, 2, 2), near_top=True, seed=1)
 # more rows than columns gathers the right factor's right-regular blocks, at the same bound
 @example(group="a5", modulus=_PRIME_BELOW_2_28, shape=(3, 2, 1), near_top=True, seed=2)
+# past the old 2^28 cap: inner dimension 120 is the int64 path at 2^28+3 (_int64_inner_max 127) ...
+@example(group="a5", modulus=2**28 + 3, shape=(1, 2, 2), near_top=True, seed=4)
+# ... 60 is one unsigned product at 2^29-3 (int64 up to 32 terms, unsigned up to 64) ...
+@example(group="a5", modulus=2**29 - 3, shape=(2, 1, 2), near_top=True, seed=5)
+# ... and at the largest int64 prime a block holds 2 terms: 180 terms gathering the left factor,
+# 120 gathering the right
+@example(group="a5", modulus=_LARGEST_INT64_PRIME, shape=(1, 3, 2), near_top=True, seed=6)
+@example(group="a5", modulus=_LARGEST_INT64_PRIME, shape=(3, 2, 1), near_top=True, seed=7)
 def test_groupring_matmul_matches_scalar_oracle(group, modulus, shape, near_top, seed):
     ring = GroupRingScalars(GROUPS[group], modulus)
     r, k, c = shape

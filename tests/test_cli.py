@@ -628,6 +628,9 @@ def _malformed_inputs(tmp_path):
         "seeded-mobs-cycles-past-cap": (seeded, {"kind": "mobs", "seed": 1, "cycle_lengths": [2, MAX_BITS]}),
         "seeded-mobs-negative-cycle": (seeded, {"kind": "mobs", "seed": 1, "cycle_lengths": [-10**9, 10**9 + 5]}),
         "groupring-group-order-past-cap": (seeded, dict(groupring[0]["platform"], group=big_cyclic)),
+        # Z_m[G] takes the moduli Z_m stores as int64, (m-1)^2 < 2^63, that is m <= 3037000500
+        "seeded-groupring-modulus-past-int64": (seeded, {"kind": "groupring", "seed": 1, "modulus": 3037000501}),
+        "explicit-groupring-modulus-2^64": (seeded, dict(groupring[0]["platform"], modulus=2**64)),
         "trials-past-cap": (["exchange", "--platform", "gl", "--trials", str(MAX_TRIALS + 1), "--out"], {}),
         # an explicit params matrix that is not size x size
         "explicit-gl-2x2-H-on-3x3": (seeded, shrunk(gl, "H")),
@@ -656,6 +659,7 @@ def _malformed_inputs(tmp_path):
         "seeded-float-seed", "seeded-bool-seed", "seeded-negative-seed", "seeded-seed-2^64",
         "seeded-gl-size-100000", "seeded-make-size-past-cap", "explicit-gl-size-100000", "mobs-bits-past-cap",
         "seeded-mobs-cycles-past-cap", "seeded-mobs-negative-cycle", "groupring-group-order-past-cap",
+        "seeded-groupring-modulus-past-int64", "explicit-groupring-modulus-2^64",
         "trials-past-cap", "empty-transcript-file", "explicit-gl-2x2-H-on-3x3", "explicit-make-2x2-H1",
         "explicit-tropical-2x2-H", "explicit-groupring-2x2-g", "explicit-mobs-2x2-g", "x-max-0",
         "x-max-negative", "x-max-past-2^63",

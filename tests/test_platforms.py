@@ -129,6 +129,7 @@ def test_conjugation_power_rep_matches_explicit_powers(gen, rng):
     p = params.build()
     h = params.conjugator
     h_inv = mx.inverse(h)
+    assert type(p.phi) is TwoSidedPower and p.phi == TwoSidedPower(h_inv, h)
     h_x, h_inv_x = h, h_inv
     for x in range(1, 65):
         assert p.phi.power(x)(p.g) == h_inv_x @ p.g @ h_x
