@@ -19,7 +19,7 @@ the exchanged values), each returning an AttackOutcome:
   non-increasing, so its terms form a chain and an admissible exponent is
   found by binary lifting over the doubling chain (g, phi)^(2^i), one
   carrier step per probe; a term incomparable with A proves A is off the
-  sequence, and phi^x is composed once, for the key.
+  sequence, and phi^x is applied once, to B, for the key.
 * ``mobs_solution_count`` — exact census of how many Y satisfy the
   telescoping equality on the OR/AND platform, counted one (row, bit) slice
   of Y at a time; evidence for why the telescoping route fails there.
@@ -43,7 +43,15 @@ import numpy as np
 from . import matrices as mx
 from .errors import NotApplicableError, ParameterError, SizeCapError
 # sdp_exp is not called here; the benchmark's tracer self-test checks that it is rebound in this module
-from .holomorph import Platform, doubling_chain, phi_power, sdp_exp, sequence_block, telescoping_residual
+from .holomorph import (
+    Platform,
+    apply_phi_power,
+    carrier_step,
+    doubling_chain,
+    sdp_exp,
+    sequence_block,
+    telescoping_residual,
+)
 from .linalg import rref_mod, solve_mod
 from .matrices import Matrix
 from .protocol import Ciphertext, Transcript
@@ -232,11 +240,6 @@ def telescoped_conjugate(transcript: Transcript) -> Matrix:
 # tropical exponent recovery by binary lifting
 
 
-def _compare_entrywise(a: Matrix, b: Matrix) -> tuple[bool, bool]:
-    """(a <= b everywhere, a >= b everywhere) under the entrywise order."""
-    return bool(np.all(a.data <= b.data)), bool(np.all(a.data >= b.data))
-
-
 def tropical_binsearch_attack(transcript: Transcript, x_max: int = 1 << 20) -> AttackOutcome:
     """Recover an admissible exponent for A, then the key, by binary lifting.
 
@@ -246,12 +249,12 @@ def tropical_binsearch_attack(transcript: Transcript, x_max: int = 1 << 20) -> A
     x <= x_max.  Any admissible exponent works: a_x' = a_x forces
     a_(x'+y) = a_(x+y), so the derived key is the true key.
 
-    The search walks carrier values over the platform's doubling chain
-    D_i = (a_(2^i), phi^(2^i)): it grows the longest prefix m with a_m not
-    <= A from the top level down, each probe one carrier step
-    a_(m+2^i) = phi^(2^i)(a_m) ∘ a_(2^i), and the hit is a_(m+1) =
-    phi(a_m) ∘ g.  Only the key needs phi^(m+1), composed once from the
-    chain by ``phi_power``.
+    The search walks packed carrier values over the platform's doubling
+    chain D_i = (a_(2^i), phi^(2^i)): it grows the longest prefix m with a_m
+    not <= A from the top level down, each probe one ``carrier_step``
+    a_(m+2^i) = phi^(2^i)(a_m) ∘ a_(2^i), and the hit is the step a_(m+1) =
+    phi(a_m) ∘ g.  Only the key needs phi^(m+1), applied once, to B, by
+    ``apply_phi_power``.
 
     The terms form a chain, so a probe incomparable with A proves that A is
     no a_x, and the search stops there.  ``check_x_max`` runs before any work.
@@ -263,23 +266,24 @@ def tropical_binsearch_attack(transcript: Transcript, x_max: int = 1 << 20) -> A
     a_obs, b_obs = transcript.alice_value, transcript.bob_value
 
     work = WorkCounters()
-    m, a_m = 0, None  # the longest prefix known to have a_m not <= A; a_0 is no term
-    for step in reversed(doubling_chain(platform, x_max)):
+    chain = doubling_chain(platform, x_max)
+    m, a_m = 0, None  # the longest prefix known to have a_m not <= A, packed; a_0 is no term
+    for step in reversed(chain):
         if m + step.exponent >= x_max:
             continue
-        probe = step.value if a_m is None else platform.op(step.end(a_m), step.value)
+        probe = step.value.data if a_m is None else carrier_step(platform, step, a_m)
         work.search_steps += 1
-        le, ge = _compare_entrywise(probe, a_obs)
+        le, ge = bool(np.all(probe <= a_obs.data)), bool(np.all(probe >= a_obs.data))
         if not (le or ge):
             return AttackOutcome(success=False, work=work, detail=f"a_{m + step.exponent} is incomparable with A")
         if not le:
             m, a_m = m + step.exponent, probe
 
-    hit = platform.g if a_m is None else telescoping_residual(platform, a_m)
-    if hit != a_obs:
+    hit = platform.g.data if a_m is None else carrier_step(platform, chain[0], a_m)  # chain[0] is (g, phi)
+    if not np.array_equal(hit, a_obs.data):
         return AttackOutcome(success=False, work=work, detail=f"no admissible exponent <= {x_max}")
 
-    key = platform.op(phi_power(platform, m + 1)(b_obs), a_obs)
+    key = platform.op(apply_phi_power(platform, m + 1, b_obs), a_obs)
     return _recovered(key, transcript, work, exponent=m + 1)
 
 
@@ -327,7 +331,7 @@ def mobs_solution_count(
     work = WorkCounters(solution_count=count)
     success = count >= 1
     if true_exponent is not None:
-        y_true = phi_power(platform, true_exponent)(platform.g)
+        y_true = apply_phi_power(platform, true_exponent, platform.g)
         success = success and y_true @ observed == residual
     return AttackOutcome(success=success, work=work)
 

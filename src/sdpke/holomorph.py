@@ -7,12 +7,15 @@ public element g, and an endomorphism phi of that operation.  Pairs
 The squarings (g, phi)^(2^i) depend on the platform alone, so each
 ``Platform`` caches them: ``doubling_chain`` squares only past the last
 cached level, and every power in the library is taken from that one chain.
-Each half of (g, phi)^n has one function over the chain levels at the set
-bits of n, ``carrier_power`` for a_n and ``phi_power`` for phi^n; ``sdp_exp``
-is the pair of the two, and ``sdp_exp_naive`` is the sequential
-reference oracle.  ``sequence_block`` lifts over the chain to make a whole
-prefix of the sequence a_(n+1) = phi(a_n) ∘ g, from several starts at
-once, in batched products on every carrier.
+One carrier step, ``carrier_step``, extends a value by a chain level on
+packed entries: a_n is ``carrier_power``, one step per set bit of n past
+the lowest, and ``apply_phi_power`` applies phi^n to a matrix by acting with
+the chain endomorphisms at the set bits of n one after another, so neither
+builds a ``Matrix`` or an endomorphism per step.  ``phi_power`` composes
+phi^n as a map, the second half of ``sdp_exp``, and ``sdp_exp_naive`` is the
+sequential reference oracle.  ``sequence_block`` lifts over the chain to
+make a whole prefix of the sequence a_(n+1) = phi(a_n) ∘ g, from several
+starts at once, in batched carrier steps on every carrier.
 
 Endomorphism powers are represented in closed form per platform (cached
 two-sided factor powers, of which conjugation is one case; star powers,
@@ -40,11 +43,12 @@ MAX_CHAIN_LEVELS = 64
 class Endomorphism:
     """Base for the per-platform representations of phi^n.
 
-    ``ring`` is the ring of the matrices phi^n acts on; ``None`` (the
-    identity) acts on every ring.
+    ``ring`` and ``shape`` are the ring and (rows, cols) of the matrices
+    phi^n acts on; ``None`` acts on every ring or every shape.
     """
 
     ring = None
+    shape = None
 
     def act(self, data: np.ndarray) -> np.ndarray:
         """phi^n on the packed entries of one matrix or, along leading axes, a stack of them."""
@@ -52,13 +56,17 @@ class Endomorphism:
 
     def __call__(self, x: Matrix) -> Matrix:
         """phi^n(x); a matrix phi^n does not act on is refused here (``act`` checks nothing)."""
-        self._check_operand(x.ring)
+        self._check_operand(x)
         return Matrix(x.ring, self.act(x.data))
 
-    def _check_operand(self, ring) -> None:
-        """Raise ParameterError unless phi^n acts on matrices over ``ring``."""
+    def _check_operand(self, x: Matrix) -> None:
+        """Raise ParameterError unless phi^n acts on x: x's ring is ``ring`` and its shape ``shape``."""
+        ring = x.ring
         if ring is not self.ring and self.ring is not None and ring != self.ring:
             raise ParameterError(f"an endomorphism over {self.ring!r} cannot act on a matrix over {ring!r}")
+        if self.shape is not None and x.shape != self.shape:
+            rows, cols = self.shape
+            raise ParameterError(f"an endomorphism of {rows}x{cols} matrices cannot act on a {x.rows}x{x.cols} matrix")
 
     def compose(self, other: Endomorphism) -> Endomorphism:
         """self after other; for powers of one phi this is phi^(m+n).  Past the identity,
@@ -105,6 +113,7 @@ class TwoSidedPower(Endomorphism):
         self.left_pow = left_pow
         self.right_pow = right_pow
         self.ring = left_pow.ring
+        self.shape = (left_pow.cols, right_pow.rows)
 
     def act(self, data: np.ndarray) -> np.ndarray:
         ring = self.ring
@@ -137,6 +146,7 @@ class TropicalStarPower(Endomorphism):
     def __init__(self, star_pow: Matrix):
         self.star_pow = star_pow
         self.ring = star_pow.ring
+        self.shape = star_pow.shape
 
     def act(self, data: np.ndarray) -> np.ndarray:
         """X ⋆ S = X ⊕ S ⊕ X⊗S."""
@@ -160,6 +170,7 @@ class IteratedStarPower(Endomorphism):
         self.base = base
         self.n = n
         self.ring = base.ring
+        self.shape = base.shape
 
     def act(self, data: np.ndarray) -> np.ndarray:
         step = TropicalStarPower(self.base)
@@ -184,8 +195,9 @@ class PermutationPower(Endomorphism):
     """phi^n permutes the bit positions of every entry: bit i of the image is bit ``index[i]``.
 
     ``index`` is perm^n in one-line notation, held as one read-only intp array.
-    It keeps its own operand rule, on the bit length, and no ``ring``: a
-    ``BitStrings`` per composition would cost a third of the composition.
+    It keeps its own operand rule, on the bit length of any shape, and no
+    ``ring``: a ``BitStrings`` per composition would cost a third of the
+    composition.
     """
 
     def __init__(self, perm: Permutation | np.ndarray):
@@ -195,9 +207,9 @@ class PermutationPower(Endomorphism):
     def act(self, data: np.ndarray) -> np.ndarray:
         return data[..., self.index]
 
-    def _check_operand(self, ring) -> None:
-        if not (isinstance(ring, BitStrings) and ring.length == len(self.index)):
-            raise ParameterError(f"a permutation of {len(self.index)} bit positions cannot act on {ring!r}")
+    def _check_operand(self, x: Matrix) -> None:
+        if not (isinstance(x.ring, BitStrings) and x.ring.length == len(self.index)):
+            raise ParameterError(f"a permutation of {len(self.index)} bit positions cannot act on {x.ring!r}")
 
     def _compose(self, other: PermutationPower) -> Endomorphism:
         if other.index.shape != self.index.shape:
@@ -251,10 +263,21 @@ class HolomorphPower:
     exponent: int
 
 
+def carrier_step(platform: Platform, level: HolomorphPower, data: np.ndarray) -> np.ndarray:
+    """phi^m(x) ∘ a_m on the packed entries of x (leading stack axes broadcast) for the level (a_m, phi^m).
+
+    The one carrier step of the engine; neither x nor the result is a
+    ``Matrix``, so a caller wraps one at the end of a run of steps.
+    """
+    ring = platform.g.ring
+    kernel = ring.matmul if platform.op_kind == "mul" else ring.add
+    return kernel(level.end.act(data), level.value.data)
+
+
 def holo_mul(platform: Platform, x: HolomorphPower, y: HolomorphPower) -> HolomorphPower:
     """(a, phi^m)(b, phi^n) = (phi^n(a) ∘ b, phi^(m+n))."""
     return HolomorphPower(
-        platform.op(y.end(x.value), y.value),
+        Matrix(platform.g.ring, carrier_step(platform, y, x.value.data)),
         x.end.compose(y.end),
         x.exponent + y.exponent,
     )
@@ -268,15 +291,33 @@ def _levels_at_bits(platform: Platform, n: int) -> list[HolomorphPower]:
 
 
 def carrier_power(platform: Platform, n: int) -> Matrix:
-    """a_n, the carrier half of (g, phi)^n: each set bit of n past the lowest is one carrier step
-    phi^m(a) ∘ a_m with the chain level (a_m, phi^m) there, and no endomorphism is composed.
-    n = 0 is rejected: three of the five carriers are proper semigroups with no identity to
-    return, and the exchanged sequence starts at a_1 = g."""
+    """a_n, the carrier half of (g, phi)^n: each set bit of n past the lowest is one ``carrier_step``
+    with the chain level (a_m, phi^m) there, and no endomorphism is composed.  n = 0 is rejected:
+    three of the five carriers are proper semigroups with no identity to return, and the
+    exchanged sequence starts at a_1 = g."""
     first, *rest = _levels_at_bits(platform, n)
-    value = first.value
+    data = first.value.data
     for level in rest:
-        value = platform.op(level.end(value), level.value)
-    return value
+        data = carrier_step(platform, level, data)
+    return Matrix(platform.g.ring, data)
+
+
+def apply_phi_power(platform: Platform, n: int, x: Matrix) -> Matrix:
+    """phi^n(x), by acting on x's packed entries with the chain endomorphisms at the set bits of n.
+
+    Powers of one phi commute, so acting with phi^(2^i) for each set bit
+    in turn is phi^n: popcount(n) actions, as many kernel calls as
+    ``phi_power`` composing and then acting, with no map built in between.
+    The operand is checked once, against phi; phi^0 is the identity and
+    returns x.
+    """
+    if n == 0:
+        return x
+    platform.phi._check_operand(x)
+    data = x.data
+    for level in _levels_at_bits(platform, n):
+        data = level.end.act(data)
+    return Matrix(x.ring, data)
 
 
 def phi_power(platform: Platform, n: int) -> Endomorphism:
@@ -284,7 +325,8 @@ def phi_power(platform: Platform, n: int) -> Endomorphism:
 
     That is popcount(n) - 1 compositions and no squaring of phi: the chain
     is made up to n first if the platform has not cached that far.  phi^0
-    is the identity.
+    is the identity.  The map half of ``sdp_exp``; to apply phi^n to one
+    matrix, ``apply_phi_power`` builds no map.
     """
     if n == 0:
         return IdentityEnd()
@@ -332,19 +374,16 @@ def sequence_block(platform: Platform, starts: list[Matrix], count: int) -> np.n
 
     Every such sequence satisfies x_(i+m) = phi^m(x_i) ∘ a_m, so each level
     (a_m, phi^m) of the doubling chain extends all the prefixes from m terms
-    to 2m at once: phi^m acts on the stack of prefixes, and the carrier
-    operation with a_m follows, O(log count) levels instead of one carrier
-    step per term.  The result has shape (len(starts), count) + the packed
-    shape of g.
+    to 2m at once, one ``carrier_step`` on the stack of prefixes: O(log
+    count) steps instead of one per term.  The result has shape
+    (len(starts), count) + the packed shape of g.
     """
-    ring = platform.g.ring
-    kernel = ring.matmul if platform.op_kind == "mul" else ring.add
     block = np.stack([x.data for x in starts])[:, None]
     for level in doubling_chain(platform, count):
         m = level.exponent
         if m >= count:  # count 1: the chain still holds (g, phi), and nothing is left to make
             break
-        new = kernel(level.end.act(block[:, : min(m, count - m)]), level.value.data)
+        new = carrier_step(platform, level, block[:, : min(m, count - m)])
         block = np.concatenate([block, new], axis=1)
     return block
 

@@ -1,11 +1,11 @@
 """The two-party exchange and the derived public-key encryption scheme.
 
 Both parties raise (g, phi) to a private exponent and transmit only the
-carrier component a_x; each then composes its private endomorphism power
-phi^x once, applies it to the peer's value and composes with its own.  The
-encryption scheme reuses the same machinery: the recipient's public value
-blinds the message, and only the holder of the private exponent can
-recompute the blinding factor.
+carrier component a_x; each then applies its private endomorphism power
+phi^x to the peer's value, one chain endomorphism at a time, and composes
+the result with its own value.  The encryption scheme reuses the same
+machinery: the recipient's public value blinds the message, and only the
+holder of the private exponent can recompute the blinding factor.
 
 Secrets (exponents, ephemeral keys, endomorphism powers) never appear in a
 Transcript; a transcript is exactly the eavesdropper's view, plus an
@@ -22,7 +22,7 @@ import numpy as np
 
 from . import matrices as mx
 from .errors import ParameterError, _is_integer, refuse_unknown_keys
-from .holomorph import Platform, carrier_power, phi_power, sdp_exp
+from .holomorph import Platform, apply_phi_power, carrier_power, sdp_exp
 from .matrices import Matrix
 from .platforms import params_from_obj
 
@@ -57,7 +57,7 @@ def draw_exponent(rng: np.random.Generator, exponent_bits: int) -> int:
 
 def keygen(platform: Platform, rng: np.random.Generator, exponent_bits: int = 16) -> KeyPair:
     """Draw x uniformly from [2, 2^exponent_bits) and publish a_x, made by ``carrier_power``
-    alone: phi^x is composed only where it is applied, in ``derive_key``."""
+    alone: phi^x is needed only where it is applied, in ``derive_key``."""
     x = draw_exponent(rng, exponent_bits)
     return KeyPair(x, carrier_power(platform, x))
 
@@ -65,11 +65,12 @@ def keygen(platform: Platform, rng: np.random.Generator, exponent_bits: int = 16
 def derive_key(platform: Platform, exponent: int, peer_value: Matrix, own_value: Matrix) -> Matrix:
     """Shared key phi^x(B) ∘ A from the private exponent x and both publics.
 
-    phi^x is composed from the endomorphisms of the platform's cached
-    doubling chain at the set bits of x, which ``keygen`` has already made:
-    popcount(x) - 1 compositions and no squaring of phi.
+    phi^x is applied to B by ``apply_phi_power``: the endomorphisms of the
+    platform's cached doubling chain at the set bits of x, which ``keygen``
+    has already made, act on B one after another, popcount(x) actions with
+    no composition and no squaring of phi.
     """
-    return platform.op(phi_power(platform, exponent)(peer_value), own_value)
+    return platform.op(apply_phi_power(platform, exponent, peer_value), own_value)
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from sdpke.holomorph import (
     Platform,
     TropicalStarPower,
     TwoSidedPower,
+    apply_phi_power,
     carrier_power,
     doubling_chain,
     holo_mul,
@@ -119,55 +120,68 @@ def test_sdp_exp_holo_mul_count(rng, fresh_platform, monkeypatch):
     # holo_mul only squares the platform's cached chain, one squaring per level it does not hold yet
     # (bit_length - 1 on a fresh platform): sdp_exp makes no holomorph product of its own.  Past the
     # squarings, a_x is popcount - 1 carrier steps and phi^x popcount - 1 compositions; on a warm
-    # chain carrier_power and keygen compose no endomorphism, and derive_key composes phi^x once.
+    # chain carrier_power and keygen compose no endomorphism, and derive_key composes none either:
+    # it acts on the peer's value with popcount(x) chain endomorphisms and makes one operation.
     p = fresh_platform("gl", rng)
-    squarings, products, steps, compositions = [], [], [], []
-    op, compose = Platform.op, Endomorphism.compose
+    end_kind = type(p.phi)
+    squarings, products, steps, compositions, actions, ops = [], [], [], [], [], []
+    step, compose, act, op = holomorph.carrier_step, Endomorphism.compose, end_kind.act, Platform.op
 
     def counted(platform, x, y):
         (squarings if x is y else products).append(x.exponent)
         return holo_mul(platform, x, y)
 
-    def counted_op(platform, a, b):
-        steps.append(a)
-        return op(platform, a, b)
+    def counted_step(platform, level, data):
+        steps.append(level.exponent)
+        return step(platform, level, data)
 
     def counted_compose(end, other):
         compositions.append(other)
         return compose(end, other)
 
+    def counted_act(end, data):
+        actions.append(end)
+        return act(end, data)
+
+    def counted_op(platform, a, b):
+        ops.append(a)
+        return op(platform, a, b)
+
     monkeypatch.setattr(holomorph, "holo_mul", counted)
-    monkeypatch.setattr(Platform, "op", counted_op)
+    monkeypatch.setattr(holomorph, "carrier_step", counted_step)
     monkeypatch.setattr(Endomorphism, "compose", counted_compose)
+    monkeypatch.setattr(end_kind, "act", counted_act)
+    monkeypatch.setattr(Platform, "op", counted_op)
 
     def counted_call(fn, *args):
-        """fn(*args), and (squarings, other holo_mul products, carrier steps and compositions
-        past the squarings' own) made by it."""
-        for made in (squarings, products, steps, compositions):
+        """fn(*args), and (squarings, other holo_mul products, carrier steps and compositions past
+        the squarings' own, actions past the carrier steps' own, operations) made by it."""
+        for made in (squarings, products, steps, compositions, actions, ops):
             made.clear()
         result = fn(*args)
-        return result, (len(squarings), len(products), len(steps) - len(squarings), len(compositions) - len(squarings))
+        past_squarings = len(steps) - len(squarings), len(compositions) - len(squarings)
+        return result, (len(squarings), len(products), *past_squarings, len(actions) - len(steps), len(ops))
 
     def ones(m: int) -> int:
         return bin(m).count("1")
 
     n = 0x5555
     power, made = counted_call(sdp_exp, p, n)
-    assert power.exponent == n and made == (n.bit_length() - 1, 0, ones(n) - 1, ones(n) - 1)
+    assert power.exponent == n and made == (n.bit_length() - 1, 0, ones(n) - 1, ones(n) - 1, 0, 0)
     levels = n.bit_length()
     for m in [*range(1, 130), 1 << 40, (1 << 40) - 1, 0x5555_5555, 3, (1 << 63) - 1, 1 << 62]:
         power, made = counted_call(sdp_exp, p, m)
-        assert power.exponent == m and made == (max(0, m.bit_length() - levels), 0, ones(m) - 1, ones(m) - 1), m
+        assert power.exponent == m and made == (max(0, m.bit_length() - levels), 0, ones(m) - 1, ones(m) - 1, 0, 0), m
         levels = max(levels, m.bit_length())
     assert levels == 63
     for m in [*range(1, 130), (1 << 40) - 1, 0x5555_5555, (1 << 63) - 1, 1 << 62]:
-        assert counted_call(carrier_power, p, m)[1] == (0, 0, ones(m) - 1, 0), m
+        assert counted_call(carrier_power, p, m)[1] == (0, 0, ones(m) - 1, 0, 0, 0), m
     for _ in range(20):
         alice, made_a = counted_call(keygen, p, rng, 63)
         bob, made_b = counted_call(keygen, p, rng, 63)
-        assert (made_a, made_b) == ((0, 0, ones(alice.exponent) - 1, 0), (0, 0, ones(bob.exponent) - 1, 0))
+        assert (made_a, made_b) == ((0, 0, ones(alice.exponent) - 1, 0, 0, 0), (0, 0, ones(bob.exponent) - 1, 0, 0, 0))
         _, made = counted_call(derive_key, p, alice.exponent, bob.public_value, alice.public_value)
-        assert made == (0, 0, 1, ones(alice.exponent) - 1)
+        assert made == (0, 0, 0, 0, ones(alice.exponent), 1)
 
 
 def _small_platform(kind: str, seed: int) -> Platform:
@@ -193,13 +207,16 @@ def _small_platform(kind: str, seed: int) -> Platform:
 )
 def test_cached_chain_serves_every_power(kind, seed, steps):
     # one platform, exponents and limits rising and falling: whatever the cache holds, every
-    # power taken from it equals the uncached computation, and a chain is the prefix asked for
+    # power taken from it, packed or not, equals the uncached computation, and a chain is the
+    # prefix asked for
     p = _small_platform(kind, seed)
     rng = np.random.default_rng(seed)
     for n, x, limit in steps:
         got, want = sdp_exp(p, n), sdp_exp_naive(p, n)
         assert (got.value, got.end, got.exponent) == (want.value, want.end, n)
+        assert carrier_power(p, n) == want.value
         peer, own = p.random_element(rng), p.random_element(rng)
+        assert apply_phi_power(p, x, peer) == p.phi.power(x)(peer)
         assert derive_key(p, x, peer, own) == p.op(p.phi.power(x)(peer), own)
         chain = doubling_chain(p, limit)
         assert [level.exponent for level in chain] == ([1 << i for i in range(64) if 1 << i < limit] or [1])
@@ -456,3 +473,25 @@ def test_endomorphism_refuses_a_matrix_it_does_not_act_on(kind):
     for x in foreign:
         with pytest.raises(ParameterError):
             end(x)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_phi_power_refuses_a_matrix_of_the_wrong_shape(kind):
+    # a peer one size off is a ParameterError, not numpy's reshape, core-dimension or broadcast
+    # error: two-sided and star powers refuse it by their factor shape, and a bit permutation acts
+    # entrywise on any shape, so on mobs only the operation with the own value refuses it
+    p = PLATFORM_GENERATORS[kind](np.random.default_rng(1)).build()
+    x = 0x5555
+    own = p.random_element(np.random.default_rng(2))
+    for size in (p.g.rows - 1, p.g.rows + 1):
+        peer = mx.identity(p.g.ring, size)
+        with pytest.raises(ParameterError):
+            derive_key(p, x, peer, own)
+        if isinstance(p.phi, PermutationPower):
+            assert p.phi(peer).shape == peer.shape
+            assert apply_phi_power(p, x, peer) == p.phi.power(x)(peer)
+            continue
+        with pytest.raises(ParameterError):
+            p.phi(peer)
+        with pytest.raises(ParameterError):
+            apply_phi_power(p, x, peer)
