@@ -3,12 +3,15 @@
 A Matrix wraps a ring descriptor and a read-only numpy array already in the
 ring's packed, canonical form (see ``semirings``); the constructor checks
 only its dtype, one of the ring's declared ``dtypes``, and its shape.  Build
-matrices with ``from_rows``, ``from_obj`` or ``random_matrix``; a raw
+matrices with ``from_obj`` (also named ``from_rows``) or ``random_matrix``.
+``from_obj`` is the ring's one parser: nested rows of raw entries, as JSON
+holds them, with a list of |G| coefficients per Z_m[G] entry.  A raw
 ``Matrix(ring, data)`` needs canonical ``data`` and makes that array
 read-only.  All operations return new values; ``A @ B`` is the semiring
 matrix product (sum-product with the ring's own plus and times), ``A + B``
 the entrywise semiring addition, and ``A.star(B)`` the adjoint product
-A + B + A@B.
+A + B + A@B.  A matrix is not indexed: its entries are ``data``, and
+``to_obj`` writes them back as nested rows.
 """
 
 from __future__ import annotations
@@ -84,12 +87,8 @@ class Matrix:
         """Left action of a Z_m scalar; defined for Z_m-linear entries only."""
         if not self.ring.linear:
             raise ParameterError(f"no scalar action on {self.ring!r}")
-        c = (c.value if hasattr(c, "value") else int(c)) % self.ring.modulus
+        c = int(c) % self.ring.modulus
         return Matrix(self.ring, self.ring.scale(c, self.data))
-
-    def __getitem__(self, idx):
-        i, j = idx
-        return self.ring.entry(self.data, i, j)
 
     def __eq__(self, other) -> bool:
         return (
@@ -106,13 +105,12 @@ class Matrix:
         return self.ring.to_obj(self.data)
 
 
-def from_rows(ring, rows) -> Matrix:
-    """Build a matrix from nested scalar values (ring-specific formats ok)."""
-    return Matrix(ring, ring.pack(rows))
-
-
 def from_obj(ring, obj) -> Matrix:
+    """The matrix of nested rows of raw entries, read by the ring's parser (``semirings``)."""
     return Matrix(ring, ring.from_obj(obj))
+
+
+from_rows = from_obj
 
 
 def zeros(ring, rows: int, cols: int) -> Matrix:

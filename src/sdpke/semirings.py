@@ -1,11 +1,11 @@
-"""Scalar types and semiring descriptors for the four matrix entry domains.
+"""Semiring descriptors for the four matrix entry domains, and their kernels.
 
-Scalar classes (ZMod, GroupRingElement, TropicalScalar, BitString) are small
-immutable values with operator overloading; they define the arithmetic.
 The ring descriptors (IntegersMod, GroupRingScalars, TropicalIntegers,
-BitStrings) carry the parameters of a scalar domain and implement the same
-arithmetic as vectorized kernels on packed numpy arrays; the Matrix type in
-``matrices`` dispatches to them.  Each descriptor also states its linear
+BitStrings) carry the parameters of an entry domain, and their vectorized
+kernels on packed numpy arrays are the arithmetic: the Matrix type in
+``matrices`` dispatches to them, and no scalar type exists in the library.
+The slow scalar references that the tests check the kernels against live
+in ``tests/oracles.py``.  Each descriptor also states its linear
 structure: ``linear`` is True when the entries form a Z_m-module (additive
 inverses, a Z_m scalar action, coordinates for linear algebra), and
 ``entry_shape`` is the array shape of one packed entry: ``()`` for Z_m and
@@ -20,9 +20,13 @@ adds a stack of matrices and one matrix, or two stacks.
 Packed arrays are canonical: of one of the ring's ``dtypes``, Z_m values
 in [0, m), tropical entries int64 exactly when every entry is finite with
 |x| < 2^62 and otherwise Python ints or ``TROP_INF`` in an object array, so
-one value has one dtype.  Only the kernels and the parsers (``pack``,
-``from_obj``, ``random``, ``zeros``, ``identity``) make them, and ``Matrix``
-trusts both; the parsers refuse bools, floats and text as integers.
+one value has one dtype.  Only the kernels and the constructors
+(``from_obj``, ``random``, ``zeros``, ``identity``) make them, and ``Matrix``
+trusts both.  ``from_obj`` is each ring's one parser.  It reads nested rows
+of raw entries and refuses anything else, naming the ring: integers for Z_m,
+lists of |G| integer coefficients for Z_m[G], integers or "inf" for
+tropical entries, and 0/1 text or integer masks for bitstrings.  It refuses
+bools, floats and text as integers.
 
 Z_m is stored as int64 whenever a product of two residues fits a signed
 word, (m-1)^2 < 2^63, and as Python ints above.  A Z_m product sums as
@@ -39,21 +43,14 @@ int64, so min-plus products of int64 operands run on words; a result with
 an entry past 2^62 converts exactly to Python ints, and any object operand
 (+inf, or an entry past 2^62) sends the product down the Python-int path
 (``TropicalIntegers``).
-
-Semiring operator convention on scalars: ``+`` is the semiring addition
-(min for tropical, OR for bitstrings) and ``*`` is the semiring
-multiplication (integer + for tropical, AND for bitstrings).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParameterError, _is_integer
 from .groups import FiniteGroupTable
-from .permutations import Permutation
 
 #: Formal additive identity of the tropical semiring.  Finite tropical values
 #: are int64 words or Python ints; the IEEE infinity is used only as this one
@@ -83,9 +80,22 @@ def check_tropical_bounds(lo: int, hi: int) -> None:
         raise ParameterError(f"tropical entry bounds need -2^62 < entry_lo <= entry_hi < 2^62, got [{lo}, {hi}]")
 
 
-def _integer_array(obj, allow_inf: bool = False) -> np.ndarray:
-    """Nested values as an object array of Python ints (and TROP_INF, also given as "inf")."""
+def _nested_rows(obj, ring, entry_shape: tuple = ()) -> np.ndarray:
+    """Nested rows of entries as an object array of shape (rows, cols) + ``entry_shape``, any stack axes in front.
+
+    Anything else (text, a mapping, a bare number, ragged rows) is refused, naming the ring.
+    """
     arr = np.array(obj, dtype=object)
+    if arr.ndim < 2 + len(entry_shape) or arr.shape[arr.ndim - len(entry_shape):] != entry_shape:
+        want = ", ".join(["rows", "cols", *map(str, entry_shape)])
+        raise ParameterError(f"a matrix over {ring!r} is nested rows of shape ({want}), "
+                             f"got {type(obj).__name__} of shape {arr.shape}")
+    return arr
+
+
+def _integer_array(obj, ring, allow_inf: bool = False) -> np.ndarray:
+    """Nested rows of ``ring``'s entries as an object array of Python ints (and TROP_INF, also given as "inf")."""
+    arr = _nested_rows(obj, ring, ring.entry_shape)
     flat = arr.reshape(-1)
     if set(map(type, flat.tolist())) <= {int}:  # what JSON gives: nothing to refuse or convert
         return arr
@@ -97,192 +107,6 @@ def _integer_array(obj, allow_inf: bool = False) -> np.ndarray:
         else:
             raise ParameterError(f"matrix entries are integers{' or inf' * allow_inf}, got {x!r}")
     return arr
-
-
-# ---------------------------------------------------------------------------
-# scalars
-
-
-@dataclass(frozen=True)
-class ZMod:
-    """An integer mod m, always stored reduced."""
-
-    value: int
-    modulus: int
-
-    def __post_init__(self):
-        if self.modulus < 2:
-            raise ParameterError("modulus must be >= 2")
-        object.__setattr__(self, "value", int(self.value) % self.modulus)
-
-    def _coerce(self, other) -> int | None:
-        if isinstance(other, ZMod):
-            if other.modulus != self.modulus:
-                raise ParameterError("mixed moduli")
-            return other.value
-        if isinstance(other, (int, np.integer)):
-            return int(other)
-        return None
-
-    def __add__(self, other):
-        v = self._coerce(other)
-        if v is None:
-            return NotImplemented
-        return ZMod(self.value + v, self.modulus)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        v = self._coerce(other)
-        if v is None:
-            return NotImplemented
-        return ZMod(self.value * v, self.modulus)
-
-    __rmul__ = __mul__
-
-    def __repr__(self):
-        return f"{self.value} (mod {self.modulus})"
-
-
-class GroupRingElement:
-    """Formal Z_m-linear combination of the elements of a finite group.
-
-    Multiplication is convolution through the group's Cayley table:
-    ``(a*b)_h = sum over f*g = h of a_f b_g``.
-    """
-
-    __slots__ = ("group", "modulus", "coeffs")
-
-    def __init__(self, group: FiniteGroupTable, modulus: int, coeffs):
-        coeffs = np.asarray(coeffs, dtype=np.int64) % modulus
-        if coeffs.shape != (group.order,):
-            raise ParameterError(
-                f"need {group.order} coefficients, got shape {coeffs.shape}"
-            )
-        coeffs.setflags(write=False)
-        self.group = group
-        self.modulus = modulus
-        self.coeffs = coeffs
-
-    @staticmethod
-    def basis(group: FiniteGroupTable, modulus: int, index: int) -> GroupRingElement:
-        c = np.zeros(group.order, dtype=np.int64)
-        c[index] = 1
-        return GroupRingElement(group, modulus, c)
-
-    @staticmethod
-    def one(group: FiniteGroupTable, modulus: int) -> GroupRingElement:
-        return GroupRingElement.basis(group, modulus, group.identity)
-
-    def _check(self, other: GroupRingElement):
-        if self.group != other.group or self.modulus != other.modulus:
-            raise ParameterError("group ring elements live in different rings")
-
-    def __add__(self, other: GroupRingElement) -> GroupRingElement:
-        self._check(other)
-        return GroupRingElement(self.group, self.modulus, self.coeffs + other.coeffs)
-
-    def __mul__(self, other: GroupRingElement) -> GroupRingElement:
-        self._check(other)
-        table, m = self.group.product, self.modulus
-        out = np.zeros(self.group.order, dtype=np.int64)
-        for f in range(self.group.order):
-            af = int(self.coeffs[f])
-            if af:  # reduced at each term: a partial sum is at most m(m-1), below 2^63 for every Z_m[G] modulus
-                out[table[f]] = (out[table[f]] + af * other.coeffs) % m
-        return GroupRingElement(self.group, self.modulus, out)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, GroupRingElement)
-            and self.modulus == other.modulus
-            and self.group == other.group
-            and np.array_equal(self.coeffs, other.coeffs)
-        )
-
-    def __repr__(self):
-        terms = [f"{int(c)}.g{i}" for i, c in enumerate(self.coeffs) if c]
-        return " + ".join(terms) if terms else "0"
-
-
-@dataclass(frozen=True)
-class TropicalScalar:
-    """An integer under (min, +), or the formal minimum identity +inf."""
-
-    value: object  # int, or TROP_INF
-
-    def __post_init__(self):
-        v = self.value
-        if v != TROP_INF and not isinstance(v, (int, np.integer)):
-            raise ParameterError(f"tropical values are ints or +inf, got {v!r}")
-        if isinstance(v, np.integer):
-            object.__setattr__(self, "value", int(v))
-
-    def __add__(self, other: TropicalScalar) -> TropicalScalar:
-        return TropicalScalar(min(self.value, other.value))
-
-    def __mul__(self, other: TropicalScalar) -> TropicalScalar:
-        if self.value == TROP_INF or other.value == TROP_INF:
-            return TropicalScalar(TROP_INF)
-        return TropicalScalar(self.value + other.value)
-
-    def star(self, other: TropicalScalar) -> TropicalScalar:
-        """min(a, b, a+b): addition, plus the correction of their product."""
-        return self + other + self * other
-
-    def __repr__(self):
-        return "+inf" if self.value == TROP_INF else str(self.value)
-
-
-def _text_bits(s: str) -> list[bool]:
-    """Bit i of 0/1 text is character i."""
-    if set(s) - {"0", "1"}:
-        raise ParameterError(f"bitstring must be 0/1 text, got {s!r}")
-    return [ch == "1" for ch in s]
-
-
-@dataclass(frozen=True)
-class BitString:
-    """A fixed-length bit vector; ``+`` is bitwise OR, ``*`` bitwise AND."""
-
-    mask: int
-    length: int
-
-    def __post_init__(self):
-        if not 0 <= self.mask < (1 << self.length):
-            raise ParameterError("bit mask out of range for declared length")
-
-    @staticmethod
-    def from_string(s: str) -> BitString:
-        mask = sum(1 << i for i, bit in enumerate(_text_bits(s)) if bit)
-        return BitString(mask, len(s))
-
-    def to_string(self) -> str:
-        return "".join("1" if (self.mask >> i) & 1 else "0" for i in range(self.length))
-
-    def _check(self, other: BitString):
-        if self.length != other.length:
-            raise ParameterError("bitstrings of different lengths")
-
-    def __add__(self, other: BitString) -> BitString:
-        self._check(other)
-        return BitString(self.mask | other.mask, self.length)
-
-    def __mul__(self, other: BitString) -> BitString:
-        self._check(other)
-        return BitString(self.mask & other.mask, self.length)
-
-    def permuted(self, perm: Permutation) -> BitString:
-        """Reindex bits: result bit i is the source bit perm[i]."""
-        if len(perm) != self.length:
-            raise ParameterError("permutation length differs from bit length")
-        mask = 0
-        for i in range(self.length):
-            mask |= ((self.mask >> perm[i]) & 1) << i
-        return BitString(mask, self.length)
-
-    def __repr__(self):
-        return f'bits"{self.to_string()}"'
 
 
 # ---------------------------------------------------------------------------
@@ -345,12 +169,6 @@ class IntegersMod:
     def scale(self, c: int, a):
         return (c * a) % self.modulus
 
-    def entry(self, data, i: int, j: int) -> ZMod:
-        return ZMod(int(data[i, j]), self.modulus)
-
-    def pack(self, rows) -> np.ndarray:
-        return self.from_obj([[e.value if isinstance(e, ZMod) else e for e in r] for r in rows])
-
     def random(self, rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
         data = rng.integers(0, self.modulus, size=(rows, cols) + self.entry_shape, dtype=np.int64)
         return data.astype(self.dtype, copy=False)
@@ -359,7 +177,7 @@ class IntegersMod:
         return data.tolist()
 
     def from_obj(self, obj) -> np.ndarray:
-        return (_integer_array(obj) % self.modulus).astype(self.dtype, copy=False)
+        return (_integer_array(obj, self) % self.modulus).astype(self.dtype, copy=False)
 
 
 class GroupRingScalars:
@@ -434,12 +252,6 @@ class GroupRingScalars:
         prod = IntegersMod.matmul(self, self.regular(a), b.swapaxes(-1, -2).reshape(b.shape[:-3] + (k * n, cols)))
         return prod.reshape(prod.shape[:-2] + (rows, n, cols)).swapaxes(-1, -2)
 
-    def entry(self, data, i: int, j: int) -> GroupRingElement:
-        return GroupRingElement(self.group, self.modulus, data[i, j])
-
-    def pack(self, rows) -> np.ndarray:
-        return self.from_obj([[e.coeffs for e in r] for r in rows])
-
 
 class TropicalIntegers:
     """Integer (min, +) entries and the formal +inf, packed as a (rows, cols) array.
@@ -493,12 +305,6 @@ class TropicalIntegers:
         # int64 operands below 2^62 sum exactly; a result past that converts, exactly, to Python ints
         return out if _words_fit(out) else out.astype(object)
 
-    def entry(self, data, i: int, j: int) -> TropicalScalar:
-        return TropicalScalar(data[i, j])
-
-    def pack(self, rows) -> np.ndarray:
-        return self.from_obj([[e.value if isinstance(e, TropicalScalar) else e for e in r] for r in rows])
-
     def random(self, rng: np.random.Generator, rows: int, cols: int, lo: int, hi: int) -> np.ndarray:
         """Entries drawn uniformly from [lo, hi], after ``check_tropical_bounds``."""
         check_tropical_bounds(lo, hi)
@@ -510,7 +316,7 @@ class TropicalIntegers:
         return data.tolist()
 
     def from_obj(self, obj) -> np.ndarray:
-        return self._from_objects(_integer_array(obj, allow_inf=True))
+        return self._from_objects(_integer_array(obj, self, allow_inf=True))
 
 
 class BitStrings:
@@ -518,9 +324,8 @@ class BitStrings:
 
     Bit i of entry (r, c) is ``data[r, c, i]``: the bit positions are a
     trailing entry axis, as the coefficients are for group ring entries.
-    Text and integer masks are accepted at the boundary (``pack``,
-    ``from_obj``); bit i of a mask is ``(mask >> i) & 1``, character i of the
-    text.
+    ``from_obj`` reads an entry as 0/1 text or an integer mask in [0, 2^k);
+    bit i is character i of the text, ``(mask >> i) & 1`` of the mask.
     """
 
     linear = False
@@ -554,25 +359,19 @@ class BitStrings:
     def matmul(self, a, b):
         return np.any(a[..., :, :, None, :] & b[..., None, :, :, :], axis=-3)
 
-    def entry(self, data, i: int, j: int) -> BitString:
-        return BitString.from_string("".join("1" if b else "0" for b in data[i, j]))
-
-    def _bits(self, e) -> list[bool]:
-        """Bits of one entry given as 0/1 text, a BitString or an integer mask."""
-        if isinstance(e, str):
-            bits = _text_bits(e)
-        else:
-            if _is_integer(e):
-                e = BitString(int(e), self.length)  # range-checks the mask
-            elif not isinstance(e, BitString):
-                raise ParameterError(f"bit entries are 0/1 text or integer masks, got {e!r}")
-            bits = [(e.mask >> i) & 1 == 1 for i in range(e.length)]
-        if len(bits) != self.length:
+    def _text(self, e) -> str:
+        """One entry as k characters of 0/1 text: text as given, or bit i of an integer mask as character i."""
+        if _is_integer(e):
+            if not 0 <= int(e) < 1 << self.length:
+                raise ParameterError("bit mask out of range for declared length")
+            return format(int(e), f"0{self.length}b")[::-1]
+        if not isinstance(e, str):
+            raise ParameterError(f"bit entries are 0/1 text or integer masks, got {e!r}")
+        if set(e) - {"0", "1"}:
+            raise ParameterError(f"bitstring must be 0/1 text, got {e!r}")
+        if len(e) != self.length:
             raise ParameterError("bitstring length differs from ring length")
-        return bits
-
-    def pack(self, rows) -> np.ndarray:
-        return np.array([[self._bits(e) for e in r] for r in rows], dtype=np.bool_)
+        return e
 
     def random(self, rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
         return rng.integers(0, 2, size=(rows, cols, self.length), dtype=np.int64).astype(np.bool_)
@@ -581,4 +380,6 @@ class BitStrings:
         return [["".join(entry) for entry in row] for row in np.where(data, "1", "0").tolist()]
 
     def from_obj(self, obj) -> np.ndarray:
-        return self.pack(obj)
+        entries = _nested_rows(obj, self)
+        text = "".join(map(self._text, entries.reshape(-1).tolist())).encode()
+        return (np.frombuffer(text, dtype=np.uint8) == ord("1")).reshape(entries.shape + self.entry_shape)

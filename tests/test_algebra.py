@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -18,15 +19,14 @@ from sdpke.matrices import Matrix
 from sdpke.permutations import Permutation
 from sdpke.semirings import (
     TROP_INF,
-    BitString,
     BitStrings,
-    GroupRingElement,
     GroupRingScalars,
     IntegersMod,
     TropicalIntegers,
-    TropicalScalar,
     residue_products_fit_int64,
 )
+
+from oracles import BitString, GroupRingElement, TropicalScalar, ZMod, entry, from_scalars
 
 S3 = load_group("s3")
 C2 = cyclic_group(2)
@@ -134,10 +134,10 @@ def matmul_oracle(a: Matrix, b: Matrix) -> Matrix:
         for j in range(b.cols):
             acc = None
             for k in range(a.cols):
-                term = a[i, k] * b[k, j]
+                term = entry(a, i, k) * entry(b, k, j)
                 acc = term if acc is None else acc + term
             out[i][j] = acc
-    return mx.from_rows(ring, out)
+    return from_scalars(ring, out)
 
 
 RINGS = [
@@ -336,7 +336,7 @@ def test_long_inner_dimension_does_not_overflow_int64():
     for k in (200, 300):
         a = mx.from_rows(ring, [[m - 1] * k])
         b = mx.from_rows(ring, [[m - 1]] * k)
-        assert (a @ b)[0, 0].value == k
+        assert entry(a @ b, 0, 0).value == k
 
 
 @settings(deadline=None, max_examples=30)
@@ -634,7 +634,7 @@ def test_inverse_refuses_entries_without_a_prime_field(m, message):
 def test_try_inverse_is_none_on_a_singular_groupring_element():
     # (1 + g)(1 - g) = 0 in Z_7[C_2], so 1 + g is a zero divisor
     ring = GroupRingScalars(C2, 7)
-    h = mx.from_rows(ring, [[GroupRingElement(C2, 7, [1, 1])]])
+    h = from_scalars(ring, [[GroupRingElement(C2, 7, [1, 1])]])
     assert mx.try_inverse(h) is None
 
 
@@ -735,7 +735,7 @@ def test_groupring_inverse_over_c2_singular_exactly_at_zero_norm(element):
     # (an isomorphism for odd p), so a0 + a1 g is a unit iff (a0+a1)(a0-a1) is
     p, a0, a1 = element
     ring = GroupRingScalars(C2, p)
-    h = mx.from_rows(ring, [[GroupRingElement(C2, p, [a0, a1])]])
+    h = from_scalars(ring, [[GroupRingElement(C2, p, [a0, a1])]])
     if (a0 + a1) * (a0 - a1) % p == 0:
         with pytest.raises(SingularMatrixError):
             mx.inverse(h)
@@ -793,13 +793,17 @@ def test_bit_length_mismatch_rejected(rng):
 
 
 def test_wide_bit_masks_are_range_checked():
-    # integer masks are accepted at the boundary and range-checked there;
-    # packed entries are bool vectors, so a raw array may hold only 0 and 1
+    # integer masks, numpy integers among them, are accepted at the boundary and range-checked there
+    # to [0, 2^k) at every width; packed entries are bool vectors, so a raw array may hold only 0 and 1
+    for k in (1, 5, 63, 64, 70):
+        ring = BitStrings(k)
+        for mask in (-1, -5, 1 << k):
+            with pytest.raises(ParameterError, match="^bit mask out of range for declared length$"):
+                ring.from_obj([[mask]])
+        assert mx.from_obj(ring, [[(1 << k) - 1]]).to_obj() == [["1" * k]]
+        assert mx.from_obj(ring, [[np.int64(1)]]).to_obj() == [["1" + "0" * (k - 1)]]
     ring = BitStrings(64)
-    for mask in (-5, 2**64):
-        with pytest.raises(ParameterError, match="out of range"):
-            ring.from_obj([[mask]])
-    assert mx.from_obj(ring, [[2**64 - 1]]).to_obj() == [["1" * 64]]
+    assert mx.from_obj(ring, [[np.uint64(2**64 - 1)]]).to_obj() == [["1" * 64]]
     with pytest.raises(ParameterError):
         Matrix(ring, np.full((1, 1, 64), 2))
 
@@ -826,8 +830,8 @@ def test_bit_kernels_match_scalar_oracle_at_every_width(operands):
     assert a @ b == matmul_oracle(a, b)
     total, permuted = a + c, mx.permute_bits(a, perm)
     for i, j in itertools.product(range(a.rows), range(a.cols)):
-        assert total[i, j] == a[i, j] + c[i, j]
-        assert permuted[i, j] == a[i, j].permuted(perm)
+        assert entry(total, i, j) == entry(a, i, j) + entry(c, i, j)
+        assert entry(permuted, i, j) == entry(a, i, j).permuted(perm)
 
 
 def test_bitstring_text_round_trip():
@@ -835,6 +839,59 @@ def test_bitstring_text_round_trip():
     assert BitString.from_string(s).to_string() == s
     with pytest.raises(ParameterError):
         BitString.from_string("01x")
+
+
+# ---------------------------------------------------------------------------
+# the one parser: from_rows is from_obj, nested rows of raw entries
+
+
+@pytest.mark.parametrize(
+    "ring,value",
+    [
+        (BitStrings(3), 5),
+        (IntegersMod(7), 5),
+        # text and a mapping were iterated as rows: each read as [["1"]]
+        (BitStrings(1), "1"),
+        (BitStrings(1), {"1": 7}),
+        (BitStrings(1), [{"1": 0}]),
+        (TropicalIntegers(), "inf"),
+        (IntegersMod(7), [[1, 2], [3]]),
+        (GroupRingScalars(C2, 7), [[1, 2]]),
+    ],
+    ids=["bits-int", "zmod-int", "bits-text", "bits-dict", "bits-row-of-dict", "tropical-text", "zmod-ragged",
+         "groupring-no-coefficient-axis"],
+)
+def test_parser_refuses_values_that_are_not_nested_rows(ring, value):
+    with pytest.raises(ParameterError, match=re.escape(f"a matrix over {ring!r} is nested rows")):
+        mx.from_obj(ring, value)
+
+
+def test_groupring_entries_are_coefficient_lists():
+    assert mx.from_rows is mx.from_obj
+    ring = GroupRingScalars(S3, 7)
+    m = mx.from_rows(ring, [[[1, 2, 3, 4, 5, 13]]])
+    assert m.to_obj() == [[[1, 2, 3, 4, 5, 6]]]
+    assert m == from_scalars(ring, [[GroupRingElement(S3, 7, [1, 2, 3, 4, 5, 6])]])
+    for coefficients in ([1, 2, 3, 4, 5], [1, 2, 3, 4, 5, 6, 7]):
+        with pytest.raises(ParameterError, match=r"shape \(rows, cols, 6\)"):
+            mx.from_rows(ring, [[coefficients]])
+
+
+@pytest.mark.parametrize(
+    "ring,scalar,raw",
+    [
+        (IntegersMod(7), ZMod(3, 7), 3),
+        (GroupRingScalars(C2, 7), GroupRingElement(C2, 7, [1, 1]), [1, 1]),
+        (TropicalIntegers(), TropicalScalar(3), 3),
+        (BitStrings(2), BitString(1, 2), "10"),
+    ],
+    ids=["zmod", "groupring", "tropical", "bits"],
+)
+def test_parser_refuses_oracle_scalars(ring, scalar, raw):
+    # the library reads raw entries only; from_scalars turns the oracles' scalars into them
+    with pytest.raises(ParameterError):
+        mx.from_rows(ring, [[scalar]])
+    assert from_scalars(ring, [[scalar]]) == mx.from_rows(ring, [[raw]])
 
 
 # ---------------------------------------------------------------------------

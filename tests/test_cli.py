@@ -15,7 +15,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from sdpke import attacks, cli
@@ -571,6 +571,10 @@ def _malformed_inputs(tmp_path):
         platform = records[0]["platform"]
         return dict(platform, **{key: [row[:2] for row in platform[key][:2]]})
 
+    def mobs_1x1(base):
+        """An explicit 1x1 MOBS record over 1-bit strings with the base ``base``."""
+        return {"kind": "mobs", "size": 1, "bits": 1, "permutation": [0], "g": base}
+
     n = MAX_GROUP_ORDER + 1  # the Cayley table of the cyclic group of order n, one past the cap
     big_cyclic = {"order": n, "product": [[(i + j) % n for j in range(n)] for i in range(n)],
                   "identity": 0, "inverse": [-i % n for i in range(n)]}
@@ -638,6 +642,10 @@ def _malformed_inputs(tmp_path):
         "explicit-tropical-2x2-H": (seeded, shrunk(tropical, "H")),
         "explicit-groupring-2x2-g": (seeded, shrunk(groupring, "g")),
         "explicit-mobs-2x2-g": (seeded, shrunk(mobs28, "g")),
+        # a matrix is nested rows: text and mapping keys were iterated as rows, each read as [["1"]]
+        "mobs-text-g": (seeded, mobs_1x1("1")),
+        "mobs-mapping-g": (seeded, mobs_1x1({"1": 7})),
+        "mobs-row-of-mapping-g": (seeded, mobs_1x1([{"1": 0}])),
         # a search bound outside [1, 2^63], refused before the transcript is read
         "x-max-0": ([*binsearch, "0"], tropical_whole),
         "x-max-negative": ([*binsearch, "-5"], tropical_whole),
@@ -661,7 +669,8 @@ def _malformed_inputs(tmp_path):
         "seeded-mobs-cycles-past-cap", "seeded-mobs-negative-cycle", "groupring-group-order-past-cap",
         "seeded-groupring-modulus-past-int64", "explicit-groupring-modulus-2^64",
         "trials-past-cap", "empty-transcript-file", "explicit-gl-2x2-H-on-3x3", "explicit-make-2x2-H1",
-        "explicit-tropical-2x2-H", "explicit-groupring-2x2-g", "explicit-mobs-2x2-g", "x-max-0",
+        "explicit-tropical-2x2-H", "explicit-groupring-2x2-g", "explicit-mobs-2x2-g", "mobs-text-g",
+        "mobs-mapping-g", "mobs-row-of-mapping-g", "x-max-0",
         "x-max-negative", "x-max-past-2^63",
     ],
 )
@@ -727,13 +736,15 @@ def test_permutation_of_non_integers_exits_2(tmp_path, capsys, permutation):
 
 
 # ---------------------------------------------------------------------------
-# one changed field of a valid record: every outside input ends in an exit code and one line
+# edited records: a standing fuzz guard over every outside input
 
 #: the attack each platform's transcripts are replayed with
 _ATTACK_OF = {"gl": "dimension", "groupring": "dimension", "dhke": "dimension", "make": "telescope",
               "tropical": "tropical-binsearch", "mobs": "mobs-count"}
-#: values of another JSON type, or out of every field's range, that replace a field
-_SWAPS = [None, True, 1.5, -1, 1 << 70, "x", [], {}, [[0]]]
+#: JSON values an edit puts in place of a node: integers around the word bounds, floats, bools, null,
+#: text (digits, bits and "inf" among it), nested lists and mappings
+_NODES = [0, 1, -1, 7, 2**31 - 1, 2**31, 2**62 - 1, 2**62, -(2**62), 2**63 - 1, 2**63, 2**64, -(2**64), 1 << 70,
+          0.5, 1.0, True, False, None, "", "x", "1", "10", "inf", [], [[]], [0], [[0]], [[[0]]], {}, {"1": 0}]
 
 
 @functools.cache
@@ -755,48 +766,86 @@ def _paths(obj, prefix=()):
         yield from _paths(value, (*prefix, key))
 
 
-def _change_one_field(data, obj) -> None:
-    """Swap one value's type, change its shape, or delete it, in place."""
-    *parents, last = data.draw(st.sampled_from(list(_paths(obj))))
-    container = functools.reduce(lambda node, key: node[key], parents, obj)
-    change = data.draw(st.sampled_from(["swap", "shape", "delete"]))
-    value = container[last]
-    if change == "swap":
-        container[last] = data.draw(st.sampled_from(_SWAPS))
-    elif change == "shape":
-        shapes = [value[:-1], value + value[-1:], [value]] if isinstance(value, list) and value else [[value]]
-        container[last] = data.draw(st.sampled_from(shapes))
+def _at(obj, path):
+    """The value at ``path`` inside a JSON object."""
+    return functools.reduce(lambda value, key: value[key], path, obj)
+
+
+def _edit(data, obj):
+    """Replace a node (the record itself included), delete a key, add an unknown key, or grow or
+    shrink a list; in place where the record survives.  Returns the edited record."""
+    paths = [(), *_paths(obj)]
+    node = functools.partial(_at, obj)
+    dicts = [p for p in paths if isinstance(node(p), dict)]
+    lists = [p for p in paths if isinstance(node(p), list)]
+    keys = [p for p in paths if p and isinstance(node(p[:-1]), dict)]
+    reshapes = [*["add-key"] * bool(dicts), *["grow", "shrink"] * bool(lists), *["delete-key"] * bool(keys)]
+    # half the edits replace a value, half change the record's shape
+    edit = data.draw(st.sampled_from(["replace"] * len(reshapes) + reshapes or ["replace"]), label="edit")
+    value = copy.deepcopy(data.draw(st.sampled_from(_NODES), label="value"))  # a later edit may grow it
+    if edit == "replace":
+        path = data.draw(st.sampled_from(paths), label="path")
+        if not path:
+            return value
+        node(path[:-1])[path[-1]] = value
+    elif edit == "add-key":
+        node(data.draw(st.sampled_from(dicts), label="path"))["unknown"] = value
+    elif edit == "delete-key":
+        path = data.draw(st.sampled_from(keys), label="path")
+        del node(path[:-1])[path[-1]]
     else:
-        del container[last]
+        # depth first: a matrix is grown or shrunk as often as one of its rows
+        depth = data.draw(st.sampled_from(sorted({len(p) for p in lists})), label="depth")
+        target = node(data.draw(st.sampled_from([p for p in lists if len(p) == depth]), label="path"))
+        if edit == "shrink":
+            del target[-1:]
+        else:
+            target.append(copy.deepcopy(target[-1]) if target else 0)
+    return obj
 
 
-@settings(max_examples=300, deadline=None)
-@given(kind=st.sampled_from(sorted(_ATTACK_OF)), record=st.sampled_from(["transcript", "params"]), data=st.data())
-def test_one_changed_field_exits_0_to_4_with_at_most_one_line(kind, record, data):
+@settings(max_examples=1000, deadline=None)
+@given(kind=st.sampled_from(sorted(_ATTACK_OF)), record=st.sampled_from(["transcript", "params"]),
+       edits=st.integers(1, 3), data=st.data())
+def test_edited_records_exit_0_to_4_with_one_line_and_output_that_parses_again(kind, record, edits, data):
+    # a transcript is attacked, its platform record is run as an explicit params file
     obj = copy.deepcopy(_valid_transcript(kind))
     if record == "params":
         obj = obj["platform"]
-    _change_one_field(data, obj)
+    for _ in range(edits):
+        obj = _edit(data, obj)
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "in.json")
+        path, out = os.path.join(tmp, "in.json"), os.path.join(tmp, "out.json")
         with open(path, "w") as fh:
             json.dump(obj, fh)
         if record == "transcript":
-            argv = ["attack", "--method", _ATTACK_OF[kind], path]
+            argv = ["attack", "--method", _ATTACK_OF[kind], "--format", "json", "--out", out, path]
         else:
-            argv = ["exchange", "--params", path, "--out", os.path.join(tmp, "out.json")]
+            argv = ["exchange", "--params", path, "--test-mode", "--out", out]
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main(argv)
-    assert 0 <= code <= 4
-    assert len(err.getvalue().splitlines()) <= 1 and "Traceback" not in err.getvalue(), err.getvalue()
+        event(f"{record} exit {code}")  # the spread of outcomes, under --hypothesis-show-statistics
+        assert 0 <= code <= 4
+        assert len(err.getvalue().splitlines()) <= 1 and "Traceback" not in err.getvalue(), err.getvalue()
+        if code != 2:
+            # no field of any record is a bool, a float or null: a run past the reader read none
+            values = [_at(obj, path) for path in [(), *_paths(obj)]]
+            assert not [x for x in values if x is None or isinstance(x, (bool, float))], (code, obj)
+        if code == 0:
+            with open(out) as fh:
+                written = json.load(fh)
+            if record == "params":
+                assert [Transcript.from_obj(rec).to_obj() for rec in written] == written
+            else:
+                assert [row["operation"] for row in written] == [_ATTACK_OF[kind]] * len(written)
 
 
 def _integer_leaves(obj) -> dict:
     """The first path of each integer leaf of a record per path shape, list indices read as ``*``."""
     shapes = {}
     for path in _paths(obj):
-        value = functools.reduce(lambda node, key: node[key], path, obj)
+        value = _at(obj, path)
         if isinstance(value, int) and not isinstance(value, bool):
             shapes.setdefault(tuple("*" if isinstance(k, int) else k for k in path), path)
     return shapes
