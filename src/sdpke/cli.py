@@ -49,7 +49,7 @@ import numpy as np
 
 from . import matrices as mx
 from .attacks import ATTACKS, check_x_max, mobs_solution_count
-from .errors import NotApplicableError, ParameterError, SizeCapError, _is_integer
+from .errors import NotApplicableError, ParameterError, SizeCapError, _is_integer, read_json
 from .holomorph import sdp_exp
 from .platforms import PLATFORM_KINDS, params_from_obj, random_params
 from .protocol import Transcript, check_exponent_bits, draw_exponent, run_exchange
@@ -140,7 +140,7 @@ def _load_params(args: argparse.Namespace):
     if args.params_file:
         with _reading("params file"):
             with open(args.params_file) as fh:
-                obj = json.load(fh)
+                obj = read_json(fh.read())
             if "seed" in obj:
                 seed = obj["seed"]
                 if not (_is_integer(seed) and 0 <= seed < (1 << 64)):
@@ -182,7 +182,7 @@ def _load_transcripts(path: str) -> list[Transcript]:
     """The file's transcripts; those with equal platform records share one built platform."""
     with _reading("transcript file"):
         with open(path) as fh:
-            obj = json.load(fh)
+            obj = read_json(fh.read())
         records = obj if isinstance(obj, list) else [obj]
         if not records:
             raise ParameterError("transcript file holds no transcripts")

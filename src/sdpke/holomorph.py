@@ -17,6 +17,24 @@ sequential reference oracle.  ``sequence_block`` lifts over the chain to
 make a whole prefix of the sequence a_(n+1) = phi(a_n) ∘ g, from several
 starts at once, in batched carrier steps on every carrier.
 
+On a conjugation carrier (GL(r, p) and matrices over Z_m[G]: phi^m(x) =
+L x R and the matrix product) a step x -> L x (R a_m) is Z_m-linear in x,
+so a chain level can hold it as one D x D Z_m matrix S_m, and phi^m as P_m,
+over the D Z_m coordinates of x (``two_sided_map``, in closed form).  A
+platform builds them level by level from its ``MAP_SWITCH_CALL``-th
+``carrier_power`` or ``apply_phi_power`` call on: a step or action is then
+one product vec(x) @ S_m or @ P_m.  A level's maps cost about as much to
+build as 16 calls save on it, so a platform that makes fewer calls (an
+``sdpke exchange`` call of up to three trials, four calls each) never
+builds any.  Only carriers
+with D <= ``MAP_MAX_COORDINATES`` whose D-term map products sum exactly in
+int64 take maps, stored in the narrowest integer type that holds such a
+sum: 0.19 MB for 16 levels of the default 3x3 Z_7[S_3] (D = 54, int16) and
+10 KB for GL(3, 1009) (D = 9, int32).  The
+tropical, additive and OR/AND carriers, plain DH, and larger conjugation
+carriers (3x3 over Z_7[A_5], D = 540) keep the factored step, as do
+``sequence_block``, the squarings and the attacks on every carrier.
+
 Endomorphism powers are represented in closed form per platform (cached
 two-sided factor powers, of which conjugation is one case; star powers,
 exact because the star product is associative; permutation powers), so
@@ -34,10 +52,17 @@ import numpy as np
 from .errors import ParameterError
 from .matrices import Matrix, random_matrix
 from .permutations import Permutation
-from .semirings import BitStrings
+from .semirings import BitStrings, IntegersMod
 
 #: levels a platform's doubling chain may hold: (g, phi)^(2^i) for i < 64
 MAX_CHAIN_LEVELS = 64
+#: the call of ``carrier_power`` or ``apply_phi_power`` on one platform from which it takes the
+#: chain levels' Z_m maps: a level's two maps cost about as much to build as 16 calls save on it
+MAP_SWITCH_CALL = 16
+#: the most Z_m coordinates D of a carrier whose chain levels take D x D maps: the default 3x3 Z_7[S_3]
+#: carrier, whose maps at all 64 levels would take 16 D^2 * 64 bytes = 3 MB even as int64; past it a
+#: level breaks even later
+MAP_MAX_COORDINATES = 54
 
 
 class Endomorphism:
@@ -221,6 +246,24 @@ class PermutationPower(Endomorphism):
         return isinstance(other, PermutationPower) and np.array_equal(self.index, other.index)
 
 
+class _LevelMaps:
+    """The Z_m maps of a platform's chain levels, and how many calls could have taken them.
+
+    ``calls`` counts the platform's ``carrier_power`` and ``apply_phi_power``
+    calls.  ``levels[i]`` holds, for the chain level (a_m, phi^m) with phi^m(x)
+    = L x R, the D x D matrix S_m of the carrier step x -> L x (R a_m) and
+    the matrix P_m of phi^m, both on the D row-major Z_m coordinates of x
+    (``two_sided_map``): vec(L x R) = vec(x) @ P_m, in the integer type
+    ``_maps_up_to`` picks.
+    """
+
+    __slots__ = ("calls", "levels")
+
+    def __init__(self):
+        self.calls = 0
+        self.levels: list[tuple[np.ndarray, np.ndarray]] = []
+
+
 @dataclass(frozen=True)
 class Platform:
     """Public parameters of one key exchange instance.
@@ -232,9 +275,11 @@ class Platform:
     random element is a random matrix of g's shape over g's ring.
 
     ``_chain`` caches the doubling chain (g, phi)^(2^i) that
-    ``doubling_chain`` has made so far.  It takes no part in equality or
-    hashing, ``dataclasses.replace`` starts it empty, and a longer chain
-    replaces the whole tuple, so a prefix already handed out never changes.
+    ``doubling_chain`` has made so far, and ``_maps`` the Z_m maps of its
+    levels with the count of calls that could take them (``_LevelMaps``).
+    Neither takes part in equality or hashing, ``dataclasses.replace``
+    starts both empty, and a longer chain replaces the whole tuple, so a
+    prefix already handed out never changes.
     """
 
     name: str
@@ -244,6 +289,7 @@ class Platform:
     params: object = None
     sampler: Callable[[np.random.Generator], Matrix] | None = field(default=None, repr=False)
     _chain: tuple[HolomorphPower, ...] = field(default=(), init=False, compare=False, repr=False)
+    _maps: _LevelMaps = field(default_factory=_LevelMaps, init=False, compare=False, repr=False)
 
     def op(self, a: Matrix, b: Matrix) -> Matrix:
         return a @ b if self.op_kind == "mul" else a + b
@@ -290,15 +336,73 @@ def _levels_at_bits(platform: Platform, n: int) -> list[HolomorphPower]:
     return [level for level in doubling_chain(platform, n + 1) if n & level.exponent]
 
 
+def _takes_maps(platform: Platform) -> bool:
+    """Whether the platform's steps are Z_m maps a level can hold: phi two-sided, op the matrix
+    product, and at most ``MAP_MAX_COORDINATES`` coordinates, few enough for an exact int64 map product."""
+    ring, size = platform.g.ring, platform.g.data.size
+    return (
+        isinstance(platform.phi, TwoSidedPower)
+        and platform.op_kind == "mul"
+        and ring.linear
+        and ring.dtype is np.int64
+        and size <= min(ring._int64_inner_max, MAP_MAX_COORDINATES)
+    )
+
+
+def _maps_up_to(platform: Platform, n: int) -> list[tuple[np.ndarray, np.ndarray]] | None:
+    """The (S_m, P_m) maps of the platform's chain levels up to n's top bit, or None while it takes the
+    factored step.  Counts the call; from the ``MAP_SWITCH_CALL``-th on, on a carrier that takes maps,
+    builds each level the chain holds and the maps do not yet.
+
+    A map product sums D products of residues, at most D (m-1)^2, so the maps are stored in the
+    narrowest integer type that holds that sum: int16 for the default Z_7[S_3] carrier, a quarter
+    of the int64 bytes."""
+    maps = platform._maps
+    maps.calls += 1
+    if maps.calls < MAP_SWITCH_CALL or not _takes_maps(platform):
+        return None
+    ring = platform.g.ring
+    bound = platform.g.data.size * (ring.modulus - 1) ** 2
+    dtype = next(t for t in (np.int16, np.int32, np.int64) if bound <= np.iinfo(t).max)
+    for level in platform._chain[len(maps.levels) : n.bit_length()]:
+        left, right = level.end.left_pow.data, level.end.right_pow.data
+        pair = ring.two_sided_map(left, ring.matmul(right, level.value.data)), ring.two_sided_map(left, right)
+        pair = tuple(m.astype(dtype) for m in pair)
+        for m in pair:
+            m.flags.writeable = False
+        maps.levels.append(pair)
+    return maps.levels
+
+
+def _map_product(ring, vec: np.ndarray, level_map: np.ndarray) -> np.ndarray:
+    """vec @ level_map over Z_m, in the map's integer type: a level's S_m or P_m applied to a value's coordinates."""
+    return IntegersMod.matmul(ring, vec, level_map)
+
+
+def _walk_maps(ring, data: np.ndarray, level_maps: list[np.ndarray]) -> np.ndarray:
+    """The packed entries data after one ``_map_product`` with each map in turn, back in int64."""
+    if not level_maps:
+        return data
+    vec = data.reshape(-1).astype(level_maps[0].dtype)
+    for level_map in level_maps:
+        vec = _map_product(ring, vec, level_map)
+    return vec.astype(np.int64).reshape(data.shape)
+
+
 def carrier_power(platform: Platform, n: int) -> Matrix:
-    """a_n, the carrier half of (g, phi)^n: each set bit of n past the lowest is one ``carrier_step``
-    with the chain level (a_m, phi^m) there, and no endomorphism is composed.  n = 0 is rejected:
-    three of the five carriers are proper semigroups with no identity to return, and the
-    exchanged sequence starts at a_1 = g."""
+    """a_n, the carrier half of (g, phi)^n: each set bit of n past the lowest is one step with the
+    chain level (a_m, phi^m) there, and no endomorphism is composed.  A step is ``carrier_step``,
+    or one product with the level's map S_m once the platform holds maps (``_maps_up_to``).
+    n = 0 is rejected: three of the five carriers are proper semigroups with no identity to
+    return, and the exchanged sequence starts at a_1 = g."""
     first, *rest = _levels_at_bits(platform, n)
+    maps = _maps_up_to(platform, n)
     data = first.value.data
-    for level in rest:
-        data = carrier_step(platform, level, data)
+    if maps is None:
+        for level in rest:
+            data = carrier_step(platform, level, data)
+    else:
+        data = _walk_maps(platform.g.ring, data, [maps[level.exponent.bit_length() - 1][0] for level in rest])
     return Matrix(platform.g.ring, data)
 
 
@@ -308,15 +412,21 @@ def apply_phi_power(platform: Platform, n: int, x: Matrix) -> Matrix:
     Powers of one phi commute, so acting with phi^(2^i) for each set bit
     in turn is phi^n: popcount(n) actions, as many kernel calls as
     ``phi_power`` composing and then acting, with no map built in between.
-    The operand is checked once, against phi; phi^0 is the identity and
-    returns x.
+    Once the platform holds maps (``_maps_up_to``), an action is one product
+    with the level's map P_m.  The operand is checked once, against phi;
+    phi^0 is the identity and returns x.
     """
     if n == 0:
         return x
     platform.phi._check_operand(x)
+    levels = _levels_at_bits(platform, n)
+    maps = _maps_up_to(platform, n)
     data = x.data
-    for level in _levels_at_bits(platform, n):
-        data = level.end.act(data)
+    if maps is None:
+        for level in levels:
+            data = level.end.act(data)
+    else:
+        data = _walk_maps(x.ring, data, [maps[level.exponent.bit_length() - 1][1] for level in levels])
     return Matrix(x.ring, data)
 
 

@@ -43,7 +43,7 @@ from .holomorph import (
 from .linalg import is_prime
 from .matrices import Matrix
 from .permutations import Permutation
-from .semirings import BitStrings, GroupRingScalars, IntegersMod, TropicalIntegers, check_tropical_bounds
+from .semirings import TROP_INF, BitStrings, GroupRingScalars, IntegersMod, TropicalIntegers, check_tropical_bounds
 
 #: Upper caps on the sizes a params file or generator call may ask for, so a
 #: few bytes of JSON cannot demand a huge allocation: the matrix size n of
@@ -253,6 +253,8 @@ class TropicalParams(_Params):
     def build(self) -> Platform:
         self._check_sizes()
         check_tropical_bounds(self.entry_lo, self.entry_hi)  # the sampler draws from them
+        if np.all(self.star_matrix.data == TROP_INF):  # X ⋆ H = X ⊕ H ⊕ X⊗H is then X
+            raise ParameterError("star matrix is all +inf, so phi is the identity; degenerate instance")
         ring = self.ring()
         return Platform(
             name="tropical",

@@ -571,6 +571,12 @@ def _malformed_inputs(tmp_path):
         platform = records[0]["platform"]
         return dict(platform, **{key: [row[:2] for row in platform[key][:2]]})
 
+    def inf_first(records, key):
+        """The platform matrix ``key`` of the first transcript with its first entry made +inf, a float."""
+        rows = copy.deepcopy(records[0]["platform"][key])
+        rows[0][0] = float("inf")
+        return rows
+
     def mobs_1x1(base):
         """An explicit 1x1 MOBS record over 1-bit strings with the base ``base``."""
         return {"kind": "mobs", "size": 1, "bits": 1, "permutation": [0], "g": base}
@@ -650,6 +656,16 @@ def _malformed_inputs(tmp_path):
         "x-max-0": ([*binsearch, "0"], tropical_whole),
         "x-max-negative": ([*binsearch, "-5"], tropical_whole),
         "x-max-past-2^63": ([*binsearch, str(2**63 + 1)], tropical_whole),
+        # json.dumps writes these floats as the non-standard tokens Infinity, -Infinity and NaN,
+        # which Python's reader took as floats: an explicit Infinity star entry ran and was written back as "inf"
+        "tropical-Infinity-H": (seeded, dict(tropical_whole[0]["platform"], H=inf_first(tropical_whole, "H"))),
+        "tropical-Infinity-A": (["attack", "--method", "tropical-binsearch"],
+                                first_a_entry(tropical_whole, float("inf"))),
+        "gl-negative-Infinity-A": (["attack", "--method", "dimension"], first_a_entry(gl, float("-inf"))),
+        "seeded-NaN-seed": (seeded, {"kind": "gl", "seed": float("nan")}),
+        # an all-+inf star matrix makes phi the identity, and tropical-binsearch then "succeeded" with rank 0
+        "tropical-all-inf-H": (seeded, dict(tropical_whole[0]["platform"],
+                                            H=[["inf"] * len(row) for row in tropical_whole[0]["platform"]["H"]])),
     }
 
 
@@ -671,7 +687,8 @@ def _malformed_inputs(tmp_path):
         "trials-past-cap", "empty-transcript-file", "explicit-gl-2x2-H-on-3x3", "explicit-make-2x2-H1",
         "explicit-tropical-2x2-H", "explicit-groupring-2x2-g", "explicit-mobs-2x2-g", "mobs-text-g",
         "mobs-mapping-g", "mobs-row-of-mapping-g", "x-max-0",
-        "x-max-negative", "x-max-past-2^63",
+        "x-max-negative", "x-max-past-2^63", "tropical-Infinity-H", "tropical-Infinity-A",
+        "gl-negative-Infinity-A", "seeded-NaN-seed", "tropical-all-inf-H",
     ],
 )
 def test_malformed_json_exits_2_with_one_line(tmp_path, capsys, case):

@@ -5,7 +5,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 import sdpke.holomorph as holomorph
@@ -33,7 +33,15 @@ from sdpke.holomorph import (
 )
 from sdpke.matrices import Matrix
 from sdpke.permutations import Permutation
-from sdpke.platforms import DhkeParams, random_mobs_params, random_tropical_params
+from sdpke.groups import cyclic_group, load_group
+from sdpke.platforms import (
+    DhkeParams,
+    random_gl_params,
+    random_groupring_params,
+    random_mobs_params,
+    random_params,
+    random_tropical_params,
+)
 from sdpke.protocol import derive_key, keygen
 from sdpke.semirings import BitStrings, IntegersMod, TropicalIntegers
 
@@ -122,10 +130,15 @@ def test_sdp_exp_holo_mul_count(rng, fresh_platform, monkeypatch):
     # squarings, a_x is popcount - 1 carrier steps and phi^x popcount - 1 compositions; on a warm
     # chain carrier_power and keygen compose no endomorphism, and derive_key composes none either:
     # it acts on the peer's value with popcount(x) chain endomorphisms and makes one operation.
+    # A step is a carrier_step until the platform's MAP_SWITCH_CALL-th carrier_power or
+    # apply_phi_power call and one product with the level's step map S_m from it on; an action is
+    # an Endomorphism.act, then a product with the level's phi map P_m.  The counts are the same.
     p = fresh_platform("gl", rng)
     end_kind = type(p.phi)
     squarings, products, steps, compositions, actions, ops = [], [], [], [], [], []
+    factored_steps, mapped = [], []
     step, compose, act, op = holomorph.carrier_step, Endomorphism.compose, end_kind.act, Platform.op
+    map_product = holomorph._map_product
 
     def counted(platform, x, y):
         (squarings if x is y else products).append(x.exponent)
@@ -133,6 +146,7 @@ def test_sdp_exp_holo_mul_count(rng, fresh_platform, monkeypatch):
 
     def counted_step(platform, level, data):
         steps.append(level.exponent)
+        factored_steps.append(level.exponent)
         return step(platform, level, data)
 
     def counted_compose(end, other):
@@ -143,24 +157,32 @@ def test_sdp_exp_holo_mul_count(rng, fresh_platform, monkeypatch):
         actions.append(end)
         return act(end, data)
 
+    def counted_map(ring, data, m):
+        step_maps = [s for s, _ in p._maps.levels]
+        (steps if any(m is s for s in step_maps) else actions).append(m)
+        mapped.append(m)
+        return map_product(ring, data, m)
+
     def counted_op(platform, a, b):
         ops.append(a)
         return op(platform, a, b)
 
     monkeypatch.setattr(holomorph, "holo_mul", counted)
     monkeypatch.setattr(holomorph, "carrier_step", counted_step)
+    monkeypatch.setattr(holomorph, "_map_product", counted_map)
     monkeypatch.setattr(Endomorphism, "compose", counted_compose)
     monkeypatch.setattr(end_kind, "act", counted_act)
     monkeypatch.setattr(Platform, "op", counted_op)
 
     def counted_call(fn, *args):
         """fn(*args), and (squarings, other holo_mul products, carrier steps and compositions past
-        the squarings' own, actions past the carrier steps' own, operations) made by it."""
-        for made in (squarings, products, steps, compositions, actions, ops):
+        the squarings' own, actions past the factored carrier steps' own, operations) made by it."""
+        for made in (squarings, products, steps, compositions, actions, ops, factored_steps, mapped):
             made.clear()
         result = fn(*args)
         past_squarings = len(steps) - len(squarings), len(compositions) - len(squarings)
-        return result, (len(squarings), len(products), *past_squarings, len(actions) - len(steps), len(ops))
+        past_steps = len(actions) - len(factored_steps)
+        return result, (len(squarings), len(products), *past_squarings, past_steps, len(ops))
 
     def ones(m: int) -> int:
         return bin(m).count("1")
@@ -168,20 +190,90 @@ def test_sdp_exp_holo_mul_count(rng, fresh_platform, monkeypatch):
     n = 0x5555
     power, made = counted_call(sdp_exp, p, n)
     assert power.exponent == n and made == (n.bit_length() - 1, 0, ones(n) - 1, ones(n) - 1, 0, 0)
+    assert not mapped and p._maps.calls == 1
     levels = n.bit_length()
     for m in [*range(1, 130), 1 << 40, (1 << 40) - 1, 0x5555_5555, 3, (1 << 63) - 1, 1 << 62]:
         power, made = counted_call(sdp_exp, p, m)
         assert power.exponent == m and made == (max(0, m.bit_length() - levels), 0, ones(m) - 1, ones(m) - 1, 0, 0), m
+        # the squarings keep carrier_step; from the switch on, every step past them takes its level's map
+        assert len(mapped) == (ones(m) - 1 if p._maps.calls >= holomorph.MAP_SWITCH_CALL else 0), m
         levels = max(levels, m.bit_length())
     assert levels == 63
     for m in [*range(1, 130), (1 << 40) - 1, 0x5555_5555, (1 << 63) - 1, 1 << 62]:
         assert counted_call(carrier_power, p, m)[1] == (0, 0, ones(m) - 1, 0, 0, 0), m
+        assert not factored_steps and len(mapped) == ones(m) - 1
     for _ in range(20):
         alice, made_a = counted_call(keygen, p, rng, 63)
         bob, made_b = counted_call(keygen, p, rng, 63)
         assert (made_a, made_b) == ((0, 0, ones(alice.exponent) - 1, 0, 0, 0), (0, 0, ones(bob.exponent) - 1, 0, 0, 0))
         _, made = counted_call(derive_key, p, alice.exponent, bob.public_value, alice.public_value)
-        assert made == (0, 0, 0, 0, ones(alice.exponent), 1)
+        assert made == (0, 0, 0, 0, ones(alice.exponent), 1) and len(mapped) == ones(alice.exponent)
+
+
+#: primes for the map property: at 679000019 a product sums at most 20 int64 terms exactly, so a 3x3 GL
+#: carrier (D = 9) takes maps and a 3x3 Z_m[S_3] one (D = 54) stays factored; past 2^31 - 1 every
+#: carrier with D > 2 stays factored
+_MAP_PRIMES = [2, 3, 7, 101, 1009, 65521, 679000019, 2**31 - 1, 3037000493]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["gl", "c2", "c3", "s3"]),
+    prime=st.sampled_from(_MAP_PRIMES),
+    size=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    exponents=st.lists(st.one_of(st.integers(1, 300), st.integers(1, (1 << 63) - 1)), min_size=1, max_size=4),
+)
+def test_level_maps_equal_the_factored_steps_from_the_switch_call_on(kind, prime, size, seed, exponents):
+    # a conjugation carrier takes the maps S_m and P_m exactly from its MAP_SWITCH_CALL-th carrier_power
+    # or apply_phi_power call, when every map product sums exactly in int64 (D terms); its values then
+    # equal the sequential oracle and phi's own square-and-multiply power, at every exponent below 2^63
+    rng = np.random.default_rng(seed)
+    if kind == "gl":
+        assume(size > 1 and prime > 2)  # GL(1, p) is commutative, and GL(r, 2) draws a central H often
+        p = random_gl_params(rng, prime=prime, size=size).build()
+    else:
+        group = cyclic_group(3) if kind == "c3" else load_group(kind)
+        assume(size > 1 or kind == "s3")  # 1x1 matrices over an abelian group ring all commute
+        p = random_groupring_params(rng, modulus=prime, group=group, size=size).build()
+    ring, coordinates = p.g.ring, p.g.data.size
+    assert coordinates <= holomorph.MAP_MAX_COORDINATES
+    takes_maps = coordinates <= ring._int64_inner_max
+    event(f"D = {coordinates}, {'maps' if takes_maps else 'factored'}")
+    for call in range(1, holomorph.MAP_SWITCH_CALL):
+        peer = p.random_element(rng)
+        assert apply_phi_power(p, call, peer) == p.phi.power(call)(peer)
+        assert (p._maps.calls, p._maps.levels) == (call, [])
+    assert carrier_power(p, 6) == sdp_exp_naive(p, 6).value
+    assert p._maps.calls == holomorph.MAP_SWITCH_CALL and len(p._maps.levels) == 3 * takes_maps
+    cold = dataclasses.replace(p)
+    assert cold == p and (cold._maps.calls, cold._maps.levels, cold._chain) == (0, [], ())
+    levels = 3
+    for x in exponents:
+        peer, own = p.random_element(rng), p.random_element(rng)
+        want = sdp_exp_naive(p, x).value if x <= 300 else carrier_power(dataclasses.replace(p), x)
+        assert carrier_power(p, x) == want
+        assert apply_phi_power(p, x, peer) == p.phi.power(x)(peer)
+        assert derive_key(p, x, peer, own) == p.op(p.phi.power(x)(peer), own)
+        levels = max(levels, x.bit_length())  # the maps are built level by level, as far as asked
+        assert len(p._maps.levels) == levels * takes_maps
+
+
+@pytest.mark.parametrize("kind", ["make", "tropical", "mobs", "dhke", "groupring-a5"])
+def test_other_carriers_stay_factored_past_the_switch(kind, rng):
+    # an additive, tropical or OR/AND step is no Z_m-linear map; plain DH's phi is the identity; and
+    # 1x1 Z_7[A_5] has D = 60 coordinates, past MAP_MAX_COORDINATES
+    if kind == "groupring-a5":
+        p = random_groupring_params(rng, group="a5", size=1).build()
+        assert p.g.data.size == 60 > holomorph.MAP_MAX_COORDINATES
+    else:
+        p = random_params(kind, rng).build()
+    for call in range(1, holomorph.MAP_SWITCH_CALL + 4):
+        x = int(rng.integers(2, 1 << 16))
+        peer = p.random_element(rng)
+        value = carrier_power(p, x) if call % 2 else apply_phi_power(p, x, peer)
+        assert value == (sdp_exp(dataclasses.replace(p), x).value if call % 2 else p.phi.power(x)(peer))
+    assert (p._maps.calls, p._maps.levels) == (holomorph.MAP_SWITCH_CALL + 3, [])
 
 
 def _small_platform(kind: str, seed: int) -> Platform:

@@ -3,6 +3,7 @@
 import subprocess
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -267,6 +268,15 @@ def test_tropical_phi_respects_min(rng):
         g1 = p.random_element(rng)
         g2 = p.random_element(rng)
         assert p.phi(g1 + g2) == p.phi(g1) + p.phi(g2)
+
+
+def test_tropical_all_inf_star_matrix_is_refused(rng):
+    # H all +inf makes X ⋆ H = X ⊕ H ⊕ X⊗H the identity; one finite entry is enough to keep
+    record = random_tropical_params(rng, size=3)
+    ring = TropicalIntegers()
+    with pytest.raises(ParameterError, match="star matrix is all \\+inf"):
+        replace(record, star_matrix=mx.from_obj(ring, [["inf"] * 3] * 3)).build()
+    replace(record, star_matrix=mx.from_obj(ring, [["inf"] * 3] * 2 + [["inf", 4, "inf"]])).build()
 
 
 def test_tropical_1x1_sequence():

@@ -1,5 +1,6 @@
 """Exchange round trips, transcript hygiene, and the encryption scheme."""
 
+import dataclasses
 import gc
 import weakref
 
@@ -9,13 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sdpke.matrices as mx
+from sdpke import protocol
 from sdpke.errors import ParameterError
-from sdpke.holomorph import sdp_exp
+from sdpke.holomorph import MAP_SWITCH_CALL, sdp_exp
 from sdpke.platforms import DhkeParams
 from sdpke.protocol import (
     Ciphertext,
     Transcript,
     derive_key,
+    draw_exponent,
     keygen,
     mr_decrypt,
     mr_encrypt,
@@ -154,6 +157,15 @@ def test_transcript_value_shape_must_match_platform(field, rng, fresh_platform):
         Transcript.from_obj({"schema": 1, "platform": dh.to_obj(), "A": [[2]], "B": [[2]], "key": [[2]], field: [[2, 3]]})
 
 
+@pytest.mark.parametrize("token", ["Infinity", "-Infinity", "NaN"])
+def test_transcript_json_refuses_the_nonstandard_number_tokens(token):
+    # Python's json reads these as floats; a tropical +inf entry is the text "inf", and no record holds a float
+    text = '{"schema": 1, "platform": {"kind": "dhke", "prime": 11, "generator": 2}, "A": [[%s]], "B": [[2]]}'
+    assert Transcript.from_json(text % "3").alice_value.data.tolist() == [[3]]
+    with pytest.raises(ParameterError, match=f"JSON token {token} "):
+        Transcript.from_json(text % token)
+
+
 # ---------------------------------------------------------------------------
 # encryption scheme
 
@@ -173,6 +185,22 @@ def test_encrypt_decrypt_random_messages(rng, fresh_platform):
         msg = p.random_element(rng)
         ct = mr_encrypt(p, kp.public_value, msg, rng)
         assert mr_decrypt(p, kp.exponent, kp.public_value, ct) == msg
+
+
+def test_encrypt_is_the_holomorph_power_on_cold_and_warm_platforms(rng, fresh_platform, monkeypatch):
+    # c1 = a_r and c2 = phi^r(a) c1 m, as sdp_exp would give them, before and past the platform's
+    # switch to level maps; mr_encrypt itself calls carrier_power and apply_phi_power, not sdp_exp
+    p = fresh_platform("gl", rng)
+    kp = keygen(p, rng)
+    monkeypatch.setattr(protocol, "sdp_exp", None)
+    for seed in range(2 * MAP_SWITCH_CALL):
+        msg = p.random_element(rng)
+        ct = mr_encrypt(p, kp.public_value, msg, np.random.default_rng(seed))
+        r = draw_exponent(np.random.default_rng(seed), 16)
+        eph = sdp_exp(dataclasses.replace(p), r)  # a cold copy takes the factored steps
+        assert ct.c1 == eph.value and ct.c2 == eph.end(kp.public_value) @ eph.value @ msg
+        assert mr_decrypt(p, kp.exponent, kp.public_value, ct) == msg
+    assert p._maps.levels  # the later half ran on maps
 
 
 def test_decrypt_with_wrong_exponent_garbles(rng, fresh_platform):
