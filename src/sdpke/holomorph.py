@@ -20,13 +20,16 @@ starts at once, in batched carrier steps on every carrier.
 On a conjugation carrier (GL(r, p) and matrices over Z_m[G]: phi^m(x) =
 L x R and the matrix product) a step x -> L x (R a_m) is Z_m-linear in x,
 so a chain level can hold it as one D x D Z_m matrix S_m, and phi^m as P_m,
-over the D Z_m coordinates of x (``two_sided_map``, in closed form).  A
-platform builds them level by level from its ``MAP_SWITCH_CALL``-th
+over the D Z_m coordinates of x: the level's own step, ``ring.matmul``
+with its factors, applied to the stack of the D coordinate basis matrices.
+A platform builds them level by level from its ``MAP_SWITCH_CALL``-th
 ``carrier_power`` or ``apply_phi_power`` call on: a step or action is then
-one product vec(x) @ S_m or @ P_m.  A level's maps cost about as much to
-build as 16 calls save on it, so a platform that makes fewer calls (an
-``sdpke exchange`` call of up to three trials, four calls each) never
-builds any.  Only carriers
+one product vec(x) @ S_m or @ P_m.  On a 2-core Xeon a level takes about
+11 us to build for GL(3, 1009) and 165 us for the default 3x3 Z_7[S_3]
+(three stacked group-ring products), which the calls' savings repay after
+about 10 and 24 calls at 16-bit exponents; a platform that makes fewer
+than 16 calls (an ``sdpke exchange`` call of up to three trials, four
+calls each) never builds any.  Only carriers
 with D <= ``MAP_MAX_COORDINATES`` whose D-term map products sum exactly in
 int64 take maps, stored in the narrowest integer type that holds such a
 sum: 0.19 MB for 16 levels of the default 3x3 Z_7[S_3] (D = 54, int16) and
@@ -57,7 +60,8 @@ from .semirings import BitStrings, IntegersMod
 #: levels a platform's doubling chain may hold: (g, phi)^(2^i) for i < 64
 MAX_CHAIN_LEVELS = 64
 #: the call of ``carrier_power`` or ``apply_phi_power`` on one platform from which it takes the
-#: chain levels' Z_m maps: a level's two maps cost about as much to build as 16 calls save on it
+#: chain levels' Z_m maps: between their break-evens at 16-bit exponents, about 10 calls on
+#: GL(3, 1009) (11 us to build a level) and 24 on the default 3x3 Z_7[S_3] (165 us a level)
 MAP_SWITCH_CALL = 16
 #: the most Z_m coordinates D of a carrier whose chain levels take D x D maps: the default 3x3 Z_7[S_3]
 #: carrier, whose maps at all 64 levels would take 16 D^2 * 64 bytes = 3 MB even as int64; past it a
@@ -252,9 +256,9 @@ class _LevelMaps:
     ``calls`` counts the platform's ``carrier_power`` and ``apply_phi_power``
     calls.  ``levels[i]`` holds, for the chain level (a_m, phi^m) with phi^m(x)
     = L x R, the D x D matrix S_m of the carrier step x -> L x (R a_m) and
-    the matrix P_m of phi^m, both on the D row-major Z_m coordinates of x
-    (``two_sided_map``): vec(L x R) = vec(x) @ P_m, in the integer type
-    ``_maps_up_to`` picks.
+    the matrix P_m of phi^m, both on the D row-major Z_m coordinates of x:
+    row i of P_m is vec(L e_i R) for the i-th coordinate basis matrix e_i,
+    so vec(L x R) = vec(x) @ P_m, in the integer type ``_maps_up_to`` picks.
     """
 
     __slots__ = ("calls", "levels")
@@ -329,13 +333,6 @@ def holo_mul(platform: Platform, x: HolomorphPower, y: HolomorphPower) -> Holomo
     )
 
 
-def _levels_at_bits(platform: Platform, n: int) -> list[HolomorphPower]:
-    """The levels of the platform's doubling chain at the set bits of n >= 1, the chain made up to n first."""
-    if n < 1:
-        raise ParameterError("exponent must be >= 1")
-    return [level for level in doubling_chain(platform, n + 1) if n & level.exponent]
-
-
 def _takes_maps(platform: Platform) -> bool:
     """Whether the platform's steps are Z_m maps a level can hold: phi two-sided, op the matrix
     product, and at most ``MAP_MAX_COORDINATES`` coordinates, few enough for an exact int64 map product."""
@@ -354,20 +351,26 @@ def _maps_up_to(platform: Platform, n: int) -> list[tuple[np.ndarray, np.ndarray
     factored step.  Counts the call; from the ``MAP_SWITCH_CALL``-th on, on a carrier that takes maps,
     builds each level the chain holds and the maps do not yet.
 
-    A map product sums D products of residues, at most D (m-1)^2, so the maps are stored in the
-    narrowest integer type that holds that sum: int16 for the default Z_7[S_3] carrier, a quarter
-    of the int64 bytes."""
+    A level's maps are its own factored step on the stack of the D coordinate basis matrices e_i,
+    through ``ring.matmul`` and no ``Endomorphism.act``: row i of P_m is vec(L e_i R), and row i of
+    S_m is that times a_m, three stacked products in all.  A map product sums D products of
+    residues, at most D (m-1)^2, so the maps are stored in the narrowest integer type that holds
+    that sum: int16 for the default Z_7[S_3] carrier, a quarter of the int64 bytes."""
     maps = platform._maps
     maps.calls += 1
     if maps.calls < MAP_SWITCH_CALL or not _takes_maps(platform):
         return None
-    ring = platform.g.ring
-    bound = platform.g.data.size * (ring.modulus - 1) ** 2
+    missing = platform._chain[len(maps.levels) : n.bit_length()]
+    if not missing:
+        return maps.levels
+    ring, g = platform.g.ring, platform.g.data
+    bound = g.size * (ring.modulus - 1) ** 2
     dtype = next(t for t in (np.int16, np.int32, np.int64) if bound <= np.iinfo(t).max)
-    for level in platform._chain[len(maps.levels) : n.bit_length()]:
-        left, right = level.end.left_pow.data, level.end.right_pow.data
-        pair = ring.two_sided_map(left, ring.matmul(right, level.value.data)), ring.two_sided_map(left, right)
-        pair = tuple(m.astype(dtype) for m in pair)
+    basis = np.eye(g.size, dtype=np.int64).reshape((g.size,) + g.shape)
+    for level in missing:
+        phi_map = ring.matmul(ring.matmul(level.end.left_pow.data, basis), level.end.right_pow.data)
+        step_map = ring.matmul(phi_map, level.value.data)
+        pair = tuple(m.reshape(g.size, g.size).astype(dtype) for m in (step_map, phi_map))
         for m in pair:
             m.flags.writeable = False
         maps.levels.append(pair)
@@ -379,55 +382,59 @@ def _map_product(ring, vec: np.ndarray, level_map: np.ndarray) -> np.ndarray:
     return IntegersMod.matmul(ring, vec, level_map)
 
 
-def _walk_maps(ring, data: np.ndarray, level_maps: list[np.ndarray]) -> np.ndarray:
-    """The packed entries data after one ``_map_product`` with each map in turn, back in int64."""
-    if not level_maps:
-        return data
-    vec = data.reshape(-1).astype(level_maps[0].dtype)
-    for level_map in level_maps:
-        vec = _map_product(ring, vec, level_map)
-    return vec.astype(np.int64).reshape(data.shape)
+def _chain_bits(platform: Platform, n: int) -> tuple[tuple[HolomorphPower, ...], list[int]]:
+    """The platform's doubling chain, made up to n >= 1 first, and the positions of n's set bits:
+    level i of the chain, and of its maps, is (g, phi)^(2^i)."""
+    if n < 1:
+        raise ParameterError("exponent must be >= 1")
+    return doubling_chain(platform, n + 1), [i for i in range(n.bit_length()) if n >> i & 1]
+
+
+def _walk(platform: Platform, n: int, data: np.ndarray | None) -> np.ndarray:
+    """One move per chain level at the set bits of n >= 1, on packed entries.
+
+    With data None the walk is a_n: it starts from the value of the level at
+    n's lowest bit and steps with each level past it (``carrier_step``).  With
+    data it is phi^n(data): each level's endomorphism acts in turn.  Once the
+    platform holds maps (``_maps_up_to``), every move is one ``_map_product``
+    with the level's S_m or P_m, on the coordinates in the maps' integer type.
+    """
+    chain, bits = _chain_bits(platform, n)
+    maps = _maps_up_to(platform, n)
+    carrier = data is None
+    if carrier:
+        data = chain[bits.pop(0)].value.data
+    if maps is not None and bits:
+        vec = data.reshape(-1).astype(maps[0][0].dtype)
+        for i in bits:
+            vec = _map_product(platform.g.ring, vec, maps[i][0 if carrier else 1])
+        return vec.astype(np.int64).reshape(data.shape)
+    for i in bits:
+        data = carrier_step(platform, chain[i], data) if carrier else chain[i].end.act(data)
+    return data
 
 
 def carrier_power(platform: Platform, n: int) -> Matrix:
     """a_n, the carrier half of (g, phi)^n: each set bit of n past the lowest is one step with the
-    chain level (a_m, phi^m) there, and no endomorphism is composed.  A step is ``carrier_step``,
-    or one product with the level's map S_m once the platform holds maps (``_maps_up_to``).
+    chain level (a_m, phi^m) there (``_walk``), and no endomorphism is composed.
     n = 0 is rejected: three of the five carriers are proper semigroups with no identity to
     return, and the exchanged sequence starts at a_1 = g."""
-    first, *rest = _levels_at_bits(platform, n)
-    maps = _maps_up_to(platform, n)
-    data = first.value.data
-    if maps is None:
-        for level in rest:
-            data = carrier_step(platform, level, data)
-    else:
-        data = _walk_maps(platform.g.ring, data, [maps[level.exponent.bit_length() - 1][0] for level in rest])
-    return Matrix(platform.g.ring, data)
+    return Matrix(platform.g.ring, _walk(platform, n, None))
 
 
 def apply_phi_power(platform: Platform, n: int, x: Matrix) -> Matrix:
     """phi^n(x), by acting on x's packed entries with the chain endomorphisms at the set bits of n.
 
     Powers of one phi commute, so acting with phi^(2^i) for each set bit
-    in turn is phi^n: popcount(n) actions, as many kernel calls as
-    ``phi_power`` composing and then acting, with no map built in between.
-    Once the platform holds maps (``_maps_up_to``), an action is one product
-    with the level's map P_m.  The operand is checked once, against phi;
-    phi^0 is the identity and returns x.
+    in turn is phi^n: popcount(n) actions (``_walk``), as many kernel calls
+    as ``phi_power`` composing and then acting, with no composition between.
+    The operand is checked once, against phi; phi^0 is the identity and
+    returns x.
     """
     if n == 0:
         return x
     platform.phi._check_operand(x)
-    levels = _levels_at_bits(platform, n)
-    maps = _maps_up_to(platform, n)
-    data = x.data
-    if maps is None:
-        for level in levels:
-            data = level.end.act(data)
-    else:
-        data = _walk_maps(x.ring, data, [maps[level.exponent.bit_length() - 1][1] for level in levels])
-    return Matrix(x.ring, data)
+    return Matrix(x.ring, _walk(platform, n, x.data))
 
 
 def phi_power(platform: Platform, n: int) -> Endomorphism:
@@ -440,7 +447,8 @@ def phi_power(platform: Platform, n: int) -> Endomorphism:
     """
     if n == 0:
         return IdentityEnd()
-    acc, *rest = (level.end for level in _levels_at_bits(platform, n))
+    chain, bits = _chain_bits(platform, n)
+    acc, *rest = (chain[i].end for i in bits)
     for end in rest:
         acc = acc.compose(end)
     return acc

@@ -169,13 +169,6 @@ class IntegersMod:
     def scale(self, c: int, a):
         return (c * a) % self.modulus
 
-    def two_sided_map(self, left, right):
-        """The Z_m matrix S of x -> left @ x @ right on coordinates: vec(left @ x @ right) = vec(x) @ S,
-        vec flattening the packed entries row-major.  Here the Kronecker product left^T ⊗ right,
-        S[(j, k), (i, l)] = left[i, j] right[k, l]."""
-        s = left.T[:, None, :, None] * right[None, :, None, :] % self.modulus
-        return s.reshape(left.shape[1] * right.shape[0], -1)
-
     def random(self, rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
         data = rng.integers(0, self.modulus, size=(rows, cols) + self.entry_shape, dtype=np.int64)
         return data.astype(self.dtype, copy=False)
@@ -245,18 +238,6 @@ class GroupRingScalars:
         rows, cols, n = data.shape[-3:]
         blocks = data.take(self.group.left_regular, axis=-1)  # [..., i, k, c, g] = data[..., i, k, c * g^-1]
         return blocks.swapaxes(-3, -2).reshape(data.shape[:-3] + (rows * n, cols * n))
-
-    def two_sided_map(self, left, right):
-        """The Z_m matrix S of x -> left @ x @ right on coordinates, as ``IntegersMod.two_sided_map``.
-
-        Block ((j, k), (i, l)) is the |G| x |G| matrix of c -> left[i, j] c right[k, l] on one entry's
-        coefficients, transposed to act on row vectors: the product of the left-regular matrix of
-        left[i, j] and the right-regular matrix of right[k, l].
-        """
-        lt = left.take(self.group.left_regular, axis=-1)  # lt[i, j, g, y]: coefficient y to g of left[i, j] * c
-        rt = right.take(self.group.right_regular, axis=-1)  # rt[k, l, y, c]: coefficient c to y of c * right[k, l]
-        blocks = IntegersMod.matmul(self, lt[:, :, None, None], rt[None, None])  # [i, j, k, l, g, c]
-        return blocks.transpose(1, 2, 5, 0, 3, 4).reshape(left.shape[1] * right.shape[0] * self.group.order, -1)
 
     def matmul(self, a, b):
         rows, k, n = a.shape[-3:]

@@ -18,11 +18,12 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from sdpke import attacks, cli
+from sdpke import attacks, cli, holomorph
 from sdpke.attacks import ATTACKS, AttackOutcome, make_telescoping_attack
 from sdpke.cli import CSV_HEADER, MAX_TRIALS, build_parser, main
 from sdpke.errors import NotApplicableError
 from sdpke.groups import MAX_GROUP_ORDER, cyclic_group, load_group
+from sdpke.holomorph import Endomorphism
 from sdpke.platforms import (
     MAX_BITS,
     MAX_GROUPRING_SIDE,
@@ -340,6 +341,32 @@ def test_count_experiment(tmp_path, capsys):
     assert len(rows) == 5
     assert all("solution_count=" in r for r in rows)
     assert "median=" in err
+
+
+def test_count_composes_no_endomorphism_past_the_squarings(capsys, monkeypatch):
+    # a count trial observes a_x alone (carrier_power), so its only compositions are the squarings
+    # of its fresh platform's doubling chain, one apiece; the pinned counters are those of the same
+    # run with a_x taken from sdp_exp
+    squarings, compositions = [], []
+    holo_mul, compose = holomorph.holo_mul, Endomorphism.compose
+
+    def counted_holo_mul(platform, x, y):
+        if x is y:
+            squarings.append(x.exponent)
+        return holo_mul(platform, x, y)
+
+    def counted_compose(end, other):
+        compositions.append(other)
+        return compose(end, other)
+
+    monkeypatch.setattr(holomorph, "holo_mul", counted_holo_mul)
+    monkeypatch.setattr(Endomorphism, "compose", counted_compose)
+    code, stdout, _ = run_cli(["count", "--trials", "5", "--seed", "3"], capsys)
+    assert code == 0
+    assert squarings and len(compositions) == len(squarings)
+    counters = [row.split(",")[-1] for row in stdout.strip().splitlines()[1:]]
+    zero = "sequence_terms_generated=0;rank=0;linear_solves=0;search_steps=0;solution_count="
+    assert counters == [zero + count for count in ("4096", "48", "48", "108", "108")]
 
 
 def test_count_cap_exceeded_exits_4(tmp_path, capsys):

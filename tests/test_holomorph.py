@@ -257,6 +257,12 @@ def test_level_maps_equal_the_factored_steps_from_the_switch_call_on(kind, prime
         assert derive_key(p, x, peer, own) == p.op(p.phi.power(x)(peer), own)
         levels = max(levels, x.bit_length())  # the maps are built level by level, as far as asked
         assert len(p._maps.levels) == levels * takes_maps
+    # on GL, vec(L x R) = vec(x) (L^T ⊗ R) row-major: numpy's Kronecker product on Python ints
+    for level, (step_map, phi_map) in zip(p._chain, p._maps.levels if kind == "gl" else []):
+        left, right, value = (m.data.astype(object) for m in (level.end.left_pow, level.end.right_pow, level.value))
+        assert np.array_equal(phi_map, np.kron(left.T, right) % prime) and np.array_equal(
+            step_map, np.kron(left.T, right @ value % prime) % prime
+        )
 
 
 @pytest.mark.parametrize("kind", ["make", "tropical", "mobs", "dhke", "groupring-a5"])
