@@ -33,10 +33,20 @@ calls each) never builds any.  Only carriers
 with D <= ``MAP_MAX_COORDINATES`` whose D-term map products sum exactly in
 int64 take maps, stored in the narrowest integer type that holds such a
 sum: 0.19 MB for 16 levels of the default 3x3 Z_7[S_3] (D = 54, int16) and
-10 KB for GL(3, 1009) (D = 9, int32).  The
-tropical, additive and OR/AND carriers, plain DH, and larger conjugation
-carriers (3x3 over Z_7[A_5], D = 540) keep the factored step, as do
-``sequence_block``, the squarings and the attacks on every carrier.
+10 KB for GL(3, 1009) (D = 9, int32).
+
+On the tropical carrier phi^m(x) = x ⋆ S_m = x ⊗ P_m ⊕ S_m with P_m = I ⊕
+S_m, and a step x -> phi^m(x) ⊕ a_m is x ⊗ P_m ⊕ Q_m with Q_m = S_m ⊕ a_m:
+from the same switch call on, a level holds P_m, Q_m, S_m and the largest
+|entry| among them, and a step or action is one min-plus product and one
+min.  When the bounds of the start and of the levels at n's set bits sum
+below 2^62, every sum of the walk is exact in int64 and every result
+canonical, so the walk runs on words with no check; otherwise it takes the
+ring's kernels, exact on Python ints.  A level takes about 15 us to build on
+the default 5x5 platform, which its calls repay after about 10 calls at
+16-bit exponents.  The additive and OR/AND carriers, plain DH, and larger
+conjugation carriers (3x3 over Z_7[A_5], D = 540) keep the factored step,
+as do ``sequence_block``, the squarings and the attacks on every carrier.
 
 Endomorphism powers are represented in closed form per platform (cached
 two-sided factor powers, of which conjugation is one case; star powers,
@@ -55,13 +65,14 @@ import numpy as np
 from .errors import ParameterError
 from .matrices import Matrix, random_matrix
 from .permutations import Permutation
-from .semirings import BitStrings, IntegersMod
+from .semirings import _TROP_WORD_BOUND, BitStrings, IntegersMod, _min_plus
 
 #: levels a platform's doubling chain may hold: (g, phi)^(2^i) for i < 64
 MAX_CHAIN_LEVELS = 64
 #: the call of ``carrier_power`` or ``apply_phi_power`` on one platform from which it takes the
-#: chain levels' Z_m maps: between their break-evens at 16-bit exponents, about 10 calls on
-#: GL(3, 1009) (11 us to build a level) and 24 on the default 3x3 Z_7[S_3] (165 us a level)
+#: chain levels' maps: between their break-evens at 16-bit exponents, about 10 calls on
+#: GL(3, 1009) (11 us to build a level) and on the default 5x5 tropical platform (15 us a level),
+#: and 24 on the default 3x3 Z_7[S_3] (165 us a level)
 MAP_SWITCH_CALL = 16
 #: the most Z_m coordinates D of a carrier whose chain levels take D x D maps: the default 3x3 Z_7[S_3]
 #: carrier, whose maps at all 64 levels would take 16 D^2 * 64 bytes = 3 MB even as int64; past it a
@@ -251,21 +262,23 @@ class PermutationPower(Endomorphism):
 
 
 class _LevelMaps:
-    """The Z_m maps of a platform's chain levels, and how many calls could have taken them.
+    """The maps of a platform's chain levels, and how many calls could have taken them.
 
     ``calls`` counts the platform's ``carrier_power`` and ``apply_phi_power``
-    calls.  ``levels[i]`` holds, for the chain level (a_m, phi^m) with phi^m(x)
-    = L x R, the D x D matrix S_m of the carrier step x -> L x (R a_m) and
-    the matrix P_m of phi^m, both on the D row-major Z_m coordinates of x:
-    row i of P_m is vec(L e_i R) for the i-th coordinate basis matrix e_i,
-    so vec(L x R) = vec(x) @ P_m, in the integer type ``_maps_up_to`` picks.
+    calls.  On a conjugation carrier ``levels[i]`` holds, for the chain level
+    (a_m, phi^m) with phi^m(x) = L x R, the D x D matrix S_m of the carrier
+    step x -> L x (R a_m) and the matrix P_m of phi^m, both on the D row-major
+    Z_m coordinates of x: row i of P_m is vec(L e_i R) for the i-th
+    coordinate basis matrix e_i, so vec(L x R) = vec(x) @ P_m, in the integer
+    type ``_conjugation_maps`` picks.  On the tropical carrier it holds
+    (P_m, Q_m, S_m, bound) (``_tropical_maps``).
     """
 
     __slots__ = ("calls", "levels")
 
     def __init__(self):
         self.calls = 0
-        self.levels: list[tuple[np.ndarray, np.ndarray]] = []
+        self.levels: list[tuple] = []
 
 
 @dataclass(frozen=True)
@@ -333,53 +346,110 @@ def holo_mul(platform: Platform, x: HolomorphPower, y: HolomorphPower) -> Holomo
     )
 
 
-def _takes_maps(platform: Platform) -> bool:
-    """Whether the platform's steps are Z_m maps a level can hold: phi two-sided, op the matrix
-    product, and at most ``MAP_MAX_COORDINATES`` coordinates, few enough for an exact int64 map product."""
+def _map_builder(platform: Platform):
+    """How the platform's chain levels take maps, or None while its steps stay factored:
+    ``_tropical_maps`` on the tropical carrier, and ``_conjugation_maps`` with phi two-sided, op the
+    matrix product, and at most ``MAP_MAX_COORDINATES`` coordinates, few enough for an exact int64
+    map product."""
     ring, size = platform.g.ring, platform.g.data.size
-    return (
+    if isinstance(platform.phi, TropicalStarPower) and platform.op_kind == "add":
+        return _tropical_maps
+    if (
         isinstance(platform.phi, TwoSidedPower)
         and platform.op_kind == "mul"
         and ring.linear
         and ring.dtype is np.int64
         and size <= min(ring._int64_inner_max, MAP_MAX_COORDINATES)
-    )
+    ):
+        return _conjugation_maps
+    return None
 
 
-def _maps_up_to(platform: Platform, n: int) -> list[tuple[np.ndarray, np.ndarray]] | None:
-    """The (S_m, P_m) maps of the platform's chain levels up to n's top bit, or None while it takes the
-    factored step.  Counts the call; from the ``MAP_SWITCH_CALL``-th on, on a carrier that takes maps,
-    builds each level the chain holds and the maps do not yet.
+def _maps_up_to(platform: Platform, n: int) -> list[tuple] | None:
+    """The maps of the platform's chain levels up to n's top bit, or None while it takes the factored
+    step.  Counts the call; from the ``MAP_SWITCH_CALL``-th on, on a carrier that takes maps
+    (``_map_builder``), builds each level the chain holds and the maps do not yet."""
+    maps = platform._maps
+    maps.calls += 1
+    build = maps.calls >= MAP_SWITCH_CALL and _map_builder(platform)
+    if not build:
+        return None
+    missing = platform._chain[len(maps.levels) : n.bit_length()]
+    if missing:
+        maps.levels.extend(build(platform, missing))
+    return maps.levels
+
+
+def _conjugation_maps(platform: Platform, levels: tuple[HolomorphPower, ...]):
+    """The (S_m, P_m) Z_m maps of each of the given chain levels of a conjugation carrier.
 
     A level's maps are its own factored step on the stack of the D coordinate basis matrices e_i,
     through ``ring.matmul`` and no ``Endomorphism.act``: row i of P_m is vec(L e_i R), and row i of
     S_m is that times a_m, three stacked products in all.  A map product sums D products of
     residues, at most D (m-1)^2, so the maps are stored in the narrowest integer type that holds
     that sum: int16 for the default Z_7[S_3] carrier, a quarter of the int64 bytes."""
-    maps = platform._maps
-    maps.calls += 1
-    if maps.calls < MAP_SWITCH_CALL or not _takes_maps(platform):
-        return None
-    missing = platform._chain[len(maps.levels) : n.bit_length()]
-    if not missing:
-        return maps.levels
     ring, g = platform.g.ring, platform.g.data
     bound = g.size * (ring.modulus - 1) ** 2
     dtype = next(t for t in (np.int16, np.int32, np.int64) if bound <= np.iinfo(t).max)
     basis = np.eye(g.size, dtype=np.int64).reshape((g.size,) + g.shape)
-    for level in missing:
+    for level in levels:
         phi_map = ring.matmul(ring.matmul(level.end.left_pow.data, basis), level.end.right_pow.data)
         step_map = ring.matmul(phi_map, level.value.data)
         pair = tuple(m.reshape(g.size, g.size).astype(dtype) for m in (step_map, phi_map))
         for m in pair:
             m.flags.writeable = False
-        maps.levels.append(pair)
-    return maps.levels
+        yield pair
+
+
+def _tropical_maps(platform: Platform, levels: tuple[HolomorphPower, ...]):
+    """(P_m, Q_m, S_m, bound) for each of the given tropical chain levels (a_m, x -> x ⋆ S_m).
+
+    x ⋆ S = x ⊕ S ⊕ x⊗S = x ⊗ (I ⊕ S) ⊕ S by distributivity, so phi^m is x -> x ⊗ P_m ⊕ S_m with
+    P_m = I ⊕ S_m, and the carrier step x -> phi^m(x) ⊕ a_m is x ⊗ P_m ⊕ Q_m with Q_m = S_m ⊕ a_m.
+    ``bound`` is the largest |entry| of the three, or None when any is an object array."""
+    ring = platform.g.ring
+    eye = ring.identity(platform.g.rows)
+    for level in levels:
+        star = level.end.star_pow.data
+        arrays = (ring.add(eye, star), ring.add(star, level.value.data), star)
+        for m in arrays:
+            m.flags.writeable = False
+        yield (*arrays, _bound(*arrays))
+
+
+def _bound(*arrays: np.ndarray) -> int | None:
+    """The largest |entry| over tropical packed arrays, or None when any of them is an object array
+    (int64 ones are canonical, so no entry is -2^63 and ``np.abs`` is exact)."""
+    if any(a.dtype == object for a in arrays):
+        return None
+    return max(int(np.abs(a).max()) for a in arrays)
 
 
 def _map_product(ring, vec: np.ndarray, level_map: np.ndarray) -> np.ndarray:
     """vec @ level_map over Z_m, in the map's integer type: a level's S_m or P_m applied to a value's coordinates."""
     return IntegersMod.matmul(ring, vec, level_map)
+
+
+def _tropical_walk(ring, levels: list[tuple], data: np.ndarray, carrier: bool) -> np.ndarray:
+    """One move per tropical level on packed entries: x ⊗ P_m ⊕ Q_m in a carrier step, x ⊗ P_m ⊕ S_m
+    in an action.
+
+    A move raises the largest |entry| by at most its level's bound, so when the bounds of the start
+    and of every level sum below 2^62, every sum of the walk is exact in int64 and every result is
+    canonical: the moves then run on words, unchecked.  Otherwise each takes the ring's kernels,
+    which fall back to Python ints exactly where an entry needs them."""
+    bounds = [_bound(data), *(level[3] for level in levels)]
+    words = None not in bounds and sum(bounds) < _TROP_WORD_BOUND
+    for p_m, q_m, s_m, _ in levels:
+        data = _tropical_move(ring, data, p_m, q_m if carrier else s_m, words)
+    return data
+
+
+def _tropical_move(ring, data: np.ndarray, p_m: np.ndarray, addend: np.ndarray, words: bool) -> np.ndarray:
+    """data ⊗ p_m ⊕ addend: on words where the walk's bounds prove that exact, else by ``ring.matmul`` and ``ring.add``."""
+    if words:
+        return np.minimum(_min_plus(data, p_m), addend)
+    return ring.add(ring.matmul(data, p_m), addend)
 
 
 def _chain_bits(platform: Platform, n: int) -> tuple[tuple[HolomorphPower, ...], list[int]]:
@@ -396,14 +466,18 @@ def _walk(platform: Platform, n: int, data: np.ndarray | None) -> np.ndarray:
     With data None the walk is a_n: it starts from the value of the level at
     n's lowest bit and steps with each level past it (``carrier_step``).  With
     data it is phi^n(data): each level's endomorphism acts in turn.  Once the
-    platform holds maps (``_maps_up_to``), every move is one ``_map_product``
-    with the level's S_m or P_m, on the coordinates in the maps' integer type.
+    platform holds maps (``_maps_up_to``), every move on a conjugation carrier
+    is one ``_map_product`` with the level's S_m or P_m, on the coordinates in
+    the maps' integer type, and on the tropical carrier one min-plus product
+    and one min (``_tropical_walk``).
     """
     chain, bits = _chain_bits(platform, n)
     maps = _maps_up_to(platform, n)
     carrier = data is None
     if carrier:
         data = chain[bits.pop(0)].value.data
+    if maps is not None and bits and isinstance(platform.phi, TropicalStarPower):
+        return _tropical_walk(platform.g.ring, [maps[i] for i in bits], data, carrier)
     if maps is not None and bits:
         vec = data.reshape(-1).astype(maps[0][0].dtype)
         for i in bits:

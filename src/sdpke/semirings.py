@@ -74,6 +74,12 @@ def _words_fit(words: np.ndarray) -> bool:
     return np.maximum.reduce(np.abs(words).view(np.uint64), axis=None, initial=0) < _TROP_WORD_BOUND
 
 
+def _min_plus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The (min, +) product of packed tropical entries as stored, leading stack axes broadcast: no bound is
+    checked, so on int64 operands it is exact only when every sum is (``TropicalIntegers.matmul`` checks)."""
+    return np.minimum.reduce(a[..., :, :, None] + b[..., None, :, :], axis=-2)
+
+
 def check_tropical_bounds(lo: int, hi: int) -> None:
     """Refuse tropical entry bounds unless -2^62 < lo <= hi < 2^62: numpy draws from them, into int64 storage."""
     if not -_TROP_WORD_BOUND < lo <= hi < _TROP_WORD_BOUND:
@@ -299,7 +305,7 @@ class TropicalIntegers:
         return self._from_objects(out) if out.dtype == object else out
 
     def matmul(self, a, b):
-        out = np.minimum.reduce(a[..., :, :, None] + b[..., None, :, :], axis=-2)
+        out = _min_plus(a, b)
         if out.dtype == object:  # an object operand: Python ints, exact at every size, +inf included
             return self._from_objects(out)
         # int64 operands below 2^62 sum exactly; a result past that converts, exactly, to Python ints

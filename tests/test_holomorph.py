@@ -22,6 +22,7 @@ from sdpke.holomorph import (
     TwoSidedPower,
     apply_phi_power,
     carrier_power,
+    carrier_step,
     doubling_chain,
     holo_mul,
     phi_power,
@@ -46,6 +47,7 @@ from sdpke.protocol import derive_key, keygen
 from sdpke.semirings import BitStrings, IntegersMod, TropicalIntegers
 
 from conftest import PLATFORM_GENERATORS, linear_platform
+from test_algebra import assert_canonical_data
 
 ALL_KINDS = list(PLATFORM_GENERATORS)
 
@@ -265,10 +267,11 @@ def test_level_maps_equal_the_factored_steps_from_the_switch_call_on(kind, prime
         )
 
 
-@pytest.mark.parametrize("kind", ["make", "tropical", "mobs", "dhke", "groupring-a5"])
+@pytest.mark.parametrize("kind", ["make", "mobs", "dhke", "groupring-a5"])
 def test_other_carriers_stay_factored_past_the_switch(kind, rng):
-    # an additive, tropical or OR/AND step is no Z_m-linear map; plain DH's phi is the identity; and
-    # 1x1 Z_7[A_5] has D = 60 coordinates, past MAP_MAX_COORDINATES
+    # an additive or OR/AND step is no Z_m-linear map (the tropical carrier takes levels of its own,
+    # test_tropical_levels_equal_the_factored_steps_from_the_switch_call_on); plain DH's phi is the
+    # identity; and 1x1 Z_7[A_5] has D = 60 coordinates, past MAP_MAX_COORDINATES
     if kind == "groupring-a5":
         p = random_groupring_params(rng, group="a5", size=1).build()
         assert p.g.data.size == 60 > holomorph.MAP_MAX_COORDINATES
@@ -280,6 +283,118 @@ def test_other_carriers_stay_factored_past_the_switch(kind, rng):
         value = carrier_power(p, x) if call % 2 else apply_phi_power(p, x, peer)
         assert value == (sdp_exp(dataclasses.replace(p), x).value if call % 2 else p.phi.power(x)(peer))
     assert (p._maps.calls, p._maps.levels) == (holomorph.MAP_SWITCH_CALL + 3, [])
+
+
+#: tropical entry bounds for the level property: at ±50 and ±1000 a 16-bit walk stays on words and a
+#: 63-bit one crosses into Python ints; at 2^56 and 2^59 the levels' bounds pass 2^62 within a few levels
+_TROPICAL_BOUNDS = [50, 1000, 2**56, 2**59]
+#: the lowest int64 tropical entry: a peer pressed against it leaves words at the first negative sum
+_TROPICAL_LOWEST = -(2**62) + 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    size=st.integers(1, 5),
+    bound=st.sampled_from(_TROPICAL_BOUNDS),
+    star_inf=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    exponents=st.lists(st.one_of(st.integers(1, 300), st.integers(1, (1 << 63) - 1)), min_size=1, max_size=4),
+)
+def test_tropical_levels_equal_the_factored_steps_from_the_switch_call_on(size, bound, star_inf, seed, exponents):
+    # the tropical carrier takes the levels (P_m, Q_m, S_m, bound) from its MAP_SWITCH_CALL-th carrier_power
+    # or apply_phi_power call on; its values then equal the sequential oracle, a cold copy's factored
+    # steps and phi's own square-and-multiply power at every exponent below 2^63, stored as those are:
+    # on words only where the start's and the levels' bounds prove every sum exact
+    rng = np.random.default_rng(seed)
+    ring = TropicalIntegers()
+    params = random_tropical_params(rng, size=size, entry_lo=-bound, entry_hi=bound)
+    if star_inf:  # P_m = I ⊕ S_m is then an object array while S_m keeps an +inf entry
+        star = [["inf" if rng.random() < 0.4 else int(e) for e in row] for row in params.star_matrix.data.tolist()]
+        star[0][0] = int(params.star_matrix.data[0, 0])
+        params = dataclasses.replace(params, star_matrix=mx.from_rows(ring, star))
+    p = params.build()
+    for call in range(1, holomorph.MAP_SWITCH_CALL):
+        peer = p.random_element(rng)
+        assert apply_phi_power(p, call, peer) == p.phi.power(call)(peer)
+        assert (p._maps.calls, p._maps.levels) == (call, [])
+    assert carrier_power(p, 6) == sdp_exp_naive(p, 6).value
+    assert p._maps.calls == holomorph.MAP_SWITCH_CALL and len(p._maps.levels) == 3
+    levels = 3
+    for x in exponents:
+        want = sdp_exp_naive(p, x).value if x <= 300 else carrier_power(dataclasses.replace(p), x)
+        got = carrier_power(p, x)
+        assert got == want and got.data.dtype == want.data.dtype
+        assert_canonical_data(ring, got.data)
+        edge = mx.random_matrix(rng, ring, size, size, lo=_TROPICAL_LOWEST, hi=_TROPICAL_LOWEST + 8)
+        for peer in (p.random_element(rng), edge):
+            own, image = p.random_element(rng), p.phi.power(x)(peer)
+            for got, want in ((apply_phi_power(p, x, peer), image), (derive_key(p, x, peer, own), p.op(image, own))):
+                assert got == want and got.data.dtype == want.data.dtype
+                assert_canonical_data(ring, got.data)
+        levels = max(levels, x.bit_length())
+        assert len(p._maps.levels) == levels
+    # a level holds its step and its phi^m on every value, the +inf matrix too; on the carrier's own
+    # values a_k alone, Q_m's a_m never wins a min, as a_m >= phi^m(a_k) and so a_(k+m) = phi^m(a_k)
+    values = (p.random_element(rng).data, ring.zeros(size, size))
+    for level, (p_m, q_m, s_m, level_bound) in zip(p._chain, p._maps.levels):
+        for x in values:
+            assert np.array_equal(ring.add(ring.matmul(x, p_m), q_m), carrier_step(p, level, x))
+            assert np.array_equal(ring.add(ring.matmul(x, p_m), s_m), level.end.act(x))
+        finite = all(a.dtype == np.int64 for a in (p_m, q_m, s_m))
+        assert level_bound == (max(abs(int(e)) for a in (p_m, q_m, s_m) for e in a.flat) if finite else None)
+    event(f"levels on words: {sum(b is not None for *_, b in p._maps.levels)} of {levels}")
+
+
+def test_tropical_level_move_count(rng, fresh_platform, monkeypatch):
+    # on a warm chain a tropical keygen is popcount - 1 carrier steps and a derive popcount actions:
+    # carrier_step (with its TropicalStarPower.act) and act before the platform's MAP_SWITCH_CALL-th
+    # carrier_power or apply_phi_power call, and from it on one level move each (x ⊗ P_m ⊕ Q_m or
+    # ⊕ S_m), on words or on Python ints, with no carrier_step and no act
+    p = fresh_platform("tropical", rng)
+    doubling_chain(p, 1 << 63)
+    steps, actions, moves = [], [], []
+    step, act, move = holomorph.carrier_step, TropicalStarPower.act, holomorph._tropical_move
+
+    def counted_step(platform, level, data):
+        steps.append(level)
+        return step(platform, level, data)
+
+    def counted_act(end, data):
+        actions.append(end)
+        return act(end, data)
+
+    def counted_move(ring, data, p_m, addend, words):
+        moves.append(words)
+        return move(ring, data, p_m, addend, words)
+
+    monkeypatch.setattr(holomorph, "carrier_step", counted_step)
+    monkeypatch.setattr(TropicalStarPower, "act", counted_act)
+    monkeypatch.setattr(holomorph, "_tropical_move", counted_move)
+
+    def counted_call(fn, *args):
+        """fn(*args), the (carrier steps, actions, level moves) made by it, and whether it ran from the switch on."""
+        for made in (steps, actions, moves):
+            made.clear()
+        result = fn(*args)
+        return result, (len(steps), len(actions), len(moves)), p._maps.calls >= holomorph.MAP_SWITCH_CALL
+
+    def ones(m: int) -> int:
+        return bin(m).count("1")
+
+    word_moves = []
+    for bits in [16, 63] * 6:
+        pairs = []
+        for _ in range(2):
+            pair, made, switched = counted_call(keygen, p, rng, bits)
+            k = ones(pair.exponent)
+            assert made == ((0, 0, k - 1) if switched else (k - 1, k - 1, 0))
+            pairs.append(pair)
+        alice, bob = pairs
+        _, made, switched = counted_call(derive_key, p, alice.exponent, bob.public_value, alice.public_value)
+        k = ones(alice.exponent)
+        assert made == ((0, 0, k) if switched else (0, k, 0))
+        word_moves += moves
+    assert p._maps.calls == 36 and True in word_moves and False in word_moves
 
 
 def _small_platform(kind: str, seed: int) -> Platform:
