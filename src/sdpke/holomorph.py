@@ -17,23 +17,28 @@ sequential reference oracle.  ``sequence_block`` lifts over the chain to
 make a whole prefix of the sequence a_(n+1) = phi(a_n) ∘ g, from several
 starts at once, in batched carrier steps on every carrier.
 
-On a conjugation carrier (GL(r, p) and matrices over Z_m[G]: phi^m(x) =
-L x R and the matrix product) a step x -> L x (R a_m) is Z_m-linear in x,
-so a chain level can hold it as one D x D Z_m matrix S_m, and phi^m as P_m,
-over the D Z_m coordinates of x: the level's own step, ``ring.matmul``
-with its factors, applied to the stack of the D coordinate basis matrices.
-A platform builds them level by level from its ``MAP_SWITCH_CALL``-th
-``carrier_power`` or ``apply_phi_power`` call on: a step or action is then
-one product vec(x) @ S_m or @ P_m.  On a 2-core Xeon a level takes about
-11 us to build for GL(3, 1009) and 165 us for the default 3x3 Z_7[S_3]
-(three stacked group-ring products), which the calls' savings repay after
-about 10 and 24 calls at 16-bit exponents; a platform that makes fewer
-than 16 calls (an ``sdpke exchange`` call of up to three trials, four
-calls each) never builds any.  Only carriers
-with D <= ``MAP_MAX_COORDINATES`` whose D-term map products sum exactly in
-int64 take maps, stored in the narrowest integer type that holds such a
-sum: 0.19 MB for 16 levels of the default 3x3 Z_7[S_3] (D = 54, int16) and
-10 KB for GL(3, 1009) (D = 9, int32).
+With phi^m(x) = L x R two-sided (GL(r, p) and matrices over Z_m[G] under the
+matrix product, MAKE under the matrix sum), a step x -> L x (R a_m) is
+Z_m-linear in x and a step x -> L x R + a_m Z_m-affine, so a chain level can
+hold it as one Z_m matrix S_m, and phi^m as P_m, over the D Z_m coordinates
+of x: the level's own step, ``ring.matmul`` with its factors, applied to
+the stack of the D coordinate basis matrices.  The affine MAKE step is the
+homogeneous (D+1) x (D+1) map [[P_m, 0], [vec(a_m), 1]] on vec(x) with a
+coordinate 1 appended, which the walk drops at its end.  A platform builds
+the maps level by level from its ``MAP_SWITCH_CALL``-th ``carrier_power``
+or ``apply_phi_power`` call on: a step or action is then one product
+vec(x) @ S_m or @ P_m.  On a 2-core Xeon a level takes about 11 us to build
+for GL(3, 1009), 20 us for the default MAKE over Z_(2^31 - 1) and 165 us
+for the default 3x3 Z_7[S_3] (three stacked group-ring products), which the
+calls' savings repay after about 10, 20 and 24 calls at 16-bit exponents;
+a platform that makes fewer than 16 calls (an ``sdpke exchange`` call of up
+to three trials, four calls each) never builds any.  Every int64-stored
+carrier with D <= ``MAP_MAX_COORDINATES`` takes maps.  A map of k rows sums
+at most k (m-1)^2 in a product; while that fits int64 the map is stored in
+the narrowest integer type that holds it (0.19 MB for 16 levels of the
+default 3x3 Z_7[S_3], D = 54, int16; 10 KB for GL(3, 1009), D = 9, int32),
+and past it as one k x 2k int64 array of its 16-bit limbs, whose sums stay
+below 2^54 (3 KB a level for the default MAKE, D = 9).
 
 On the tropical carrier phi^m(x) = x ⋆ S_m = x ⊗ P_m ⊕ S_m with P_m = I ⊕
 S_m, and a step x -> phi^m(x) ⊕ a_m is x ⊗ P_m ⊕ Q_m with Q_m = S_m ⊕ a_m:
@@ -44,9 +49,10 @@ below 2^62, every sum of the walk is exact in int64 and every result
 canonical, so the walk runs on words with no check; otherwise it takes the
 ring's kernels, exact on Python ints.  A level takes about 15 us to build on
 the default 5x5 platform, which its calls repay after about 10 calls at
-16-bit exponents.  The additive and OR/AND carriers, plain DH, and larger
-conjugation carriers (3x3 over Z_7[A_5], D = 540) keep the factored step,
-as do ``sequence_block``, the squarings and the attacks on every carrier.
+16-bit exponents.  The OR/AND carrier, plain DH, Z_m stored as Python ints
+(MAKE past 3037000500), and larger conjugation carriers (3x3 over Z_7[A_5],
+D = 540) keep the factored step, as do ``sequence_block``, the squarings and
+the attacks on every carrier.
 
 Endomorphism powers are represented in closed form per platform (cached
 two-sided factor powers, of which conjugation is one case; star powers,
@@ -65,18 +71,19 @@ import numpy as np
 from .errors import ParameterError
 from .matrices import Matrix, random_matrix
 from .permutations import Permutation
-from .semirings import _TROP_WORD_BOUND, BitStrings, IntegersMod, _min_plus
+from .semirings import _TROP_WORD_BOUND, BitStrings, _min_plus
 
 #: levels a platform's doubling chain may hold: (g, phi)^(2^i) for i < 64
 MAX_CHAIN_LEVELS = 64
 #: the call of ``carrier_power`` or ``apply_phi_power`` on one platform from which it takes the
 #: chain levels' maps: between their break-evens at 16-bit exponents, about 10 calls on
 #: GL(3, 1009) (11 us to build a level) and on the default 5x5 tropical platform (15 us a level),
-#: and 24 on the default 3x3 Z_7[S_3] (165 us a level)
+#: and about 20 on the default MAKE over Z_(2^31 - 1) (20 us a level, its homogeneous affine step
+#: and phi^m on 16-bit limbs) and 24 on the default 3x3 Z_7[S_3] (165 us a level)
 MAP_SWITCH_CALL = 16
-#: the most Z_m coordinates D of a carrier whose chain levels take D x D maps: the default 3x3 Z_7[S_3]
-#: carrier, whose maps at all 64 levels would take 16 D^2 * 64 bytes = 3 MB even as int64; past it a
-#: level breaks even later
+#: the most Z_m coordinates D of a carrier whose chain levels take maps: the default 3x3 Z_7[S_3]
+#: carrier, whose maps at all 64 levels would take 16 D^2 * 64 bytes = 3 MB as int64 and twice that on
+#: 16-bit limbs; past it a level breaks even later
 MAP_MAX_COORDINATES = 54
 
 
@@ -265,13 +272,16 @@ class _LevelMaps:
     """The maps of a platform's chain levels, and how many calls could have taken them.
 
     ``calls`` counts the platform's ``carrier_power`` and ``apply_phi_power``
-    calls.  On a conjugation carrier ``levels[i]`` holds, for the chain level
-    (a_m, phi^m) with phi^m(x) = L x R, the D x D matrix S_m of the carrier
-    step x -> L x (R a_m) and the matrix P_m of phi^m, both on the D row-major
-    Z_m coordinates of x: row i of P_m is vec(L e_i R) for the i-th
-    coordinate basis matrix e_i, so vec(L x R) = vec(x) @ P_m, in the integer
-    type ``_conjugation_maps`` picks.  On the tropical carrier it holds
-    (P_m, Q_m, S_m, bound) (``_tropical_maps``).
+    calls.  With phi^m(x) = L x R two-sided, ``levels[i]`` holds, for the
+    chain level (a_m, phi^m), the map S_m of the carrier step and the D x D
+    map P_m of phi^m, both on the D row-major Z_m coordinates of x: row i
+    of P_m is vec(L e_i R) for the i-th coordinate basis matrix e_i, so
+    vec(L x R) = vec(x) @ P_m.  S_m is D x D for the step x -> L x (R a_m),
+    and for the MAKE step x -> L x R + a_m the homogeneous (D+1) x (D+1)
+    [[P_m, 0], [vec(a_m), 1]].  A k-row map is stored in the integer type
+    ``_conjugation_maps`` picks, or past int64 as a k x 2k array of 16-bit
+    limbs.  On the tropical carrier it holds (P_m, Q_m, S_m, bound)
+    (``_tropical_maps``).
     """
 
     __slots__ = ("calls", "levels")
@@ -348,18 +358,20 @@ def holo_mul(platform: Platform, x: HolomorphPower, y: HolomorphPower) -> Holomo
 
 def _map_builder(platform: Platform):
     """How the platform's chain levels take maps, or None while its steps stay factored:
-    ``_tropical_maps`` on the tropical carrier, and ``_conjugation_maps`` with phi two-sided, op the
-    matrix product, and at most ``MAP_MAX_COORDINATES`` coordinates, few enough for an exact int64
-    map product."""
-    ring, size = platform.g.ring, platform.g.data.size
+    ``_tropical_maps`` on the tropical carrier, and ``_conjugation_maps`` with phi two-sided on an
+    int64-stored Z_m or Z_m[G] carrier of at most ``MAP_MAX_COORDINATES`` coordinates, under the
+    matrix product or the matrix sum (MAKE, whose affine step takes a homogeneous map).  Every map
+    product is exact there: in one integer array while its k-term sum fits int64, else on 16-bit
+    limbs.  A level costs about 20 us to build on the default MAKE and repays it after about 20
+    calls (``MAP_SWITCH_CALL``)."""
+    ring = platform.g.ring
     if isinstance(platform.phi, TropicalStarPower) and platform.op_kind == "add":
         return _tropical_maps
     if (
         isinstance(platform.phi, TwoSidedPower)
-        and platform.op_kind == "mul"
         and ring.linear
         and ring.dtype is np.int64
-        and size <= min(ring._int64_inner_max, MAP_MAX_COORDINATES)
+        and platform.g.data.size <= MAP_MAX_COORDINATES
     ):
         return _conjugation_maps
     return None
@@ -381,24 +393,44 @@ def _maps_up_to(platform: Platform, n: int) -> list[tuple] | None:
 
 
 def _conjugation_maps(platform: Platform, levels: tuple[HolomorphPower, ...]):
-    """The (S_m, P_m) Z_m maps of each of the given chain levels of a conjugation carrier.
+    """The (S_m, P_m) Z_m maps of each of the given chain levels of a two-sided phi^m(x) = L x R.
 
     A level's maps are its own factored step on the stack of the D coordinate basis matrices e_i,
-    through ``ring.matmul`` and no ``Endomorphism.act``: row i of P_m is vec(L e_i R), and row i of
-    S_m is that times a_m, three stacked products in all.  A map product sums D products of
-    residues, at most D (m-1)^2, so the maps are stored in the narrowest integer type that holds
-    that sum: int16 for the default Z_7[S_3] carrier, a quarter of the int64 bytes."""
+    through ``ring.matmul`` and no ``Endomorphism.act``: row i of P_m is vec(L e_i R).  Under the
+    matrix product row i of S_m is that times a_m, three stacked products in all.  Under the matrix
+    sum the step x -> L x R + a_m is affine, so S_m is the homogeneous (D+1) x (D+1) map
+    [[P_m, 0], [vec(a_m), 1]] on vec(x) with a coordinate 1 appended.
+
+    A map product sums k products of residues, at most k (m-1)^2 for a map of k rows, so while that
+    fits int64 the maps are stored in the narrowest integer type that holds it: int16 for the default
+    Z_7[S_3] carrier, a quarter of the int64 bytes.  Past it (MAKE and GL(3, p) at p = 2^31 - 1) a
+    map M is stored as its 16-bit limbs, one k x 2k int64 array [M & 0xFFFF | M >> 16], on which
+    every sum of k <= 55 terms stays below 55 * 2^31.5 * 2^16 < 2^53.3 (``_map_product``).  A MAKE
+    or GL(3, 2^31 - 1) level takes about 20 us to build, 11 us on GL(3, 1009) and 165 us on the
+    default Z_7[S_3] (``MAP_SWITCH_CALL`` has their break-evens)."""
     ring, g = platform.g.ring, platform.g.data
-    bound = g.size * (ring.modulus - 1) ** 2
-    dtype = next(t for t in (np.int16, np.int32, np.int64) if bound <= np.iinfo(t).max)
-    basis = np.eye(g.size, dtype=np.int64).reshape((g.size,) + g.shape)
+    affine, size = platform.op_kind == "add", g.size
+    bound = (size + affine) * (ring.modulus - 1) ** 2
+    dtype = next((t for t in (np.int16, np.int32, np.int64) if bound <= np.iinfo(t).max), None)
+    basis = np.eye(size, dtype=np.int64).reshape((size,) + g.shape)
     for level in levels:
-        phi_map = ring.matmul(ring.matmul(level.end.left_pow.data, basis), level.end.right_pow.data)
-        step_map = ring.matmul(phi_map, level.value.data)
-        pair = tuple(m.reshape(g.size, g.size).astype(dtype) for m in (step_map, phi_map))
+        images = ring.matmul(ring.matmul(level.end.left_pow.data, basis), level.end.right_pow.data)
+        phi_map = images.reshape(size, size)
+        if affine:
+            step_map = np.eye(size + 1, dtype=np.int64)
+            step_map[:size, :size] = phi_map
+            step_map[size, :size] = level.value.data.reshape(-1)
+        else:
+            step_map = ring.matmul(images, level.value.data).reshape(size, size)
+        pair = tuple(_limbs(m) if dtype is None else m.astype(dtype) for m in (step_map, phi_map))
         for m in pair:
             m.flags.writeable = False
         yield pair
+
+
+def _limbs(level_map: np.ndarray) -> np.ndarray:
+    """A k x k map of residues as one k x 2k int64 array of its 16-bit limbs, [M & 0xFFFF | M >> 16]."""
+    return np.concatenate([level_map & 0xFFFF, level_map >> 16], axis=1)
 
 
 def _tropical_maps(platform: Platform, levels: tuple[HolomorphPower, ...]):
@@ -426,8 +458,16 @@ def _bound(*arrays: np.ndarray) -> int | None:
 
 
 def _map_product(ring, vec: np.ndarray, level_map: np.ndarray) -> np.ndarray:
-    """vec @ level_map over Z_m, in the map's integer type: a level's S_m or P_m applied to a value's coordinates."""
-    return IntegersMod.matmul(ring, vec, level_map)
+    """vec @ M over Z_m for a level's S_m or P_m applied to a value's coordinates, in the map's form.
+
+    A k x k map sums exactly in its integer type.  A k x 2k one holds M's 16-bit limbs: y = vec @ W
+    is then the low and high limb sums, each below k * 2^31.5 * 2^16 and so exact in int64, and
+    vec @ M = y_low + (y_high mod m) * 2^16, below 2^54, reduced mod m."""
+    k = level_map.shape[0]
+    y = vec @ level_map
+    if level_map.shape[1] == k:
+        return y % ring.modulus
+    return (y[..., :k] + ((y[..., k:] % ring.modulus) << 16)) % ring.modulus
 
 
 def _tropical_walk(ring, levels: list[tuple], data: np.ndarray, carrier: bool) -> np.ndarray:
@@ -466,10 +506,11 @@ def _walk(platform: Platform, n: int, data: np.ndarray | None) -> np.ndarray:
     With data None the walk is a_n: it starts from the value of the level at
     n's lowest bit and steps with each level past it (``carrier_step``).  With
     data it is phi^n(data): each level's endomorphism acts in turn.  Once the
-    platform holds maps (``_maps_up_to``), every move on a conjugation carrier
+    platform holds maps (``_maps_up_to``), every move with a two-sided phi
     is one ``_map_product`` with the level's S_m or P_m, on the coordinates in
-    the maps' integer type, and on the tropical carrier one min-plus product
-    and one min (``_tropical_walk``).
+    the maps' integer type (a MAKE carrier walk appends the homogeneous
+    coordinate 1 first and drops it at the end), and on the tropical carrier
+    one min-plus product and one min (``_tropical_walk``).
     """
     chain, bits = _chain_bits(platform, n)
     maps = _maps_up_to(platform, n)
@@ -479,10 +520,13 @@ def _walk(platform: Platform, n: int, data: np.ndarray | None) -> np.ndarray:
     if maps is not None and bits and isinstance(platform.phi, TropicalStarPower):
         return _tropical_walk(platform.g.ring, [maps[i] for i in bits], data, carrier)
     if maps is not None and bits:
-        vec = data.reshape(-1).astype(maps[0][0].dtype)
+        vec = data.reshape(-1)
+        if carrier and platform.op_kind == "add":  # the homogeneous coordinate of the affine step
+            vec = np.append(vec, 1)
+        vec = vec.astype(maps[0][0].dtype)
         for i in bits:
             vec = _map_product(platform.g.ring, vec, maps[i][0 if carrier else 1])
-        return vec.astype(np.int64).reshape(data.shape)
+        return vec[: data.size].astype(np.int64).reshape(data.shape)
     for i in bits:
         data = carrier_step(platform, chain[i], data) if carrier else chain[i].end.act(data)
     return data

@@ -363,7 +363,7 @@ class BitStrings:
         return a | b
 
     def matmul(self, a, b):
-        return np.any(a[..., :, :, None, :] & b[..., None, :, :, :], axis=-3)
+        return np.logical_or.reduce(a[..., :, :, None, :] & b[..., None, :, :, :], axis=-3)
 
     def _text(self, e) -> str:
         """One entry as k characters of 0/1 text: text as given, or bit i of an integer mask as character i."""
@@ -383,7 +383,10 @@ class BitStrings:
         return rng.integers(0, 2, size=(rows, cols, self.length), dtype=np.int64).astype(np.bool_)
 
     def to_obj(self, data) -> list:
-        return [["".join(entry) for entry in row] for row in np.where(data, "1", "0").tolist()]
+        # one ASCII buffer of the matrix's 0/1 text, entry by entry in row-major order, sliced per entry
+        text = (data.view(np.uint8) + ord("0")).tobytes().decode("ascii")
+        k, width = self.length, data.shape[1] * self.length
+        return [[text[i:i + k] for i in range(r * width, (r + 1) * width, k)] for r in range(data.shape[0])]
 
     def from_obj(self, obj) -> np.ndarray:
         entries = _nested_rows(obj, self)

@@ -828,10 +828,16 @@ def bit_operands(draw):
 def test_bit_kernels_match_scalar_oracle_at_every_width(operands):
     a, b, c, perm = operands
     assert a @ b == matmul_oracle(a, b)
+    assert a.to_obj() == [[entry(a, i, j).to_string() for j in range(a.cols)] for i in range(a.rows)]
     total, permuted = a + c, mx.permute_bits(a, perm)
     for i, j in itertools.product(range(a.rows), range(a.cols)):
         assert entry(total, i, j) == entry(a, i, j) + entry(c, i, j)
         assert entry(permuted, i, j) == entry(a, i, j).permuted(perm)
+
+
+def test_bit_text_of_a_row_with_no_entries():
+    # the parser reads [[]] as a 1x0 matrix, which is written back as given
+    assert mx.from_obj(BitStrings(3), [[]]).to_obj() == [[]]
 
 
 def test_bitstring_text_round_trip():

@@ -39,6 +39,7 @@ from sdpke.platforms import (
     DhkeParams,
     random_gl_params,
     random_groupring_params,
+    random_make_params,
     random_mobs_params,
     random_params,
     random_tropical_params,
@@ -212,10 +213,72 @@ def test_sdp_exp_holo_mul_count(rng, fresh_platform, monkeypatch):
         assert made == (0, 0, 0, 0, ones(alice.exponent), 1) and len(mapped) == ones(alice.exponent)
 
 
-#: primes for the map property: at 679000019 a product sums at most 20 int64 terms exactly, so a 3x3 GL
-#: carrier (D = 9) takes maps and a 3x3 Z_m[S_3] one (D = 54) stays factored; past 2^31 - 1 every
-#: carrier with D > 2 stays factored
+#: primes for the Z_m map properties.  A map of k rows sums at most k (p-1)^2, stored in the narrowest
+#: integer type that holds it, and past int64 on 16-bit limbs: at 679000019 a 3x3 GL carrier (D = 9)
+#: stores its maps as int64 and a 3x3 Z_m[S_3] one (D = 54) as limbs, and from 2^31 - 1 on every carrier
+#: with D > 2 takes limbs.  Every carrier with D <= MAP_MAX_COORDINATES takes maps at each of them.
 _MAP_PRIMES = [2, 3, 7, 101, 1009, 65521, 679000019, 2**31 - 1, 3037000493]
+#: exponents for the map properties: the sequential oracle's range, and every exponent below 2^63
+_MAP_EXPONENTS = st.lists(st.one_of(st.integers(1, 300), st.integers(1, (1 << 63) - 1)), min_size=1, max_size=4)
+
+
+def _assert_levels_from_switch_call(p: Platform, rng: np.random.Generator, exponents: list[int]) -> None:
+    """p takes no levels before its MAP_SWITCH_CALL-th carrier_power or apply_phi_power call, three at it
+    and one per bit of the largest exponent asked after it, and from it on carrier_power equals the
+    sequential oracle (x <= 300) or a cold copy's factored steps, and apply_phi_power and derive_key
+    phi's own square-and-multiply power, each in the ring's canonical form."""
+    for call in range(1, holomorph.MAP_SWITCH_CALL):
+        peer = p.random_element(rng)
+        assert apply_phi_power(p, call, peer) == p.phi.power(call)(peer)
+        assert (p._maps.calls, p._maps.levels) == (call, [])
+    assert carrier_power(p, 6) == sdp_exp_naive(p, 6).value
+    assert p._maps.calls == holomorph.MAP_SWITCH_CALL and len(p._maps.levels) == 3
+    cold = dataclasses.replace(p)
+    assert cold == p and (cold._maps.calls, cold._maps.levels, cold._chain) == (0, [], ())
+    levels = 3
+    for x in exponents:
+        peer, own = p.random_element(rng), p.random_element(rng)
+        value = sdp_exp_naive(p, x).value if x <= 300 else carrier_power(dataclasses.replace(p), x)
+        image = p.phi.power(x)(peer)
+        for got, want in (
+            (carrier_power(p, x), value),
+            (apply_phi_power(p, x, peer), image),
+            (derive_key(p, x, peer, own), p.op(image, own)),
+        ):
+            assert got == want
+            assert_canonical_data(p.g.ring, got.data)
+        levels = max(levels, x.bit_length())  # the maps are built level by level, as far as asked
+        assert len(p._maps.levels) == levels
+
+
+def _map_entries(level_map: np.ndarray, limbs: bool) -> np.ndarray:
+    """A level's k-row map as an object array of Python ints: as stored, or read from its 16-bit limbs."""
+    k = level_map.shape[0]
+    assert level_map.shape == ((k, 2 * k) if limbs else (k, k))
+    entries = level_map.astype(object)
+    if not limbs:
+        return entries
+    assert all(0 <= e < 1 << 16 for e in entries[:, :k].flat)
+    return entries[:, :k] + (entries[:, k:] << 16)
+
+
+def _assert_kronecker_maps(p: Platform) -> None:
+    """Each level's maps of a two-sided phi^m(x) = L x R over Z_p, on 16-bit limbs exactly when the k-row
+    sum k (p-1)^2 passes int64: P_m is vec(L x R) = vec(x) (L^T ⊗ R) row-major, numpy's Kronecker
+    product on Python ints, and S_m is P_m times a_m under the matrix product and the homogeneous
+    [[P_m, 0], [vec(a_m), 1]] under the matrix sum."""
+    prime, size = p.g.ring.modulus, p.g.data.size
+    for level, (step_map, phi_map) in zip(p._chain, p._maps.levels):
+        left, right, value = (m.data.astype(object) for m in (level.end.left_pow, level.end.right_pow, level.value))
+        phi_want = np.kron(left.T, right) % prime
+        if p.op_kind == "mul":
+            step_want = np.kron(left.T, right @ value % prime) % prime
+        else:
+            step_want = np.zeros((size + 1, size + 1), dtype=object)
+            step_want[:size, :size], step_want[size, :size], step_want[size, size] = phi_want, value.reshape(-1), 1
+        limbs = step_map.shape[0] * (prime - 1) ** 2 > np.iinfo(np.int64).max
+        assert np.array_equal(_map_entries(phi_map, limbs), phi_want)
+        assert np.array_equal(_map_entries(step_map, limbs), step_want)
 
 
 @settings(max_examples=40, deadline=None)
@@ -224,12 +287,13 @@ _MAP_PRIMES = [2, 3, 7, 101, 1009, 65521, 679000019, 2**31 - 1, 3037000493]
     prime=st.sampled_from(_MAP_PRIMES),
     size=st.integers(1, 3),
     seed=st.integers(0, 2**32 - 1),
-    exponents=st.lists(st.one_of(st.integers(1, 300), st.integers(1, (1 << 63) - 1)), min_size=1, max_size=4),
+    exponents=_MAP_EXPONENTS,
 )
 def test_level_maps_equal_the_factored_steps_from_the_switch_call_on(kind, prime, size, seed, exponents):
     # a conjugation carrier takes the maps S_m and P_m exactly from its MAP_SWITCH_CALL-th carrier_power
-    # or apply_phi_power call, when every map product sums exactly in int64 (D terms); its values then
-    # equal the sequential oracle and phi's own square-and-multiply power, at every exponent below 2^63
+    # or apply_phi_power call at every int64 modulus, on 16-bit limbs where a D-term sum passes int64;
+    # its values then equal the sequential oracle and phi's own square-and-multiply power, at every
+    # exponent below 2^63
     rng = np.random.default_rng(seed)
     if kind == "gl":
         assume(size > 1 and prime > 2)  # GL(1, p) is commutative, and GL(r, 2) draws a central H often
@@ -238,43 +302,44 @@ def test_level_maps_equal_the_factored_steps_from_the_switch_call_on(kind, prime
         group = cyclic_group(3) if kind == "c3" else load_group(kind)
         assume(size > 1 or kind == "s3")  # 1x1 matrices over an abelian group ring all commute
         p = random_groupring_params(rng, modulus=prime, group=group, size=size).build()
-    ring, coordinates = p.g.ring, p.g.data.size
+    coordinates = p.g.data.size
     assert coordinates <= holomorph.MAP_MAX_COORDINATES
-    takes_maps = coordinates <= ring._int64_inner_max
-    event(f"D = {coordinates}, {'maps' if takes_maps else 'factored'}")
-    for call in range(1, holomorph.MAP_SWITCH_CALL):
-        peer = p.random_element(rng)
-        assert apply_phi_power(p, call, peer) == p.phi.power(call)(peer)
-        assert (p._maps.calls, p._maps.levels) == (call, [])
-    assert carrier_power(p, 6) == sdp_exp_naive(p, 6).value
-    assert p._maps.calls == holomorph.MAP_SWITCH_CALL and len(p._maps.levels) == 3 * takes_maps
-    cold = dataclasses.replace(p)
-    assert cold == p and (cold._maps.calls, cold._maps.levels, cold._chain) == (0, [], ())
-    levels = 3
-    for x in exponents:
-        peer, own = p.random_element(rng), p.random_element(rng)
-        want = sdp_exp_naive(p, x).value if x <= 300 else carrier_power(dataclasses.replace(p), x)
-        assert carrier_power(p, x) == want
-        assert apply_phi_power(p, x, peer) == p.phi.power(x)(peer)
-        assert derive_key(p, x, peer, own) == p.op(p.phi.power(x)(peer), own)
-        levels = max(levels, x.bit_length())  # the maps are built level by level, as far as asked
-        assert len(p._maps.levels) == levels * takes_maps
-    # on GL, vec(L x R) = vec(x) (L^T ⊗ R) row-major: numpy's Kronecker product on Python ints
-    for level, (step_map, phi_map) in zip(p._chain, p._maps.levels if kind == "gl" else []):
-        left, right, value = (m.data.astype(object) for m in (level.end.left_pow, level.end.right_pow, level.value))
-        assert np.array_equal(phi_map, np.kron(left.T, right) % prime) and np.array_equal(
-            step_map, np.kron(left.T, right @ value % prime) % prime
-        )
+    event(f"D = {coordinates}, {'limbs' if coordinates * (prime - 1) ** 2 >= 1 << 63 else 'one array'}")
+    _assert_levels_from_switch_call(p, rng, exponents)
+    if kind == "gl":
+        _assert_kronecker_maps(p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    prime=st.sampled_from([2, 7, 1009, 2**31 - 1, 3037000493]),
+    size=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    exponents=_MAP_EXPONENTS,
+)
+def test_make_levels_equal_the_factored_steps_from_the_switch_call_on(prime, size, seed, exponents):
+    # MAKE's affine step x -> L x R + a_m takes the homogeneous map [[P_m, 0], [vec(a_m), 1]] on vec(x)
+    # with a coordinate 1 appended, and phi^m the map P_m, from the MAP_SWITCH_CALL-th call on, on
+    # 16-bit limbs where a (D+1)-term sum passes int64 (2x2 and larger at 2^31 - 1, every size at
+    # 3037000493); its values then equal the factored steps'
+    rng = np.random.default_rng(seed)
+    p = random_make_params(rng, prime=prime, size=size).build()
+    event(f"D = {size * size}, {'limbs' if (size * size + 1) * (prime - 1) ** 2 >= 1 << 63 else 'one array'}")
+    _assert_levels_from_switch_call(p, rng, exponents)
+    _assert_kronecker_maps(p)
 
 
 @pytest.mark.parametrize("kind", ["make", "mobs", "dhke", "groupring-a5"])
 def test_other_carriers_stay_factored_past_the_switch(kind, rng):
-    # an additive or OR/AND step is no Z_m-linear map (the tropical carrier takes levels of its own,
-    # test_tropical_levels_equal_the_factored_steps_from_the_switch_call_on); plain DH's phi is the
-    # identity; and 1x1 Z_7[A_5] has D = 60 coordinates, past MAP_MAX_COORDINATES
+    # an OR/AND step is no Z_m-linear map; MAKE at the prime 4294967291 stores Z_m as Python ints, which
+    # no int64 map holds; plain DH's phi is the identity; and 1x1 Z_7[A_5] has D = 60 coordinates, past
+    # MAP_MAX_COORDINATES
     if kind == "groupring-a5":
         p = random_groupring_params(rng, group="a5", size=1).build()
         assert p.g.data.size == 60 > holomorph.MAP_MAX_COORDINATES
+    elif kind == "make":
+        p = random_make_params(rng, prime=4294967291).build()
+        assert p.g.ring.dtype is object
     else:
         p = random_params(kind, rng).build()
     for call in range(1, holomorph.MAP_SWITCH_CALL + 4):
@@ -345,15 +410,15 @@ def test_tropical_levels_equal_the_factored_steps_from_the_switch_call_on(size, 
     event(f"levels on words: {sum(b is not None for *_, b in p._maps.levels)} of {levels}")
 
 
-def test_tropical_level_move_count(rng, fresh_platform, monkeypatch):
-    # on a warm chain a tropical keygen is popcount - 1 carrier steps and a derive popcount actions:
-    # carrier_step (with its TropicalStarPower.act) and act before the platform's MAP_SWITCH_CALL-th
-    # carrier_power or apply_phi_power call, and from it on one level move each (x ⊗ P_m ⊕ Q_m or
-    # ⊕ S_m), on words or on Python ints, with no carrier_step and no act
-    p = fresh_platform("tropical", rng)
+def _count_level_moves(p: Platform, rng, monkeypatch, end_kind: type, move: str) -> list[tuple]:
+    """Run 12 exchanges at 16 and 63 bits on p's warm chain and check each keygen and derive_key call:
+    popcount - 1 carrier_step (each with its end_kind.act) per keygen and popcount acts per derive
+    before the platform's MAP_SWITCH_CALL-th carrier_power or apply_phi_power call, and from it on
+    popcount - 1 and popcount level moves (``holomorph.<move>``), with no carrier_step and no act.
+    Returns the arguments of every level move."""
     doubling_chain(p, 1 << 63)
-    steps, actions, moves = [], [], []
-    step, act, move = holomorph.carrier_step, TropicalStarPower.act, holomorph._tropical_move
+    steps, actions, moves, all_moves = [], [], [], []
+    step, act, level_move = holomorph.carrier_step, end_kind.act, getattr(holomorph, move)
 
     def counted_step(platform, level, data):
         steps.append(level)
@@ -363,25 +428,25 @@ def test_tropical_level_move_count(rng, fresh_platform, monkeypatch):
         actions.append(end)
         return act(end, data)
 
-    def counted_move(ring, data, p_m, addend, words):
-        moves.append(words)
-        return move(ring, data, p_m, addend, words)
+    def counted_move(*args):
+        moves.append(args)
+        return level_move(*args)
 
     monkeypatch.setattr(holomorph, "carrier_step", counted_step)
-    monkeypatch.setattr(TropicalStarPower, "act", counted_act)
-    monkeypatch.setattr(holomorph, "_tropical_move", counted_move)
+    monkeypatch.setattr(end_kind, "act", counted_act)
+    monkeypatch.setattr(holomorph, move, counted_move)
 
     def counted_call(fn, *args):
         """fn(*args), the (carrier steps, actions, level moves) made by it, and whether it ran from the switch on."""
         for made in (steps, actions, moves):
             made.clear()
         result = fn(*args)
+        all_moves.extend(moves)
         return result, (len(steps), len(actions), len(moves)), p._maps.calls >= holomorph.MAP_SWITCH_CALL
 
     def ones(m: int) -> int:
         return bin(m).count("1")
 
-    word_moves = []
     for bits in [16, 63] * 6:
         pairs = []
         for _ in range(2):
@@ -393,8 +458,25 @@ def test_tropical_level_move_count(rng, fresh_platform, monkeypatch):
         _, made, switched = counted_call(derive_key, p, alice.exponent, bob.public_value, alice.public_value)
         k = ones(alice.exponent)
         assert made == ((0, 0, k) if switched else (0, k, 0))
-        word_moves += moves
-    assert p._maps.calls == 36 and True in word_moves and False in word_moves
+    assert p._maps.calls == 36
+    return all_moves
+
+
+def test_tropical_level_move_count(rng, fresh_platform, monkeypatch):
+    # a tropical level move is x ⊗ P_m ⊕ Q_m or ⊕ S_m, on words or on Python ints: both occur
+    p = fresh_platform("tropical", rng)
+    moves = _count_level_moves(p, rng, monkeypatch, TropicalStarPower, "_tropical_move")
+    word_moves = [words for *_, words in moves]
+    assert True in word_moves and False in word_moves
+
+
+def test_make_level_move_count(rng, monkeypatch):
+    # a MAKE level move on the default platform over Z_(2^31 - 1) is one product with a map held on
+    # 16-bit limbs: the homogeneous S_m in a keygen, P_m in a derive
+    p = random_make_params(rng).build()
+    moves = _count_level_moves(p, rng, monkeypatch, TwoSidedPower, "_map_product")
+    size = p.g.data.size
+    assert {level_map.shape for _, _, level_map in moves} == {(size + 1, 2 * size + 2), (size, 2 * size)}
 
 
 def _small_platform(kind: str, seed: int) -> Platform:
