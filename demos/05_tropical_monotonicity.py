@@ -6,8 +6,9 @@ entrywise non-increasing.  "a_n <= A entrywise" is therefore a monotone
 predicate in n, and the private exponent (or an admissible stand-in) falls
 to a binary search in 20 probes even for x up to 2^20.  The search lifts
 over the doubling chain (g, phi)^(2^i): it grows the longest prefix a_m
-with a_m not <= A from the top power of two down, so each probe costs one
-holomorph product, and the hit is a_(m+1).
+with a_m not <= A from the top power of two down.  The same monotonicity
+makes a_(m+k) = phi^k(a_m), so each probe costs one action of a chain
+endomorphism, and the hit is a_(m+1) = phi(a_m).
 """
 
 import numpy as np

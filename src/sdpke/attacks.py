@@ -18,8 +18,9 @@ the exchanged values), each returning an AttackOutcome:
 * ``tropical_binsearch_attack`` — the exchanged sequence is entrywise
   non-increasing, so its terms form a chain and an admissible exponent is
   found by binary lifting over the doubling chain (g, phi)^(2^i), one
-  carrier step per probe; a term incomparable with A proves A is off the
-  sequence, and phi^x is applied once, to B, for the key.
+  action of a chain endomorphism per probe, as a_(m+k) = phi^k(a_m) there;
+  a term incomparable with A proves A is off the sequence, and phi^x is
+  applied once, to B, for the key.
 * ``mobs_solution_count`` — exact census of how many Y satisfy the
   telescoping equality on the OR/AND platform, counted one (row, bit) slice
   of Y at a time; evidence for why the telescoping route fails there.
@@ -46,7 +47,6 @@ from .errors import NotApplicableError, ParameterError, SizeCapError
 from .holomorph import (
     Platform,
     apply_phi_power,
-    carrier_step,
     doubling_chain,
     sdp_exp,
     sequence_block,
@@ -251,10 +251,10 @@ def tropical_binsearch_attack(transcript: Transcript, x_max: int = 1 << 20) -> A
 
     The search walks packed carrier values over the platform's doubling
     chain D_i = (a_(2^i), phi^(2^i)): it grows the longest prefix m with a_m
-    not <= A from the top level down, each probe one ``carrier_step``
-    a_(m+2^i) = phi^(2^i)(a_m) ∘ a_(2^i), and the hit is the step a_(m+1) =
-    phi(a_m) ∘ g.  Only the key needs phi^(m+1), applied once, to B, by
-    ``apply_phi_power``.
+    not <= A from the top level down.  phi(x) <= x entrywise and a_k <= g,
+    so the carrier step a_(m+k) = phi^k(a_m) ⊕ a_k is phi^k(a_m): each probe
+    is one action a_(m+2^i) = phi^(2^i)(a_m), and the hit a_(m+1) = phi(a_m).
+    Only the key needs phi^(m+1), applied once, to B, by ``apply_phi_power``.
 
     The terms form a chain, so a probe incomparable with A proves that A is
     no a_x, and the search stops there.  ``check_x_max`` runs before any work.
@@ -271,7 +271,7 @@ def tropical_binsearch_attack(transcript: Transcript, x_max: int = 1 << 20) -> A
     for step in reversed(chain):
         if m + step.exponent >= x_max:
             continue
-        probe = step.value.data if a_m is None else carrier_step(platform, step, a_m)
+        probe = step.value.data if a_m is None else step.end.act(a_m)
         work.search_steps += 1
         le, ge = bool(np.all(probe <= a_obs.data)), bool(np.all(probe >= a_obs.data))
         if not (le or ge):
@@ -279,7 +279,7 @@ def tropical_binsearch_attack(transcript: Transcript, x_max: int = 1 << 20) -> A
         if not le:
             m, a_m = m + step.exponent, probe
 
-    hit = platform.g.data if a_m is None else carrier_step(platform, chain[0], a_m)  # chain[0] is (g, phi)
+    hit = platform.g.data if a_m is None else platform.phi.act(a_m)
     if not np.array_equal(hit, a_obs.data):
         return AttackOutcome(success=False, work=work, detail=f"no admissible exponent <= {x_max}")
 

@@ -11,11 +11,13 @@ One carrier step, ``carrier_step``, extends a value by a chain level on
 packed entries: a_n is ``carrier_power``, one step per set bit of n past
 the lowest, and ``apply_phi_power`` applies phi^n to a matrix by acting with
 the chain endomorphisms at the set bits of n one after another, so neither
-builds a ``Matrix`` or an endomorphism per step.  ``phi_power`` composes
-phi^n as a map, the second half of ``sdp_exp``, and ``sdp_exp_naive`` is the
-sequential reference oracle.  ``sequence_block`` lifts over the chain to
-make a whole prefix of the sequence a_(n+1) = phi(a_n) ∘ g, from several
-starts at once, in batched carrier steps on every carrier.
+builds a ``Matrix`` or an endomorphism per step.  On the tropical carrier
+phi(x) = x ⋆ H <= x entrywise and a_k <= g, so a step a_(k+m) = phi^m(a_k) ⊕
+a_m is phi^m(a_k) and a_n = phi^(n-1)(g): there both walks only act.
+``phi_power`` composes phi^n as a map, the second half of ``sdp_exp``, and
+``sdp_exp_naive`` is the sequential reference oracle.  ``sequence_block``
+lifts over the chain to make a whole prefix of the sequence a_(n+1) =
+phi(a_n) ∘ g, from several starts at once, in batched carrier steps.
 
 With phi^m(x) = L x R two-sided (GL(r, p) and matrices over Z_m[G] under the
 matrix product, MAKE under the matrix sum), a step x -> L x (R a_m) is
@@ -27,10 +29,10 @@ homogeneous (D+1) x (D+1) map [[P_m, 0], [vec(a_m), 1]] on vec(x) with a
 coordinate 1 appended, which the walk drops at its end.  A platform builds
 the maps level by level from its ``MAP_SWITCH_CALL``-th ``carrier_power``
 or ``apply_phi_power`` call on: a step or action is then one product
-vec(x) @ S_m or @ P_m.  On a 2-core Xeon a level takes about 11 us to build
-for GL(3, 1009), 20 us for the default MAKE over Z_(2^31 - 1) and 165 us
+vec(x) @ S_m or @ P_m.  On a 2-core Xeon a level takes about 12 us to build
+for GL(3, 1009), 20 us for the default MAKE over Z_(2^31 - 1) and 180 us
 for the default 3x3 Z_7[S_3] (three stacked group-ring products), which the
-calls' savings repay after about 10, 20 and 24 calls at 16-bit exponents;
+calls' savings repay after about 10, 19 and 26 calls at 16-bit exponents;
 a platform that makes fewer than 16 calls (an ``sdpke exchange`` call of up
 to three trials, four calls each) never builds any.  Every int64-stored
 carrier with D <= ``MAP_MAX_COORDINATES`` takes maps.  A map of k rows sums
@@ -41,18 +43,17 @@ and past it as one k x 2k int64 array of its 16-bit limbs, whose sums stay
 below 2^54 (3 KB a level for the default MAKE, D = 9).
 
 On the tropical carrier phi^m(x) = x ⋆ S_m = x ⊗ P_m ⊕ S_m with P_m = I ⊕
-S_m, and a step x -> phi^m(x) ⊕ a_m is x ⊗ P_m ⊕ Q_m with Q_m = S_m ⊕ a_m:
-from the same switch call on, a level holds P_m, Q_m, S_m and the largest
-|entry| among them, and a step or action is one min-plus product and one
-min.  When the bounds of the start and of the levels at n's set bits sum
-below 2^62, every sum of the walk is exact in int64 and every result
-canonical, so the walk runs on words with no check; otherwise it takes the
-ring's kernels, exact on Python ints.  A level takes about 15 us to build on
-the default 5x5 platform, which its calls repay after about 10 calls at
-16-bit exponents.  The OR/AND carrier, plain DH, Z_m stored as Python ints
-(MAKE past 3037000500), and larger conjugation carriers (3x3 over Z_7[A_5],
-D = 540) keep the factored step, as do ``sequence_block``, the squarings and
-the attacks on every carrier.
+S_m: from the same switch call on, a level holds P_m, S_m and the larger
+|entry| of the two, and every move of either walk is one min-plus product
+and one min.  When the bounds of the start and of the levels at n's set
+bits sum below 2^62, every sum of the walk is exact in int64 and every
+result canonical, so the walk runs on words with no check; otherwise it
+takes the ring's kernels, exact on Python ints.  A level takes about 12 us
+to build on the default 5x5 platform, which its calls repay after about 11
+calls at 16-bit exponents.  The OR/AND carrier, plain DH, Z_m stored as
+Python ints (MAKE past 3037000500), and larger conjugation carriers (3x3
+over Z_7[A_5], D = 540) keep the factored step, as do ``sequence_block``,
+the squarings and the attacks on every carrier.
 
 Endomorphism powers are represented in closed form per platform (cached
 two-sided factor powers, of which conjugation is one case; star powers,
@@ -76,10 +77,12 @@ from .semirings import _TROP_WORD_BOUND, BitStrings, _min_plus
 #: levels a platform's doubling chain may hold: (g, phi)^(2^i) for i < 64
 MAX_CHAIN_LEVELS = 64
 #: the call of ``carrier_power`` or ``apply_phi_power`` on one platform from which it takes the
-#: chain levels' maps: between their break-evens at 16-bit exponents, about 10 calls on
-#: GL(3, 1009) (11 us to build a level) and on the default 5x5 tropical platform (15 us a level),
-#: and about 20 on the default MAKE over Z_(2^31 - 1) (20 us a level, its homogeneous affine step
-#: and phi^m on 16-bit limbs) and 24 on the default 3x3 Z_7[S_3] (165 us a level)
+#: chain levels' maps.  At 16-bit exponents the maps repay their build after about 10 calls on
+#: GL(3, 1009) (12 us a level), 11 on the default 5x5 tropical platform (12 us a level), 19 on the
+#: default MAKE over Z_(2^31 - 1) (20 us a level, its homogeneous affine step and phi^m on 16-bit
+#: limbs) and 26 on the default 3x3 Z_7[S_3] (180 us a level).  16 is below the last two, and stays:
+#: no use sits between, as an ``sdpke exchange`` call makes 4 calls a trial (8 at 2 trials) and a
+#: long-lived platform thousands
 MAP_SWITCH_CALL = 16
 #: the most Z_m coordinates D of a carrier whose chain levels take maps: the default 3x3 Z_7[S_3]
 #: carrier, whose maps at all 64 levels would take 16 D^2 * 64 bytes = 3 MB as int64 and twice that on
@@ -280,8 +283,8 @@ class _LevelMaps:
     and for the MAKE step x -> L x R + a_m the homogeneous (D+1) x (D+1)
     [[P_m, 0], [vec(a_m), 1]].  A k-row map is stored in the integer type
     ``_conjugation_maps`` picks, or past int64 as a k x 2k array of 16-bit
-    limbs.  On the tropical carrier it holds (P_m, Q_m, S_m, bound)
-    (``_tropical_maps``).
+    limbs.  On the tropical carrier it holds (P_m, S_m, bound) for phi^m,
+    which is also the carrier's step there (``_tropical_maps``).
     """
 
     __slots__ = ("calls", "levels")
@@ -362,7 +365,7 @@ def _map_builder(platform: Platform):
     int64-stored Z_m or Z_m[G] carrier of at most ``MAP_MAX_COORDINATES`` coordinates, under the
     matrix product or the matrix sum (MAKE, whose affine step takes a homogeneous map).  Every map
     product is exact there: in one integer array while its k-term sum fits int64, else on 16-bit
-    limbs.  A level costs about 20 us to build on the default MAKE and repays it after about 20
+    limbs.  A level costs about 20 us to build on the default MAKE and repays it after about 19
     calls (``MAP_SWITCH_CALL``)."""
     ring = platform.g.ring
     if isinstance(platform.phi, TropicalStarPower) and platform.op_kind == "add":
@@ -406,7 +409,7 @@ def _conjugation_maps(platform: Platform, levels: tuple[HolomorphPower, ...]):
     Z_7[S_3] carrier, a quarter of the int64 bytes.  Past it (MAKE and GL(3, p) at p = 2^31 - 1) a
     map M is stored as its 16-bit limbs, one k x 2k int64 array [M & 0xFFFF | M >> 16], on which
     every sum of k <= 55 terms stays below 55 * 2^31.5 * 2^16 < 2^53.3 (``_map_product``).  A MAKE
-    or GL(3, 2^31 - 1) level takes about 20 us to build, 11 us on GL(3, 1009) and 165 us on the
+    or GL(3, 2^31 - 1) level takes about 20 us to build, 12 us on GL(3, 1009) and 180 us on the
     default Z_7[S_3] (``MAP_SWITCH_CALL`` has their break-evens)."""
     ring, g = platform.g.ring, platform.g.data
     affine, size = platform.op_kind == "add", g.size
@@ -434,16 +437,15 @@ def _limbs(level_map: np.ndarray) -> np.ndarray:
 
 
 def _tropical_maps(platform: Platform, levels: tuple[HolomorphPower, ...]):
-    """(P_m, Q_m, S_m, bound) for each of the given tropical chain levels (a_m, x -> x ⋆ S_m).
+    """(P_m, S_m, bound) for each of the given tropical chain levels (a_m, x -> x ⋆ S_m).
 
     x ⋆ S = x ⊕ S ⊕ x⊗S = x ⊗ (I ⊕ S) ⊕ S by distributivity, so phi^m is x -> x ⊗ P_m ⊕ S_m with
-    P_m = I ⊕ S_m, and the carrier step x -> phi^m(x) ⊕ a_m is x ⊗ P_m ⊕ Q_m with Q_m = S_m ⊕ a_m.
-    ``bound`` is the largest |entry| of the three, or None when any is an object array."""
+    P_m = I ⊕ S_m.  ``bound`` is the larger |entry| of the two, or None when either is an object array."""
     ring = platform.g.ring
     eye = ring.identity(platform.g.rows)
     for level in levels:
         star = level.end.star_pow.data
-        arrays = (ring.add(eye, star), ring.add(star, level.value.data), star)
+        arrays = (ring.add(eye, star), star)
         for m in arrays:
             m.flags.writeable = False
         yield (*arrays, _bound(*arrays))
@@ -470,26 +472,11 @@ def _map_product(ring, vec: np.ndarray, level_map: np.ndarray) -> np.ndarray:
     return (y[..., :k] + ((y[..., k:] % ring.modulus) << 16)) % ring.modulus
 
 
-def _tropical_walk(ring, levels: list[tuple], data: np.ndarray, carrier: bool) -> np.ndarray:
-    """One move per tropical level on packed entries: x ⊗ P_m ⊕ Q_m in a carrier step, x ⊗ P_m ⊕ S_m
-    in an action.
-
-    A move raises the largest |entry| by at most its level's bound, so when the bounds of the start
-    and of every level sum below 2^62, every sum of the walk is exact in int64 and every result is
-    canonical: the moves then run on words, unchecked.  Otherwise each takes the ring's kernels,
-    which fall back to Python ints exactly where an entry needs them."""
-    bounds = [_bound(data), *(level[3] for level in levels)]
-    words = None not in bounds and sum(bounds) < _TROP_WORD_BOUND
-    for p_m, q_m, s_m, _ in levels:
-        data = _tropical_move(ring, data, p_m, q_m if carrier else s_m, words)
-    return data
-
-
-def _tropical_move(ring, data: np.ndarray, p_m: np.ndarray, addend: np.ndarray, words: bool) -> np.ndarray:
-    """data ⊗ p_m ⊕ addend: on words where the walk's bounds prove that exact, else by ``ring.matmul`` and ``ring.add``."""
+def _tropical_move(ring, data: np.ndarray, p_m: np.ndarray, s_m: np.ndarray, words: bool) -> np.ndarray:
+    """phi^m(data) = data ⊗ p_m ⊕ s_m, on words where the walk's bounds prove that exact, else by ring kernels."""
     if words:
-        return np.minimum(_min_plus(data, p_m), addend)
-    return ring.add(ring.matmul(data, p_m), addend)
+        return np.minimum(_min_plus(data, p_m), s_m)
+    return ring.add(ring.matmul(data, p_m), s_m)
 
 
 def _chain_bits(platform: Platform, n: int) -> tuple[tuple[HolomorphPower, ...], list[int]]:
@@ -504,21 +491,30 @@ def _walk(platform: Platform, n: int, data: np.ndarray | None) -> np.ndarray:
     """One move per chain level at the set bits of n >= 1, on packed entries.
 
     With data None the walk is a_n: it starts from the value of the level at
-    n's lowest bit and steps with each level past it (``carrier_step``).  With
+    n's lowest bit and steps with each level past it (``carrier_step``), but
+    on the tropical carrier, where a_n = phi^(n-1)(g), acts with it.  With
     data it is phi^n(data): each level's endomorphism acts in turn.  Once the
     platform holds maps (``_maps_up_to``), every move with a two-sided phi
     is one ``_map_product`` with the level's S_m or P_m, on the coordinates in
     the maps' integer type (a MAKE carrier walk appends the homogeneous
     coordinate 1 first and drops it at the end), and on the tropical carrier
-    one min-plus product and one min (``_tropical_walk``).
+    one ``_tropical_move``, on words when the bounds of the start and of the
+    levels sum below 2^62, as a move raises the largest |entry| by at most
+    its level's bound.
     """
     chain, bits = _chain_bits(platform, n)
     maps = _maps_up_to(platform, n)
-    carrier = data is None
-    if carrier:
+    tropical = isinstance(platform.phi, TropicalStarPower) and platform.op_kind == "add"
+    carrier = data is None and not tropical
+    if data is None:
         data = chain[bits.pop(0)].value.data
-    if maps is not None and bits and isinstance(platform.phi, TropicalStarPower):
-        return _tropical_walk(platform.g.ring, [maps[i] for i in bits], data, carrier)
+    if maps is not None and bits and tropical:
+        ring, levels = platform.g.ring, [maps[i] for i in bits]
+        bounds = [_bound(data), *(level[2] for level in levels)]
+        words = None not in bounds and sum(bounds) < _TROP_WORD_BOUND
+        for p_m, s_m, _ in levels:
+            data = _tropical_move(ring, data, p_m, s_m, words)
+        return data
     if maps is not None and bits:
         vec = data.reshape(-1)
         if carrier and platform.op_kind == "add":  # the homogeneous coordinate of the affine step
@@ -534,7 +530,8 @@ def _walk(platform: Platform, n: int, data: np.ndarray | None) -> np.ndarray:
 
 def carrier_power(platform: Platform, n: int) -> Matrix:
     """a_n, the carrier half of (g, phi)^n: each set bit of n past the lowest is one step with the
-    chain level (a_m, phi^m) there (``_walk``), and no endomorphism is composed.
+    chain level (a_m, phi^m) there, on the tropical carrier one action of its phi^m (``_walk``), and
+    no endomorphism is composed.
     n = 0 is rejected: three of the five carriers are proper semigroups with no identity to
     return, and the exchanged sequence starts at a_1 = g."""
     return Matrix(platform.g.ring, _walk(platform, n, None))
@@ -546,11 +543,11 @@ def apply_phi_power(platform: Platform, n: int, x: Matrix) -> Matrix:
     Powers of one phi commute, so acting with phi^(2^i) for each set bit
     in turn is phi^n: popcount(n) actions (``_walk``), as many kernel calls
     as ``phi_power`` composing and then acting, with no composition between.
-    The operand is checked once, against phi; phi^0 is the identity and
-    returns x.
+    The operand is checked once, against phi; phi^0 and a negative n are
+    ``Endomorphism.power``'s, the identity and a refusal.
     """
-    if n == 0:
-        return x
+    if n <= 0:
+        return platform.phi.power(n)(x)
     platform.phi._check_operand(x)
     return Matrix(x.ring, _walk(platform, n, x.data))
 
@@ -559,12 +556,12 @@ def phi_power(platform: Platform, n: int) -> Endomorphism:
     """phi^n as the composition of the platform's doubling chain endomorphisms at the set bits of n.
 
     That is popcount(n) - 1 compositions and no squaring of phi: the chain
-    is made up to n first if the platform has not cached that far.  phi^0
-    is the identity.  The map half of ``sdp_exp``; to apply phi^n to one
-    matrix, ``apply_phi_power`` builds no map.
+    is made up to n first if the platform has not cached that far; phi^0 and
+    a negative n are ``Endomorphism.power``'s.  The map half of ``sdp_exp``;
+    to apply phi^n to one matrix, ``apply_phi_power`` builds no map.
     """
-    if n == 0:
-        return IdentityEnd()
+    if n <= 0:
+        return platform.phi.power(n)
     chain, bits = _chain_bits(platform, n)
     acc, *rest = (chain[i].end for i in bits)
     for end in rest:

@@ -22,7 +22,6 @@ from sdpke.holomorph import (
     TwoSidedPower,
     apply_phi_power,
     carrier_power,
-    carrier_step,
     doubling_chain,
     holo_mul,
     phi_power,
@@ -357,27 +356,38 @@ _TROPICAL_BOUNDS = [50, 1000, 2**56, 2**59]
 _TROPICAL_LOWEST = -(2**62) + 1
 
 
-@settings(max_examples=40, deadline=None)
-@given(
+def _tropical_platform(rng: np.random.Generator, size: int, bound: int, star_inf: bool) -> Platform:
+    """A tropical platform of the given size with entries within ±bound; with star_inf, about 40% of the
+    star matrix's entries past the first are +inf, so P_m = I ⊕ S_m is an object array."""
+    params = random_tropical_params(rng, size=size, entry_lo=-bound, entry_hi=bound)
+    if star_inf:
+        star = [["inf" if rng.random() < 0.4 else int(e) for e in row] for row in params.star_matrix.data.tolist()]
+        star[0][0] = int(params.star_matrix.data[0, 0])
+        params = dataclasses.replace(params, star_matrix=mx.from_rows(TropicalIntegers(), star))
+    return params.build()
+
+
+#: the tropical property cases: sizes 1-5, every entry bound, with and without +inf star entries, and
+#: exponents in the sequential oracle's range or anywhere below 2^63
+_TROPICAL_CASES = dict(
     size=st.integers(1, 5),
     bound=st.sampled_from(_TROPICAL_BOUNDS),
     star_inf=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
     exponents=st.lists(st.one_of(st.integers(1, 300), st.integers(1, (1 << 63) - 1)), min_size=1, max_size=4),
 )
+
+
+@settings(max_examples=40, deadline=None)
+@given(**_TROPICAL_CASES)
 def test_tropical_levels_equal_the_factored_steps_from_the_switch_call_on(size, bound, star_inf, seed, exponents):
-    # the tropical carrier takes the levels (P_m, Q_m, S_m, bound) from its MAP_SWITCH_CALL-th carrier_power
+    # the tropical carrier takes the levels (P_m, S_m, bound) from its MAP_SWITCH_CALL-th carrier_power
     # or apply_phi_power call on; its values then equal the sequential oracle, a cold copy's factored
-    # steps and phi's own square-and-multiply power at every exponent below 2^63, stored as those are:
+    # walk and phi's own square-and-multiply power at every exponent below 2^63, stored as those are:
     # on words only where the start's and the levels' bounds prove every sum exact
     rng = np.random.default_rng(seed)
     ring = TropicalIntegers()
-    params = random_tropical_params(rng, size=size, entry_lo=-bound, entry_hi=bound)
-    if star_inf:  # P_m = I ⊕ S_m is then an object array while S_m keeps an +inf entry
-        star = [["inf" if rng.random() < 0.4 else int(e) for e in row] for row in params.star_matrix.data.tolist()]
-        star[0][0] = int(params.star_matrix.data[0, 0])
-        params = dataclasses.replace(params, star_matrix=mx.from_rows(ring, star))
-    p = params.build()
+    p = _tropical_platform(rng, size, bound, star_inf)
     for call in range(1, holomorph.MAP_SWITCH_CALL):
         peer = p.random_element(rng)
         assert apply_phi_power(p, call, peer) == p.phi.power(call)(peer)
@@ -398,27 +408,58 @@ def test_tropical_levels_equal_the_factored_steps_from_the_switch_call_on(size, 
                 assert_canonical_data(ring, got.data)
         levels = max(levels, x.bit_length())
         assert len(p._maps.levels) == levels
-    # a level holds its step and its phi^m on every value, the +inf matrix too; on the carrier's own
-    # values a_k alone, Q_m's a_m never wins a min, as a_m >= phi^m(a_k) and so a_(k+m) = phi^m(a_k)
+    # a level holds its phi^m on every value, the +inf matrix too
     values = (p.random_element(rng).data, ring.zeros(size, size))
-    for level, (p_m, q_m, s_m, level_bound) in zip(p._chain, p._maps.levels):
+    for level, (p_m, s_m, level_bound) in zip(p._chain, p._maps.levels):
         for x in values:
-            assert np.array_equal(ring.add(ring.matmul(x, p_m), q_m), carrier_step(p, level, x))
             assert np.array_equal(ring.add(ring.matmul(x, p_m), s_m), level.end.act(x))
-        finite = all(a.dtype == np.int64 for a in (p_m, q_m, s_m))
-        assert level_bound == (max(abs(int(e)) for a in (p_m, q_m, s_m) for e in a.flat) if finite else None)
+        finite = all(a.dtype == np.int64 for a in (p_m, s_m))
+        assert level_bound == (max(abs(int(e)) for a in (p_m, s_m) for e in a.flat) if finite else None)
     event(f"levels on words: {sum(b is not None for *_, b in p._maps.levels)} of {levels}")
+
+
+@settings(max_examples=40, deadline=None)
+@given(**_TROPICAL_CASES)
+def test_tropical_carrier_power_is_phi_power_of_g(size, bound, star_inf, seed, exponents):
+    # phi(x) = x ⋆ H <= x entrywise and a_k <= g, so a_(k+1) = phi(a_k) ⊕ g is phi(a_k) and
+    # a_n = phi^(n-1)(g): on a cold copy's factored walk and past MAP_SWITCH_CALL on the levels alike
+    rng = np.random.default_rng(seed)
+    ring = TropicalIntegers()
+    p = _tropical_platform(rng, size, bound, star_inf)
+    for _ in range(1, holomorph.MAP_SWITCH_CALL):
+        assert carrier_power(p, 1) == p.g
+    for x in [1, *exponents, (1 << 63) - 1]:
+        cold = dataclasses.replace(p)
+        want = apply_phi_power(cold, x - 1, cold.g)
+        for got in (carrier_power(cold, x), carrier_power(p, x), apply_phi_power(p, x - 1, p.g)):
+            assert got == want and got.data.dtype == want.data.dtype
+            assert_canonical_data(ring, got.data)
+    assert p._maps.calls > holomorph.MAP_SWITCH_CALL and len(p._maps.levels) == 63
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_negative_phi_powers_are_refused(kind, rng, fresh_platform):
+    # phi^0 is the identity; a negative power is refused with Endomorphism.power's wording
+    p = fresh_platform(kind, rng)
+    x = p.random_element(rng)
+    with pytest.raises(ParameterError, match="endomorphism powers are nonnegative"):
+        apply_phi_power(p, -1, x)
+    with pytest.raises(ParameterError, match="endomorphism powers are nonnegative"):
+        phi_power(p, -1)
+    assert apply_phi_power(p, 0, x) == x and phi_power(p, 0) == IdentityEnd()
 
 
 def _count_level_moves(p: Platform, rng, monkeypatch, end_kind: type, move: str) -> list[tuple]:
     """Run 12 exchanges at 16 and 63 bits on p's warm chain and check each keygen and derive_key call:
-    popcount - 1 carrier_step (each with its end_kind.act) per keygen and popcount acts per derive
-    before the platform's MAP_SWITCH_CALL-th carrier_power or apply_phi_power call, and from it on
-    popcount - 1 and popcount level moves (``holomorph.<move>``), with no carrier_step and no act.
+    popcount - 1 carrier_step (each with its end_kind.act) per keygen, on the tropical carrier popcount - 1
+    acts and no carrier_step (a_n = phi^(n-1)(g) there), and popcount acts per derive before the
+    platform's MAP_SWITCH_CALL-th carrier_power or apply_phi_power call, and from it on popcount - 1 and
+    popcount level moves (``holomorph.<move>``), with no carrier_step and no act.
     Returns the arguments of every level move."""
     doubling_chain(p, 1 << 63)
     steps, actions, moves, all_moves = [], [], [], []
     step, act, level_move = holomorph.carrier_step, end_kind.act, getattr(holomorph, move)
+    keygen_steps = 0 if end_kind is TropicalStarPower else 1
 
     def counted_step(platform, level, data):
         steps.append(level)
@@ -452,7 +493,7 @@ def _count_level_moves(p: Platform, rng, monkeypatch, end_kind: type, move: str)
         for _ in range(2):
             pair, made, switched = counted_call(keygen, p, rng, bits)
             k = ones(pair.exponent)
-            assert made == ((0, 0, k - 1) if switched else (k - 1, k - 1, 0))
+            assert made == ((0, 0, k - 1) if switched else (keygen_steps * (k - 1), k - 1, 0))
             pairs.append(pair)
         alice, bob = pairs
         _, made, switched = counted_call(derive_key, p, alice.exponent, bob.public_value, alice.public_value)
@@ -463,7 +504,8 @@ def _count_level_moves(p: Platform, rng, monkeypatch, end_kind: type, move: str)
 
 
 def test_tropical_level_move_count(rng, fresh_platform, monkeypatch):
-    # a tropical level move is x ⊗ P_m ⊕ Q_m or ⊕ S_m, on words or on Python ints: both occur
+    # a tropical level move is x ⊗ P_m ⊕ S_m in a keygen and a derive alike, on words or on Python ints:
+    # both occur
     p = fresh_platform("tropical", rng)
     moves = _count_level_moves(p, rng, monkeypatch, TropicalStarPower, "_tropical_move")
     word_moves = [words for *_, words in moves]
