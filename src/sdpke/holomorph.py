@@ -28,32 +28,22 @@ the stack of the D coordinate basis matrices.  The affine MAKE step is the
 homogeneous (D+1) x (D+1) map [[P_m, 0], [vec(a_m), 1]] on vec(x) with a
 coordinate 1 appended, which the walk drops at its end.  A platform builds
 the maps level by level from its ``MAP_SWITCH_CALL``-th ``carrier_power``
-or ``apply_phi_power`` call on: a step or action is then one product
-vec(x) @ S_m or @ P_m.  On a 2-core Xeon a level takes about 12 us to build
-for GL(3, 1009), 20 us for the default MAKE over Z_(2^31 - 1) and 180 us
-for the default 3x3 Z_7[S_3] (three stacked group-ring products), which the
-calls' savings repay after about 10, 19 and 26 calls at 16-bit exponents;
-a platform that makes fewer than 16 calls (an ``sdpke exchange`` call of up
-to three trials, four calls each) never builds any.  Every int64-stored
-carrier with D <= ``MAP_MAX_COORDINATES`` takes maps.  A map of k rows sums
-at most k (m-1)^2 in a product; while that fits int64 the map is stored in
-the narrowest integer type that holds it (0.19 MB for 16 levels of the
-default 3x3 Z_7[S_3], D = 54, int16; 10 KB for GL(3, 1009), D = 9, int32),
-and past it as one k x 2k int64 array of its 16-bit limbs, whose sums stay
-below 2^54 (3 KB a level for the default MAKE, D = 9).
+or ``apply_phi_power`` call on (that constant holds the build costs and
+break-evens): a step or action is then one product vec(x) @ S_m or @ P_m.
+Every int64-stored carrier with D <= ``MAP_MAX_COORDINATES`` takes maps,
+each stored once in the form its ring chooses (``IntegersMod.store``) and
+multiplied by the ring's product on that form (``matmul_stored``).
 
 On the tropical carrier phi^m(x) = x ⋆ S_m = x ⊗ P_m ⊕ S_m with P_m = I ⊕
 S_m: from the same switch call on, a level holds P_m, S_m and the larger
 |entry| of the two, and every move of either walk is one min-plus product
 and one min.  When the bounds of the start and of the levels at n's set
-bits sum below 2^62, every sum of the walk is exact in int64 and every
-result canonical, so the walk runs on words with no check; otherwise it
-takes the ring's kernels, exact on Python ints.  A level takes about 12 us
-to build on the default 5x5 platform, which its calls repay after about 11
-calls at 16-bit exponents.  The OR/AND carrier, plain DH, Z_m stored as
-Python ints (MAKE past 3037000500), and larger conjugation carriers (3x3
-over Z_7[A_5], D = 540) keep the factored step, as do ``sequence_block``,
-the squarings and the attacks on every carrier.
+bits prove every sum exact in int64 (``semirings.tropical_walk_fits_words``),
+the walk runs on words with no check; otherwise it takes the ring's
+kernels, exact on Python ints.  The OR/AND carrier, plain DH, Z_m stored
+as Python ints (MAKE past 3037000500), and larger conjugation carriers
+(3x3 over Z_7[A_5], D = 540) keep the factored step, as do
+``sequence_block``, the squarings and the attacks on every carrier.
 
 Endomorphism powers are represented in closed form per platform (cached
 two-sided factor powers, of which conjugation is one case; star powers,
@@ -72,17 +62,17 @@ import numpy as np
 from .errors import ParameterError
 from .matrices import Matrix, random_matrix
 from .permutations import Permutation
-from .semirings import _TROP_WORD_BOUND, BitStrings, _min_plus
+from .semirings import BitStrings, tropical_bound, tropical_walk_fits_words, tropical_word_move
 
 #: levels a platform's doubling chain may hold: (g, phi)^(2^i) for i < 64
 MAX_CHAIN_LEVELS = 64
 #: the call of ``carrier_power`` or ``apply_phi_power`` on one platform from which it takes the
-#: chain levels' maps.  At 16-bit exponents the maps repay their build after about 10 calls on
-#: GL(3, 1009) (12 us a level), 11 on the default 5x5 tropical platform (12 us a level), 19 on the
-#: default MAKE over Z_(2^31 - 1) (20 us a level, its homogeneous affine step and phi^m on 16-bit
-#: limbs) and 26 on the default 3x3 Z_7[S_3] (180 us a level).  16 is below the last two, and stays:
-#: no use sits between, as an ``sdpke exchange`` call makes 4 calls a trial (8 at 2 trials) and a
-#: long-lived platform thousands
+#: chain levels' maps.  On a 2-core Xeon, at 16-bit exponents, the maps repay their build after about
+#: 10 calls on GL(3, 1009) (12 us a level), 11 on the default 5x5 tropical platform (12 us a level),
+#: 19 on the default MAKE over Z_(2^31 - 1) (20 us a level, its homogeneous affine step and phi^m on
+#: 16-bit limbs) and 26 on the default 3x3 Z_7[S_3] (180 us a level).  16 is below the last two, and
+#: stays: no use sits between, as an ``sdpke exchange`` call makes 4 calls a trial (8 at 2 trials)
+#: and a long-lived platform thousands
 MAP_SWITCH_CALL = 16
 #: the most Z_m coordinates D of a carrier whose chain levels take maps: the default 3x3 Z_7[S_3]
 #: carrier, whose maps at all 64 levels would take 16 D^2 * 64 bytes = 3 MB as int64 and twice that on
@@ -281,10 +271,10 @@ class _LevelMaps:
     of P_m is vec(L e_i R) for the i-th coordinate basis matrix e_i, so
     vec(L x R) = vec(x) @ P_m.  S_m is D x D for the step x -> L x (R a_m),
     and for the MAKE step x -> L x R + a_m the homogeneous (D+1) x (D+1)
-    [[P_m, 0], [vec(a_m), 1]].  A k-row map is stored in the integer type
-    ``_conjugation_maps`` picks, or past int64 as a k x 2k array of 16-bit
-    limbs.  On the tropical carrier it holds (P_m, S_m, bound) for phi^m,
-    which is also the carrier's step there (``_tropical_maps``).
+    [[P_m, 0], [vec(a_m), 1]].  Each map is stored in the form its ring
+    picks (``IntegersMod.store``).  On the tropical carrier it holds
+    (P_m, S_m, bound) for phi^m, which is also the carrier's step there
+    (``_tropical_maps``).
     """
 
     __slots__ = ("calls", "levels")
@@ -364,9 +354,8 @@ def _map_builder(platform: Platform):
     ``_tropical_maps`` on the tropical carrier, and ``_conjugation_maps`` with phi two-sided on an
     int64-stored Z_m or Z_m[G] carrier of at most ``MAP_MAX_COORDINATES`` coordinates, under the
     matrix product or the matrix sum (MAKE, whose affine step takes a homogeneous map).  Every map
-    product is exact there: in one integer array while its k-term sum fits int64, else on 16-bit
-    limbs.  A level costs about 20 us to build on the default MAKE and repays it after about 19
-    calls (``MAP_SWITCH_CALL``)."""
+    product is exact there, on the form the ring stores the map in; ``MAP_SWITCH_CALL`` holds the
+    build costs and break-evens."""
     ring = platform.g.ring
     if isinstance(platform.phi, TropicalStarPower) and platform.op_kind == "add":
         return _tropical_maps
@@ -402,19 +391,10 @@ def _conjugation_maps(platform: Platform, levels: tuple[HolomorphPower, ...]):
     through ``ring.matmul`` and no ``Endomorphism.act``: row i of P_m is vec(L e_i R).  Under the
     matrix product row i of S_m is that times a_m, three stacked products in all.  Under the matrix
     sum the step x -> L x R + a_m is affine, so S_m is the homogeneous (D+1) x (D+1) map
-    [[P_m, 0], [vec(a_m), 1]] on vec(x) with a coordinate 1 appended.
-
-    A map product sums k products of residues, at most k (m-1)^2 for a map of k rows, so while that
-    fits int64 the maps are stored in the narrowest integer type that holds it: int16 for the default
-    Z_7[S_3] carrier, a quarter of the int64 bytes.  Past it (MAKE and GL(3, p) at p = 2^31 - 1) a
-    map M is stored as its 16-bit limbs, one k x 2k int64 array [M & 0xFFFF | M >> 16], on which
-    every sum of k <= 55 terms stays below 55 * 2^31.5 * 2^16 < 2^53.3 (``_map_product``).  A MAKE
-    or GL(3, 2^31 - 1) level takes about 20 us to build, 12 us on GL(3, 1009) and 180 us on the
-    default Z_7[S_3] (``MAP_SWITCH_CALL`` has their break-evens)."""
+    [[P_m, 0], [vec(a_m), 1]] on vec(x) with a coordinate 1 appended.  Each map is stored in the
+    form the ring picks for its row count (``IntegersMod.store``)."""
     ring, g = platform.g.ring, platform.g.data
     affine, size = platform.op_kind == "add", g.size
-    bound = (size + affine) * (ring.modulus - 1) ** 2
-    dtype = next((t for t in (np.int16, np.int32, np.int64) if bound <= np.iinfo(t).max), None)
     basis = np.eye(size, dtype=np.int64).reshape((size,) + g.shape)
     for level in levels:
         images = ring.matmul(ring.matmul(level.end.left_pow.data, basis), level.end.right_pow.data)
@@ -425,15 +405,10 @@ def _conjugation_maps(platform: Platform, levels: tuple[HolomorphPower, ...]):
             step_map[size, :size] = level.value.data.reshape(-1)
         else:
             step_map = ring.matmul(images, level.value.data).reshape(size, size)
-        pair = tuple(_limbs(m) if dtype is None else m.astype(dtype) for m in (step_map, phi_map))
+        pair = (ring.store(step_map), ring.store(phi_map))
         for m in pair:
             m.flags.writeable = False
         yield pair
-
-
-def _limbs(level_map: np.ndarray) -> np.ndarray:
-    """A k x k map of residues as one k x 2k int64 array of its 16-bit limbs, [M & 0xFFFF | M >> 16]."""
-    return np.concatenate([level_map & 0xFFFF, level_map >> 16], axis=1)
 
 
 def _tropical_maps(platform: Platform, levels: tuple[HolomorphPower, ...]):
@@ -448,34 +423,13 @@ def _tropical_maps(platform: Platform, levels: tuple[HolomorphPower, ...]):
         arrays = (ring.add(eye, star), star)
         for m in arrays:
             m.flags.writeable = False
-        yield (*arrays, _bound(*arrays))
-
-
-def _bound(*arrays: np.ndarray) -> int | None:
-    """The largest |entry| over tropical packed arrays, or None when any of them is an object array
-    (int64 ones are canonical, so no entry is -2^63 and ``np.abs`` is exact)."""
-    if any(a.dtype == object for a in arrays):
-        return None
-    return max(int(np.abs(a).max()) for a in arrays)
-
-
-def _map_product(ring, vec: np.ndarray, level_map: np.ndarray) -> np.ndarray:
-    """vec @ M over Z_m for a level's S_m or P_m applied to a value's coordinates, in the map's form.
-
-    A k x k map sums exactly in its integer type.  A k x 2k one holds M's 16-bit limbs: y = vec @ W
-    is then the low and high limb sums, each below k * 2^31.5 * 2^16 and so exact in int64, and
-    vec @ M = y_low + (y_high mod m) * 2^16, below 2^54, reduced mod m."""
-    k = level_map.shape[0]
-    y = vec @ level_map
-    if level_map.shape[1] == k:
-        return y % ring.modulus
-    return (y[..., :k] + ((y[..., k:] % ring.modulus) << 16)) % ring.modulus
+        yield (*arrays, tropical_bound(*arrays))
 
 
 def _tropical_move(ring, data: np.ndarray, p_m: np.ndarray, s_m: np.ndarray, words: bool) -> np.ndarray:
     """phi^m(data) = data ⊗ p_m ⊕ s_m, on words where the walk's bounds prove that exact, else by ring kernels."""
     if words:
-        return np.minimum(_min_plus(data, p_m), s_m)
+        return tropical_word_move(data, p_m, s_m)
     return ring.add(ring.matmul(data, p_m), s_m)
 
 
@@ -495,12 +449,11 @@ def _walk(platform: Platform, n: int, data: np.ndarray | None) -> np.ndarray:
     on the tropical carrier, where a_n = phi^(n-1)(g), acts with it.  With
     data it is phi^n(data): each level's endomorphism acts in turn.  Once the
     platform holds maps (``_maps_up_to``), every move with a two-sided phi
-    is one ``_map_product`` with the level's S_m or P_m, on the coordinates in
-    the maps' integer type (a MAKE carrier walk appends the homogeneous
-    coordinate 1 first and drops it at the end), and on the tropical carrier
-    one ``_tropical_move``, on words when the bounds of the start and of the
-    levels sum below 2^62, as a move raises the largest |entry| by at most
-    its level's bound.
+    is one ring ``matmul_stored`` with the level's S_m or P_m, on the
+    coordinates in the maps' stored dtype (a MAKE carrier walk appends the
+    homogeneous coordinate 1 first and drops it at the end), and on the
+    tropical carrier one ``_tropical_move``, on words when the bounds of the
+    start and of the levels admit it (``tropical_walk_fits_words``).
     """
     chain, bits = _chain_bits(platform, n)
     maps = _maps_up_to(platform, n)
@@ -510,18 +463,18 @@ def _walk(platform: Platform, n: int, data: np.ndarray | None) -> np.ndarray:
         data = chain[bits.pop(0)].value.data
     if maps is not None and bits and tropical:
         ring, levels = platform.g.ring, [maps[i] for i in bits]
-        bounds = [_bound(data), *(level[2] for level in levels)]
-        words = None not in bounds and sum(bounds) < _TROP_WORD_BOUND
+        words = tropical_walk_fits_words([tropical_bound(data), *(level[2] for level in levels)])
         for p_m, s_m, _ in levels:
             data = _tropical_move(ring, data, p_m, s_m, words)
         return data
     if maps is not None and bits:
+        which, product = 0 if carrier else 1, platform.g.ring.matmul_stored
         vec = data.reshape(-1)
         if carrier and platform.op_kind == "add":  # the homogeneous coordinate of the affine step
             vec = np.append(vec, 1)
-        vec = vec.astype(maps[0][0].dtype)
+        vec = vec.astype(maps[0][which].dtype)
         for i in bits:
-            vec = _map_product(platform.g.ring, vec, maps[i][0 if carrier else 1])
+            vec = product(vec, maps[i][which])
         return vec[: data.size].astype(np.int64).reshape(data.shape)
     for i in bits:
         data = carrier_step(platform, chain[i], data) if carrier else chain[i].end.act(data)

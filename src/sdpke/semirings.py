@@ -29,14 +29,16 @@ tropical entries, and 0/1 text or integer masks for bitstrings.  It refuses
 bools, floats and text as integers.
 
 Z_m is stored as int64 whenever a product of two residues fits a signed
-word, (m-1)^2 < 2^63, and as Python ints above.  A Z_m product sums as
-stored while that is exact: at every inner dimension k on Python ints, while
-k(m-1)^2 < 2^63 in int64.  An int64 product past that sums on unsigned views
-of the same entries, in blocks of the inner dimension whose sums stay below
-2^64, each reduced mod m before they are added (``IntegersMod.matmul``).
-Z_m[G] takes only the moduli Z_m stores as int64, by the same rule, so its
-coefficients always live on words and ``linalg.rref_mod`` eliminates its
-regular blocks in int64.
+word, (m-1)^2 < 2^63, and as Python ints above.  ``IntegersMod`` owns the
+one rule by which a Z_m product of k terms stays exact: on Python ints at
+every k, and for int64 entries in int64 while k(m-1)^2 < 2^63, on unsigned
+views of the same entries while k(m-1)^2 < 2^64, and past that on the right
+factor's 16-bit limbs, whose sums recombine below (k+1)(m-1)2^16: exact
+while that is below 2^63 (46,339 terms at the largest int64 modulus), and
+refused past it.  A right factor used many times, a chain-level map, is
+stored once in the form the rule picks (``IntegersMod.store``).  Z_m[G]
+takes only the moduli Z_m stores as int64, so its coefficients always live
+on words and ``linalg.rref_mod`` eliminates its regular blocks in int64.
 
 A tropical sum of two int64 entries below 2^62 in magnitude is exact in
 int64, so min-plus products of int64 operands run on words; a result with
@@ -78,6 +80,25 @@ def _min_plus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The (min, +) product of packed tropical entries as stored, leading stack axes broadcast: no bound is
     checked, so on int64 operands it is exact only when every sum is (``TropicalIntegers.matmul`` checks)."""
     return np.minimum.reduce(a[..., :, :, None] + b[..., None, :, :], axis=-2)
+
+
+def tropical_bound(*arrays: np.ndarray) -> int | None:
+    """The largest |entry| over tropical packed arrays, or None when any of them is an object array
+    (int64 ones are canonical, so no entry is -2^63 and ``np.abs`` is exact)."""
+    if any(a.dtype == object for a in arrays):
+        return None
+    return max(int(np.abs(a).max()) for a in arrays)
+
+
+def tropical_walk_fits_words(bounds: list[int | None]) -> bool:
+    """Whether moves x -> x ⊗ P ⊕ S from a start of ``bounds[0]``, one per (P, S) of each further bound, are
+    exact on int64 words: a move raises the largest |entry| by at most its bound, so all stay below 2^62."""
+    return None not in bounds and sum(bounds) < _TROP_WORD_BOUND
+
+
+def tropical_word_move(x: np.ndarray, p: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """x ⊗ p ⊕ s on int64 words, no bound checked: exact and canonical where ``tropical_walk_fits_words``."""
+    return np.minimum(_min_plus(x, p), s)
 
 
 def check_tropical_bounds(lo: int, hi: int) -> None:
@@ -131,12 +152,12 @@ class IntegersMod:
         self.modulus = int(modulus)
         self.dtype = np.int64 if residue_products_fit_int64(self.modulus) else object
         self.dtypes = (self.dtype,)
-        # a product entry sums k terms of at most (m-1)^2.  As stored, the sum is exact at every k on
-        # Python ints and while k*(m-1)^2 < 2^63 in int64; past that, int64 entries sum on unsigned
-        # views in blocks of at most _uint64_inner_max terms, k*(m-1)^2 < 2^64
+        # the longest exact k-term sums of the module's product rule: k (m-1)^2 < 2^63 and < 2^64, and
+        # (k+1) (m-1) 2^16 < 2^63 on limbs (``matmul_stored``)
         square = (self.modulus - 1) ** 2
         self._int64_inner_max = ((1 << 63) - 1) // square if self.dtype is np.int64 else float("inf")
         self._uint64_inner_max = ((1 << 64) - 1) // square
+        self._limb_inner_max = ((1 << 63) - 1) // ((self.modulus - 1) << 16) - 1
 
     def __eq__(self, other):
         return isinstance(other, IntegersMod) and other.modulus == self.modulus
@@ -160,17 +181,41 @@ class IntegersMod:
         k = a.shape[-1]
         if k <= self._int64_inner_max:
             return (a @ b) % self.modulus
-        # canonical entries lie in [0, m), so the zero-copy unsigned views hold the same values
-        a, b = a.view(np.uint64), b.view(np.uint64)
-        step = self._uint64_inner_max
-        if k <= step:
-            return ((a @ b) % self.modulus).view(np.int64)
-        # each block of at most `step` terms sums below 2^64 and reduces below m; n blocks sum
-        # below n m, under 2^64 for every n < 2^64 / m (over 6 * 10^9 blocks, as m < 3037000500)
-        total = (a[..., :step] @ b[..., :step, :]) % self.modulus
-        for i in range(step, k, step):
-            total += (a[..., i:i + step] @ b[..., i:i + step, :]) % self.modulus
-        return (total % self.modulus).view(np.int64)
+        if k <= self._uint64_inner_max:
+            # canonical entries lie in [0, m), so the zero-copy unsigned views hold the same values
+            return ((a.view(np.uint64) @ b.view(np.uint64)) % self.modulus).view(np.int64)
+        return self.matmul_stored(a, self.store(b))
+
+    def store(self, b) -> np.ndarray:
+        """A right operand of k rows in the form the ring multiplies it on, for ``matmul_stored``.
+
+        While k (m-1)^2 fits int64 that is b in the narrowest of int16, int32 and int64 whose k-term
+        sums of residue products are exact, past it b's 16-bit limbs side by side, [b & 0xFFFF | b >> 16]
+        on the last axis, and past the limb bound a refusal.  Narrow storage stays for speed: chain-level
+        maps stored as int64 read the exchange benchmark's ``p50_ms.groupring`` 10-14% higher in 4 of 4
+        10 s pairs on a 2-core Xeon (``peak_rss_mb`` moved -0.15 to +0.40 MB, unresolved).
+        """
+        k = b.shape[-2]
+        if k <= self._int64_inner_max:
+            bound = k * (self.modulus - 1) ** 2
+            return b.astype(next((t for t in (np.int16, np.int32, np.int64) if bound <= np.iinfo(t).max), self.dtype))
+        if k > self._limb_inner_max:
+            raise ParameterError(f"a Z_{self.modulus} product of {k} terms passes the 16-bit limb bound of "
+                                 f"{self._limb_inner_max} terms")
+        return np.concatenate([b & 0xFFFF, b >> 16], axis=-1)
+
+    def matmul_stored(self, a, w):
+        """a @ b mod m for w = ``store(b)``, with a's residues in w's dtype.
+
+        A k-term sum in w's integer type is exact.  On limbs, y = a @ w holds the low and high limb
+        sums, each below k (m-1) 2^16, and a @ b = y_low + (y_high mod m) 2^16 sums below
+        (k+1) (m-1) 2^16 < 2^63, then reduced mod m.
+        """
+        if w.shape[-2] <= self._int64_inner_max:
+            return (a @ w) % self.modulus
+        n = w.shape[-1] // 2
+        y = a @ w
+        return (y[..., :n] + ((y[..., n:] % self.modulus) << 16)) % self.modulus
 
     def scale(self, c: int, a):
         return (c * a) % self.modulus
@@ -228,6 +273,8 @@ class GroupRingScalars:
     random = IntegersMod.random
     to_obj = IntegersMod.to_obj
     from_obj = IntegersMod.from_obj
+    store = IntegersMod.store
+    matmul_stored = IntegersMod.matmul_stored
 
     def identity(self, n: int) -> np.ndarray:
         out = self.zeros(n, n)

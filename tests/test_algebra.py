@@ -8,7 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import sdpke.matrices as mx
@@ -386,7 +386,7 @@ def test_convolution_near_the_largest_int64_prime_matches_double_loop_oracle():
 )
 # inner dimension 3 * |A_5| = 180 is past _int64_inner_max (128) at 2^28-57: the unsigned path
 @example(group="a5", modulus=_PRIME_BELOW_2_28, shape=(2, 3, 1), near_top=True, seed=0)
-# inner dimension 5 * |A_5| = 300 is past _uint64_inner_max (256) as well: two unsigned blocks
+# inner dimension 5 * |A_5| = 300 is past _uint64_inner_max (256) as well: 16-bit limbs
 @example(group="a5", modulus=_PRIME_BELOW_2_28, shape=(1, 5, 1), near_top=True, seed=3)
 # inner dimension 2 * |A_5| = 120 is the int64 path with the largest terms it admits
 @example(group="a5", modulus=_PRIME_BELOW_2_28, shape=(1, 2, 2), near_top=True, seed=1)
@@ -396,7 +396,7 @@ def test_convolution_near_the_largest_int64_prime_matches_double_loop_oracle():
 @example(group="a5", modulus=2**28 + 3, shape=(1, 2, 2), near_top=True, seed=4)
 # ... 60 is one unsigned product at 2^29-3 (int64 up to 32 terms, unsigned up to 64) ...
 @example(group="a5", modulus=2**29 - 3, shape=(2, 1, 2), near_top=True, seed=5)
-# ... and at the largest int64 prime a block holds 2 terms: 180 terms gathering the left factor,
+# ... and at the largest int64 prime an unsigned sum holds 2 terms: 180 terms gathering the left factor,
 # 120 gathering the right
 @example(group="a5", modulus=_LARGEST_INT64_PRIME, shape=(1, 3, 2), near_top=True, seed=6)
 @example(group="a5", modulus=_LARGEST_INT64_PRIME, shape=(3, 2, 1), near_top=True, seed=7)
@@ -439,13 +439,13 @@ def test_tall_groupring_product_gathers_the_small_factor(tall_left):
 _STACKED_RINGS = {
     "zmod-7": (IntegersMod(7), 4),
     # k * (m-1)^2 passes 2^63 from k = 129 on (unsigned views) and 2^64 from k = 257 on
-    # (unsigned blocks of at most 256 terms, each reduced mod m)
+    # (the right factor's 16-bit limbs)
     "zmod-int64-limit": (IntegersMod(_PRIME_BELOW_2_28), 260),
     # the same three paths at k = 1-2, 3-4 and 5-6
     "zmod-uint64": (IntegersMod(2**31 - 1), 6),
     "zmod-object": (IntegersMod(2**61 - 1), 4),
     "groupring-s3": (GroupRingScalars(S3, 7), 3),
-    # inner dimension k * |A_5| passes 128 from k = 3 on (unsigned) and 256 from k = 5 on (unsigned blocks)
+    # inner dimension k * |A_5| passes 128 from k = 3 on (unsigned) and 256 from k = 5 on (16-bit limbs)
     "groupring-a5": (GroupRingScalars(GROUPS["a5"], _PRIME_BELOW_2_28), 5),
     "tropical": (TropicalIntegers(), 4),
     "bits": (BitStrings(5), 4),
@@ -506,9 +506,9 @@ def _assert_stacked_product_matches_oracle(ring, rows: int, k: int, cols: int, s
         assert Matrix(ring, out[idx]) == matmul_oracle(Matrix(ring, a[idx]), Matrix(ring, b[idx]))
 
 
-#: moduli stored as int64 whose products sum in int64, on unsigned views and in unsigned blocks
-#: as k grows, with their (int64, unsigned) inner-dimension bounds: the largest k with k (m-1)^2
-#: below 2^63 and 2^64, the unsigned one also the block length
+#: moduli stored as int64 whose products sum in int64, on unsigned views and on the right factor's
+#: 16-bit limbs as k grows, with their (int64, unsigned) inner-dimension bounds: the largest k with
+#: k (m-1)^2 below 2^63 and 2^64
 _WORD_BOUNDS = {
     _PRIME_BELOW_2_28: (128, 256),
     2**31 - 1: (2, 4),
@@ -519,7 +519,7 @@ _WORD_BOUNDS = {
 @st.composite
 def _word_modulus_and_inner_dimension(draw):
     modulus = draw(st.sampled_from(sorted(_WORD_BOUNDS)))
-    return modulus, draw(st.integers(1, 2 * _WORD_BOUNDS[modulus][1] + 1), label="k")
+    return modulus, draw(st.integers(1, 3 * _WORD_BOUNDS[modulus][1]), label="k")
 
 
 @settings(deadline=None, max_examples=40)
@@ -530,7 +530,7 @@ def _word_modulus_and_inner_dimension(draw):
     cols=st.integers(1, 2),
     seed=st.integers(0, 2**32 - 1),
 )
-# k at the int64 bound, one past it (unsigned views), at the unsigned bound and one past it (two blocks)
+# k at the int64 bound, one past it (unsigned views), at the unsigned bound and one past it (16-bit limbs)
 @example(case=(_PRIME_BELOW_2_28, 128), stacks=((2,), ()), rows=1, cols=1, seed=0)
 @example(case=(_PRIME_BELOW_2_28, 129), stacks=((), (2,)), rows=1, cols=1, seed=1)
 @example(case=(_PRIME_BELOW_2_28, 256), stacks=((2,), ()), rows=1, cols=1, seed=2)
@@ -542,8 +542,8 @@ def _word_modulus_and_inner_dimension(draw):
 @example(case=(_LARGEST_INT64_PRIME, 1), stacks=((2, 3), ()), rows=2, cols=2, seed=8)
 @example(case=(_LARGEST_INT64_PRIME, 2), stacks=((), (2, 3)), rows=2, cols=2, seed=9)
 @example(case=(_LARGEST_INT64_PRIME, 3), stacks=((1, 2), ()), rows=2, cols=2, seed=10)
-# k at twice the unsigned bound (two full blocks) and one past it (a third block of one term),
-# and 151 blocks at the largest modulus stored as int64
+# k at twice and three times the unsigned bound and one past twice it, all on limbs, and 301 terms
+# at the largest modulus stored as int64
 @example(case=(_PRIME_BELOW_2_28, 512), stacks=((2,), ()), rows=1, cols=1, seed=11)
 @example(case=(_PRIME_BELOW_2_28, 513), stacks=((), (2,)), rows=1, cols=1, seed=12)
 @example(case=(2**31 - 1, 8), stacks=((2, 3), ()), rows=2, cols=2, seed=13)
@@ -551,6 +551,8 @@ def _word_modulus_and_inner_dimension(draw):
 @example(case=(_LARGEST_INT64_PRIME, 4), stacks=((1, 2), ()), rows=2, cols=2, seed=15)
 @example(case=(_LARGEST_INT64_PRIME, 5), stacks=((2,), (2,)), rows=2, cols=2, seed=16)
 @example(case=(_LARGEST_INT64_PRIME, 301), stacks=((2, 1), (1, 3)), rows=2, cols=2, seed=17)
+@example(case=(2**31 - 1, 12), stacks=((1, 2), ()), rows=2, cols=2, seed=18)
+@example(case=(_LARGEST_INT64_PRIME, 6), stacks=((), (1, 2)), rows=2, cols=2, seed=19)
 def test_zmod_products_on_both_sides_of_both_word_bounds_match_oracle(case, stacks, rows, cols, seed):
     # entries near m-1 make every bound tight: one inner dimension past the int64 (unsigned) bound,
     # the signed (unsigned) sums wrap
@@ -581,6 +583,66 @@ def test_int64_product_past_the_unsigned_bound_builds_no_object_array(modulus, k
     out = ring.matmul(a.view(_RefusesObjectCast), b.view(_RefusesObjectCast))
     assert out.dtype == np.int64
     assert Matrix(ring, np.asarray(out)) == matmul_oracle(Matrix(ring, a), Matrix(ring, b))
+
+
+#: moduli at which a stored right operand of k <= 300 rows (IntegersMod.store) takes each form: int16
+#: at 7, int16 up to k = 36 and int32 past it at 31, int32 at 1009, int32 up to k = 127 and int64 past
+#: it at 4099, int64 up to k = 128 and 16-bit limbs past it at 2^28 - 57, and limbs from k = 3 and
+#: k = 2 at the two largest
+_STORED_FORM_MODULI = [7, 31, 1009, 4099, _PRIME_BELOW_2_28, 2**31 - 1, _LARGEST_INT64_PRIME]
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    modulus=st.sampled_from(_STORED_FORM_MODULI),
+    k=st.integers(1, 300),
+    stacks=st.sampled_from(_STACK_SHAPES),
+    rows=st.integers(1, 2),
+    cols=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(modulus=7, k=300, stacks=((2,), ()), rows=2, cols=2, seed=0)
+@example(modulus=1009, k=300, stacks=((), (2,)), rows=2, cols=2, seed=1)
+# each narrow type at its bound and one past it
+@example(modulus=31, k=36, stacks=((2,), ()), rows=2, cols=2, seed=5)
+@example(modulus=31, k=37, stacks=((), (2,)), rows=2, cols=2, seed=6)
+@example(modulus=4099, k=127, stacks=((2,), ()), rows=2, cols=2, seed=7)
+@example(modulus=4099, k=128, stacks=((), (2,)), rows=2, cols=2, seed=8)
+@example(modulus=_PRIME_BELOW_2_28, k=128, stacks=((2, 3), ()), rows=1, cols=3, seed=2)
+# limbs where matmul takes one unsigned sum
+@example(modulus=_PRIME_BELOW_2_28, k=129, stacks=((), (2, 3)), rows=1, cols=3, seed=3)
+@example(modulus=_LARGEST_INT64_PRIME, k=300, stacks=((2, 1), (1, 3)), rows=2, cols=1, seed=4)
+def test_zmod_products_on_every_stored_form_equal_matmul(modulus, k, stacks, rows, cols, seed):
+    # a right operand of k rows is stored in the narrowest of int16, int32 and int64 that holds
+    # k (m-1)^2, else as its 16-bit limbs side by side; the ring's product on that form is matmul's
+    ring = IntegersMod(modulus)
+    gen = np.random.default_rng(seed)
+    a, b = _packed(gen, ring, rows, k, stacks[0]), _packed(gen, ring, k, cols, stacks[1])
+    bound = k * (modulus - 1) ** 2
+    dtype = next((t for t in (np.int16, np.int32, np.int64) if bound <= np.iinfo(t).max), None)
+    stored = ring.store(b)
+    assert stored.shape == b.shape[:-1] + (cols if dtype else 2 * cols,)
+    assert stored.dtype == (dtype or np.int64)
+    event(f"stored as {np.dtype(dtype).name if dtype else 'limbs'}")
+    got = ring.matmul_stored(a.astype(stored.dtype), stored)
+    assert got.dtype == stored.dtype and np.array_equal(got, ring.matmul(a, b))
+
+
+@pytest.mark.parametrize("modulus", [2**31 - 1, _LARGEST_INT64_PRIME])
+def test_zmod_product_at_the_limb_bound_is_exact_and_one_past_it_is_refused(modulus):
+    # a product on 16-bit limbs sums below (k+1) (m-1) 2^16, exact while that is below 2^63: k = 65535
+    # terms at 2^31 - 1 and 46339 at 3037000493.  Entries m - 1 make every sum its largest; a (1, k)
+    # by (k, 1) product holds about 0.4 MB
+    k = ((1 << 63) - 1) // ((modulus - 1) << 16) - 1
+    assert (k + 1) * (modulus - 1) << 16 < 1 << 63 <= (k + 2) * (modulus - 1) << 16
+    ring = IntegersMod(modulus)
+    top = np.full((1, k + 1), modulus - 1, dtype=np.int64)
+    assert ring.matmul(top[:, :k], top[:, :k].T).tolist() == [[k * (modulus - 1) ** 2 % modulus]]
+    a, b = np.random.default_rng(k).integers(modulus - 1024, modulus, (2, k))
+    assert ring.matmul(a[None], b[:, None]).tolist() == [[sum(map(int.__mul__, a.tolist(), b.tolist())) % modulus]]
+    for refused in (lambda: ring.matmul(top, top.T), lambda: ring.store(top.T)):
+        with pytest.raises(ParameterError, match="limb bound"):
+            refused()
 
 
 @pytest.mark.parametrize("k", range(1, 11))
@@ -1006,7 +1068,7 @@ def test_every_matrix_result_is_canonical(name, n, c, seed):
     if isinstance(ring, IntegersMod) and (inverse := mx.try_inverse(a)) is not None:
         results.append(inverse)
     if isinstance(ring, IntegersMod) and ring.dtype == np.int64:
-        # one inner dimension past the unsigned bound: the product of an int64 ring sums two unsigned blocks
+        # one inner dimension past the unsigned bound: the product of an int64 ring sums on 16-bit limbs
         k = ring._uint64_inner_max + 1
         row, col = mx.random_matrix(rng, ring, 1, k), mx.random_matrix(rng, ring, k, 1)
         results += [row, col, row @ col]

@@ -133,14 +133,15 @@ def test_sdp_exp_holo_mul_count(rng, fresh_platform, monkeypatch):
     # chain carrier_power and keygen compose no endomorphism, and derive_key composes none either:
     # it acts on the peer's value with popcount(x) chain endomorphisms and makes one operation.
     # A step is a carrier_step until the platform's MAP_SWITCH_CALL-th carrier_power or
-    # apply_phi_power call and one product with the level's step map S_m from it on; an action is
-    # an Endomorphism.act, then a product with the level's phi map P_m.  The counts are the same.
+    # apply_phi_power call and from it on one ring product (IntegersMod.matmul_stored) with the
+    # level's stored step map S_m; an action is an Endomorphism.act, then a product with the level's
+    # phi map P_m.  The counts are the same.
     p = fresh_platform("gl", rng)
     end_kind = type(p.phi)
     squarings, products, steps, compositions, actions, ops = [], [], [], [], [], []
     factored_steps, mapped = [], []
     step, compose, act, op = holomorph.carrier_step, Endomorphism.compose, end_kind.act, Platform.op
-    map_product = holomorph._map_product
+    map_product = IntegersMod.matmul_stored
 
     def counted(platform, x, y):
         (squarings if x is y else products).append(x.exponent)
@@ -171,7 +172,7 @@ def test_sdp_exp_holo_mul_count(rng, fresh_platform, monkeypatch):
 
     monkeypatch.setattr(holomorph, "holo_mul", counted)
     monkeypatch.setattr(holomorph, "carrier_step", counted_step)
-    monkeypatch.setattr(holomorph, "_map_product", counted_map)
+    monkeypatch.setattr(IntegersMod, "matmul_stored", counted_map)
     monkeypatch.setattr(Endomorphism, "compose", counted_compose)
     monkeypatch.setattr(end_kind, "act", counted_act)
     monkeypatch.setattr(Platform, "op", counted_op)
@@ -250,22 +251,25 @@ def _assert_levels_from_switch_call(p: Platform, rng: np.random.Generator, expon
         assert len(p._maps.levels) == levels
 
 
-def _map_entries(level_map: np.ndarray, limbs: bool) -> np.ndarray:
-    """A level's k-row map as an object array of Python ints: as stored, or read from its 16-bit limbs."""
+def _map_entries(level_map: np.ndarray, prime: int) -> np.ndarray:
+    """A level's k-row map as an object array of Python ints, read from the form its ring stores it in:
+    the narrowest of int16, int32 and int64 that holds k (p-1)^2, else k x 2k int64 16-bit limbs."""
     k = level_map.shape[0]
-    assert level_map.shape == ((k, 2 * k) if limbs else (k, k))
+    bound = k * (prime - 1) ** 2
+    dtype = next((t for t in (np.int16, np.int32, np.int64) if bound <= np.iinfo(t).max), None)
+    assert level_map.shape == ((k, k) if dtype else (k, 2 * k)) and level_map.dtype == (dtype or np.int64)
     entries = level_map.astype(object)
-    if not limbs:
+    if dtype:
         return entries
     assert all(0 <= e < 1 << 16 for e in entries[:, :k].flat)
     return entries[:, :k] + (entries[:, k:] << 16)
 
 
 def _assert_kronecker_maps(p: Platform) -> None:
-    """Each level's maps of a two-sided phi^m(x) = L x R over Z_p, on 16-bit limbs exactly when the k-row
-    sum k (p-1)^2 passes int64: P_m is vec(L x R) = vec(x) (L^T ⊗ R) row-major, numpy's Kronecker
-    product on Python ints, and S_m is P_m times a_m under the matrix product and the homogeneous
-    [[P_m, 0], [vec(a_m), 1]] under the matrix sum."""
+    """Each level's maps of a two-sided phi^m(x) = L x R over Z_p, each in the form of its own row count k
+    (16-bit limbs exactly when k (p-1)^2 passes int64): P_m is vec(L x R) = vec(x) (L^T ⊗ R) row-major,
+    numpy's Kronecker product on Python ints, and S_m is P_m times a_m under the matrix product and the
+    homogeneous [[P_m, 0], [vec(a_m), 1]] under the matrix sum."""
     prime, size = p.g.ring.modulus, p.g.data.size
     for level, (step_map, phi_map) in zip(p._chain, p._maps.levels):
         left, right, value = (m.data.astype(object) for m in (level.end.left_pow, level.end.right_pow, level.value))
@@ -275,9 +279,8 @@ def _assert_kronecker_maps(p: Platform) -> None:
         else:
             step_want = np.zeros((size + 1, size + 1), dtype=object)
             step_want[:size, :size], step_want[size, :size], step_want[size, size] = phi_want, value.reshape(-1), 1
-        limbs = step_map.shape[0] * (prime - 1) ** 2 > np.iinfo(np.int64).max
-        assert np.array_equal(_map_entries(phi_map, limbs), phi_want)
-        assert np.array_equal(_map_entries(step_map, limbs), step_want)
+        assert np.array_equal(_map_entries(phi_map, prime), phi_want)
+        assert np.array_equal(_map_entries(step_map, prime), step_want)
 
 
 @settings(max_examples=40, deadline=None)
@@ -318,9 +321,10 @@ def test_level_maps_equal_the_factored_steps_from_the_switch_call_on(kind, prime
 )
 def test_make_levels_equal_the_factored_steps_from_the_switch_call_on(prime, size, seed, exponents):
     # MAKE's affine step x -> L x R + a_m takes the homogeneous map [[P_m, 0], [vec(a_m), 1]] on vec(x)
-    # with a coordinate 1 appended, and phi^m the map P_m, from the MAP_SWITCH_CALL-th call on, on
-    # 16-bit limbs where a (D+1)-term sum passes int64 (2x2 and larger at 2^31 - 1, every size at
-    # 3037000493); its values then equal the factored steps'
+    # with a coordinate 1 appended, and phi^m the map P_m, from the MAP_SWITCH_CALL-th call on, each on
+    # 16-bit limbs where its own sum passes int64, D+1 terms for S_m and D for P_m (2x2 and larger at
+    # 2^31 - 1, and at 3037000493 every S_m and each P_m but the 1x1 one); its values then equal the
+    # factored steps'
     rng = np.random.default_rng(seed)
     p = random_make_params(rng, prime=prime, size=size).build()
     event(f"D = {size * size}, {'limbs' if (size * size + 1) * (prime - 1) ** 2 >= 1 << 63 else 'one array'}")
@@ -449,16 +453,16 @@ def test_negative_phi_powers_are_refused(kind, rng, fresh_platform):
     assert apply_phi_power(p, 0, x) == x and phi_power(p, 0) == IdentityEnd()
 
 
-def _count_level_moves(p: Platform, rng, monkeypatch, end_kind: type, move: str) -> list[tuple]:
+def _count_level_moves(p: Platform, rng, monkeypatch, end_kind: type, owner, move: str) -> list[tuple]:
     """Run 12 exchanges at 16 and 63 bits on p's warm chain and check each keygen and derive_key call:
     popcount - 1 carrier_step (each with its end_kind.act) per keygen, on the tropical carrier popcount - 1
     acts and no carrier_step (a_n = phi^(n-1)(g) there), and popcount acts per derive before the
     platform's MAP_SWITCH_CALL-th carrier_power or apply_phi_power call, and from it on popcount - 1 and
-    popcount level moves (``holomorph.<move>``), with no carrier_step and no act.
+    popcount level moves (``<owner>.<move>``), with no carrier_step and no act.
     Returns the arguments of every level move."""
     doubling_chain(p, 1 << 63)
     steps, actions, moves, all_moves = [], [], [], []
-    step, act, level_move = holomorph.carrier_step, end_kind.act, getattr(holomorph, move)
+    step, act, level_move = holomorph.carrier_step, end_kind.act, getattr(owner, move)
     keygen_steps = 0 if end_kind is TropicalStarPower else 1
 
     def counted_step(platform, level, data):
@@ -475,7 +479,7 @@ def _count_level_moves(p: Platform, rng, monkeypatch, end_kind: type, move: str)
 
     monkeypatch.setattr(holomorph, "carrier_step", counted_step)
     monkeypatch.setattr(end_kind, "act", counted_act)
-    monkeypatch.setattr(holomorph, move, counted_move)
+    monkeypatch.setattr(owner, move, counted_move)
 
     def counted_call(fn, *args):
         """fn(*args), the (carrier steps, actions, level moves) made by it, and whether it ran from the switch on."""
@@ -507,16 +511,16 @@ def test_tropical_level_move_count(rng, fresh_platform, monkeypatch):
     # a tropical level move is x ⊗ P_m ⊕ S_m in a keygen and a derive alike, on words or on Python ints:
     # both occur
     p = fresh_platform("tropical", rng)
-    moves = _count_level_moves(p, rng, monkeypatch, TropicalStarPower, "_tropical_move")
+    moves = _count_level_moves(p, rng, monkeypatch, TropicalStarPower, holomorph, "_tropical_move")
     word_moves = [words for *_, words in moves]
     assert True in word_moves and False in word_moves
 
 
 def test_make_level_move_count(rng, monkeypatch):
-    # a MAKE level move on the default platform over Z_(2^31 - 1) is one product with a map held on
-    # 16-bit limbs: the homogeneous S_m in a keygen, P_m in a derive
+    # a MAKE level move on the default platform over Z_(2^31 - 1) is one ring product with a map stored
+    # on 16-bit limbs: the homogeneous S_m in a keygen, P_m in a derive
     p = random_make_params(rng).build()
-    moves = _count_level_moves(p, rng, monkeypatch, TwoSidedPower, "_map_product")
+    moves = _count_level_moves(p, rng, monkeypatch, TwoSidedPower, IntegersMod, "matmul_stored")
     size = p.g.data.size
     assert {level_map.shape for _, _, level_map in moves} == {(size + 1, 2 * size + 2), (size, 2 * size)}
 
