@@ -35,11 +35,12 @@ each stored once in the form its ring chooses (``IntegersMod.store``) and
 multiplied by the ring's product on that form (``matmul_stored``).
 
 On the tropical carrier phi^m(x) = x ⋆ S_m = x ⊗ P_m ⊕ S_m with P_m = I ⊕
-S_m: from the same switch call on, a level holds P_m, S_m and the larger
-|entry| of the two, and every move of either walk is one min-plus product
-and one min.  When the bounds of the start and of the levels at n's set
-bits prove every sum exact in int64 (``semirings.tropical_walk_fits_words``),
-the walk runs on words with no check; otherwise it takes the ring's
+S_m, and the chain endomorphism ``TropicalStarPower`` holds S_m and P_m
+itself, so that carrier takes no maps and never switches: from the first
+call on, every move of either walk is one min-plus product and one min.
+When the bounds of the start and of the endomorphisms at n's set bits
+prove every sum exact in int64 (``semirings.tropical_walk_fits_words``),
+the walk runs on words with no check; otherwise it acts, by the ring's
 kernels, exact on Python ints.  The OR/AND carrier, plain DH, Z_m stored
 as Python ints (MAKE past 3037000500), and larger conjugation carriers
 (3x3 over Z_7[A_5], D = 540) keep the factored step, as do
@@ -54,6 +55,7 @@ has one action, ``act``, on packed entries with leading stack axes.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -66,13 +68,13 @@ from .semirings import BitStrings, tropical_bound, tropical_walk_fits_words, tro
 
 #: levels a platform's doubling chain may hold: (g, phi)^(2^i) for i < 64
 MAX_CHAIN_LEVELS = 64
-#: the call of ``carrier_power`` or ``apply_phi_power`` on one platform from which it takes the
-#: chain levels' maps.  On a 2-core Xeon, at 16-bit exponents, the maps repay their build after about
-#: 10 calls on GL(3, 1009) (12 us a level), 11 on the default 5x5 tropical platform (12 us a level),
-#: 19 on the default MAKE over Z_(2^31 - 1) (20 us a level, its homogeneous affine step and phi^m on
-#: 16-bit limbs) and 26 on the default 3x3 Z_7[S_3] (180 us a level).  16 is below the last two, and
-#: stays: no use sits between, as an ``sdpke exchange`` call makes 4 calls a trial (8 at 2 trials)
-#: and a long-lived platform thousands
+#: the call of ``carrier_power`` or ``apply_phi_power`` on one Z_m platform from which it takes the
+#: chain levels' maps (the tropical carrier never switches: its endomorphisms hold their own).  On a
+#: 2-core Xeon, at 16-bit exponents, the maps repay their build after about 10 calls on GL(3, 1009)
+#: (12 us a level), 19 on the default MAKE over Z_(2^31 - 1) (20 us a level, its homogeneous affine
+#: step and phi^m on 16-bit limbs) and 26 on the default 3x3 Z_7[S_3] (180 us a level).  16 is below
+#: the last two, and stays: no use sits between, as an ``sdpke exchange`` call makes 4 calls a trial
+#: (8 at 2 trials) and a long-lived platform thousands
 MAP_SWITCH_CALL = 16
 #: the most Z_m coordinates D of a carrier whose chain levels take maps: the default 3x3 Z_7[S_3]
 #: carrier, whose maps at all 64 levels would take 16 D^2 * 64 bytes = 3 MB as int64 and twice that on
@@ -175,23 +177,48 @@ class TwoSidedPower(Endomorphism):
 ConjugatorPower = TwoSidedPower
 
 
+@functools.lru_cache(maxsize=None)
+def _word_identity(n: int) -> np.ndarray:
+    """The n x n tropical identity, read-only, on words with +inf as the int64 maximum: np.minimum(S, it) is I ⊕ S."""
+    eye = np.full((n, n), np.iinfo(np.int64).max)
+    np.fill_diagonal(eye, 0)
+    eye.flags.writeable = False
+    return eye
+
+
 class TropicalStarPower(Endomorphism):
     """phi^n(G) = G ⋆ H^⋆n, where H^⋆n is the n-fold star power of H.
 
     Collapsing phi^n to a single star needs A ⋆ B = A + B + AB to be
     associative, and it is: by distributivity both (A ⋆ B) ⋆ C and
-    A ⋆ (B ⋆ C) equal A + B + C + AB + AC + BC + ABC.
+    A ⋆ (B ⋆ C) equal A + B + C + AB + AC + BC + ABC.  By distributivity
+    again X ⋆ S = X ⊕ S ⊕ X⊗S = X ⊗ P ⊕ S for P = I ⊕ S, so phi^n holds
+    S = H^⋆n as ``star_pow`` and P as ``factor``, and acts by one min-plus
+    product and one min.  P equals S off the diagonal and has min(S_ii, 0)
+    on it, so S's largest |entry| bounds P's too: ``bound``, by which a walk
+    decides whether its moves run on words (``_walk``).
     """
 
     def __init__(self, star_pow: Matrix):
         self.star_pow = star_pow
-        self.ring = star_pow.ring
+        self.ring = ring = star_pow.ring
         self.shape = star_pow.shape
+        s, n = star_pow.data, star_pow.rows
+        self.factor = np.minimum(s, _word_identity(n)) if s.dtype == np.int64 else ring.add(ring.identity(n), s)
+
+    @property
+    def bound(self) -> int | None:
+        """S's largest |entry|, or None for an object S; computed on first use, as a chain's squarings never read it."""
+        try:
+            return self._bound
+        except AttributeError:
+            self._bound = tropical_bound(self.star_pow.data)
+            return self._bound
 
     def act(self, data: np.ndarray) -> np.ndarray:
-        """X ⋆ S = X ⊕ S ⊕ X⊗S."""
-        ring, s = self.ring, self.star_pow.data
-        return ring.add(ring.add(data, s), ring.matmul(data, s))
+        """X ⋆ S = X ⊗ P ⊕ S."""
+        ring = self.ring
+        return ring.add(ring.matmul(data, self.factor), self.star_pow.data)
 
     def _compose(self, other: TropicalStarPower) -> Endomorphism:
         # self after other: (G ⋆ S_other) ⋆ S_self = G ⋆ (S_other ⋆ S_self)
@@ -202,7 +229,8 @@ class TropicalStarPower(Endomorphism):
 
 
 class IteratedStarPower(Endomorphism):
-    """Reference phi^n applying ⋆H one step at a time; O(n), the oracle for TropicalStarPower."""
+    """Reference phi^n applying X ⋆ H = X ⊕ H ⊕ X⊗H by the ring's kernels one step at a time; O(n), the
+    oracle for TropicalStarPower, whose X ⊗ (I ⊕ S) ⊕ S form it shares nothing of."""
 
     def __init__(self, base: Matrix, n: int):
         if n < 1:
@@ -213,9 +241,9 @@ class IteratedStarPower(Endomorphism):
         self.shape = base.shape
 
     def act(self, data: np.ndarray) -> np.ndarray:
-        step = TropicalStarPower(self.base)
+        ring, h = self.ring, self.base.data
         for _ in range(self.n):
-            data = step.act(data)
+            data = ring.add(ring.add(data, h), ring.matmul(data, h))
         return data
 
     def _compose(self, other: IteratedStarPower) -> Endomorphism:
@@ -272,9 +300,9 @@ class _LevelMaps:
     vec(L x R) = vec(x) @ P_m.  S_m is D x D for the step x -> L x (R a_m),
     and for the MAKE step x -> L x R + a_m the homogeneous (D+1) x (D+1)
     [[P_m, 0], [vec(a_m), 1]].  Each map is stored in the form its ring
-    picks (``IntegersMod.store``).  On the tropical carrier it holds
-    (P_m, S_m, bound) for phi^m, which is also the carrier's step there
-    (``_tropical_maps``).
+    picks (``IntegersMod.store``).  A tropical platform's ``levels`` stay
+    empty: its chain endomorphisms hold their own P_m and S_m
+    (``TropicalStarPower``).
     """
 
     __slots__ = ("calls", "levels")
@@ -349,38 +377,32 @@ def holo_mul(platform: Platform, x: HolomorphPower, y: HolomorphPower) -> Holomo
     )
 
 
-def _map_builder(platform: Platform):
-    """How the platform's chain levels take maps, or None while its steps stay factored:
-    ``_tropical_maps`` on the tropical carrier, and ``_conjugation_maps`` with phi two-sided on an
+def _takes_maps(platform: Platform) -> bool:
+    """Whether the platform's chain levels take maps (``_conjugation_maps``): phi two-sided on an
     int64-stored Z_m or Z_m[G] carrier of at most ``MAP_MAX_COORDINATES`` coordinates, under the
     matrix product or the matrix sum (MAKE, whose affine step takes a homogeneous map).  Every map
     product is exact there, on the form the ring stores the map in; ``MAP_SWITCH_CALL`` holds the
     build costs and break-evens."""
     ring = platform.g.ring
-    if isinstance(platform.phi, TropicalStarPower) and platform.op_kind == "add":
-        return _tropical_maps
-    if (
+    return (
         isinstance(platform.phi, TwoSidedPower)
         and ring.linear
         and ring.dtype is np.int64
         and platform.g.data.size <= MAP_MAX_COORDINATES
-    ):
-        return _conjugation_maps
-    return None
+    )
 
 
 def _maps_up_to(platform: Platform, n: int) -> list[tuple] | None:
     """The maps of the platform's chain levels up to n's top bit, or None while it takes the factored
     step.  Counts the call; from the ``MAP_SWITCH_CALL``-th on, on a carrier that takes maps
-    (``_map_builder``), builds each level the chain holds and the maps do not yet."""
+    (``_takes_maps``), builds each level the chain holds and the maps do not yet."""
     maps = platform._maps
     maps.calls += 1
-    build = maps.calls >= MAP_SWITCH_CALL and _map_builder(platform)
-    if not build:
+    if maps.calls < MAP_SWITCH_CALL or not _takes_maps(platform):
         return None
     missing = platform._chain[len(maps.levels) : n.bit_length()]
     if missing:
-        maps.levels.extend(build(platform, missing))
+        maps.levels.extend(_conjugation_maps(platform, missing))
     return maps.levels
 
 
@@ -411,28 +433,6 @@ def _conjugation_maps(platform: Platform, levels: tuple[HolomorphPower, ...]):
         yield pair
 
 
-def _tropical_maps(platform: Platform, levels: tuple[HolomorphPower, ...]):
-    """(P_m, S_m, bound) for each of the given tropical chain levels (a_m, x -> x ⋆ S_m).
-
-    x ⋆ S = x ⊕ S ⊕ x⊗S = x ⊗ (I ⊕ S) ⊕ S by distributivity, so phi^m is x -> x ⊗ P_m ⊕ S_m with
-    P_m = I ⊕ S_m.  ``bound`` is the larger |entry| of the two, or None when either is an object array."""
-    ring = platform.g.ring
-    eye = ring.identity(platform.g.rows)
-    for level in levels:
-        star = level.end.star_pow.data
-        arrays = (ring.add(eye, star), star)
-        for m in arrays:
-            m.flags.writeable = False
-        yield (*arrays, tropical_bound(*arrays))
-
-
-def _tropical_move(ring, data: np.ndarray, p_m: np.ndarray, s_m: np.ndarray, words: bool) -> np.ndarray:
-    """phi^m(data) = data ⊗ p_m ⊕ s_m, on words where the walk's bounds prove that exact, else by ring kernels."""
-    if words:
-        return tropical_word_move(data, p_m, s_m)
-    return ring.add(ring.matmul(data, p_m), s_m)
-
-
 def _chain_bits(platform: Platform, n: int) -> tuple[tuple[HolomorphPower, ...], list[int]]:
     """The platform's doubling chain, made up to n >= 1 first, and the positions of n's set bits:
     level i of the chain, and of its maps, is (g, phi)^(2^i)."""
@@ -447,13 +447,15 @@ def _walk(platform: Platform, n: int, data: np.ndarray | None) -> np.ndarray:
     With data None the walk is a_n: it starts from the value of the level at
     n's lowest bit and steps with each level past it (``carrier_step``), but
     on the tropical carrier, where a_n = phi^(n-1)(g), acts with it.  With
-    data it is phi^n(data): each level's endomorphism acts in turn.  Once the
-    platform holds maps (``_maps_up_to``), every move with a two-sided phi
-    is one ring ``matmul_stored`` with the level's S_m or P_m, on the
-    coordinates in the maps' stored dtype (a MAKE carrier walk appends the
-    homogeneous coordinate 1 first and drops it at the end), and on the
-    tropical carrier one ``_tropical_move``, on words when the bounds of the
-    start and of the levels admit it (``tropical_walk_fits_words``).
+    data it is phi^n(data): each level's endomorphism acts in turn.  On the
+    tropical carrier every move, from the first call on, is phi^m's x ⊗ P_m
+    ⊕ S_m (``TropicalStarPower``): on words with no check when the bounds of
+    the start and of the endomorphisms at n's set bits admit it
+    (``tropical_walk_fits_words``), else its ``act``.  Once a Z_m platform
+    holds maps (``_maps_up_to``), every move is one ring ``matmul_stored``
+    with the level's S_m or P_m, on the coordinates in the maps' stored
+    dtype (a MAKE carrier walk appends the homogeneous coordinate 1 first
+    and drops it at the end).
     """
     chain, bits = _chain_bits(platform, n)
     maps = _maps_up_to(platform, n)
@@ -461,11 +463,10 @@ def _walk(platform: Platform, n: int, data: np.ndarray | None) -> np.ndarray:
     carrier = data is None and not tropical
     if data is None:
         data = chain[bits.pop(0)].value.data
-    if maps is not None and bits and tropical:
-        ring, levels = platform.g.ring, [maps[i] for i in bits]
-        words = tropical_walk_fits_words([tropical_bound(data), *(level[2] for level in levels)])
-        for p_m, s_m, _ in levels:
-            data = _tropical_move(ring, data, p_m, s_m, words)
+    if tropical and tropical_walk_fits_words([tropical_bound(data), *(chain[i].end.bound for i in bits)]):
+        for i in bits:
+            end = chain[i].end
+            data = tropical_word_move(data, end.factor, end.star_pow.data)
         return data
     if maps is not None and bits:
         which, product = 0 if carrier else 1, platform.g.ring.matmul_stored

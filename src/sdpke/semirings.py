@@ -82,12 +82,10 @@ def _min_plus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.minimum.reduce(a[..., :, :, None] + b[..., None, :, :], axis=-2)
 
 
-def tropical_bound(*arrays: np.ndarray) -> int | None:
-    """The largest |entry| over tropical packed arrays, or None when any of them is an object array
-    (int64 ones are canonical, so no entry is -2^63 and ``np.abs`` is exact)."""
-    if any(a.dtype == object for a in arrays):
-        return None
-    return max(int(np.abs(a).max()) for a in arrays)
+def tropical_bound(a: np.ndarray) -> int | None:
+    """The largest |entry| of a tropical packed array, or None for an object array (an int64 one is
+    canonical, so no entry is -2^63 and ``np.abs`` is exact)."""
+    return None if a.dtype == object else int(np.abs(a).max())
 
 
 def tropical_walk_fits_words(bounds: list[int | None]) -> bool:

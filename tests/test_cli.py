@@ -192,6 +192,7 @@ def test_seeded_record_numpy_cannot_draw_from_exits_2_with_one_line(tmp_path, ca
 #: sha256 of the transcript file written by ``exchange <source> --trials 2 --seed 1 --test-mode``,
 #: recorded while every tropical entry was a Python int and every Z_m and Z_m[G] entry was
 #: written by its own int(); the source is a platform kind and flags, or a seeded params record
+#: (written to a file and passed as ``--params``) and flags
 _TRANSCRIPT_SHA256 = {
     "tropical-16": (["--platform", "tropical", "--exponent-bits", "16"],
                     "857a6355857e1761ab170b39018030dedb79dedee1ec3c1792425ea2295913d6"),
@@ -202,18 +203,23 @@ _TRANSCRIPT_SHA256 = {
     "make": (["--platform", "make"], "0753677598c315bb374a0c8c7656234f2d911a2db363e3dbd6edd0a754679a73"),
     "dhke": (["--platform", "dhke"], "4b07b05f0494d9f91f058a50d8aae768c3003473830b6400a57ce9ce175c0369"),
     # (p-1)^2 is past 2^63 for this prime, so Z_p is stored as Python ints in object arrays
-    "make-object": ({"kind": "make", "seed": 1, "prime": 4294967291},
+    "make-object": ([{"kind": "make", "seed": 1, "prime": 4294967291}],
                     "8f2368ca6a912edb3a9c39d6399016ab5cbb0f77169957e917aa8e4f1191c408"),
+    # entries in [1, 10] keep every 63-bit walk's bounds below 2^62: the exchange's 8 walks on one
+    # platform run on int64 words, below the call at which Z_m platforms switch to level maps
+    "tropical-positive-63": ([{"kind": "tropical", "seed": 1, "entry_lo": 1, "entry_hi": 10, "size": 3},
+                              "--exponent-bits", "63"],
+                             "3c29a52e02eb3f1be1a4b34079816b529df074a56a5b4df740c158b8b0866119"),
 }
 
 
 @pytest.mark.parametrize("case", list(_TRANSCRIPT_SHA256))
 def test_transcript_bytes_are_pinned(tmp_path, capsys, case):
     source, digest = _TRANSCRIPT_SHA256[case]
-    if isinstance(source, dict):
+    if isinstance(source[0], dict):
         params = tmp_path / "p.json"
-        params.write_text(json.dumps(source))
-        source = ["--params", str(params)]
+        params.write_text(json.dumps(source[0]))
+        source = ["--params", str(params), *source[1:]]
     out = tmp_path / "t.json"
     argv = ["exchange", *source, "--trials", "2", "--seed", "1", "--test-mode", "--out", str(out)]
     assert run_cli(argv, capsys)[0] == 0

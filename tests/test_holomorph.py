@@ -385,20 +385,19 @@ _TROPICAL_CASES = dict(
 @settings(max_examples=40, deadline=None)
 @given(**_TROPICAL_CASES)
 def test_tropical_levels_equal_the_factored_steps_from_the_switch_call_on(size, bound, star_inf, seed, exponents):
-    # the tropical carrier takes the levels (P_m, S_m, bound) from its MAP_SWITCH_CALL-th carrier_power
-    # or apply_phi_power call on; its values then equal the sequential oracle, a cold copy's factored
-    # walk and phi's own square-and-multiply power at every exponent below 2^63, stored as those are:
-    # on words only where the start's and the levels' bounds prove every sum exact
+    # the tropical carrier takes no level maps at any call: from the first call on, each chain
+    # endomorphism moves by its own x ⊗ P_m ⊕ S_m, and the values equal the sequential oracle, a cold
+    # copy's walk and phi's own square-and-multiply power at every exponent below 2^63, stored as those
+    # are: on words only where the start's and the endomorphisms' bounds prove every sum exact
     rng = np.random.default_rng(seed)
     ring = TropicalIntegers()
     p = _tropical_platform(rng, size, bound, star_inf)
     for call in range(1, holomorph.MAP_SWITCH_CALL):
         peer = p.random_element(rng)
         assert apply_phi_power(p, call, peer) == p.phi.power(call)(peer)
-        assert (p._maps.calls, p._maps.levels) == (call, [])
+        assert p._maps.levels == []
     assert carrier_power(p, 6) == sdp_exp_naive(p, 6).value
-    assert p._maps.calls == holomorph.MAP_SWITCH_CALL and len(p._maps.levels) == 3
-    levels = 3
+    assert p._maps.levels == []
     for x in exponents:
         want = sdp_exp_naive(p, x).value if x <= 300 else carrier_power(dataclasses.replace(p), x)
         got = carrier_power(p, x)
@@ -410,23 +409,32 @@ def test_tropical_levels_equal_the_factored_steps_from_the_switch_call_on(size, 
             for got, want in ((apply_phi_power(p, x, peer), image), (derive_key(p, x, peer, own), p.op(image, own))):
                 assert got == want and got.data.dtype == want.data.dtype
                 assert_canonical_data(ring, got.data)
-        levels = max(levels, x.bit_length())
-        assert len(p._maps.levels) == levels
-    # a level holds its phi^m on every value, the +inf matrix too
+        assert p._maps.levels == []
+    # each chain endomorphism holds P_m = I ⊕ S_m in canonical form and S_m's largest |entry|, and acts
+    # as the definition x ⊕ S_m ⊕ x⊗S_m on every value, the +inf matrix too
     values = (p.random_element(rng).data, ring.zeros(size, size))
-    for level, (p_m, s_m, level_bound) in zip(p._chain, p._maps.levels):
+    for level in p._chain:
+        end, star = level.end, level.end.star_pow.data
+        want = ring.add(ring.identity(size), star)
+        assert np.array_equal(end.factor, want) and end.factor.dtype == want.dtype
+        assert_canonical_data(ring, end.factor)
+        finite = star.dtype == np.int64
+        assert end.bound == (max(abs(int(e)) for e in star.flat) if finite else None)
+        if finite:
+            assert end.bound >= max(abs(int(e)) for e in end.factor.flat)
         for x in values:
-            assert np.array_equal(ring.add(ring.matmul(x, p_m), s_m), level.end.act(x))
-        finite = all(a.dtype == np.int64 for a in (p_m, s_m))
-        assert level_bound == (max(abs(int(e)) for a in (p_m, s_m) for e in a.flat) if finite else None)
-    event(f"levels on words: {sum(b is not None for *_, b in p._maps.levels)} of {levels}")
+            got = end.act(x)
+            assert np.array_equal(got, IteratedStarPower(end.star_pow, 1).act(x))
+            assert_canonical_data(ring, got)
+    event(f"endomorphisms with a word bound: {sum(level.end.bound is not None for level in p._chain)} of {len(p._chain)}")
 
 
 @settings(max_examples=40, deadline=None)
 @given(**_TROPICAL_CASES)
 def test_tropical_carrier_power_is_phi_power_of_g(size, bound, star_inf, seed, exponents):
     # phi(x) = x ⋆ H <= x entrywise and a_k <= g, so a_(k+1) = phi(a_k) ⊕ g is phi(a_k) and
-    # a_n = phi^(n-1)(g): on a cold copy's factored walk and past MAP_SWITCH_CALL on the levels alike
+    # a_n = phi^(n-1)(g): on a cold copy's walk and on a platform past MAP_SWITCH_CALL calls alike, with
+    # no level maps at either
     rng = np.random.default_rng(seed)
     ring = TropicalIntegers()
     p = _tropical_platform(rng, size, bound, star_inf)
@@ -438,7 +446,7 @@ def test_tropical_carrier_power_is_phi_power_of_g(size, bound, star_inf, seed, e
         for got in (carrier_power(cold, x), carrier_power(p, x), apply_phi_power(p, x - 1, p.g)):
             assert got == want and got.data.dtype == want.data.dtype
             assert_canonical_data(ring, got.data)
-    assert p._maps.calls > holomorph.MAP_SWITCH_CALL and len(p._maps.levels) == 63
+        assert cold._maps.levels == p._maps.levels == []
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -453,17 +461,15 @@ def test_negative_phi_powers_are_refused(kind, rng, fresh_platform):
     assert apply_phi_power(p, 0, x) == x and phi_power(p, 0) == IdentityEnd()
 
 
-def _count_level_moves(p: Platform, rng, monkeypatch, end_kind: type, owner, move: str) -> list[tuple]:
-    """Run 12 exchanges at 16 and 63 bits on p's warm chain and check each keygen and derive_key call:
-    popcount - 1 carrier_step (each with its end_kind.act) per keygen, on the tropical carrier popcount - 1
-    acts and no carrier_step (a_n = phi^(n-1)(g) there), and popcount acts per derive before the
-    platform's MAP_SWITCH_CALL-th carrier_power or apply_phi_power call, and from it on popcount - 1 and
-    popcount level moves (``<owner>.<move>``), with no carrier_step and no act.
-    Returns the arguments of every level move."""
+def _count_level_moves(p: Platform, rng, monkeypatch, end_kind: type, owner, move: str) -> tuple[list, list]:
+    """Run 12 exchanges at 16 and 63 bits on p's warm chain, 36 carrier_power and apply_phi_power calls,
+    counting the carrier_step, end_kind.act and level move (``<owner>.<move>``) calls of each keygen and
+    derive_key.  Returns one record per call, (keygen or derive, the moves its exponent takes: popcount - 1
+    for a keygen and popcount for a derive, (carrier steps, acts, level moves) made by it, whether it ran
+    from the platform's MAP_SWITCH_CALL-th call on), and the arguments of every level move."""
     doubling_chain(p, 1 << 63)
-    steps, actions, moves, all_moves = [], [], [], []
+    steps, actions, moves, all_moves, records = [], [], [], [], []
     step, act, level_move = holomorph.carrier_step, end_kind.act, getattr(owner, move)
-    keygen_steps = 0 if end_kind is TropicalStarPower else 1
 
     def counted_step(platform, level, data):
         steps.append(level)
@@ -481,46 +487,47 @@ def _count_level_moves(p: Platform, rng, monkeypatch, end_kind: type, owner, mov
     monkeypatch.setattr(end_kind, "act", counted_act)
     monkeypatch.setattr(owner, move, counted_move)
 
-    def counted_call(fn, *args):
-        """fn(*args), the (carrier steps, actions, level moves) made by it, and whether it ran from the switch on."""
+    def counted_call(kind, want, fn, *args):
         for made in (steps, actions, moves):
             made.clear()
         result = fn(*args)
         all_moves.extend(moves)
-        return result, (len(steps), len(actions), len(moves)), p._maps.calls >= holomorph.MAP_SWITCH_CALL
+        made = (len(steps), len(actions), len(moves))
+        records.append((kind, want(result), made, p._maps.calls >= holomorph.MAP_SWITCH_CALL))
+        return result
 
     def ones(m: int) -> int:
         return bin(m).count("1")
 
     for bits in [16, 63] * 6:
-        pairs = []
-        for _ in range(2):
-            pair, made, switched = counted_call(keygen, p, rng, bits)
-            k = ones(pair.exponent)
-            assert made == ((0, 0, k - 1) if switched else (keygen_steps * (k - 1), k - 1, 0))
-            pairs.append(pair)
-        alice, bob = pairs
-        _, made, switched = counted_call(derive_key, p, alice.exponent, bob.public_value, alice.public_value)
-        k = ones(alice.exponent)
-        assert made == ((0, 0, k) if switched else (0, k, 0))
+        alice, bob = (counted_call("keygen", lambda pair: ones(pair.exponent) - 1, keygen, p, rng, bits) for _ in "ab")
+        counted_call("derive", lambda _: ones(alice.exponent), derive_key, p, alice.exponent, bob.public_value,
+                     alice.public_value)
     assert p._maps.calls == 36
-    return all_moves
+    return records, all_moves
 
 
 def test_tropical_level_move_count(rng, fresh_platform, monkeypatch):
-    # a tropical level move is x ⊗ P_m ⊕ S_m in a keygen and a derive alike, on words or on Python ints:
-    # both occur
+    # from the first call on, a tropical move is x ⊗ P_m ⊕ S_m in a keygen and a derive alike, popcount - 1
+    # and popcount of them with no carrier_step (a_n = phi^(n-1)(g) there): a walk makes them all on words
+    # (semirings.tropical_word_move) or all as acts on the ring's kernels, and both kinds occur
     p = fresh_platform("tropical", rng)
-    moves = _count_level_moves(p, rng, monkeypatch, TropicalStarPower, holomorph, "_tropical_move")
-    word_moves = [words for *_, words in moves]
-    assert True in word_moves and False in word_moves
+    records, word_moves = _count_level_moves(p, rng, monkeypatch, TropicalStarPower, holomorph, "tropical_word_move")
+    for _, want, (steps, acts, words), _ in records:
+        assert steps == 0 and acts + words == want and 0 in (acts, words)
+    assert any(made[1] for *_, made, _ in records) and word_moves
+    assert p._maps.levels == []
 
 
 def test_make_level_move_count(rng, monkeypatch):
     # a MAKE level move on the default platform over Z_(2^31 - 1) is one ring product with a map stored
-    # on 16-bit limbs: the homogeneous S_m in a keygen, P_m in a derive
+    # on 16-bit limbs: the homogeneous S_m in a keygen, P_m in a derive.  Before the platform's
+    # MAP_SWITCH_CALL-th call a keygen makes popcount - 1 carrier_step (each with its act) and a derive
+    # popcount acts; from it on each makes that many level moves and no carrier_step and no act
     p = random_make_params(rng).build()
-    moves = _count_level_moves(p, rng, monkeypatch, TwoSidedPower, IntegersMod, "matmul_stored")
+    records, moves = _count_level_moves(p, rng, monkeypatch, TwoSidedPower, IntegersMod, "matmul_stored")
+    for kind, want, made, switched in records:
+        assert made == ((0, 0, want) if switched else (want if kind == "keygen" else 0, want, 0))
     size = p.g.data.size
     assert {level_map.shape for _, _, level_map in moves} == {(size + 1, 2 * size + 2), (size, 2 * size)}
 
@@ -749,12 +756,28 @@ def test_endomorphism_power_matches_repeated_application(rng, fresh_platform):
         assert p.phi.power(0)(v) == v
 
 
-def test_star_power_matches_iterated_star_oracle(rng):
+@settings(max_examples=40, deadline=None)
+@given(
+    size=st.integers(1, 5),
+    bound=st.sampled_from([20, 2**59]),
+    star_inf=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_star_power_matches_iterated_star_oracle(size, bound, star_inf, seed):
+    # the closed form X ⊗ (I ⊕ S) ⊕ S of phi^n against the definition X ⊕ H ⊕ X⊗H applied n times, at
+    # every size, with +inf star entries, and with entries near ±2^59, where the powers cross from int64
+    # words to Python ints; each result in the ring's canonical form
+    rng = np.random.default_rng(seed)
     ring = TropicalIntegers()
-    h = mx.random_matrix(rng, ring, 3, 3, lo=-20, hi=20)
-    g = mx.random_matrix(rng, ring, 3, 3, lo=-20, hi=20)
+    h = mx.random_matrix(rng, ring, size, size, lo=-bound, hi=bound)
+    if star_inf:
+        h = mx.from_rows(ring, [["inf" if rng.random() < 0.4 else e for e in row] for row in h.data.tolist()])
+    g = mx.random_matrix(rng, ring, size, size, lo=-bound, hi=bound)
     for n in range(1, 12):
-        assert TropicalStarPower(h).power(n)(g) == IteratedStarPower(h, n)(g)
+        got, want = TropicalStarPower(h).power(n)(g), IteratedStarPower(h, n)(g)
+        assert got == want and got.data.dtype == want.data.dtype
+        assert_canonical_data(ring, got.data)
+    event(f"g^(11) {'on words' if want.data.dtype == np.int64 else 'on Python ints'}")
 
 
 def _cycle_power(perm: Permutation, x: int) -> list[int]:
