@@ -21,18 +21,24 @@ phi(a_n) ∘ g, from several starts at once, in batched carrier steps.
 
 With phi^m(x) = L x R two-sided (GL(r, p) and matrices over Z_m[G] under the
 matrix product, MAKE under the matrix sum), a step x -> L x (R a_m) is
-Z_m-linear in x and a step x -> L x R + a_m Z_m-affine, so a chain level can
-hold it as one Z_m matrix S_m, and phi^m as P_m, over the D Z_m coordinates
-of x: the level's own step, ``ring.matmul`` with its factors, applied to
-the stack of the D coordinate basis matrices.  The affine MAKE step is the
-homogeneous (D+1) x (D+1) map [[P_m, 0], [vec(a_m), 1]] on vec(x) with a
-coordinate 1 appended, which the walk drops at its end.  A platform builds
-the maps level by level from its ``MAP_SWITCH_CALL``-th ``carrier_power``
-or ``apply_phi_power`` call on (that constant holds the build costs and
-break-evens): a step or action is then one product vec(x) @ S_m or @ P_m.
-Every int64-stored carrier with D <= ``MAP_MAX_COORDINATES`` takes maps,
-each stored once in the form its ring chooses (``IntegersMod.store``) and
-multiplied by the ring's product on that form (``matmul_stored``).
+Z_m-linear in x and a step x -> L x R + a_m Z_m-affine, so a power (a_m,
+phi^m) can hold it as one Z_m matrix S_m, and phi^m as P_m, over the D Z_m
+coordinates of x: its own step, ``ring.matmul`` with its factors, applied
+to the stack of the D coordinate basis matrices.  The affine MAKE step is
+the homogeneous (D+1) x (D+1) map [[P_m, 0], [vec(a_m), 1]] on vec(x) with
+a coordinate 1 appended, which the walk drops at its end.  Every party
+raises the one fixed (g, phi) of its platform, so from its
+``MAP_SWITCH_CALL``-th ``carrier_power`` or ``apply_phi_power`` call on
+(that constant holds the fill costs and break-evens) a platform walks a
+fixed-base window table instead of the chain (Brickell, Gordon, McCurley
+and Wilson; Lim and Lee): entry (j, d) holds the value and both maps of
+(g, phi)^(d 2^(w j)) for each digit d of window j in base 2^w, w =
+``WINDOW_BITS``, built on first use from the chain levels at d's bits.
+a_n is then one product vec(x) @ S_e per nonzero digit of n past the
+lowest, and phi^n one @ P_e per nonzero digit.  Every int64-stored carrier
+with D <= ``MAP_MAX_COORDINATES`` takes the table, each map stored once in
+the form its ring chooses (``IntegersMod.store``) and multiplied by the
+ring's product on that form (``matmul_stored``).
 
 On the tropical carrier phi^m(x) = x ⋆ S_m = x ⊗ P_m ⊕ S_m with P_m = I ⊕
 S_m, and the chain endomorphism ``TropicalStarPower`` holds S_m and P_m
@@ -68,18 +74,27 @@ from .semirings import BitStrings, tropical_bound, tropical_walk_fits_words, tro
 
 #: levels a platform's doubling chain may hold: (g, phi)^(2^i) for i < 64
 MAX_CHAIN_LEVELS = 64
-#: the call of ``carrier_power`` or ``apply_phi_power`` on one Z_m platform from which it takes the
-#: chain levels' maps (the tropical carrier never switches: its endomorphisms hold their own).  On a
-#: 2-core Xeon, at 16-bit exponents, the maps repay their build after about 10 calls on GL(3, 1009)
-#: (12 us a level), 19 on the default MAKE over Z_(2^31 - 1) (20 us a level, its homogeneous affine
-#: step and phi^m on 16-bit limbs) and 26 on the default 3x3 Z_7[S_3] (180 us a level).  16 is below
-#: the last two, and stays: no use sits between, as an ``sdpke exchange`` call makes 4 calls a trial
-#: (8 at 2 trials) and a long-lived platform thousands
+#: the call of ``carrier_power`` or ``apply_phi_power`` on one Z_m platform from which it walks its
+#: window table (the tropical carrier never switches: its endomorphisms hold their own maps).  On a
+#: 2-core Xeon, one BLAS thread, an entry costs about 50 us to build on GL(3, 1009), 57 us on the
+#: default MAKE over Z_(2^31 - 1) and 280-300 us on the default 3x3 Z_7[S_3], and a fresh platform
+#: running exchange trials (4 calls each) is ahead of the factored walk for good from about trial 26,
+#: 30 and 33 at 16-bit exponents and 25, 21 and 31 at 63 bits: about 100-130 calls.  16 is below
+#: all of them, and stays: an ``sdpke exchange`` call of up to 3 trials stays factored, a long-lived
+#: platform makes thousands of calls, and a run between pays for the fill: 25 trials on Z_7[S_3] take
+#: about 3 ms more than the factored walk at 16 bits and 11 ms more at 63
 MAP_SWITCH_CALL = 16
-#: the most Z_m coordinates D of a carrier whose chain levels take maps: the default 3x3 Z_7[S_3]
-#: carrier, whose maps at all 64 levels would take 16 D^2 * 64 bytes = 3 MB as int64 and twice that on
-#: 16-bit limbs; past it a level breaks even later
+#: the most Z_m coordinates D of a carrier that takes a window table: the default 3x3 Z_7[S_3]
+#: carrier, whose maps are stored int16, 2 D^2 bytes each: its table takes 0.73 MB for the 60 entries
+#: of 16-bit exponents and 2.8 MB for the 232 of 63-bit ones, values included; past it an entry
+#: costs more to build and breaks even later
 MAP_MAX_COORDINATES = 54
+#: the digit width w of a window table (``_LevelMaps``): entry (j, d) holds (g, phi)^(d 2^(w j)).
+#: For uniform 16-bit exponents an exchange trial (two keygens, two derives) then makes about 13 map
+#: products from a table of 60 entries; w = 2 would make 22 from 24 entries, w = 8 about 6 from 510
+#: (6 MB on the default Z_7[S_3], about 0.2 s to fill), and one product per set bit makes 30.  At 63 bits
+#: w = 4 makes about 58 from 232 entries, against 124 per set bit
+WINDOW_BITS = 4
 
 
 class Endomorphism:
@@ -290,26 +305,29 @@ class PermutationPower(Endomorphism):
 
 
 class _LevelMaps:
-    """The maps of a platform's chain levels, and how many calls could have taken them.
+    """A Z_m platform's fixed-base window table, and how many calls could have taken it.
 
     ``calls`` counts the platform's ``carrier_power`` and ``apply_phi_power``
-    calls.  With phi^m(x) = L x R two-sided, ``levels[i]`` holds, for the
-    chain level (a_m, phi^m), the map S_m of the carrier step and the D x D
-    map P_m of phi^m, both on the D row-major Z_m coordinates of x: row i
-    of P_m is vec(L e_i R) for the i-th coordinate basis matrix e_i, so
-    vec(L x R) = vec(x) @ P_m.  S_m is D x D for the step x -> L x (R a_m),
-    and for the MAKE step x -> L x R + a_m the homogeneous (D+1) x (D+1)
-    [[P_m, 0], [vec(a_m), 1]].  Each map is stored in the form its ring
-    picks (``IntegersMod.store``).  A tropical platform's ``levels`` stay
-    empty: its chain endomorphisms hold their own P_m and S_m
-    (``TropicalStarPower``).
+    calls up to ``MAP_SWITCH_CALL``, the one count it decides.  From that
+    call on, ``table[(j, d)]``, for a digit d in 1 .. 2^w - 1 of window j
+    (w = ``WINDOW_BITS``), holds (a_e, S_e, P_e) for e = d 2^(w j): the
+    value a_e of (g, phi)^e, the start of a keygen walk, and the maps of
+    its carrier step and of phi^e on the D row-major Z_m coordinates of x.
+    With phi^e(x) = L x R two-sided, row i of P_e is vec(L e_i R) for the
+    i-th coordinate basis matrix e_i, so vec(L x R) = vec(x) @ P_e.  S_e is
+    D x D for the step x -> L x (R a_e), and for the MAKE step x -> L x R +
+    a_e the homogeneous (D+1) x (D+1) [[P_e, 0], [vec(a_e), 1]].  Each
+    entry is built on the first walk that reads it (``_table_entry``) and
+    is read-only; each map is stored in the form its ring picks
+    (``IntegersMod.store``).  A platform whose carrier takes no maps holds
+    no ``_LevelMaps`` (``_takes_maps``).
     """
 
-    __slots__ = ("calls", "levels")
+    __slots__ = ("calls", "table")
 
     def __init__(self):
         self.calls = 0
-        self.levels: list[tuple] = []
+        self.table: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
 
 @dataclass(frozen=True)
@@ -323,11 +341,12 @@ class Platform:
     random element is a random matrix of g's shape over g's ring.
 
     ``_chain`` caches the doubling chain (g, phi)^(2^i) that
-    ``doubling_chain`` has made so far, and ``_maps`` the Z_m maps of its
-    levels with the count of calls that could take them (``_LevelMaps``).
-    Neither takes part in equality or hashing, ``dataclasses.replace``
-    starts both empty, and a longer chain replaces the whole tuple, so a
-    prefix already handed out never changes.
+    ``doubling_chain`` has made so far, and ``_maps`` the window table of a
+    carrier that takes maps, with the count of calls that could take it
+    (``_LevelMaps``), and None on any other carrier: whether it takes maps
+    is decided once, here.  Neither takes part in equality or hashing,
+    ``dataclasses.replace`` starts both empty, and a longer chain replaces
+    the whole tuple, so a prefix already handed out never changes.
     """
 
     name: str
@@ -337,7 +356,10 @@ class Platform:
     params: object = None
     sampler: Callable[[np.random.Generator], Matrix] | None = field(default=None, repr=False)
     _chain: tuple[HolomorphPower, ...] = field(default=(), init=False, compare=False, repr=False)
-    _maps: _LevelMaps = field(default_factory=_LevelMaps, init=False, compare=False, repr=False)
+    _maps: _LevelMaps | None = field(default=None, init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_maps", _LevelMaps() if _takes_maps(self) else None)
 
     def op(self, a: Matrix, b: Matrix) -> Matrix:
         return a @ b if self.op_kind == "mul" else a + b
@@ -378,11 +400,11 @@ def holo_mul(platform: Platform, x: HolomorphPower, y: HolomorphPower) -> Holomo
 
 
 def _takes_maps(platform: Platform) -> bool:
-    """Whether the platform's chain levels take maps (``_conjugation_maps``): phi two-sided on an
-    int64-stored Z_m or Z_m[G] carrier of at most ``MAP_MAX_COORDINATES`` coordinates, under the
-    matrix product or the matrix sum (MAKE, whose affine step takes a homogeneous map).  Every map
-    product is exact there, on the form the ring stores the map in; ``MAP_SWITCH_CALL`` holds the
-    build costs and break-evens."""
+    """Whether the platform takes a window table (``_LevelMaps``): phi two-sided on an int64-stored
+    Z_m or Z_m[G] carrier of at most ``MAP_MAX_COORDINATES`` coordinates, under the matrix product
+    or the matrix sum (MAKE, whose affine step takes a homogeneous map).  Every map product is exact
+    there, on the form the ring stores the map in; ``MAP_SWITCH_CALL`` holds the build costs and
+    break-evens."""
     ring = platform.g.ring
     return (
         isinstance(platform.phi, TwoSidedPower)
@@ -392,57 +414,69 @@ def _takes_maps(platform: Platform) -> bool:
     )
 
 
-def _maps_up_to(platform: Platform, n: int) -> list[tuple] | None:
-    """The maps of the platform's chain levels up to n's top bit, or None while it takes the factored
-    step.  Counts the call; from the ``MAP_SWITCH_CALL``-th on, on a carrier that takes maps
-    (``_takes_maps``), builds each level the chain holds and the maps do not yet."""
+def _table(platform: Platform) -> dict | None:
+    """The platform's window table, or None while it takes the factored step: on a carrier that takes
+    no maps, and before the ``MAP_SWITCH_CALL``-th ``carrier_power`` or ``apply_phi_power`` call,
+    which it counts up to."""
     maps = platform._maps
-    maps.calls += 1
-    if maps.calls < MAP_SWITCH_CALL or not _takes_maps(platform):
+    if maps is None:
         return None
-    missing = platform._chain[len(maps.levels) : n.bit_length()]
-    if missing:
-        maps.levels.extend(_conjugation_maps(platform, missing))
-    return maps.levels
+    if maps.calls < MAP_SWITCH_CALL:
+        maps.calls += 1
+        if maps.calls < MAP_SWITCH_CALL:
+            return None
+    return maps.table
 
 
-def _conjugation_maps(platform: Platform, levels: tuple[HolomorphPower, ...]):
-    """The (S_m, P_m) Z_m maps of each of the given chain levels of a two-sided phi^m(x) = L x R.
+def _table_entry(platform: Platform, table: dict, j: int, d: int) -> tuple:
+    """The table's entry for the digit d of window j, (a_e, S_e, P_e) for e = d 2^(w j), built on
+    first use: the holomorph product of the chain levels at d's bits, then its maps
+    (``_conjugation_maps``)."""
+    entry = table.get((j, d))
+    if entry is None:
+        chain = doubling_chain(platform, (d << WINDOW_BITS * j) + 1)
+        levels = [chain[WINDOW_BITS * j + b] for b in range(WINDOW_BITS) if d >> b & 1]
+        power = functools.reduce(functools.partial(holo_mul, platform), levels)
+        value = power.value.data.copy()  # at a one-bit d, power is the chain level itself
+        value.flags.writeable = False
+        entry = table[j, d] = (value, *_conjugation_maps(platform, power))
+    return entry
 
-    A level's maps are its own factored step on the stack of the D coordinate basis matrices e_i,
+
+def _conjugation_maps(platform: Platform, power: HolomorphPower) -> tuple[np.ndarray, np.ndarray]:
+    """The (S_m, P_m) Z_m maps of a power (a_m, phi^m) of a two-sided phi^m(x) = L x R, read-only.
+
+    The maps are the power's own factored step on the stack of the D coordinate basis matrices e_i,
     through ``ring.matmul`` and no ``Endomorphism.act``: row i of P_m is vec(L e_i R).  Under the
     matrix product row i of S_m is that times a_m, three stacked products in all.  Under the matrix
     sum the step x -> L x R + a_m is affine, so S_m is the homogeneous (D+1) x (D+1) map
     [[P_m, 0], [vec(a_m), 1]] on vec(x) with a coordinate 1 appended.  Each map is stored in the
     form the ring picks for its row count (``IntegersMod.store``)."""
     ring, g = platform.g.ring, platform.g.data
-    affine, size = platform.op_kind == "add", g.size
+    size = g.size
     basis = np.eye(size, dtype=np.int64).reshape((size,) + g.shape)
-    for level in levels:
-        images = ring.matmul(ring.matmul(level.end.left_pow.data, basis), level.end.right_pow.data)
-        phi_map = images.reshape(size, size)
-        if affine:
-            step_map = np.eye(size + 1, dtype=np.int64)
-            step_map[:size, :size] = phi_map
-            step_map[size, :size] = level.value.data.reshape(-1)
-        else:
-            step_map = ring.matmul(images, level.value.data).reshape(size, size)
-        pair = (ring.store(step_map), ring.store(phi_map))
-        for m in pair:
-            m.flags.writeable = False
-        yield pair
+    images = ring.matmul(ring.matmul(power.end.left_pow.data, basis), power.end.right_pow.data)
+    phi_map = images.reshape(size, size)
+    if platform.op_kind == "add":
+        step_map = np.eye(size + 1, dtype=np.int64)
+        step_map[:size, :size] = phi_map
+        step_map[size, :size] = power.value.data.reshape(-1)
+    else:
+        step_map = ring.matmul(images, power.value.data).reshape(size, size)
+    pair = (ring.store(step_map), ring.store(phi_map))
+    for m in pair:
+        m.flags.writeable = False
+    return pair
 
 
 def _chain_bits(platform: Platform, n: int) -> tuple[tuple[HolomorphPower, ...], list[int]]:
     """The platform's doubling chain, made up to n >= 1 first, and the positions of n's set bits:
-    level i of the chain, and of its maps, is (g, phi)^(2^i)."""
-    if n < 1:
-        raise ParameterError("exponent must be >= 1")
+    level i of the chain is (g, phi)^(2^i)."""
     return doubling_chain(platform, n + 1), [i for i in range(n.bit_length()) if n >> i & 1]
 
 
 def _walk(platform: Platform, n: int, data: np.ndarray | None) -> np.ndarray:
-    """One move per chain level at the set bits of n >= 1, on packed entries.
+    """One move per chain level at the set bits of n >= 1, or per nonzero digit of n, on packed entries.
 
     With data None the walk is a_n: it starts from the value of the level at
     n's lowest bit and steps with each level past it (``carrier_step``), but
@@ -452,13 +486,32 @@ def _walk(platform: Platform, n: int, data: np.ndarray | None) -> np.ndarray:
     ⊕ S_m (``TropicalStarPower``): on words with no check when the bounds of
     the start and of the endomorphisms at n's set bits admit it
     (``tropical_walk_fits_words``), else its ``act``.  Once a Z_m platform
-    holds maps (``_maps_up_to``), every move is one ring ``matmul_stored``
-    with the level's S_m or P_m, on the coordinates in the maps' stored
-    dtype (a MAKE carrier walk appends the homogeneous coordinate 1 first
-    and drops it at the end).
+    takes its window table (``_table``), the walk reads n in base 2^w (w =
+    ``WINDOW_BITS``) instead: a_n starts from the value of the entry at n's
+    lowest nonzero digit and moves by one ring ``matmul_stored`` with S_e of
+    each further nonzero digit's entry, and phi^n(data) by one with P_e of
+    each nonzero digit's entry, on the coordinates in the maps' stored dtype
+    (a MAKE carrier walk appends the homogeneous coordinate 1 first and
+    drops it at the end).
     """
+    if n < 1:
+        raise ParameterError("exponent must be >= 1")
+    table = _table(platform)
+    if table is not None:
+        mask = (1 << WINDOW_BITS) - 1
+        digits = [(j, n >> WINDOW_BITS * j & mask) for j in range(-(-n.bit_length() // WINDOW_BITS))]
+        entries = [_table_entry(platform, table, j, d) for j, d in digits if d]
+        which, first = (1 if data is None else 2), entries[0]
+        if data is None:
+            data, entries = first[0], entries[1:]
+        vec = data.reshape(-1)
+        if which == 1 and platform.op_kind == "add":  # the homogeneous coordinate of the affine step
+            vec = np.append(vec, 1)
+        vec, product = vec.astype(first[which].dtype), platform.g.ring.matmul_stored
+        for entry in entries:
+            vec = product(vec, entry[which])
+        return vec[: data.size].astype(np.int64).reshape(data.shape)
     chain, bits = _chain_bits(platform, n)
-    maps = _maps_up_to(platform, n)
     tropical = isinstance(platform.phi, TropicalStarPower) and platform.op_kind == "add"
     carrier = data is None and not tropical
     if data is None:
@@ -468,15 +521,6 @@ def _walk(platform: Platform, n: int, data: np.ndarray | None) -> np.ndarray:
             end = chain[i].end
             data = tropical_word_move(data, end.factor, end.star_pow.data)
         return data
-    if maps is not None and bits:
-        which, product = 0 if carrier else 1, platform.g.ring.matmul_stored
-        vec = data.reshape(-1)
-        if carrier and platform.op_kind == "add":  # the homogeneous coordinate of the affine step
-            vec = np.append(vec, 1)
-        vec = vec.astype(maps[0][which].dtype)
-        for i in bits:
-            vec = product(vec, maps[i][which])
-        return vec[: data.size].astype(np.int64).reshape(data.shape)
     for i in bits:
         data = carrier_step(platform, chain[i], data) if carrier else chain[i].end.act(data)
     return data
@@ -484,8 +528,9 @@ def _walk(platform: Platform, n: int, data: np.ndarray | None) -> np.ndarray:
 
 def carrier_power(platform: Platform, n: int) -> Matrix:
     """a_n, the carrier half of (g, phi)^n: each set bit of n past the lowest is one step with the
-    chain level (a_m, phi^m) there, on the tropical carrier one action of its phi^m (``_walk``), and
-    no endomorphism is composed.
+    chain level (a_m, phi^m) there, on the tropical carrier one action of its phi^m, and on a Z_m
+    platform's window table each nonzero digit past the lowest one map product (``_walk``); no
+    endomorphism is composed.
     n = 0 is rejected: three of the five carriers are proper semigroups with no identity to
     return, and the exchanged sequence starts at a_1 = g."""
     return Matrix(platform.g.ring, _walk(platform, n, None))
@@ -496,7 +541,8 @@ def apply_phi_power(platform: Platform, n: int, x: Matrix) -> Matrix:
 
     Powers of one phi commute, so acting with phi^(2^i) for each set bit
     in turn is phi^n: popcount(n) actions (``_walk``), as many kernel calls
-    as ``phi_power`` composing and then acting, with no composition between.
+    as ``phi_power`` composing and then acting, with no composition between;
+    on a Z_m platform's window table, one map product per nonzero digit.
     The operand is checked once, against phi; phi^0 and a negative n are
     ``Endomorphism.power``'s, the identity and a refusal.
     """

@@ -58,7 +58,9 @@ def draw_exponent(rng: np.random.Generator, exponent_bits: int) -> int:
 
 def keygen(platform: Platform, rng: np.random.Generator, exponent_bits: int = 16) -> KeyPair:
     """Draw x uniformly from [2, 2^exponent_bits) and publish a_x, made by ``carrier_power``
-    alone: phi^x is needed only where it is applied, in ``derive_key``."""
+    alone: phi^x is needed only where it is applied, in ``derive_key``.  That is popcount(x) - 1
+    carrier steps, and on a Z_m platform past its map switch one map product per nonzero
+    base-2^w digit of x past the lowest (w = ``holomorph.WINDOW_BITS``, ``holomorph._walk``)."""
     x = draw_exponent(rng, exponent_bits)
     return KeyPair(x, carrier_power(platform, x))
 
@@ -69,7 +71,9 @@ def derive_key(platform: Platform, exponent: int, peer_value: Matrix, own_value:
     phi^x is applied to B by ``apply_phi_power``: the endomorphisms of the
     platform's cached doubling chain at the set bits of x, which ``keygen``
     has already made, act on B one after another, popcount(x) actions with
-    no composition and no squaring of phi.
+    no composition and no squaring of phi; on a Z_m platform past its map
+    switch, one map product per nonzero base-2^w digit of x (w =
+    ``holomorph.WINDOW_BITS``, ``holomorph._walk``).
     """
     return platform.op(apply_phi_power(platform, exponent, peer_value), own_value)
 

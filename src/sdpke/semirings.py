@@ -35,7 +35,7 @@ every k, and for int64 entries in int64 while k(m-1)^2 < 2^63, on unsigned
 views of the same entries while k(m-1)^2 < 2^64, and past that on the right
 factor's 16-bit limbs, whose sums recombine below (k+1)(m-1)2^16: exact
 while that is below 2^63 (46,339 terms at the largest int64 modulus), and
-refused past it.  A right factor used many times, a chain-level map, is
+refused past it.  A right factor used many times, a window table map, is
 stored once in the form the rule picks (``IntegersMod.store``).  Z_m[G]
 takes only the moduli Z_m stores as int64, so its coefficients always live
 on words and ``linalg.rref_mod`` eliminates its regular blocks in int64.

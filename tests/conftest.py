@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sdpke.holomorph import sdp_exp
+from sdpke.holomorph import WINDOW_BITS, sdp_exp
 from sdpke.platforms import (
     DhkeParams,
     random_gl_params,
@@ -19,6 +19,13 @@ PLATFORM_GENERATORS = {
     "make": lambda rng: random_make_params(rng, prime=101),
     "mobs": random_mobs_params,
 }
+
+
+def window_digits(n: int) -> set[tuple[int, int]]:
+    """(j, d) for each nonzero digit d of window j of n in base 2^WINDOW_BITS: the window table entries
+    a walk to n reads."""
+    mask = (1 << WINDOW_BITS) - 1
+    return {(j, n >> WINDOW_BITS * j & mask) for j in range(64) if n >> WINDOW_BITS * j & mask}
 
 
 def linear_platform(kind: str, rng: np.random.Generator):

@@ -192,7 +192,8 @@ def test_seeded_record_numpy_cannot_draw_from_exits_2_with_one_line(tmp_path, ca
 #: sha256 of the transcript file written by ``exchange <source> --trials 2 --seed 1 --test-mode``,
 #: recorded while every tropical entry was a Python int and every Z_m and Z_m[G] entry was
 #: written by its own int(); the source is a platform kind and flags, or a seeded params record
-#: (written to a file and passed as ``--params``) and flags
+#: (written to a file and passed as ``--params``) and flags, ``--trials`` among them where a case
+#: runs other than 2 trials
 _TRANSCRIPT_SHA256 = {
     "tropical-16": (["--platform", "tropical", "--exponent-bits", "16"],
                     "857a6355857e1761ab170b39018030dedb79dedee1ec3c1792425ea2295913d6"),
@@ -210,6 +211,16 @@ _TRANSCRIPT_SHA256 = {
     "tropical-positive-63": ([{"kind": "tropical", "seed": 1, "entry_lo": 1, "entry_hi": 10, "size": 3},
                               "--exponent-bits", "63"],
                              "3c29a52e02eb3f1be1a4b34079816b529df074a56a5b4df740c158b8b0866119"),
+    # 6 trials make 24 carrier_power and apply_phi_power calls on one platform: from the
+    # MAP_SWITCH_CALL-th on, keygen and derive walk the window table
+    "groupring-63-table": (["--platform", "groupring", "--exponent-bits", "63", "--trials", "6"],
+                           "cdbaf70c50824a09077519dfb70f4c68d14ab6a5abb8cf728d132bdd71439103"),
+    "gl-63-table": (["--platform", "gl", "--exponent-bits", "63", "--trials", "6"],
+                    "1c78a2e9c502f6df539081395837457f4a4c6d626fc0401c0cfd3dd2b19af203"),
+    "make-63-table": (["--platform", "make", "--exponent-bits", "63", "--trials", "6"],
+                      "23a84ab0e29832ad75312b461d0d7c607d41f673de5a25179ba0555431723775"),
+    "make-16-table": (["--platform", "make", "--exponent-bits", "16", "--trials", "6"],
+                      "a44ff95f71e04fd2c5654b1691465e56bcf730173187034ff03eed4f9559fd4b"),
 }
 
 
@@ -221,7 +232,8 @@ def test_transcript_bytes_are_pinned(tmp_path, capsys, case):
         params.write_text(json.dumps(source[0]))
         source = ["--params", str(params), *source[1:]]
     out = tmp_path / "t.json"
-    argv = ["exchange", *source, "--trials", "2", "--seed", "1", "--test-mode", "--out", str(out)]
+    trials = [] if "--trials" in source else ["--trials", "2"]  # a case past the map switch names its own
+    argv = ["exchange", *source, *trials, "--seed", "1", "--test-mode", "--out", str(out)]
     assert run_cli(argv, capsys)[0] == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
     if case.startswith("tropical"):

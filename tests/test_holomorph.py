@@ -1,6 +1,7 @@
 """Exponentiation engine: oracle equivalence, composition law, telescoping."""
 
 import dataclasses
+import functools
 import itertools
 
 import numpy as np
@@ -46,7 +47,7 @@ from sdpke.platforms import (
 from sdpke.protocol import derive_key, keygen
 from sdpke.semirings import BitStrings, IntegersMod, TropicalIntegers
 
-from conftest import PLATFORM_GENERATORS, linear_platform
+from conftest import PLATFORM_GENERATORS, linear_platform, window_digits
 from test_algebra import assert_canonical_data
 
 ALL_KINDS = list(PLATFORM_GENERATORS)
@@ -126,16 +127,22 @@ def test_chain_power_over_a_longer_chain_equals_naive(kind, rng, fresh_platform)
         assert (got.value, got.end, got.exponent) == (want.value, want.end, n)
 
 
+def _ones(m: int) -> int:
+    return bin(m).count("1")
+
+
 def test_sdp_exp_holo_mul_count(rng, fresh_platform, monkeypatch):
     # holo_mul only squares the platform's cached chain, one squaring per level it does not hold yet
-    # (bit_length - 1 on a fresh platform): sdp_exp makes no holomorph product of its own.  Past the
-    # squarings, a_x is popcount - 1 carrier steps and phi^x popcount - 1 compositions; on a warm
-    # chain carrier_power and keygen compose no endomorphism, and derive_key composes none either:
-    # it acts on the peer's value with popcount(x) chain endomorphisms and makes one operation.
-    # A step is a carrier_step until the platform's MAP_SWITCH_CALL-th carrier_power or
-    # apply_phi_power call and from it on one ring product (IntegersMod.matmul_stored) with the
-    # level's stored step map S_m; an action is an Endomorphism.act, then a product with the level's
-    # phi map P_m.  The counts are the same.
+    # (bit_length - 1 on a fresh platform), and builds the window table's entries: sdp_exp makes no
+    # holomorph product of its own.  Past the squarings, phi^x is popcount - 1 compositions.  Until
+    # the platform's MAP_SWITCH_CALL-th carrier_power or apply_phi_power call a_x is popcount - 1
+    # carrier steps and phi^x(B) popcount acts; from it on a_x is one ring product
+    # (IntegersMod.matmul_stored) with the stored step map S_e of each nonzero base-2^WINDOW_BITS
+    # digit's entry past the lowest, and phi^x(B) one with P_e of each nonzero digit's entry.  An
+    # entry (j, d) is built once, on the first walk that reads it: popcount(d) - 1 holo_mul products
+    # of the chain levels at d's bits (each one carrier step and one composition), then its maps.  On
+    # a warm table carrier_power and keygen compose no endomorphism, and derive_key composes none
+    # either: it makes one product per nonzero digit and one operation.
     p = fresh_platform("gl", rng)
     end_kind = type(p.phi)
     squarings, products, steps, compositions, actions, ops = [], [], [], [], [], []
@@ -161,8 +168,12 @@ def test_sdp_exp_holo_mul_count(rng, fresh_platform, monkeypatch):
         return act(end, data)
 
     def counted_map(ring, data, m):
-        step_maps = [s for s, _ in p._maps.levels]
-        (steps if any(m is s for s in step_maps) else actions).append(m)
+        entries = p._maps.table.values()
+        if any(m is s for _, s, _ in entries):
+            steps.append(m)
+        else:
+            assert any(m is phi_map for *_, phi_map in entries)
+            actions.append(m)
         mapped.append(m)
         return map_product(ring, data, m)
 
@@ -178,39 +189,53 @@ def test_sdp_exp_holo_mul_count(rng, fresh_platform, monkeypatch):
     monkeypatch.setattr(Platform, "op", counted_op)
 
     def counted_call(fn, *args):
-        """fn(*args), and (squarings, other holo_mul products, carrier steps and compositions past
-        the squarings' own, actions past the factored carrier steps' own, operations) made by it."""
+        """fn(*args), (squarings, other holo_mul products, carrier steps and compositions past the
+        squarings' own, actions past the factored carrier steps' own, operations) made by it, and the
+        table entries it built."""
         for made in (squarings, products, steps, compositions, actions, ops, factored_steps, mapped):
             made.clear()
+        before = set(p._maps.table)
         result = fn(*args)
         past_squarings = len(steps) - len(squarings), len(compositions) - len(squarings)
         past_steps = len(actions) - len(factored_steps)
-        return result, (len(squarings), len(products), *past_squarings, past_steps, len(ops))
-
-    def ones(m: int) -> int:
-        return bin(m).count("1")
+        made = (len(squarings), len(products), *past_squarings, past_steps, len(ops))
+        return result, made, set(p._maps.table) - before
 
     n = 0x5555
-    power, made = counted_call(sdp_exp, p, n)
-    assert power.exponent == n and made == (n.bit_length() - 1, 0, ones(n) - 1, ones(n) - 1, 0, 0)
+    power, made, _ = counted_call(sdp_exp, p, n)
+    assert power.exponent == n and made == (n.bit_length() - 1, 0, _ones(n) - 1, _ones(n) - 1, 0, 0)
     assert not mapped and p._maps.calls == 1
     levels = n.bit_length()
     for m in [*range(1, 130), 1 << 40, (1 << 40) - 1, 0x5555_5555, 3, (1 << 63) - 1, 1 << 62]:
-        power, made = counted_call(sdp_exp, p, m)
-        assert power.exponent == m and made == (max(0, m.bit_length() - levels), 0, ones(m) - 1, ones(m) - 1, 0, 0), m
-        # the squarings keep carrier_step; from the switch on, every step past them takes its level's map
-        assert len(mapped) == (ones(m) - 1 if p._maps.calls >= holomorph.MAP_SWITCH_CALL else 0), m
+        before = p._maps.calls
+        power, made, built = counted_call(sdp_exp, p, m)
+        squared = max(0, m.bit_length() - levels)
+        if before + 1 < holomorph.MAP_SWITCH_CALL:
+            assert p._maps.calls == before + 1 and not mapped and not built
+            assert made == (squared, 0, _ones(m) - 1, _ones(m) - 1, 0, 0), m
+        else:
+            # the squarings and the new entries' products keep carrier_step; every other step is a map product
+            fills, digits = sum(_ones(d) - 1 for _, d in built), window_digits(m)
+            assert p._maps.calls == holomorph.MAP_SWITCH_CALL and built <= digits and digits <= set(p._maps.table)
+            assert made == (squared, fills, len(digits) - 1 + fills, _ones(m) - 1 + fills, 0, 0), m
+            assert len(mapped) == len(digits) - 1, m
         levels = max(levels, m.bit_length())
     assert levels == 63
+    # fill every entry a 63-bit exponent reads, then count on the warm table
+    for j in range(16):
+        for d in range(1, 16 if j < 15 else 8):
+            carrier_power(p, d << holomorph.WINDOW_BITS * j)
+    assert len(p._maps.table) == 15 * 15 + 7
     for m in [*range(1, 130), (1 << 40) - 1, 0x5555_5555, (1 << 63) - 1, 1 << 62]:
-        assert counted_call(carrier_power, p, m)[1] == (0, 0, ones(m) - 1, 0, 0, 0), m
-        assert not factored_steps and len(mapped) == ones(m) - 1
+        digits = len(window_digits(m))
+        assert counted_call(carrier_power, p, m)[1:] == ((0, 0, digits - 1, 0, 0, 0), set()), m
+        assert not factored_steps and len(mapped) == digits - 1
     for _ in range(20):
-        alice, made_a = counted_call(keygen, p, rng, 63)
-        bob, made_b = counted_call(keygen, p, rng, 63)
-        assert (made_a, made_b) == ((0, 0, ones(alice.exponent) - 1, 0, 0, 0), (0, 0, ones(bob.exponent) - 1, 0, 0, 0))
-        _, made = counted_call(derive_key, p, alice.exponent, bob.public_value, alice.public_value)
-        assert made == (0, 0, 0, 0, ones(alice.exponent), 1) and len(mapped) == ones(alice.exponent)
+        (alice, made_a, _), (bob, made_b, _) = counted_call(keygen, p, rng, 63), counted_call(keygen, p, rng, 63)
+        digits_a, digits_b = len(window_digits(alice.exponent)), len(window_digits(bob.exponent))
+        assert (made_a, made_b) == ((0, 0, digits_a - 1, 0, 0, 0), (0, 0, digits_b - 1, 0, 0, 0))
+        _, made, built = counted_call(derive_key, p, alice.exponent, bob.public_value, alice.public_value)
+        assert made == (0, 0, 0, 0, digits_a, 1) and len(mapped) == digits_a and not built
 
 
 #: primes for the Z_m map properties.  A map of k rows sums at most k (p-1)^2, stored in the narrowest
@@ -222,20 +247,21 @@ _MAP_PRIMES = [2, 3, 7, 101, 1009, 65521, 679000019, 2**31 - 1, 3037000493]
 _MAP_EXPONENTS = st.lists(st.one_of(st.integers(1, 300), st.integers(1, (1 << 63) - 1)), min_size=1, max_size=4)
 
 
-def _assert_levels_from_switch_call(p: Platform, rng: np.random.Generator, exponents: list[int]) -> None:
-    """p takes no levels before its MAP_SWITCH_CALL-th carrier_power or apply_phi_power call, three at it
-    and one per bit of the largest exponent asked after it, and from it on carrier_power equals the
+def _assert_table_from_switch_call(p: Platform, rng: np.random.Generator, exponents: list[int]) -> None:
+    """p takes no table entry before its MAP_SWITCH_CALL-th carrier_power or apply_phi_power call, at it
+    the one entry of its exponent's one nonzero digit, and after it, with the count stopped there,
+    exactly the entries of the nonzero digits of the exponents asked; from it on carrier_power equals the
     sequential oracle (x <= 300) or a cold copy's factored steps, and apply_phi_power and derive_key
     phi's own square-and-multiply power, each in the ring's canonical form."""
     for call in range(1, holomorph.MAP_SWITCH_CALL):
         peer = p.random_element(rng)
         assert apply_phi_power(p, call, peer) == p.phi.power(call)(peer)
-        assert (p._maps.calls, p._maps.levels) == (call, [])
+        assert (p._maps.calls, p._maps.table) == (call, {})
     assert carrier_power(p, 6) == sdp_exp_naive(p, 6).value
-    assert p._maps.calls == holomorph.MAP_SWITCH_CALL and len(p._maps.levels) == 3
+    assert p._maps.calls == holomorph.MAP_SWITCH_CALL and set(p._maps.table) == {(0, 6)}
     cold = dataclasses.replace(p)
-    assert cold == p and (cold._maps.calls, cold._maps.levels, cold._chain) == (0, [], ())
-    levels = 3
+    assert cold == p and (cold._maps.calls, cold._maps.table, cold._chain) == (0, {}, ())
+    read = {(0, 6)}
     for x in exponents:
         peer, own = p.random_element(rng), p.random_element(rng)
         value = sdp_exp_naive(p, x).value if x <= 300 else carrier_power(dataclasses.replace(p), x)
@@ -247,8 +273,8 @@ def _assert_levels_from_switch_call(p: Platform, rng: np.random.Generator, expon
         ):
             assert got == want
             assert_canonical_data(p.g.ring, got.data)
-        levels = max(levels, x.bit_length())  # the maps are built level by level, as far as asked
-        assert len(p._maps.levels) == levels
+        read |= window_digits(x)  # entries are built digit by digit, as far as asked
+        assert (p._maps.calls, set(p._maps.table)) == (holomorph.MAP_SWITCH_CALL, read)
 
 
 def _map_entries(level_map: np.ndarray, prime: int) -> np.ndarray:
@@ -265,20 +291,33 @@ def _map_entries(level_map: np.ndarray, prime: int) -> np.ndarray:
     return entries[:, :k] + (entries[:, k:] << 16)
 
 
-def _assert_kronecker_maps(p: Platform) -> None:
-    """Each level's maps of a two-sided phi^m(x) = L x R over Z_p, each in the form of its own row count k
-    (16-bit limbs exactly when k (p-1)^2 passes int64): P_m is vec(L x R) = vec(x) (L^T ⊗ R) row-major,
-    numpy's Kronecker product on Python ints, and S_m is P_m times a_m under the matrix product and the
-    homogeneous [[P_m, 0], [vec(a_m), 1]] under the matrix sum."""
-    prime, size = p.g.ring.modulus, p.g.data.size
-    for level, (step_map, phi_map) in zip(p._chain, p._maps.levels):
-        left, right, value = (m.data.astype(object) for m in (level.end.left_pow, level.end.right_pow, level.value))
-        phi_want = np.kron(left.T, right) % prime
-        if p.op_kind == "mul":
-            step_want = np.kron(left.T, right @ value % prime) % prime
+def _assert_table_entries(p: Platform) -> None:
+    """Each table entry (j, d) of a two-sided phi over Z_p is that of e = d 2^(WINDOW_BITS j) on a cold copy,
+    read-only and each map in the form of its own row count k (16-bit limbs exactly when k (p-1)^2 passes
+    int64): its value is the cold copy's a_e, P_e is vec(L x R) = vec(x) (L^T ⊗ R) row-major for the cold
+    phi^e(x) = L x R, numpy's Kronecker product on Python ints, and S_e is P_e times a_e under the matrix
+    product and the homogeneous [[P_e, 0], [vec(a_e), 1]] under the matrix sum.  Over Z_p[G], whose
+    coordinates no plain Kronecker product orders, row i of each map is instead the cold copy's phi^e
+    and carrier step on the i-th coordinate basis matrix, by ``Matrix`` products."""
+    ring, size = p.g.ring, p.g.data.size
+    prime = ring.modulus
+    assert p._maps.table
+    for (j, d), entries in p._maps.table.items():
+        value, step_map, phi_map = entries
+        assert all(not e.flags.writeable for e in entries)
+        power = sdp_exp(dataclasses.replace(p), d << holomorph.WINDOW_BITS * j)
+        assert np.array_equal(value, power.value.data) and value.dtype == power.value.data.dtype
+        if isinstance(ring, IntegersMod):
+            left, right, a = (m.data.astype(object) for m in (power.end.left_pow, power.end.right_pow, power.value))
+            phi_want = np.kron(left.T, right) % prime
+            step_want = np.kron(left.T, right @ a % prime) % prime
         else:
+            basis = [Matrix(ring, e.reshape(p.g.data.shape)) for e in np.eye(size, dtype=np.int64)]
+            phi_want = np.array([power.end(e).data.reshape(-1) for e in basis], dtype=object)
+            step_want = np.array([(power.end(e) @ power.value).data.reshape(-1) for e in basis], dtype=object)
+        if p.op_kind == "add":
             step_want = np.zeros((size + 1, size + 1), dtype=object)
-            step_want[:size, :size], step_want[size, :size], step_want[size, size] = phi_want, value.reshape(-1), 1
+            step_want[:size, :size], step_want[size, :size], step_want[size, size] = phi_want, a.reshape(-1), 1
         assert np.array_equal(_map_entries(phi_map, prime), phi_want)
         assert np.array_equal(_map_entries(step_map, prime), step_want)
 
@@ -292,10 +331,10 @@ def _assert_kronecker_maps(p: Platform) -> None:
     exponents=_MAP_EXPONENTS,
 )
 def test_level_maps_equal_the_factored_steps_from_the_switch_call_on(kind, prime, size, seed, exponents):
-    # a conjugation carrier takes the maps S_m and P_m exactly from its MAP_SWITCH_CALL-th carrier_power
-    # or apply_phi_power call at every int64 modulus, on 16-bit limbs where a D-term sum passes int64;
-    # its values then equal the sequential oracle and phi's own square-and-multiply power, at every
-    # exponent below 2^63
+    # a conjugation carrier takes its window table from its MAP_SWITCH_CALL-th carrier_power or
+    # apply_phi_power call at every int64 modulus, each entry's maps S_e and P_e exact and on 16-bit limbs
+    # where a D-term sum passes int64; its values then equal the sequential oracle and phi's own
+    # square-and-multiply power, at every exponent below 2^63
     rng = np.random.default_rng(seed)
     if kind == "gl":
         assume(size > 1 and prime > 2)  # GL(1, p) is commutative, and GL(r, 2) draws a central H often
@@ -307,9 +346,8 @@ def test_level_maps_equal_the_factored_steps_from_the_switch_call_on(kind, prime
     coordinates = p.g.data.size
     assert coordinates <= holomorph.MAP_MAX_COORDINATES
     event(f"D = {coordinates}, {'limbs' if coordinates * (prime - 1) ** 2 >= 1 << 63 else 'one array'}")
-    _assert_levels_from_switch_call(p, rng, exponents)
-    if kind == "gl":
-        _assert_kronecker_maps(p)
+    _assert_table_from_switch_call(p, rng, exponents)
+    _assert_table_entries(p)
 
 
 @settings(max_examples=40, deadline=None)
@@ -320,23 +358,58 @@ def test_level_maps_equal_the_factored_steps_from_the_switch_call_on(kind, prime
     exponents=_MAP_EXPONENTS,
 )
 def test_make_levels_equal_the_factored_steps_from_the_switch_call_on(prime, size, seed, exponents):
-    # MAKE's affine step x -> L x R + a_m takes the homogeneous map [[P_m, 0], [vec(a_m), 1]] on vec(x)
-    # with a coordinate 1 appended, and phi^m the map P_m, from the MAP_SWITCH_CALL-th call on, each on
-    # 16-bit limbs where its own sum passes int64, D+1 terms for S_m and D for P_m (2x2 and larger at
-    # 2^31 - 1, and at 3037000493 every S_m and each P_m but the 1x1 one); its values then equal the
-    # factored steps'
+    # from the MAP_SWITCH_CALL-th call on, each window table entry holds MAKE's affine step x -> L x R + a_e
+    # as the homogeneous map [[P_e, 0], [vec(a_e), 1]] on vec(x) with a coordinate 1 appended, and phi^e
+    # as the map P_e, each on 16-bit limbs where its own sum passes int64, D+1 terms for S_e and D for P_e
+    # (2x2 and larger at 2^31 - 1, and at 3037000493 every S_e and each P_e but the 1x1 one); its values
+    # then equal the factored steps'
     rng = np.random.default_rng(seed)
     p = random_make_params(rng, prime=prime, size=size).build()
     event(f"D = {size * size}, {'limbs' if (size * size + 1) * (prime - 1) ** 2 >= 1 << 63 else 'one array'}")
-    _assert_levels_from_switch_call(p, rng, exponents)
-    _assert_kronecker_maps(p)
+    _assert_table_from_switch_call(p, rng, exponents)
+    _assert_table_entries(p)
+
+
+@functools.lru_cache(maxsize=None)
+def _warm_platform(kind: str) -> Platform:
+    """A default platform of the kind ("make-limbs": MAKE over the largest int64 prime, 3037000493, whose
+    every map is stored on 16-bit limbs) taken past its MAP_SWITCH_CALL-th call, kept across examples so
+    that its window table fills as they run."""
+    rng = np.random.default_rng(sum(map(ord, kind)))
+    params = random_make_params(rng, prime=3037000493) if kind == "make-limbs" else random_params(kind, rng)
+    p = params.build()
+    for _ in range(holomorph.MAP_SWITCH_CALL):
+        carrier_power(p, 1)
+    assert p._maps.calls == holomorph.MAP_SWITCH_CALL
+    return p
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["groupring", "gl", "make", "make-limbs"]),
+    seed=st.integers(0, 2**32 - 1),
+    exponents=st.lists(st.integers(1, (1 << 63) - 1), min_size=1, max_size=4),
+)
+def test_window_table_walks_equal_a_cold_copys_factored_walk(kind, seed, exponents):
+    # on a warm platform, whose window table fills across examples, carrier_power and apply_phi_power
+    # equal a cold copy's, which walks the factored chain levels at the set bits of n, at every n below 2^63
+    p, rng = _warm_platform(kind), np.random.default_rng(seed)
+    for n in exponents:
+        cold, peer = dataclasses.replace(p), p.random_element(rng)
+        want = carrier_power(cold, n), apply_phi_power(cold, n, peer)
+        assert cold._maps.calls == 2 and not cold._maps.table
+        got = carrier_power(p, n), apply_phi_power(p, n, peer)
+        assert got == want
+        for value in got:
+            assert_canonical_data(p.g.ring, value.data)
+        assert window_digits(n) <= set(p._maps.table)
 
 
 @pytest.mark.parametrize("kind", ["make", "mobs", "dhke", "groupring-a5"])
 def test_other_carriers_stay_factored_past_the_switch(kind, rng):
     # an OR/AND step is no Z_m-linear map; MAKE at the prime 4294967291 stores Z_m as Python ints, which
     # no int64 map holds; plain DH's phi is the identity; and 1x1 Z_7[A_5] has D = 60 coordinates, past
-    # MAP_MAX_COORDINATES
+    # MAP_MAX_COORDINATES.  Such a platform holds no window table and counts no call
     if kind == "groupring-a5":
         p = random_groupring_params(rng, group="a5", size=1).build()
         assert p.g.data.size == 60 > holomorph.MAP_MAX_COORDINATES
@@ -350,7 +423,7 @@ def test_other_carriers_stay_factored_past_the_switch(kind, rng):
         peer = p.random_element(rng)
         value = carrier_power(p, x) if call % 2 else apply_phi_power(p, x, peer)
         assert value == (sdp_exp(dataclasses.replace(p), x).value if call % 2 else p.phi.power(x)(peer))
-    assert (p._maps.calls, p._maps.levels) == (holomorph.MAP_SWITCH_CALL + 3, [])
+    assert p._maps is None
 
 
 #: tropical entry bounds for the level property: at ±50 and ±1000 a 16-bit walk stays on words and a
@@ -385,7 +458,7 @@ _TROPICAL_CASES = dict(
 @settings(max_examples=40, deadline=None)
 @given(**_TROPICAL_CASES)
 def test_tropical_levels_equal_the_factored_steps_from_the_switch_call_on(size, bound, star_inf, seed, exponents):
-    # the tropical carrier takes no level maps at any call: from the first call on, each chain
+    # the tropical carrier holds no window table (``_maps`` is None): from the first call on, each chain
     # endomorphism moves by its own x ⊗ P_m ⊕ S_m, and the values equal the sequential oracle, a cold
     # copy's walk and phi's own square-and-multiply power at every exponent below 2^63, stored as those
     # are: on words only where the start's and the endomorphisms' bounds prove every sum exact
@@ -395,9 +468,9 @@ def test_tropical_levels_equal_the_factored_steps_from_the_switch_call_on(size, 
     for call in range(1, holomorph.MAP_SWITCH_CALL):
         peer = p.random_element(rng)
         assert apply_phi_power(p, call, peer) == p.phi.power(call)(peer)
-        assert p._maps.levels == []
+        assert p._maps is None
     assert carrier_power(p, 6) == sdp_exp_naive(p, 6).value
-    assert p._maps.levels == []
+    assert p._maps is None
     for x in exponents:
         want = sdp_exp_naive(p, x).value if x <= 300 else carrier_power(dataclasses.replace(p), x)
         got = carrier_power(p, x)
@@ -409,7 +482,7 @@ def test_tropical_levels_equal_the_factored_steps_from_the_switch_call_on(size, 
             for got, want in ((apply_phi_power(p, x, peer), image), (derive_key(p, x, peer, own), p.op(image, own))):
                 assert got == want and got.data.dtype == want.data.dtype
                 assert_canonical_data(ring, got.data)
-        assert p._maps.levels == []
+        assert p._maps is None
     # each chain endomorphism holds P_m = I ⊕ S_m in canonical form and S_m's largest |entry|, and acts
     # as the definition x ⊕ S_m ⊕ x⊗S_m on every value, the +inf matrix too
     values = (p.random_element(rng).data, ring.zeros(size, size))
@@ -434,7 +507,7 @@ def test_tropical_levels_equal_the_factored_steps_from_the_switch_call_on(size, 
 def test_tropical_carrier_power_is_phi_power_of_g(size, bound, star_inf, seed, exponents):
     # phi(x) = x ⋆ H <= x entrywise and a_k <= g, so a_(k+1) = phi(a_k) ⊕ g is phi(a_k) and
     # a_n = phi^(n-1)(g): on a cold copy's walk and on a platform past MAP_SWITCH_CALL calls alike, with
-    # no level maps at either
+    # no window table at either
     rng = np.random.default_rng(seed)
     ring = TropicalIntegers()
     p = _tropical_platform(rng, size, bound, star_inf)
@@ -446,7 +519,7 @@ def test_tropical_carrier_power_is_phi_power_of_g(size, bound, star_inf, seed, e
         for got in (carrier_power(cold, x), carrier_power(p, x), apply_phi_power(p, x - 1, p.g)):
             assert got == want and got.data.dtype == want.data.dtype
             assert_canonical_data(ring, got.data)
-        assert cold._maps.levels == p._maps.levels == []
+        assert cold._maps is None and p._maps is None
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -464,9 +537,9 @@ def test_negative_phi_powers_are_refused(kind, rng, fresh_platform):
 def _count_level_moves(p: Platform, rng, monkeypatch, end_kind: type, owner, move: str) -> tuple[list, list]:
     """Run 12 exchanges at 16 and 63 bits on p's warm chain, 36 carrier_power and apply_phi_power calls,
     counting the carrier_step, end_kind.act and level move (``<owner>.<move>``) calls of each keygen and
-    derive_key.  Returns one record per call, (keygen or derive, the moves its exponent takes: popcount - 1
-    for a keygen and popcount for a derive, (carrier steps, acts, level moves) made by it, whether it ran
-    from the platform's MAP_SWITCH_CALL-th call on), and the arguments of every level move."""
+    derive_key.  Returns one record per call, (keygen or derive, its exponent, (carrier steps, acts, level
+    moves) made by it, whether it was the platform's MAP_SWITCH_CALL-th call or a later one, the window
+    table entries it built), and the arguments of every level move."""
     doubling_chain(p, 1 << 63)
     steps, actions, moves, all_moves, records = [], [], [], [], []
     step, act, level_move = holomorph.carrier_step, end_kind.act, getattr(owner, move)
@@ -487,47 +560,59 @@ def _count_level_moves(p: Platform, rng, monkeypatch, end_kind: type, owner, mov
     monkeypatch.setattr(end_kind, "act", counted_act)
     monkeypatch.setattr(owner, move, counted_move)
 
-    def counted_call(kind, want, fn, *args):
+    def entries() -> set:
+        return set() if p._maps is None else set(p._maps.table)
+
+    def counted_call(kind, fn, *args):
         for made in (steps, actions, moves):
             made.clear()
+        before = entries()
         result = fn(*args)
         all_moves.extend(moves)
-        made = (len(steps), len(actions), len(moves))
-        records.append((kind, want(result), made, p._maps.calls >= holomorph.MAP_SWITCH_CALL))
+        exponent = result.exponent if kind == "keygen" else args[1]
+        switched = len(records) + 1 >= holomorph.MAP_SWITCH_CALL
+        records.append((kind, exponent, (len(steps), len(actions), len(moves)), switched, entries() - before))
         return result
 
-    def ones(m: int) -> int:
-        return bin(m).count("1")
-
     for bits in [16, 63] * 6:
-        alice, bob = (counted_call("keygen", lambda pair: ones(pair.exponent) - 1, keygen, p, rng, bits) for _ in "ab")
-        counted_call("derive", lambda _: ones(alice.exponent), derive_key, p, alice.exponent, bob.public_value,
-                     alice.public_value)
-    assert p._maps.calls == 36
+        alice, bob = (counted_call("keygen", keygen, p, rng, bits) for _ in "ab")
+        counted_call("derive", derive_key, p, alice.exponent, bob.public_value, alice.public_value)
+    assert len(records) == 36
     return records, all_moves
 
 
 def test_tropical_level_move_count(rng, fresh_platform, monkeypatch):
     # from the first call on, a tropical move is x ⊗ P_m ⊕ S_m in a keygen and a derive alike, popcount - 1
     # and popcount of them with no carrier_step (a_n = phi^(n-1)(g) there): a walk makes them all on words
-    # (semirings.tropical_word_move) or all as acts on the ring's kernels, and both kinds occur
+    # (semirings.tropical_word_move) or all as acts on the ring's kernels, and both kinds occur; the
+    # platform holds no window table
     p = fresh_platform("tropical", rng)
     records, word_moves = _count_level_moves(p, rng, monkeypatch, TropicalStarPower, holomorph, "tropical_word_move")
-    for _, want, (steps, acts, words), _ in records:
-        assert steps == 0 and acts + words == want and 0 in (acts, words)
-    assert any(made[1] for *_, made, _ in records) and word_moves
-    assert p._maps.levels == []
+    for kind, x, (steps, acts, words), _, built in records:
+        assert steps == 0 and acts + words == _ones(x) - (kind == "keygen") and 0 in (acts, words) and not built
+    assert any(made[1] for _, _, made, _, _ in records) and word_moves
+    assert p._maps is None
 
 
 def test_make_level_move_count(rng, monkeypatch):
     # a MAKE level move on the default platform over Z_(2^31 - 1) is one ring product with a map stored
-    # on 16-bit limbs: the homogeneous S_m in a keygen, P_m in a derive.  Before the platform's
+    # on 16-bit limbs: the homogeneous S_e in a keygen, P_e in a derive.  Before the platform's
     # MAP_SWITCH_CALL-th call a keygen makes popcount - 1 carrier_step (each with its act) and a derive
-    # popcount acts; from it on each makes that many level moves and no carrier_step and no act
+    # popcount acts.  From it on a keygen makes one level move per nonzero base-2^WINDOW_BITS digit past
+    # the lowest and a derive one per nonzero digit, and neither makes a carrier_step or an act but to
+    # build a window table entry it reads first: popcount(d) - 1 holo_mul products of chain levels, each
+    # one carrier_step and its act.  The call count stops at the switch
     p = random_make_params(rng).build()
     records, moves = _count_level_moves(p, rng, monkeypatch, TwoSidedPower, IntegersMod, "matmul_stored")
-    for kind, want, made, switched in records:
-        assert made == ((0, 0, want) if switched else (want if kind == "keygen" else 0, want, 0))
+    for kind, x, made, switched, built in records:
+        if switched:
+            fills, digits = sum(_ones(d) - 1 for _, d in built), window_digits(x)
+            assert made == (fills, fills, len(digits) - (kind == "keygen")) and built <= digits
+        else:
+            assert made == ((_ones(x) - 1, _ones(x) - 1, 0) if kind == "keygen" else (0, _ones(x), 0)) and not built
+    assert any(built for *_, built in records[holomorph.MAP_SWITCH_CALL:])
+    assert p._maps.calls == holomorph.MAP_SWITCH_CALL
+    assert set(p._maps.table) == set().union(*(window_digits(x) for _, x, _, switched, _ in records if switched))
     size = p.g.data.size
     assert {level_map.shape for _, _, level_map in moves} == {(size + 1, 2 * size + 2), (size, 2 * size)}
 

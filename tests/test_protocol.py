@@ -26,7 +26,7 @@ from sdpke.protocol import (
 )
 from sdpke.semirings import IntegersMod
 
-from conftest import PLATFORM_GENERATORS
+from conftest import PLATFORM_GENERATORS, window_digits
 
 ALL_KINDS = list(PLATFORM_GENERATORS)
 
@@ -189,10 +189,11 @@ def test_encrypt_decrypt_random_messages(rng, fresh_platform):
 
 def test_encrypt_is_the_holomorph_power_on_cold_and_warm_platforms(rng, fresh_platform, monkeypatch):
     # c1 = a_r and c2 = phi^r(a) c1 m, as sdp_exp would give them, before and past the platform's
-    # switch to level maps; mr_encrypt itself calls carrier_power and apply_phi_power, not sdp_exp
+    # switch to its window table; mr_encrypt itself calls carrier_power and apply_phi_power, not sdp_exp
     p = fresh_platform("gl", rng)
     kp = keygen(p, rng)
     monkeypatch.setattr(protocol, "sdp_exp", None)
+    table_exponents = []
     for seed in range(2 * MAP_SWITCH_CALL):
         msg = p.random_element(rng)
         ct = mr_encrypt(p, kp.public_value, msg, np.random.default_rng(seed))
@@ -200,7 +201,13 @@ def test_encrypt_is_the_holomorph_power_on_cold_and_warm_platforms(rng, fresh_pl
         eph = sdp_exp(dataclasses.replace(p), r)  # a cold copy takes the factored steps
         assert ct.c1 == eph.value and ct.c2 == eph.end(kp.public_value) @ eph.value @ msg
         assert mr_decrypt(p, kp.exponent, kp.public_value, ct) == msg
-    assert p._maps.levels  # the later half ran on maps
+        # keygen is call 1 and each seed makes three: carrier_power(r) and apply_phi_power(r) to encrypt,
+        # apply_phi_power(x) to decrypt, so seed s's calls are 3s + 2 .. 3s + 4
+        calls = zip(range(3 * seed + 2, 3 * seed + 5), (r, r, kp.exponent))
+        table_exponents += [x for call, x in calls if call >= MAP_SWITCH_CALL]
+    # the later half ran on the table: exactly the entries of its exponents' nonzero digits
+    assert table_exponents and p._maps.calls == MAP_SWITCH_CALL
+    assert set(p._maps.table) == set().union(*map(window_digits, table_exponents))
 
 
 def test_decrypt_with_wrong_exponent_garbles(rng, fresh_platform):
